@@ -1,9 +1,9 @@
 """Command-line surface: every check in the package as a reproducible batch
 run with deterministic JSON (or table) reports.
 
-    m3decomp verify --all --mode symbolic
+    m3decomp verify --all --mode symbolic --jobs 4
     m3decomp verify --entry R9 --mode specialized --n 10 --seed 1
-    m3decomp search --pattern 7-2 --prime 2 --jobs 4
+    m3decomp search --pattern 7-2 --prime 2
     m3decomp invariants
     m3decomp rb --entry S12
     m3decomp export --output catalog.json
@@ -11,7 +11,8 @@ run with deterministic JSON (or table) reports.
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 configuration
 error.  Identical configuration (including seed) produces byte-identical
-JSON output; --jobs changes wall time only.  The environment variable
+JSON output.  --jobs runs verify in parallel and changes its wall time only;
+search accepts --jobs and ignores it.  The environment variable
 M3DECOMP_CATALOG points verification at a catalog file instead of the
 built-in corpus.
 """
@@ -133,34 +134,6 @@ def cmd_verify(args):
     return 0 if doc["all_passed"] else 1
 
 
-def _search_edges(payload):
-    import numpy as np
-
-    from .search import _pdata, normalize_rows, rows_from_cells
-
-    pattern_name, p, sols_bytes, shape, group_bytes, gshape, twist_bytes = payload
-    sols = np.frombuffer(sols_bytes, dtype=np.int8).reshape(shape).astype(np.int64)
-    group = np.frombuffer(group_bytes, dtype=np.int64).reshape(gshape)
-    pdata = _pdata(pattern_name)
-    rows_all = rows_from_cells(sols, pdata, p)
-    index = {row.tobytes(): i for i, row in enumerate(sols.astype(np.int8))}
-    variants = [rows_all]
-    if twist_bytes is not None:
-        twist = np.frombuffer(twist_bytes, dtype=np.int64).reshape(9, 9)
-        variants.append(rows_all @ twist.T % p)
-    edges = []
-    for base_rows in variants:
-        for g in group:
-            img = base_rows @ g.T % p
-            cells, ok = normalize_rows(img, pdata, p)
-            cells8 = cells.astype(np.int8)
-            for i in np.nonzero(ok)[0]:
-                j = index.get(cells8[i].tobytes())
-                assert j is not None
-                edges.append((int(i), j))
-    return edges
-
-
 def cmd_search(args):
     import numpy as np
 
@@ -171,36 +144,7 @@ def cmd_search(args):
         return _config_error(f"unknown pattern {args.pattern!r}")
     if args.prime not in (2, 3, 5):
         return _config_error("prime must be one of 2, 3, 5")
-    partition = None
-    if args.jobs > 1:
-        # the group sweep is chunked across processes; orbit roots are
-        # canonical so the resulting report is byte-identical to a serial run
-        sols = search_mod.enumerate_complements_fp(name, args.prime)
-        config = search_mod.SEARCH_CONFIGS[name]
-        group = search_mod.group_matrices(config["group"], args.prime)
-        twist = search_mod.twist_matrix(config["twist"], args.prime)
-        chunks = np.array_split(group, args.jobs)
-        payloads = [
-            (name, args.prime, sols.astype(np.int8).tobytes(), sols.shape,
-             chunk.tobytes(), chunk.shape,
-             None if twist is None else twist.tobytes())
-            for chunk in chunks if chunk.size
-        ]
-        with Pool(args.jobs) as pool:
-            edge_lists = pool.map(_search_edges, payloads)
-        uf = search_mod._UnionFind(sols.shape[0])
-        for edges in edge_lists:
-            for (i, j) in edges:
-                uf.union(i, j)
-        labels = np.array([uf.find(i) for i in range(sols.shape[0])])
-        orbits = {}
-        for i in range(sols.shape[0]):
-            if int(labels[i]) not in orbits:
-                orbits[int(labels[i])] = i
-        partition = (labels, orbits)
-    report = search_mod.coverage_report(
-        name, args.prime, explain=not args.no_explain, partition=partition
-    )
+    report = search_mod.coverage_report(name, args.prime, explain=not args.no_explain)
     if args.slow_oracle:
         slow = search_mod.slow_cube_solutions(name, args.prime)
         fast = search_mod.enumerate_complements_fp(name, args.prime)
@@ -208,11 +152,10 @@ def cmd_search(args):
     doc = {
         "schema_version": SCHEMA,
         "command": "search",
-        "jobs": args.jobs,
+        "jobs": 1,  # search ignores --jobs, so its report never depends on it
         **report,
         "clean": search_mod.coverage_clean(report),
     }
-    doc["jobs"] = 1  # report content is independent of the job count
     _emit(doc, args)
     ok = doc["clean"] and doc.get("slow_oracle_agrees", True)
     return 0 if ok else 1
@@ -351,7 +294,7 @@ def build_parser():
     p.add_argument("--pattern", required=True,
                    help="one of %s (7-2 is an alias of t1)" % ", ".join(sorted(PATTERNS)))
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.add_argument("--no-explain", action="store_true",
                    help="skip the quadratic-extension explanation sweep")
     p.add_argument("--slow-oracle", action="store_true",

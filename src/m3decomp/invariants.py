@@ -48,20 +48,6 @@ def product_span(a_mats, b_mats, domain):
     return span(nonzero).basis_mats()
 
 
-def power_dims(mats, domain, count=3):
-    """Dimensions of V, V^2, V^3, ... for the span V of mats (V^{k+1} =
-    V * V^k)."""
-    dims = []
-    current = list(mats)
-    for _ in range(count):
-        dims.append(len(current))
-        if not current:
-            dims.extend([0] * (count - len(dims)))
-            break
-        current = product_span(mats, current, domain)
-    return dims[:count]
-
-
 def is_nilpotent_span(mats, domain, bound=9):
     current = list(mats)
     for _ in range(bound):

@@ -135,12 +135,6 @@ def mat_mul(a, b):
     return a @ b
 
 
-def rational_rank(m):
-    """Rank of a concrete matrix over its (field) domain."""
-    ech = echelonize([list(m.coords()[i * 3:(i + 1) * 3]) for i in range(3)])
-    return ech.rank
-
-
 class Subspace:
     """A linear subspace of the 9-dimensional matrix space.
 

@@ -291,19 +291,6 @@ class MultiPoly:
             raise ValueError(f"{self} is not constant")
         return next(iter(self.terms.values()))
 
-    def total_degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
-    def variables_used(self):
-        used = set()
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used.add(self.ring.names[i])
-        return used
-
     def leading(self):
         """Leading (exponent, coefficient) in lex order on the ring's names."""
         exp = max(self.terms)
@@ -512,9 +499,6 @@ class ConstraintSet:
         for p in self.nonzero:
             if isinstance(p, MultiPoly) and p.is_zero():
                 raise ValueError("identically zero polynomial in nonzero list")
-
-    def is_empty(self):
-        return not self.nonzero and not self.not_both_zero
 
     def merged(self, other):
         seen = list(self.nonzero)

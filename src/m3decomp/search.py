@@ -3,12 +3,14 @@ partitioning under the complement-preserving maps, and catalog matching.
 
 The enumeration is the solution set of a pattern's closure system over F_p
 (direct sums are automatic for pattern instances, since the pivot parts
-complete any basis of the complement).  Orbits are computed by sweeping every
-group element over every solution: for two in-pattern solutions related by
-the group, the connecting element itself produces a direct edge, so
-restricting the sweep to images that land back in the pattern slice loses
-nothing.  Soundness (every constraint-satisfying catalog specialization
-appears and is matched) is a hard assertion; completeness failures are data,
+complete any basis of the complement).  Each group family is the full
+stabilizer of its complement (`family_is_full_stabilizer`), so the family
+together with its twist coset is a group, and the orbit of a solution is the
+set of its images under all of those maps that land back in the pattern
+slice.  Orbits are therefore swept one at a time: every map is applied to one
+unlabelled solution, and each in-slice image joins its orbit.  Soundness
+(every constraint-satisfying catalog specialization appears and is matched)
+is checked with typed errors; completeness failures are data,
 reported verbatim and, where claimed, explained by re-running the sweep over
 the quadratic extension GF(p^2), which is exactly what a square-root
 obstruction must resolve.
@@ -22,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .catalog import COMPLEMENTS, builtin_catalog
-from .errors import BudgetExceeded, GroupMismatch, NotSupported
+from .errors import BudgetExceeded, GroupMismatch, NotSupported, PatternMismatch
 from .fpsolve import compile_poly, eval_compiled, solve_system_fp
 from .gfq import GFq2
 from .maps import conjugation, phi_map, theta, transpose_map
@@ -135,32 +137,33 @@ def normalize_rows(rows, pdata, p):
 # group families over F_p
 # ---------------------------------------------------------------------------
 
+#: the phi parameter slot (beta, gamma, kappa, lamda, mu, nu) that each free
+#: parameter of a family fills, in grid order; the other slots are 0.  psi's
+#: free parameters are (alpha, beta, gamma, delta, epsilon), with
+#: alpha -> nu, delta -> kappa and epsilon -> lamda.
+_FAMILY_SLOTS = {
+    "phi_full": (0, 1, 2, 3, 4, 5),
+    "phi_bg0": (2, 3, 4, 5),
+    "phi_lm0": (0, 1, 2, 5),
+    "phi_lm0_theta23": (0, 1, 2, 5),
+    "psi": (5, 0, 1, 2, 3),
+}
+
+
+def _family_grid(family, q, start=0, stop=None):
+    """Rows start..stop of a family's parameter grid over q values, as
+    (T, 6) phi parameter indices in C order (the last free parameter varies
+    fastest)."""
+    slots = _FAMILY_SLOTS[family]
+    size = q ** len(slots)
+    flat = np.arange(start, size if stop is None else min(stop, size))
+    grid = np.zeros((flat.size, 6), dtype=np.int64)
+    grid[:, slots] = np.stack(np.unravel_index(flat, (q,) * len(slots)), axis=-1)
+    return grid
+
+
 def _phi_tuples(p, kind):
-    rng = np.arange(p, dtype=np.int64)
-    if kind == "phi_full":
-        grid = np.stack(np.meshgrid(*[rng] * 6, indexing="ij"), axis=-1).reshape(-1, 6)
-    elif kind == "phi_bg0":
-        grid4 = np.stack(np.meshgrid(*[rng] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
-        grid = np.zeros((grid4.shape[0], 6), dtype=np.int64)
-        grid[:, 2:] = grid4
-    elif kind == "phi_lm0":
-        grid4 = np.stack(np.meshgrid(*[rng] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
-        grid = np.zeros((grid4.shape[0], 6), dtype=np.int64)
-        grid[:, 0] = grid4[:, 0]
-        grid[:, 1] = grid4[:, 1]
-        grid[:, 2] = grid4[:, 2]
-        grid[:, 5] = grid4[:, 3]
-    elif kind == "psi":
-        grid5 = np.stack(np.meshgrid(*[rng] * 5, indexing="ij"), axis=-1).reshape(-1, 5)
-        # (alpha, beta, gamma, delta, epsilon) -> phi params
-        grid = np.zeros((grid5.shape[0], 6), dtype=np.int64)
-        grid[:, 0] = grid5[:, 1]          # beta
-        grid[:, 1] = grid5[:, 2]          # gamma
-        grid[:, 2] = grid5[:, 3]          # kappa = delta
-        grid[:, 3] = grid5[:, 4]          # lamda = epsilon
-        grid[:, 5] = grid5[:, 0]          # nu = alpha
-    else:
-        raise ValueError(kind)
+    grid = _family_grid(kind, p)
     delta = (grid[:, 2] * grid[:, 5] - grid[:, 3] * grid[:, 4]) % p
     return grid[delta != 0]
 
@@ -284,32 +287,21 @@ def enumerate_complements_fp(pattern_name, p, budget=None):
     return solve_system_fp(pat.closure_system(), pat.params, p, **kwargs)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def orbit_partition_fp(solutions, pattern_name, p, group=None, twist=None):
     """Partition solutions into orbits under the complement-preserving group
     (plus the antiautomorphism coset when the setup admits one).
 
-    Returns (labels, orbits): labels[i] = orbit index of solution i; orbits
-    maps each index to the lexicographically least member (the canonical
+    The maps g and g.twist for g in the group are stacked once; then, in
+    index order, each solution not yet labelled has all of them applied to
+    its generator rows in one batch, and every in-slice image is labelled
+    with that solution's index.  This relies on the maps forming a group
+    (the identity included), which holds because each family is the full
+    stabilizer of its complement; an image outside the solutions, or one
+    already in another orbit, raises GroupMismatch.
+
+    Returns (labels, orbits): labels[i] is the least member index of the
+    orbit of solution i; orbits maps each such index to itself (solutions are
+    sorted, so that member is the orbit's canonical, lexicographically least
     representative).
     """
     config = SEARCH_CONFIGS[pattern_name]
@@ -323,24 +315,24 @@ def orbit_partition_fp(solutions, pattern_name, p, group=None, twist=None):
     n = sols.shape[0]
     index = {row.tobytes(): i for i, row in enumerate(sols.astype(np.int8))}
     rows_all = rows_from_cells(sols, pdata, p)
-    uf = _UnionFind(n)
-    twist_list = [None] + ([twist] if twist is not None else [])
-    for tw in twist_list:
-        base_rows = rows_all if tw is None else rows_all @ tw.T % p
-        for g in group:
-            img = base_rows @ g.T % p
-            cells, ok = normalize_rows(img, pdata, p)
-            cells8 = cells.astype(np.int8)
-            for i in np.nonzero(ok)[0]:
-                j = index.get(cells8[i].tobytes())
-                assert j is not None, "group image escaped the enumerated solution set"
-                uf.union(int(i), int(j))
-    labels = np.array([uf.find(i) for i in range(n)])
+    maps = group if twist is None else np.concatenate([group, group @ twist % p])
+    maps_t = np.transpose(maps, (0, 2, 1))
+    labels = np.full(n, -1, dtype=np.int64)
     orbits = {}
     for i in range(n):
-        root = labels[i]
-        if root not in orbits:
-            orbits[root] = i
+        if labels[i] >= 0:
+            continue
+        cells, ok = normalize_rows(rows_all[i] @ maps_t % p, pdata, p)
+        members = []
+        for cell_row in np.unique(cells[ok].astype(np.int8), axis=0):
+            j = index.get(cell_row.tobytes())
+            if j is None:
+                raise GroupMismatch("group image escaped the enumerated solution set")
+            members.append(j)
+        if (labels[members] >= 0).any():
+            raise GroupMismatch("the maps do not form a group: two orbits meet")
+        labels[members] = i
+        orbits[i] = i
     return labels, orbits
 
 
@@ -370,7 +362,8 @@ def catalog_specializations_fp(pattern_name, p):
                 dtype=np.int64,
             )
             cells, ok = normalize_rows(rows[None, :, :], pdata, p)
-            assert ok[0], f"{entry.id} specialization does not fit the pattern slice"
+            if not ok[0]:
+                raise PatternMismatch(f"{entry.id} specialization does not fit the pattern slice")
             out.append((entry.id, assign, cells[0]))
     return out
 
@@ -387,21 +380,17 @@ KNOWN_CAVEATS = {
 }
 
 
-def coverage_report(pattern_name, p, explain=True, budget=None, partition=None):
+def coverage_report(pattern_name, p, explain=True, budget=None):
     """Enumerate, partition into orbits, and match against the catalog.
 
     Unmatched orbit representatives are listed verbatim; when ``explain`` is
     set, each is re-swept over GF(p^2) and flagged explained when the orbit
     merges with a catalog specialization there (a quadratic obstruction).
-    ``partition`` may carry a precomputed (labels, orbits) pair (e.g. from a
-    parallel sweep); orbit roots are canonical (least member index), so the
-    report content never depends on how the sweep was chunked."""
+    A catalog specialization missing from the enumeration raises
+    PatternMismatch."""
     pat = get_pattern(pattern_name)
     sols = enumerate_complements_fp(pattern_name, p, budget)
-    if partition is None:
-        labels, orbits = orbit_partition_fp(sols, pattern_name, p)
-    else:
-        labels, orbits = partition
+    labels, orbits = orbit_partition_fp(sols, pattern_name, p)
     specs = catalog_specializations_fp(pattern_name, p)
     sols8 = sols.astype(np.int8)
     index = {row.tobytes(): i for i, row in enumerate(sols8)}
@@ -409,7 +398,8 @@ def coverage_report(pattern_name, p, explain=True, budget=None, partition=None):
     per_entry = {}
     for (eid, assign, cells) in specs:
         i = index.get(cells.astype(np.int8).tobytes())
-        assert i is not None, f"{eid} specialization missing from the enumeration"
+        if i is None:
+            raise PatternMismatch(f"{eid} specialization missing from the enumeration")
         matched_roots.add(int(labels[i]))
         per_entry[eid] = per_entry.get(eid, 0) + 1
     unmatched = []
@@ -533,10 +523,9 @@ def explain_unmatched(pattern_name, p, rep_cells, chunk=4096):
     if twist is not None:
         tw_rows = rows_from_cells(rep_cells[None, :], pdata, p)[0] @ twist.T % p
         rep_variants.append(np.transpose(gf.lift(tw_rows), (1, 0, 2)))
-    tuples = _phi_tuples_q2(config["group"], gf)
     compiled, den_c = _phi_compiled(p)
-    for start in range(0, tuples.shape[0], chunk):
-        part = tuples[start:start + chunk]
+    for start in range(0, gf.q ** len(_FAMILY_SLOTS[config["group"]]), chunk):
+        part = _phi_tuples_q2(config["group"], gf, start, start + chunk)
         columns = {i: part[:, i, :] for i in range(6)}
         den = gf.eval_compiled(den_c, columns, part.shape[0])
         keep = ~gf.is_zero(den)
@@ -563,43 +552,10 @@ def explain_unmatched(pattern_name, p, rep_cells, chunk=4096):
     return False
 
 
-def _phi_tuples_q2(family, gf):
-    """Family parameter tuples over GF(p^2) as (T, 6, 2) pair arrays."""
-    elements = gf.elements()
-    q = gf.q
-    if family == "phi_full":
-        free = 6
-        fixed = {}
-    elif family == "phi_bg0":
-        free = 4
-        fixed = {"zero": (0, 1)}
-    elif family in ("phi_lm0", "phi_lm0_theta23"):
-        free = 4
-        fixed = {"zero": (3, 4)}
-    elif family == "psi":
-        free = 5
-        fixed = {"psi": True}
-    else:
-        raise ValueError(family)
-    grid = np.stack(np.meshgrid(*[np.arange(q)] * free, indexing="ij"), axis=-1).reshape(-1, free)
-    vals = elements[grid.reshape(-1)].reshape(-1, free, 2)
-    out = np.zeros((vals.shape[0], 6, 2), dtype=np.int64)
-    if family == "phi_full":
-        out = vals
-    elif family == "phi_bg0":
-        out[:, 2:, :] = vals
-    elif family in ("phi_lm0", "phi_lm0_theta23"):
-        out[:, 0, :] = vals[:, 0, :]
-        out[:, 1, :] = vals[:, 1, :]
-        out[:, 2, :] = vals[:, 2, :]
-        out[:, 5, :] = vals[:, 3, :]
-    else:  # psi: (alpha, beta, gamma, delta, epsilon)
-        out[:, 0, :] = vals[:, 1, :]
-        out[:, 1, :] = vals[:, 2, :]
-        out[:, 2, :] = vals[:, 3, :]
-        out[:, 3, :] = vals[:, 4, :]
-        out[:, 5, :] = vals[:, 0, :]
-    return out
+def _phi_tuples_q2(family, gf, start, stop):
+    """Rows start..stop of the family's parameter grid over GF(p^2), as
+    (T, 6, 2) pair arrays."""
+    return gf.elements()[_family_grid(family, gf.q, start, stop)]
 
 
 def _extra_coset_q2(family, mats, gf, p):
@@ -644,24 +600,7 @@ def slow_cube_solutions(pattern_name, p, budget=20000):
 
 
 def _rank_mod(rows, p):
-    m = rows.copy() % p
-    r = 0
-    for col in range(m.shape[1]):
-        piv = None
-        for i in range(r, m.shape[0]):
-            if m[i, col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, col]), p - 2, p)
-        m[r] = m[r] * inv % p
-        for i in range(m.shape[0]):
-            if i != r and m[i, col]:
-                m[i] = (m[i] - m[i, col] * m[r]) % p
-        r += 1
-    return r
+    return int(_rref_mod(rows, p).any(axis=1).sum())
 
 
 def family_is_full_stabilizer(family, complement_id, p):
@@ -681,7 +620,7 @@ def family_is_full_stabilizer(family, complement_id, p):
     dom = GF(p)
     for flat in itertools.product(range(p), repeat=9):
         t_rows = np.array(flat, dtype=np.int64).reshape(3, 3)
-        if _rank_mod(t_rows.copy(), p) != 3:
+        if _rank_mod(t_rows, p) != 3:
             continue
         conj = conjugation(Mat3(t_rows.tolist(), dom))
         mat = np.array(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from m3decomp.catalog import COMPLEMENTS
-from m3decomp.errors import BudgetExceeded
+from m3decomp.errors import BudgetExceeded, GroupMismatch
 from m3decomp.maps import apply_map, phi_map, psi_map, theta, transpose_map
 from m3decomp.matrices import span
 from m3decomp.search import (
@@ -18,8 +18,36 @@ from m3decomp.search import (
     rows_from_cells,
     slow_cube_solutions,
     t4_t6_separation,
+    twist_matrix,
     _pdata,
 )
+
+
+def _orbits_by_union_find(sols, pattern_name, p):
+    """Reference partition: every group element and every twisted element is
+    applied to every solution, and each in-slice image is unioned with its
+    source; the least index of a class is its root."""
+    config = SEARCH_CONFIGS[pattern_name]
+    twist = twist_matrix(config["twist"], p)
+    pdata = _pdata(pattern_name)
+    index = {row.tobytes(): i for i, row in enumerate(sols.astype(np.int8))}
+    rows = rows_from_cells(sols.astype(np.int64), pdata, p)
+    parent = list(range(sols.shape[0]))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for base in [rows] + ([] if twist is None else [rows @ twist.T % p]):
+        for g in group_matrices(config["group"], p):
+            cells, ok = normalize_rows(base @ g.T % p, pdata, p)
+            for i in np.nonzero(ok)[0]:
+                j = index[cells[i].astype(np.int8).tobytes()]
+                a, b = sorted((find(int(i)), find(j)))
+                parent[b] = a
+    labels = np.array([find(i) for i in range(sols.shape[0])])
+    return labels, {int(r): int(r) for r in np.unique(labels)}
 
 
 def test_group_orders_f3():
@@ -110,7 +138,7 @@ def test_orbit_partition_refines_solutions():
 def test_orbit_closed_under_group_f2():
     # every in-pattern image of the all-zero (R1) solution stays in its
     # orbit (maps with nonzero upper parameters leave the pivot-normalized
-    # slice; those images are rejoined through other group elements)
+    # slice; such images are not solutions and join no orbit)
     sols = enumerate_complements_fp("t1", 2)
     labels, _ = orbit_partition_fp(sols, "t1", 2)
     pdata = _pdata("t1")
@@ -128,6 +156,27 @@ def test_orbit_closed_under_group_f2():
         j = index[cells.astype(np.int8)[0].tobytes()]
         assert labels[j] == labels[zero_idx]
     assert in_slice > 1
+
+
+def test_orbit_partition_matches_union_find_reference():
+    cases = [(name, 2) for name in SEARCH_CONFIGS] + [("t1", 3), ("t3", 3)]
+    for name, p in cases:
+        sols = enumerate_complements_fp(name, p)
+        labels, orbits = orbit_partition_fp(sols, name, p)
+        ref_labels, ref_orbits = _orbits_by_union_find(sols, name, p)
+        assert np.array_equal(labels, ref_labels), (name, p)
+        assert orbits == ref_orbits, (name, p)
+
+
+def test_orbit_partition_rejects_escaped_image():
+    # drop one member of a non-singleton orbit: the sweep of that orbit then
+    # maps onto a complement missing from the solutions
+    sols = enumerate_complements_fp("t1", 2)
+    labels, _ = orbit_partition_fp(sols, "t1", 2)
+    sizes = np.bincount(labels)
+    victim = next(i for i in range(sols.shape[0]) if sizes[labels[i]] > 1)
+    with pytest.raises(GroupMismatch):
+        orbit_partition_fp(np.delete(sols, victim, axis=0), "t1", 2)
 
 
 def test_t1_coverage_full_match():
