@@ -25,7 +25,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from multiprocessing import Pool
 
 from . import catalog as catalog_mod
 from .errors import M3DecompError
@@ -114,6 +113,8 @@ def cmd_verify(args):
     chosen = _select_entries(entries, args.entry)
     payloads = [(e.id, args.mode, args.n, args.seed, cat_path) for e in chosen]
     if args.jobs > 1:
+        from multiprocessing import Pool
+
         with Pool(args.jobs) as pool:
             reports = pool.map(_verify_one, payloads)
     else:

@@ -83,3 +83,9 @@ class BudgetExceeded(M3DecompError):
 
 class GroupMismatch(M3DecompError):
     """A group generator fails to preserve the fixed complement."""
+
+
+class SoundnessError(M3DecompError):
+    """An exact computation produced a result that fails its own check (an
+    idempotent that does not square to itself, a product outside the span),
+    which for a subalgebra cannot happen: the input span is not closed."""

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CharNotZero, DimensionMismatch, NotSupported
+from .errors import CharNotZero, DimensionMismatch, NotSupported, SoundnessError
 from .linalg import echelonize, kernel_basis, sc_is_zero, solve_linear
 from .matrices import Mat3, span
 from .scalars import FpElem
@@ -100,7 +100,8 @@ def _radical_fp(s, basis, dom):
     if not good:
         return span([zero], domain=dom)
     rad = span(good, domain=dom)
-    assert is_nilpotent_span(rad.basis_mats(), dom)
+    if not is_nilpotent_span(rad.basis_mats(), dom):
+        raise SoundnessError("the sum of the nilpotent ideals is not nilpotent")
     return rad
 
 
@@ -275,7 +276,8 @@ def principal_idempotent(s):
         if u2 == u:
             return u
         u = u2.scale(3) - (u2 @ u).scale(2)
-    assert (u @ u) == u
+    if (u @ u) != u:
+        raise SoundnessError("the idempotent lift did not converge")
     return u
 
 
@@ -339,7 +341,8 @@ def idempotents(s):
         if c is None or c == 0:
             return Idempotents((), ())
         e = g.scale(Fraction(1) / c)
-        assert e @ e == e
+        if e @ e != e:
+            raise SoundnessError("the scaled generator is not idempotent")
         return Idempotents(((e, matrix_rank(e)),), ())
     return _idempotents_dim2(s, dom)
 
@@ -359,26 +362,31 @@ def _idempotents_dim2(s, dom):
             u = g
             break
     lam = _coefficient_on(u @ u, u, n, which=0)
-    assert lam != 0, "non-nilpotent 2-dim algebra must have u^2 ~ u"
+    if lam == 0:
+        raise SoundnessError("non-nilpotent 2-dim algebra must have u^2 ~ u")
     u = u.scale(Fraction(1) / lam)
     mu = _coefficient_on(u @ u, u, n, which=1)
     sigma = _scalar_multiple(u @ n, n)
     tau = _scalar_multiple(n @ u, n)
-    assert sigma in (0, 1) and tau in (0, 1)
+    if sigma not in (0, 1) or tau not in (0, 1):
+        raise SoundnessError("the radical is not scaled by 0 or 1 under u")
     if sigma + tau == 1:
-        assert mu == 0, "idempotent lifting forces the mixed case to be exact"
+        if mu != 0:
+            raise SoundnessError("idempotent lifting forces the mixed case to be exact")
         generic = max(matrix_rank(u + n.scale(t)) for t in (0, 1, -1, 2, -2, 3, 4))
         fam = IdempotentFamily(u, n, generic)
         return Idempotents(((u, matrix_rank(u)),), (fam,))
     t = mu / (1 - sigma - tau)
     e = u + n.scale(t)
-    assert e @ e == e
+    if e @ e != e:
+        raise SoundnessError("the lifted element is not idempotent")
     return Idempotents(((e, matrix_rank(e)),), ())
 
 
 def _idempotents_semisimple2(s, dom):
     unit = find_unit(s, "two")
-    assert unit is not None, "2-dim semisimple algebras are unital"
+    if unit is None:
+        raise SoundnessError("2-dim semisimple algebras are unital")
     w = None
     for g in s.basis_mats():
         if not span([unit]).contains(g):
@@ -388,7 +396,8 @@ def _idempotents_semisimple2(s, dom):
     a = _coefficient_on(w @ w, w, unit, which=0)
     b = _coefficient_on(w @ w, w, unit, which=1)
     disc = a * a + 4 * b
-    assert disc != 0, "separable quadratic expected in a semisimple algebra"
+    if disc == 0:
+        raise SoundnessError("separable quadratic expected in a semisimple algebra")
     root = _rational_sqrt(disc)
     if root is None:
         return Idempotents(((unit, matrix_rank(unit)),), ())
@@ -399,7 +408,8 @@ def _idempotents_semisimple2(s, dom):
     out = []
     for e in (e1, e2, unit):
         if not e.is_zero():
-            assert e @ e == e
+            if e @ e != e:
+                raise SoundnessError("a split idempotent does not square to itself")
             out.append((e, matrix_rank(e)))
     return Idempotents(tuple(out), ())
 
@@ -426,7 +436,8 @@ def _coefficient_on(target, u, n, which):
         [[cu, cn] for cu, cn in zip(u.coords(), n.coords())],
         list(target.coords()),
     )
-    assert sol is not None
+    if sol is None:
+        raise SoundnessError("a product leaves the span of its two factors")
     return sol[which]
 
 
@@ -437,7 +448,8 @@ def _scalar_multiple(target, n):
         if not sc_is_zero(b):
             c = a / b
             break
-    assert n.scale(c) == target
+    if n.scale(c) != target:
+        raise SoundnessError("a product with u is not a multiple of n")
     return c
 
 

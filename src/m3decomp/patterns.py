@@ -14,10 +14,16 @@ must be zero in all nine coordinates.
 Patterns whose cells are pinned to zero record the justification; only
 division-free normalizations are pinned where completeness over prime fields
 is claimed.
+
+The theorem patterns in `PATTERNS` are kept as a table of specifications.
+Each pattern is built, and its directions and dual functionals checked, the
+first time it is looked up, so a command pays only for the pattern it names
+(and one that names none pays nothing).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import PatternMismatch
@@ -206,7 +212,7 @@ def derive_closure_system(pattern, pairs="all"):
 
 
 # ---------------------------------------------------------------------------
-# the eight theorem patterns
+# the theorem patterns, each built on first use
 # ---------------------------------------------------------------------------
 
 def _gen(base_positions, dirs):
@@ -216,142 +222,155 @@ def _gen(base_positions, dirs):
     )
 
 
-def _build_patterns():
-    pats = {}
-
-    pats["t1"] = PivotPattern(
-        "t1", 1, "M7",
-        [
-            _gen([(2, 1)], [("b", [(1, 2)]), ("c", [(1, 3)]), ("d", [(2, 2)]),
-                            ("e", [(2, 3)]), ("f", [(3, 2)]), ("g", [(3, 3)])]),
-            _gen([(3, 1)], [("q", [(1, 2)]), ("r", [(1, 3)]), ("s", [(2, 2)]),
-                            ("t", [(2, 3)]), ("x", [(3, 2)]), ("y", [(3, 3)])]),
-        ],
-        include_identity=False,
+#: per pattern: theorem, fixed complement, whether the identity is a
+#: generator, the pinned-zero justification, and per generator its pivot
+#: positions and (cell, direction positions) pairs
+_PATTERN_SPECS = {
+    "t1": dict(
+        theorem=1, complement_id="M7", include_identity=False,
         fixed_zeros="a = p = 0 (division-only normalization by the preserving family)",
-    )
-
-    pats["t2"] = PivotPattern(
-        "t2", 2, "M6N",
-        [
-            _gen([(2, 1)], [("a", [(1, 2)]), ("b", [(1, 3)]), ("c", [(2, 2)]),
-                            ("d", [(2, 3)]), ("e", [(3, 2)]), ("f", [(3, 3)])]),
-            _gen([(3, 1)], [("r", [(1, 2)]), ("s", [(1, 3)]), ("t", [(2, 2)]),
-                            ("u", [(2, 3)]), ("x", [(3, 2)]), ("y", [(3, 3)])]),
+        gens=[
+            ([(2, 1)], [("b", [(1, 2)]), ("c", [(1, 3)]), ("d", [(2, 2)]),
+                        ("e", [(2, 3)]), ("f", [(3, 2)]), ("g", [(3, 3)])]),
+            ([(3, 1)], [("q", [(1, 2)]), ("r", [(1, 3)]), ("s", [(2, 2)]),
+                        ("t", [(2, 3)]), ("x", [(3, 2)]), ("y", [(3, 3)])]),
         ],
-        include_identity=True,
+    ),
+    "t2": dict(
+        theorem=2, complement_id="M6N", include_identity=True,
         fixed_zeros="none (the e12-cell normalization needs a square root)",
-    )
-
-    pats["t3"] = PivotPattern(
-        "t3", 3, "M6U",
-        [
-            _gen([(2, 1)], [("b", [(1, 2)]), ("c", [(1, 3)]), ("d", [(2, 2)]),
-                            ("e", [(2, 3)]), ("f", [(3, 3)])]),
-            _gen([(3, 1)], [("g", [(1, 1)]), ("h", [(1, 2)]), ("i", [(1, 3)]),
-                            ("j", [(2, 2)]), ("k", [(2, 3)])]),
-            _gen([(3, 2)], [("m", [(1, 1)]), ("n", [(1, 2)]), ("s", [(1, 3)]),
-                            ("p", [(2, 2)]), ("q", [(2, 3)])]),
+        gens=[
+            ([(2, 1)], [("a", [(1, 2)]), ("b", [(1, 3)]), ("c", [(2, 2)]),
+                        ("d", [(2, 3)]), ("e", [(3, 2)]), ("f", [(3, 3)])]),
+            ([(3, 1)], [("r", [(1, 2)]), ("s", [(1, 3)]), ("t", [(2, 2)]),
+                        ("u", [(2, 3)]), ("x", [(3, 2)]), ("y", [(3, 3)])]),
         ],
-        include_identity=False,
+    ),
+    "t3": dict(
+        theorem=3, complement_id="M6U", include_identity=False,
         fixed_zeros="a = l = r = 0 (division-only normalization)",
-    )
-
-    pats["t4"] = PivotPattern(
-        "t4", 4, "L5_4",
-        [
-            _gen([(2, 1)], [("b", [(1, 2)]), ("c", [(1, 3)]), ("d", [(2, 2)]),
-                            ("e", [(2, 3)])]),
-            _gen([(3, 1)], [("g", [(1, 1)]), ("h", [(1, 2)]), ("i", [(1, 3)]),
-                            ("j", [(2, 2)]), ("k", [(2, 3)])]),
-            _gen([(3, 2)], [("m", [(1, 1)]), ("n", [(1, 2)]), ("s", [(1, 3)]),
-                            ("p", [(2, 2)]), ("q", [(2, 3)])]),
+        gens=[
+            ([(2, 1)], [("b", [(1, 2)]), ("c", [(1, 3)]), ("d", [(2, 2)]),
+                        ("e", [(2, 3)]), ("f", [(3, 3)])]),
+            ([(3, 1)], [("g", [(1, 1)]), ("h", [(1, 2)]), ("i", [(1, 3)]),
+                        ("j", [(2, 2)]), ("k", [(2, 3)])]),
+            ([(3, 2)], [("m", [(1, 1)]), ("n", [(1, 2)]), ("s", [(1, 3)]),
+                        ("p", [(2, 2)]), ("q", [(2, 3)])]),
         ],
-        include_identity=True,
+    ),
+    "t4": dict(
+        theorem=4, complement_id="L5_4", include_identity=True,
         fixed_zeros="a = 0 (division-only normalization)",
-    )
-
-    pats["t4m2"] = PivotPattern(
-        "t4m2", 4, "L5_5",
-        [
-            _gen([(2, 1)], [("a", [(1, 1)]), ("b", [(1, 2)]), ("c", [(1, 3)]),
-                            ("d", [(2, 3)]), ("e", [(3, 3)])]),
-            _gen([(3, 1)], [("g", [(1, 1)]), ("h", [(1, 2)]), ("i", [(1, 3)]),
-                            ("j", [(2, 3)]), ("k", [(3, 3)])]),
-            _gen([(3, 2)], [("m", [(1, 1)]), ("n", [(1, 2)]), ("s", [(1, 3)]),
-                            ("p", [(2, 3)]), ("q", [(3, 3)])]),
+        gens=[
+            ([(2, 1)], [("b", [(1, 2)]), ("c", [(1, 3)]), ("d", [(2, 2)]),
+                        ("e", [(2, 3)])]),
+            ([(3, 1)], [("g", [(1, 1)]), ("h", [(1, 2)]), ("i", [(1, 3)]),
+                        ("j", [(2, 2)]), ("k", [(2, 3)])]),
+            ([(3, 2)], [("m", [(1, 1)]), ("n", [(1, 2)]), ("s", [(1, 3)]),
+                        ("p", [(2, 2)]), ("q", [(2, 3)])]),
         ],
-        include_identity=True,
+    ),
+    "t4m2": dict(
+        theorem=4, complement_id="L5_5", include_identity=True,
         fixed_zeros="none (shape adapted to the second complement)",
-    )
-
-    pats["t5"] = PivotPattern(
-        "t5", 5, "L5_1",
-        [
-            _gen([(2, 1)], [("b", [(2, 2)]), ("c", [(2, 3)]), ("d", [(3, 2)]),
-                            ("e", [(3, 3)])]),
-            _gen([(3, 1)], [("g", [(1, 1)]), ("h", [(2, 2)]), ("i", [(2, 3)]),
-                            ("j", [(3, 2)]), ("k", [(3, 3)])]),
-            _gen([(1, 2)], [("n", [(2, 2)]), ("s", [(2, 3)]), ("p", [(3, 2)]),
-                            ("q", [(3, 3)])]),
-            _gen([(1, 3)], [("v", [(2, 2)]), ("x", [(2, 3)]), ("y", [(3, 2)]),
-                            ("z", [(3, 3)])]),
+        gens=[
+            ([(2, 1)], [("a", [(1, 1)]), ("b", [(1, 2)]), ("c", [(1, 3)]),
+                        ("d", [(2, 3)]), ("e", [(3, 3)])]),
+            ([(3, 1)], [("g", [(1, 1)]), ("h", [(1, 2)]), ("i", [(1, 3)]),
+                        ("j", [(2, 3)]), ("k", [(3, 3)])]),
+            ([(3, 2)], [("m", [(1, 1)]), ("n", [(1, 2)]), ("s", [(1, 3)]),
+                        ("p", [(2, 3)]), ("q", [(3, 3)])]),
         ],
-        include_identity=False,
+    ),
+    "t5": dict(
+        theorem=5, complement_id="L5_1", include_identity=False,
         fixed_zeros="a = m = u = 0 (up to the index swap, transpose and the preserving family)",
-    )
-
-    pats["t6"] = PivotPattern(
-        "t6", 6, "L5_3",
-        [
-            _gen([(2, 1)], [("a", [(1, 1)]), ("b", [(1, 2)]), ("c", [(1, 3)]),
-                            ("d", [(2, 2), (3, 3)])]),
-            _gen([(3, 1)], [("g", [(1, 1)]), ("h", [(1, 2)]), ("i", [(1, 3)]),
-                            ("j", [(2, 2), (3, 3)]), ("k", [(2, 3)])]),
-            _gen([(3, 2)], [("m", [(1, 1)]), ("n", [(1, 2)]), ("s", [(1, 3)]),
-                            ("p", [(2, 2), (3, 3)]), ("q", [(2, 3)])]),
-            _gen([(3, 3)], [("u", [(1, 1)]), ("v", [(1, 2)]), ("x", [(1, 3)]),
-                            ("y", [(2, 2), (3, 3)])]),
+        gens=[
+            ([(2, 1)], [("b", [(2, 2)]), ("c", [(2, 3)]), ("d", [(3, 2)]),
+                        ("e", [(3, 3)])]),
+            ([(3, 1)], [("g", [(1, 1)]), ("h", [(2, 2)]), ("i", [(2, 3)]),
+                        ("j", [(3, 2)]), ("k", [(3, 3)])]),
+            ([(1, 2)], [("n", [(2, 2)]), ("s", [(2, 3)]), ("p", [(3, 2)]),
+                        ("q", [(3, 3)])]),
+            ([(1, 3)], [("v", [(2, 2)]), ("x", [(2, 3)]), ("y", [(3, 2)]),
+                        ("z", [(3, 3)])]),
         ],
-        include_identity=False,
+    ),
+    "t6": dict(
+        theorem=6, complement_id="L5_3", include_identity=False,
         fixed_zeros="e = z = 0 (division-only normalization)",
-    )
-
-    pats["t7"] = PivotPattern(
-        "t7", 7, "L5_2",
-        [
-            _gen([(2, 1)], [("b", [(1, 2)]), ("c", [(1, 3)]), ("d", [(2, 2)]),
-                            ("e", [(3, 3)])]),
-            _gen([(3, 1)], [("g", [(1, 1)]), ("h", [(1, 2)]), ("i", [(1, 3)]),
-                            ("j", [(2, 2)]), ("k", [(3, 3)])]),
-            _gen([(3, 2)], [("m", [(1, 1)]), ("n", [(1, 2)]), ("s", [(1, 3)]),
-                            ("p", [(2, 2)]), ("q", [(3, 3)])]),
-            _gen([(2, 3)], [("u", [(1, 1)]), ("v", [(1, 2)]), ("x", [(1, 3)]),
-                            ("y", [(2, 2)]), ("z", [(3, 3)])]),
+        gens=[
+            ([(2, 1)], [("a", [(1, 1)]), ("b", [(1, 2)]), ("c", [(1, 3)]),
+                        ("d", [(2, 2), (3, 3)])]),
+            ([(3, 1)], [("g", [(1, 1)]), ("h", [(1, 2)]), ("i", [(1, 3)]),
+                        ("j", [(2, 2), (3, 3)]), ("k", [(2, 3)])]),
+            ([(3, 2)], [("m", [(1, 1)]), ("n", [(1, 2)]), ("s", [(1, 3)]),
+                        ("p", [(2, 2), (3, 3)]), ("q", [(2, 3)])]),
+            ([(3, 3)], [("u", [(1, 1)]), ("v", [(1, 2)]), ("x", [(1, 3)]),
+                        ("y", [(2, 2), (3, 3)])]),
         ],
-        include_identity=False,
+    ),
+    "t7": dict(
+        theorem=7, complement_id="L5_2", include_identity=False,
         fixed_zeros="a = 0 (division-only normalization)",
-    )
-
-    pats["t8"] = PivotPattern(
-        "t8", 8, "L5_6",
-        [
-            _gen([(2, 1)], [("a", [(1, 1), (3, 3)]), ("b", [(1, 2)]), ("c", [(1, 3)])]),
-            _gen([(3, 1)], [("g", [(1, 1), (3, 3)]), ("h", [(1, 2)]), ("i", [(1, 3)]),
-                            ("j", [(2, 2)]), ("k", [(2, 3)])]),
-            _gen([(3, 2)], [("m", [(1, 1), (3, 3)]), ("n", [(1, 2)]), ("s", [(1, 3)]),
-                            ("q", [(2, 3)])]),
-            _gen([(3, 3)], [("u", [(1, 1), (3, 3)]), ("v", [(1, 2)]), ("x", [(1, 3)]),
-                            ("y", [(2, 2)]), ("z", [(2, 3)])]),
+        gens=[
+            ([(2, 1)], [("b", [(1, 2)]), ("c", [(1, 3)]), ("d", [(2, 2)]),
+                        ("e", [(3, 3)])]),
+            ([(3, 1)], [("g", [(1, 1)]), ("h", [(1, 2)]), ("i", [(1, 3)]),
+                        ("j", [(2, 2)]), ("k", [(3, 3)])]),
+            ([(3, 2)], [("m", [(1, 1)]), ("n", [(1, 2)]), ("s", [(1, 3)]),
+                        ("p", [(2, 2)]), ("q", [(3, 3)])]),
+            ([(2, 3)], [("u", [(1, 1)]), ("v", [(1, 2)]), ("x", [(1, 3)]),
+                        ("y", [(2, 2)]), ("z", [(3, 3)])]),
         ],
-        include_identity=False,
+    ),
+    "t8": dict(
+        theorem=8, complement_id="L5_6", include_identity=False,
         fixed_zeros="d = e = p = 0 (division-only normalization)",
-    )
+        gens=[
+            ([(2, 1)], [("a", [(1, 1), (3, 3)]), ("b", [(1, 2)]), ("c", [(1, 3)])]),
+            ([(3, 1)], [("g", [(1, 1), (3, 3)]), ("h", [(1, 2)]), ("i", [(1, 3)]),
+                        ("j", [(2, 2)]), ("k", [(2, 3)])]),
+            ([(3, 2)], [("m", [(1, 1), (3, 3)]), ("n", [(1, 2)]), ("s", [(1, 3)]),
+                        ("q", [(2, 3)])]),
+            ([(3, 3)], [("u", [(1, 1), (3, 3)]), ("v", [(1, 2)]), ("x", [(1, 3)]),
+                        ("y", [(2, 2)]), ("z", [(2, 3)])]),
+        ],
+    ),
+}
 
-    return pats
+
+class _PatternRegistry(Mapping):
+    """The theorem patterns by name.  A pattern is built, and so checked, on
+    its first lookup and cached; membership and iteration read only the
+    names."""
+
+    def __init__(self, specs):
+        self._specs = specs
+        self._built = {}
+
+    def __getitem__(self, name):
+        if name not in self._built:
+            spec = self._specs[name]
+            self._built[name] = PivotPattern(
+                name, spec["theorem"], spec["complement_id"],
+                [_gen(*g) for g in spec["gens"]],
+                include_identity=spec["include_identity"],
+                fixed_zeros=spec["fixed_zeros"],
+            )
+        return self._built[name]
+
+    def __contains__(self, name):
+        return name in self._specs
+
+    def __iter__(self):
+        return iter(self._specs)
+
+    def __len__(self):
+        return len(self._specs)
 
 
-PATTERNS = _build_patterns()
+PATTERNS = _PatternRegistry(_PATTERN_SPECS)
 
 PATTERN_ALIASES = {"7-2": "t1", "t4m1": "t4"}
 

@@ -66,7 +66,10 @@ class _PatternData:
             [[int(x) for x in row] for row in pattern.base_rows()], dtype=np.int64
         )
         funcs = pattern.functionals
-        assert all(f[t].denominator == 1 for f in funcs for t in range(9))
+        if any(f[t].denominator != 1 for f in funcs for t in range(9)):
+            raise PatternMismatch(
+                f"pattern {pattern.name!r} has non-integral dual functionals"
+            )
         self.functionals = np.array(
             [[int(f[t]) for t in range(9)] for f in funcs], dtype=np.int64
         )
@@ -84,7 +87,11 @@ class _PatternData:
                         self.dirs[ci, gi + offset, t] = int(vec[t])
         for gi, gen_reads in enumerate(pattern.cell_read_offsets()):
             for (pname, pos, scale) in gen_reads:
-                assert scale.denominator == 1
+                if scale.denominator != 1:
+                    raise PatternMismatch(
+                        f"cell {pname!r} of pattern {pattern.name!r} has a "
+                        f"non-integral read scale {scale}"
+                    )
                 reads.append((param_pos[pname], gi + offset, pos, int(scale)))
         self.reads = reads
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from m3decomp.catalog import LEMMA5_SUBALGEBRAS, entry_by_id
-from m3decomp.errors import CharNotZero, DimensionMismatch, NotSupported
+from m3decomp.errors import CharNotZero, DimensionMismatch, NotSupported, SoundnessError
 from m3decomp.invariants import (
     classify_2dim,
     fingerprint,
@@ -233,3 +233,21 @@ def test_principal_idempotent_ranks():
         s = s_of(ident)
         u = principal_idempotent(s)
         assert u is not None and (u @ u) == u and s.contains(u)
+
+
+@pytest.mark.parametrize("gens, message", [
+    # g^2 is not a multiple of g, so g scaled by its first ratio is no idempotent
+    ([e(1, 1) + e(1, 2) + e(2, 1)], "scaled generator is not idempotent"),
+    # the radical is spanned by e23, and u^2 leaves span(u, e23)
+    ([e(1, 1) + e(1, 2) + e(2, 1), e(2, 3)], "leaves the span of its two factors"),
+    # the radical is spanned by e23, and u e23 = e13 is not a multiple of it
+    ([e(1, 1) + e(1, 2), e(2, 3)], "not a multiple of n"),
+    # zero radical, but no element of the span is a two-sided unit for it
+    ([e(1, 1), e(1, 2) + e(2, 1)], "semisimple algebras are unital"),
+])
+def test_soundness_checks_reject_non_closed_spans(gens, message):
+    s = span(gens)
+    assert not s.is_subalgebra()[0]
+    for check in (idempotents, fingerprint):
+        with pytest.raises(SoundnessError, match=message):
+            check(s)

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,46 @@ def test_pattern_registry():
     assert set(PATTERNS) == {"t1", "t2", "t3", "t4", "t4m2", "t5", "t6", "t7", "t8"}
     assert get_pattern("7-2") is PATTERNS["t1"]
     assert get_pattern("t4m1") is PATTERNS["t4"]
+
+
+_FIRST_LOOKUP = """
+import gc
+
+import m3decomp.cli
+from m3decomp.patterns import PATTERNS, PivotPattern, get_pattern
+
+
+def built():
+    return [o for o in gc.get_objects() if isinstance(o, PivotPattern)]
+
+
+m3decomp.cli.build_parser()
+assert "t1" in PATTERNS and "7-2" not in PATTERNS and len(PATTERNS) == 9
+assert built() == [], built()
+pat = get_pattern("7-2")
+assert built() == [pat] and pat is PATTERNS["t1"], built()
+"""
+
+
+def test_patterns_built_on_first_lookup():
+    # importing the CLI, building its parser and asking for the names build
+    # no pattern; the first lookup builds exactly the one it names
+    res = subprocess.run(
+        [sys.executable, "-c", _FIRST_LOOKUP], capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+
+
+def test_every_pattern_has_dual_functionals_and_a_system():
+    for name in sorted(PATTERNS):
+        pat = PATTERNS[name]
+        k = pat.gen_count
+        duals = [
+            [sum(f[t] * base[t] for t in range(9)) for base in pat.base_rows()]
+            for f in pat.functionals
+        ]
+        assert duals == [[int(i == j) for j in range(k)] for i in range(k)], name
+        assert pat.closure_system(), name
 
 
 def test_cell_counts():

@@ -1,10 +1,14 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from m3decomp.catalog import COMPLEMENTS
-from m3decomp.errors import BudgetExceeded, GroupMismatch
+from m3decomp.errors import BudgetExceeded, GroupMismatch, PatternMismatch
 from m3decomp.maps import apply_map, phi_map, psi_map, theta, transpose_map
 from m3decomp.matrices import span
+from m3decomp.patterns import PatternGen, PivotPattern, _affine_vec, _unit_vec
 from m3decomp.search import (
     SEARCH_CONFIGS,
     catalog_specializations_fp,
@@ -19,6 +23,7 @@ from m3decomp.search import (
     slow_cube_solutions,
     t4_t6_separation,
     twist_matrix,
+    _PatternData,
     _pdata,
 )
 
@@ -250,3 +255,51 @@ def test_sweep_rejects_unsupported_prime():
 
     with pytest.raises(NotSupported):
         t4_t6_separation(7)
+
+
+def _m7_pattern(first):
+    """A two-generator pattern for the complement of t1 whose second
+    generator is the bare pivot e31."""
+    return PivotPattern(
+        "hand", 1, "M7", [first, PatternGen(_unit_vec((3, 1)), [])], include_identity=False
+    )
+
+
+def test_pattern_data_rejects_non_integral_functionals():
+    # pivot 2*e21: its dual functional is half a coordinate functional
+    pat = _m7_pattern(PatternGen([2 * x for x in _unit_vec((2, 1))], []))
+    with pytest.raises(PatternMismatch, match="non-integral dual functionals"):
+        _PatternData(pat)
+
+
+def test_pattern_data_rejects_non_integral_cell_scale():
+    # direction 2*e12: the cell is read off its coordinate divided by 2
+    pat = _m7_pattern(PatternGen(_unit_vec((2, 1)), [("b", _affine_vec([(1, 2, 2)]))]))
+    with pytest.raises(PatternMismatch, match="non-integral read scale"):
+        _PatternData(pat)
+
+
+_SCALE_CHECK_OPTIMIZED = """
+from m3decomp.errors import PatternMismatch
+from m3decomp.patterns import PatternGen, PivotPattern, _affine_vec, _unit_vec
+from m3decomp.search import _PatternData
+
+assert not __debug__
+first = PatternGen(_unit_vec((2, 1)), [("b", _affine_vec([(1, 2, 2)]))])
+pat = PivotPattern(
+    "hand", 1, "M7", [first, PatternGen(_unit_vec((3, 1)), [])], include_identity=False
+)
+try:
+    _PatternData(pat)
+except PatternMismatch as exc:
+    print(exc)
+"""
+
+
+def test_pattern_data_check_survives_optimize():
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", _SCALE_CHECK_OPTIMIZED],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert "non-integral read scale" in res.stdout
