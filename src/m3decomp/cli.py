@@ -9,8 +9,11 @@ run with deterministic JSON (or table) reports.
     m3decomp export --output catalog.json
     m3decomp derive-system --pattern t2 --compare t2_system
 
-Exit codes: 0 all requested checks pass, 1 a check failed, 2 configuration
-error.  Identical configuration (including seed) produces byte-identical
+search and invariants --sweep-primes take the primes up to 7 (the
+finite-field oracle's bound, gfq.MAX_PRIME); derive-system compares over the
+primes up to 127 (its solver stores cells as int8).  Exit codes: 0 all
+requested checks pass, 1 a check failed, 2 configuration error (an unknown
+pattern, entry or fixture, or a prime out of range).  Identical configuration (including seed) produces byte-identical
 JSON output.  --jobs runs verify in parallel and changes its wall time only;
 search accepts --jobs and ignores it.  The environment variable
 M3DECOMP_CATALOG points verification at a catalog file instead of the
@@ -139,12 +142,12 @@ def cmd_search(args):
     import numpy as np
 
     from . import search as search_mod
+    from .gfq import check_prime
 
     name = PATTERN_ALIASES.get(args.pattern, args.pattern)
     if name not in PATTERNS:
         return _config_error(f"unknown pattern {args.pattern!r}")
-    if args.prime not in (2, 3, 5):
-        return _config_error("prime must be one of 2, 3, 5")
+    check_prime(args.prime)
     report = search_mod.coverage_report(name, args.prime, explain=not args.no_explain)
     if args.slow_oracle:
         slow = search_mod.slow_cube_solutions(name, args.prime)
@@ -163,9 +166,12 @@ def cmd_search(args):
 
 
 def cmd_invariants(args):
+    from .gfq import check_prime
     from .invariants import fingerprint
     from .verifier import verify_remarks
 
+    for p in args.sweep_primes:
+        check_prime(p)
     entries, cat_path = _load_entries()
     chosen = _select_entries(entries, args.entry)
     fps = {}
@@ -241,11 +247,13 @@ def cmd_export(args):
 
 
 def cmd_derive_system(args):
+    from .gfq import check_prime
     from .verifier import compare_with_reference_system
 
     name = PATTERN_ALIASES.get(args.pattern, args.pattern)
     if name not in PATTERNS:
         return _config_error(f"unknown pattern {args.pattern!r}")
+    check_prime(args.prime, bound=None)
     pat = get_pattern(name)
     system = pat.closure_system(args.pairs)
     doc = {
@@ -294,7 +302,7 @@ def build_parser():
     p = sub.add_parser("search", help="finite-field enumeration and orbit coverage")
     p.add_argument("--pattern", required=True,
                    help="one of %s (7-2 is an alias of t1)" % ", ".join(sorted(PATTERNS)))
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=int, required=True, help="a prime up to 7")
     p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.add_argument("--no-explain", action="store_true",
                    help="skip the quadratic-extension explanation sweep")
@@ -306,7 +314,8 @@ def build_parser():
     p = sub.add_parser("invariants", help="fingerprints and the orbit-separation remarks")
     p.add_argument("--entry", action="append")
     p.add_argument("--skip-remarks", action="store_true")
-    p.add_argument("--sweep-primes", type=int, nargs="*", default=[3, 5])
+    p.add_argument("--sweep-primes", type=int, nargs="*", default=[3, 5],
+                   help="primes up to 7 for the (T4)/(T6) sweep")
     common(p)
     p.set_defaults(func=cmd_invariants)
 
@@ -326,7 +335,8 @@ def build_parser():
     p.add_argument("--pattern", required=True)
     p.add_argument("--pairs", choices=("all", "squares"), default="all")
     p.add_argument("--compare", default=None, help="fixture name, e.g. t2_system")
-    p.add_argument("--prime", type=int, default=3)
+    p.add_argument("--prime", type=int, default=3,
+                   help="the prime of the --compare solution sets (up to 127)")
     common(p)
     p.set_defaults(func=cmd_derive_system)
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, NotSupported
+from .gfq import GFq
 
 DEFAULT_BUDGET = 4_000_000
 
@@ -34,23 +35,12 @@ def compile_poly(poly, names, p):
     return out
 
 
-def eval_compiled(compiled, columns, n_rows, p):
-    """Evaluate a compiled polynomial on a frontier; columns maps var index
-    to an int array of length n_rows."""
-    acc = np.zeros(n_rows, dtype=np.int64)
-    for coeff, pairs in compiled:
-        term = np.full(n_rows, coeff, dtype=np.int64)
-        for var_idx, e in pairs:
-            col = columns[var_idx]
-            for _ in range(e):
-                term = term * col % p
-        acc = (acc + term) % p
-    return acc
-
-
 def solve_system_fp(polys, names, p, budget=DEFAULT_BUDGET):
     """All assignments over F_p^names killing every polynomial, sorted
     lexicographically; returns an (N, len(names)) int8 array."""
+    gf = GFq(p)
+    if p > np.iinfo(np.int8).max:
+        raise NotSupported(f"cell values are int8, which holds F_p for p up to 127, not {p}")
     names = tuple(names)
     compiled = []
     for poly in polys:
@@ -84,7 +74,7 @@ def solve_system_fp(polys, names, p, budget=DEFAULT_BUDGET):
                         continue
                     columns = {v: frontier[:, intro.index(v)].astype(np.int64)
                                for v in eq_vars[k]}
-                    vals = eval_compiled(compiled[k], columns, frontier.shape[0], p)
+                    vals = gf.eval_compiled(compiled[k], columns, frontier.shape[0])
                     frontier = frontier[vals == 0]
                     changed = True
 

@@ -142,11 +142,15 @@ class FpElem:
         return f"{self.value}"
 
 
+def is_prime(n):
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
 class PrimeField:
     """The prime field F_p as a domain object."""
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.characteristic = p

@@ -13,20 +13,22 @@ unlabelled solution, and each in-slice image joins its orbit.  Soundness
 is checked with typed errors; completeness failures are data,
 reported verbatim and, where claimed, explained by re-running the sweep over
 the quadratic extension GF(p^2), which is exactly what a square-root
-obstruction must resolve.
+obstruction must resolve.  Both sweeps are the same code over a field object
+(`gfq.GFq`): F_p is its degree-1 case, GF(p^2) its degree-2 case.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
 import numpy as np
 
 from .catalog import COMPLEMENTS, builtin_catalog
-from .errors import BudgetExceeded, GroupMismatch, NotSupported, PatternMismatch
-from .fpsolve import compile_poly, eval_compiled, solve_system_fp
-from .gfq import GFq2
+from .errors import BudgetExceeded, GroupMismatch, PatternMismatch
+from .fpsolve import compile_poly, solve_system_fp
+from .gfq import GFq, check_prime
 from .maps import conjugation, phi_map, theta, transpose_map
 from .matrices import Mat3
 from .patterns import PATTERN_THEOREM_ENTRIES, get_pattern
@@ -48,8 +50,13 @@ SEARCH_CONFIGS = {
     "t8": {"group": "psi", "twist": "theta13_T"},
 }
 
-_INV_TABLE = {p: np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=np.int64)
-              for p in (2, 3, 5)}
+
+@functools.lru_cache(maxsize=None)
+def _gf(p, degree=1):
+    """The field the oracle works over: F_p, or GF(p^2) for the
+    explanation sweep; p must be a prime no larger than gfq.MAX_PRIME."""
+    check_prime(p)
+    return GFq(p, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -111,37 +118,26 @@ def rows_from_cells(cells, pdata, p):
     return (rows + pdata.base) % p
 
 
-def _batch_inv_mod(mats, p):
-    gf = GFq2(p)
-    det, adj = gf.det_adj(gf.lift(mats))
-    det = det[..., 0]
-    if (det % p == 0).any():
-        raise ZeroDivisionError("singular coefficient matrix in pattern normalization")
-    inv_det = _INV_TABLE[p][det % p]
-    return adj[..., 0] * inv_det[:, None, None] % p, det % p
-
-
-def normalize_rows(rows, pdata, p):
-    """Pattern-normal form of batched generator rows.
+def normalize_rows(rows, pdata, gf):
+    """Pattern-normal form of batched generator rows, (N, k, 9) elements of
+    the field gf.
 
     Returns (cells, ok): ok marks rows whose normal form lies in the pattern
     slice (reconstruction matches exactly, identity row included).
     """
-    n = rows.shape[0]
-    coeff = np.einsum("njt,at->nja", rows, pdata.functionals) % p
-    inv, _ = _batch_inv_mod(coeff, p)
-    normal = np.matmul(inv, rows) % p
-    resid = (normal - pdata.base) % p
-    cells = np.zeros((n, len(pdata.params)), dtype=np.int64)
+    p = gf.p
+    coeff = np.einsum("njt...,at->nja...", rows, pdata.functionals) % p
+    resid = gf.sub(gf.matmul(gf.inv_mat(coeff), rows), gf.lift(pdata.base))
+    cells = np.zeros((rows.shape[0], len(pdata.params)) + rows.shape[3:], dtype=np.int64)
     for (ci, gi, pos, scale) in pdata.reads:
-        cells[:, ci] = resid[:, gi, pos] * (scale % p) % p
-    recon = np.tensordot(cells, pdata.dirs, axes=(1, 0)) % p
-    ok = (recon == resid).all(axis=(1, 2))
+        cells[:, ci] = resid[:, gi, pos] * scale % p
+    recon = np.einsum("nc...,cjt->njt...", cells, pdata.dirs) % p
+    ok = gf.is_zero(gf.sub(recon, resid)).all(axis=(1, 2))
     return cells, ok
 
 
 # ---------------------------------------------------------------------------
-# group families over F_p
+# group families over F_p and GF(p^2)
 # ---------------------------------------------------------------------------
 
 #: the phi parameter slot (beta, gamma, kappa, lamda, mu, nu) that each free
@@ -157,58 +153,67 @@ _FAMILY_SLOTS = {
 }
 
 
-def _family_grid(family, q, start=0, stop=None):
-    """Rows start..stop of a family's parameter grid over q values, as
-    (T, 6) phi parameter indices in C order (the last free parameter varies
-    fastest)."""
-    slots = _FAMILY_SLOTS[family]
-    size = q ** len(slots)
-    flat = np.arange(start, size if stop is None else min(stop, size))
-    grid = np.zeros((flat.size, 6), dtype=np.int64)
-    grid[:, slots] = np.stack(np.unravel_index(flat, (q,) * len(slots)), axis=-1)
-    return grid
+def _grid(q, k, start=0, stop=None):
+    """Rows start..stop of the q^k index tuples in C order (the last index
+    varies fastest), as a (T, k) array."""
+    flat = np.arange(start, q ** k if stop is None else min(stop, q ** k))
+    if not k:
+        return np.zeros((flat.size, 0), dtype=np.int64)
+    return np.stack(np.unravel_index(flat, (q,) * k), axis=-1)
 
 
-def _phi_tuples(p, kind):
-    grid = _family_grid(kind, p)
-    delta = (grid[:, 2] * grid[:, 5] - grid[:, 3] * grid[:, 4]) % p
-    return grid[delta != 0]
-
-
-_PHI_COMPILED = None
-
-
+@functools.lru_cache(maxsize=None)
 def _phi_compiled(p):
     """The 81 entry polynomials and denominator of the six-parameter family,
     compiled for mod-p evaluation."""
-    global _PHI_COMPILED
-    if _PHI_COMPILED is None:
-        phi = phi_map()
-        names = phi.domain.names
-        entries = [phi.matrix9[i][j] for i in range(9) for j in range(9)]
-        _PHI_COMPILED = (names, entries, phi.den)
-    names, entries, den = _PHI_COMPILED
-    return ([compile_poly(e, names, p) for e in entries],
-            compile_poly(den, names, p))
+    phi = phi_map()
+    names = phi.domain.names
+    return ([compile_poly(phi.matrix9[i][j], names, p) for i in range(9) for j in range(9)],
+            compile_poly(phi.den, names, p))
 
 
-def _maps_from_tuples(tuples, p):
-    compiled, den_c = _phi_compiled(p)
-    n = tuples.shape[0]
-    columns = {i: tuples[:, i] for i in range(6)}
-    den = eval_compiled(den_c, columns, n, p)
-    keep = den != 0
-    tuples = tuples[keep]
-    den = den[keep]
-    columns = {i: tuples[:, i] for i in range(6)}
-    n = tuples.shape[0]
-    flat = np.zeros((n, 81), dtype=np.int64)
-    for e_idx, cp in enumerate(compiled):
-        flat[:, e_idx] = eval_compiled(cp, columns, n, p)
-    inv_den = _INV_TABLE[p][den]
-    flat = flat * inv_den[:, None] % p
-    flat = np.unique(flat, axis=0)
-    return flat.reshape(-1, 9, 9)
+def _family_maps(family, gf, chunk=None):
+    """The phi maps of a family over the field gf, denominators divided out,
+    in parameter-grid order, chunk grid rows at a time (all at once when
+    chunk is None).  Yields (maps, tuples) for each chunk with a tuple whose
+    denominator does not vanish: maps (T, 9, 9) at those tuples, and the
+    tuples as (T, 6) phi parameters, the family's unused slots 0."""
+    compiled, den_c = _phi_compiled(gf.p)
+    slots = _FAMILY_SLOTS[family]
+    size = gf.q ** len(slots)
+    chunk = chunk or size
+    for start in range(0, size, chunk):
+        grid = _grid(gf.q, len(slots), start, start + chunk)
+        tuples = np.zeros((grid.shape[0], 6), dtype=np.int64)
+        tuples[:, slots] = grid
+        tuples = gf.elements()[tuples]
+        den = gf.eval_compiled(den_c, {i: tuples[:, i] for i in range(6)}, len(tuples))
+        keep = ~gf.is_zero(den)
+        if not keep.any():
+            continue
+        tuples, den = tuples[keep], den[keep]
+        columns = {i: tuples[:, i] for i in range(6)}
+        flat = np.zeros((len(tuples), 81) + den.shape[1:], dtype=np.int64)
+        for e, cp in enumerate(compiled):
+            flat[:, e] = gf.eval_compiled(cp, columns, len(tuples))
+        flat = gf.mul(flat, gf.inv(den)[:, None])
+        yield flat.reshape((len(tuples), 9, 9) + flat.shape[2:]), tuples
+
+
+def _twisted(rows, twist, p):
+    """Generator rows (..., k, 9) over F_p, stacked on a new axis before the
+    last two with their images under the twist when there is one.  A map g
+    composed with the twist sends rows to g applied to the twisted rows."""
+    rows = rows[..., None, :, :]
+    return rows if twist is None else np.concatenate([rows, rows @ twist.T % p], axis=-3)
+
+
+def _and_coset(maps, right, gf):
+    """The maps followed by their composites with the F_p map `right`
+    (applied first); the maps alone when right is None."""
+    if right is None:
+        return maps
+    return np.concatenate([maps, gf.matmul(maps, gf.lift(right))])
 
 
 def _map_to_fp(algebra_map, p):
@@ -224,14 +229,18 @@ def _map_to_fp(algebra_map, p):
     return out
 
 
+def _family_coset(family, p):
+    """phi_lm0_theta23 is phi_lm0 together with its coset under theta(2, 3)."""
+    return _map_to_fp(theta(2, 3), p) if family == "phi_lm0_theta23" else None
+
+
 def group_matrices(family, p):
-    """All 9x9 map matrices (mod p, denominators divided out) of a family."""
-    if family == "phi_lm0_theta23":
-        base = _maps_from_tuples(_phi_tuples(p, "phi_lm0"), p)
-        th = _map_to_fp(theta(2, 3), p)
-        comp = np.einsum("gij,jk->gik", base, th) % p
-        return np.unique(np.concatenate([base, comp]).reshape(-1, 81), axis=0).reshape(-1, 9, 9)
-    return _maps_from_tuples(_phi_tuples(p, family), p)
+    """All 9x9 map matrices (mod p, denominators divided out) of a family,
+    sorted and without repeats."""
+    gf = _gf(p)
+    maps = np.concatenate([m for m, _ in _family_maps(family, gf)])
+    maps = _and_coset(maps, _family_coset(family, p), gf)
+    return np.unique(maps.reshape(-1, 81), axis=0).reshape(-1, 9, 9)
 
 
 def twist_matrix(name, p):
@@ -274,7 +283,7 @@ def _rref_mod(rows, p):
         if piv is None:
             continue
         m[[r, piv]] = m[[piv, r]]
-        m[r] = m[r] * _INV_TABLE[p][m[r, c] % p] % p
+        m[r] = m[r] * pow(int(m[r, c]), p - 2, p) % p
         for i in range(m.shape[0]):
             if i != r and m[i, c] % p:
                 m[i] = (m[i] - m[i, c] * m[r]) % p
@@ -298,13 +307,13 @@ def orbit_partition_fp(solutions, pattern_name, p, group=None, twist=None):
     """Partition solutions into orbits under the complement-preserving group
     (plus the antiautomorphism coset when the setup admits one).
 
-    The maps g and g.twist for g in the group are stacked once; then, in
-    index order, each solution not yet labelled has all of them applied to
-    its generator rows in one batch, and every in-slice image is labelled
-    with that solution's index.  This relies on the maps forming a group
-    (the identity included), which holds because each family is the full
-    stabilizer of its complement; an image outside the solutions, or one
-    already in another orbit, raises GroupMismatch.
+    In index order, each solution not yet labelled has every group element
+    g applied to its generator rows and to their twisted images (which
+    g.twist sends where g sends the twisted rows) in one batch, and every
+    in-slice image is labelled with that solution's index.  This relies on
+    the maps forming a group (the identity included), which holds because
+    each family is the full stabilizer of its complement; an image outside
+    the solutions, or one already in another orbit, raises GroupMismatch.
 
     Returns (labels, orbits): labels[i] is the least member index of the
     orbit of solution i; orbits maps each such index to itself (solutions are
@@ -317,19 +326,20 @@ def orbit_partition_fp(solutions, pattern_name, p, group=None, twist=None):
     if twist is None:
         twist = twist_matrix(config["twist"], p)
     _check_group_preserves(pattern_name, group, twist, p)
+    gf = _gf(p)
     pdata = _pdata(pattern_name)
     sols = np.asarray(solutions, dtype=np.int64)
     n = sols.shape[0]
     index = {row.tobytes(): i for i, row in enumerate(sols.astype(np.int8))}
-    rows_all = rows_from_cells(sols, pdata, p)
-    maps = group if twist is None else np.concatenate([group, group @ twist % p])
-    maps_t = np.transpose(maps, (0, 2, 1))
+    rows_all = _twisted(rows_from_cells(sols, pdata, p), twist, p)
+    group_t = np.swapaxes(group, 1, 2)
     labels = np.full(n, -1, dtype=np.int64)
     orbits = {}
     for i in range(n):
         if labels[i] >= 0:
             continue
-        cells, ok = normalize_rows(rows_all[i] @ maps_t % p, pdata, p)
+        images = gf.matmul(rows_all[i][:, None], group_t).reshape(-1, pdata.k, 9)
+        cells, ok = normalize_rows(images, pdata, gf)
         members = []
         for cell_row in np.unique(cells[ok].astype(np.int8), axis=0):
             j = index.get(cell_row.tobytes())
@@ -343,13 +353,13 @@ def orbit_partition_fp(solutions, pattern_name, p, group=None, twist=None):
     return labels, orbits
 
 
-def catalog_specializations_fp(pattern_name, p):
-    """Constraint-satisfying catalog specializations for this pattern,
-    pattern-normalized: list of (entry id, assignment, cell row)."""
+def _specializations(pattern_name, gf):
+    """Every specialization over the field gf of the catalog entries this
+    pattern classifies whose nonzero-constraints hold, pattern-normalized:
+    yields (entry id, parameter names, values, cells, ok) per entry, values
+    holding one row of parameter values per specialization in grid order."""
     pdata = _pdata(pattern_name)
     prefix, tag = PATTERN_THEOREM_ENTRIES[pattern_name]
-    dom = GF(p)
-    out = []
     for entry in builtin_catalog():
         if not entry.id.startswith(prefix) or entry.id[len(prefix)].isalpha():
             continue
@@ -357,21 +367,34 @@ def catalog_specializations_fp(pattern_name, p):
             continue
         if tag is None and "@" in entry.id:
             continue
-        k = len(entry.params)
-        for values in itertools.product(range(p), repeat=k):
-            assign = dict(zip(entry.params, values))
-            zero = dom.zero()
-            if any(c.eval(assign, dom) == zero for c in entry.constraints.nonzero):
-                continue
-            rows = np.array(
-                [[c.eval(assign, dom).value for c in g.coords()]
-                 for g in entry.s_generators],
-                dtype=np.int64,
-            )
-            cells, ok = normalize_rows(rows[None, :, :], pdata, p)
-            if not ok[0]:
-                raise PatternMismatch(f"{entry.id} specialization does not fit the pattern slice")
-            out.append((entry.id, assign, cells[0]))
+        names = entry.params
+        values = gf.elements()[_grid(gf.q, len(names))]
+        n = values.shape[0]
+        columns = {i: values[:, i] for i in range(len(names))}
+
+        def evaluate(poly):
+            return gf.eval_compiled(compile_poly(poly, names, gf.p), columns, n)
+
+        keep = np.ones(n, dtype=bool)
+        for c in entry.constraints.nonzero:
+            keep &= ~gf.is_zero(evaluate(c))
+        rows = np.zeros((n, len(entry.s_generators), 9) + values.shape[2:], dtype=np.int64)
+        for gi, g in enumerate(entry.s_generators):
+            for t, c in enumerate(g.coords()):
+                rows[:, gi, t] = evaluate(c)
+        cells, ok = normalize_rows(rows[keep], pdata, gf)
+        yield entry.id, names, values[keep], cells, ok
+
+
+def catalog_specializations_fp(pattern_name, p):
+    """Constraint-satisfying catalog specializations for this pattern,
+    pattern-normalized: list of (entry id, assignment, cell row)."""
+    out = []
+    for eid, names, values, cells, ok in _specializations(pattern_name, _gf(p)):
+        if not ok.all():
+            raise PatternMismatch(f"{eid} specialization does not fit the pattern slice")
+        out.extend((eid, dict(zip(names, vals)), row)
+                   for vals, row in zip(values.tolist(), cells))
     return out
 
 
@@ -459,117 +482,26 @@ def coverage_clean(report):
 # quadratic-extension explanation of unmatched orbits
 # ---------------------------------------------------------------------------
 
-def _entry_forms_q2(pattern_name, gf):
-    """Pattern-normal forms of all catalog specializations over GF(p^2),
-    as a set of byte keys."""
-    pdata = _pdata(pattern_name)
-    prefix, tag = PATTERN_THEOREM_ENTRIES[pattern_name]
-    elements = gf.elements()
-    forms = set()
-    for entry in builtin_catalog():
-        if not entry.id.startswith(prefix) or entry.id[len(prefix)].isalpha():
-            continue
-        if tag is not None and not entry.id.endswith(tag):
-            continue
-        if tag is None and "@" in entry.id:
-            continue
-        names = entry.params
-        k = len(names)
-        grids = (np.stack(np.meshgrid(*[np.arange(gf.q)] * k, indexing="ij"), axis=-1)
-                 .reshape(-1, k)) if k else np.zeros((1, 0), dtype=np.int64)
-        vals = elements[grids.reshape(-1)].reshape(-1, k, 2) if k else \
-            np.zeros((1, 0, 2), dtype=np.int64)
-        n = vals.shape[0]
-        columns = {i: vals[:, i, :] for i in range(k)}
-        keep = np.ones(n, dtype=bool)
-        for c in entry.constraints.nonzero:
-            cc = compile_poly(c, names, gf.p)
-            keep &= ~gf.is_zero(gf.eval_compiled(cc, columns, n))
-        rows = np.zeros((n, len(entry.s_generators), 9, 2), dtype=np.int64)
-        for gi, g in enumerate(entry.s_generators):
-            for t, cpoly in enumerate(g.coords()):
-                cc = compile_poly(cpoly, names, gf.p)
-                rows[:, gi, t, :] = gf.eval_compiled(cc, columns, n)
-        rows = rows[keep]
-        cells, ok = _normalize_rows_q2(rows, pdata, gf)
-        for i in np.nonzero(ok)[0]:
-            forms.add(cells[i].tobytes())
-    return forms
-
-
-def _normalize_rows_q2(rows, pdata, gf):
-    n = rows.shape[0]
-    f_lift = gf.lift(pdata.functionals)
-    coeff0 = np.einsum("njt,at->nja", rows[..., 0], pdata.functionals) % gf.p
-    coeff1 = np.einsum("njt,at->nja", rows[..., 1], pdata.functionals) % gf.p
-    coeff = np.stack([coeff0, coeff1], axis=-1)
-    inv = gf.inv_mat(coeff)
-    normal = gf.matmul(inv, rows)
-    base = gf.lift(pdata.base)
-    resid = gf.sub(normal, base)
-    cells = np.zeros((n, len(pdata.params), 2), dtype=np.int64)
-    for (ci, gi, pos, scale) in pdata.reads:
-        cells[:, ci, :] = resid[:, gi, pos, :] * (scale % gf.p) % gf.p
-    recon0 = np.tensordot(cells[..., 0], pdata.dirs, axes=(1, 0)) % gf.p
-    recon1 = np.tensordot(cells[..., 1], pdata.dirs, axes=(1, 0)) % gf.p
-    ok = ((recon0 == resid[..., 0]) & (recon1 == resid[..., 1])).all(axis=(1, 2))
-    return cells, ok
-
-
 def explain_unmatched(pattern_name, p, rep_cells, chunk=4096):
     """True when the orbit of the representative meets a catalog
-    specialization over GF(p^2)."""
-    gf = GFq2(p)
+    specialization over GF(p^2).  The family's parameter grid over GF(p^2)
+    is swept chunk tuples at a time."""
+    gf = _gf(p, 2)
     config = SEARCH_CONFIGS[pattern_name]
     pdata = _pdata(pattern_name)
-    forms = _entry_forms_q2(pattern_name, gf)
-    rep_rows = gf.lift(rows_from_cells(rep_cells[None, :], pdata, p)[0])  # (k, 9, 2)
-    rep_rows_t = np.transpose(rep_rows, (1, 0, 2))                        # (9, k, 2)
-    twist = twist_matrix(config["twist"], p)
-    rep_variants = [rep_rows_t]
-    if twist is not None:
-        tw_rows = rows_from_cells(rep_cells[None, :], pdata, p)[0] @ twist.T % p
-        rep_variants.append(np.transpose(gf.lift(tw_rows), (1, 0, 2)))
-    compiled, den_c = _phi_compiled(p)
-    for start in range(0, gf.q ** len(_FAMILY_SLOTS[config["group"]]), chunk):
-        part = _phi_tuples_q2(config["group"], gf, start, start + chunk)
-        columns = {i: part[:, i, :] for i in range(6)}
-        den = gf.eval_compiled(den_c, columns, part.shape[0])
-        keep = ~gf.is_zero(den)
-        part = part[keep]
-        if not part.shape[0]:
-            continue
-        columns = {i: part[:, i, :] for i in range(6)}
-        n = part.shape[0]
-        flat = np.zeros((n, 81, 2), dtype=np.int64)
-        for e_idx, cp in enumerate(compiled):
-            flat[:, e_idx, :] = gf.eval_compiled(cp, columns, n)
-        inv_den = gf.inv(gf.eval_compiled(den_c, columns, n))
-        flat = gf.mul(flat, inv_den[:, None, :])
-        mats = flat.reshape(n, 9, 9, 2)
-        extra = _extra_coset_q2(config["group"], mats, gf, p)
-        for mset in ([mats] if extra is None else [mats, extra]):
-            for rep_v in rep_variants:
-                img_t = gf.matmul(mset, rep_v)            # (n, 9, k, 2)
-                img = np.transpose(img_t, (0, 2, 1, 3))   # (n, k, 9, 2)
-                cells, ok = _normalize_rows_q2(img, pdata, gf)
-                for i in np.nonzero(ok)[0]:
-                    if cells[i].tobytes() in forms:
-                        return True
+    forms = {cells[i].tobytes()
+             for *_, cells, ok in _specializations(pattern_name, gf)
+             for i in np.nonzero(ok)[0]}
+    rows = gf.lift(_twisted(rows_from_cells(rep_cells[None, :], pdata, p)[0],
+                            twist_matrix(config["twist"], p), p))
+    coset = _family_coset(config["group"], p)
+    for maps, _ in _family_maps(config["group"], gf, chunk):
+        maps_t = np.swapaxes(_and_coset(maps, coset, gf), 1, 2)
+        for variant in rows:
+            cells, ok = normalize_rows(gf.matmul(variant, maps_t), pdata, gf)
+            if any(cells[i].tobytes() in forms for i in np.nonzero(ok)[0]):
+                return True
     return False
-
-
-def _phi_tuples_q2(family, gf, start, stop):
-    """Rows start..stop of the family's parameter grid over GF(p^2), as
-    (T, 6, 2) pair arrays."""
-    return gf.elements()[_family_grid(family, gf.q, start, stop)]
-
-
-def _extra_coset_q2(family, mats, gf, p):
-    if family != "phi_lm0_theta23":
-        return None
-    th = gf.lift(_map_to_fp(theta(2, 3), p))
-    return gf.matmul(mats, th)
 
 
 # ---------------------------------------------------------------------------
@@ -651,9 +583,7 @@ def t4_t6_separation(p):
     family parameters plus whether it includes the twist."""
     from .catalog import entry_by_id
 
-    if p not in _INV_TABLE:
-        raise NotSupported(f"sweeps support p in {sorted(_INV_TABLE)}, not {p}")
-
+    gf = _gf(p)
     twist = twist_matrix("theta13_T", p)
     s4, _ = entry_by_id("T4").specialize({}, GF(p))
     s6, _ = entry_by_id("T6").specialize({}, GF(p))
@@ -661,18 +591,9 @@ def t4_t6_separation(p):
     rows6 = np.array([[x.value for x in g.coords()] for g in s6.generators], dtype=np.int64)
     target = _rref_mod(rows6, p).tobytes()
 
-    tuples = _phi_tuples(p, "psi")
-    compiled, den_c = _phi_compiled(p)
-    columns = {i: tuples[:, i] for i in range(6)}
-    n = tuples.shape[0]
-    den = eval_compiled(den_c, columns, n, p)
-    flat = np.zeros((n, 81), dtype=np.int64)
-    for e_idx, cp in enumerate(compiled):
-        flat[:, e_idx] = eval_compiled(cp, columns, n, p)
-    mats = flat * _INV_TABLE[p][den][:, None] % p
-    mats = mats.reshape(n, 9, 9)
+    [(mats, tuples)] = _family_maps("psi", gf)
     for twisted, start_rows in ((False, rows4), (True, rows4 @ twist.T % p)):
-        for idx in range(n):
+        for idx in range(mats.shape[0]):
             img = start_rows @ mats[idx].T % p
             if _rref_mod(img, p).tobytes() == target:
                 t = tuples[idx]

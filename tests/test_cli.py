@@ -37,8 +37,14 @@ def test_search_7_2_alias():
 
 
 def test_search_bad_prime():
-    res = run_cli("search", "--pattern", "t1", "--prime", "7")
+    # the oracle takes the primes up to 7, for search and for the sweep
+    res = run_cli("search", "--pattern", "t1", "--prime", "11")
     assert res.returncode == 2
+    assert "primes up to 7, not 11" in res.stderr
+    res = run_cli("search", "--pattern", "t1", "--prime", "4")
+    assert res.returncode == 2 and "4 is not a prime" in res.stderr
+    res = run_cli("invariants", "--entry", "T4", "--sweep-primes", "3", "9")
+    assert res.returncode == 2 and "9 is not a prime" in res.stderr
 
 
 def test_derive_system_comparison():
@@ -46,6 +52,13 @@ def test_derive_system_comparison():
     assert res.returncode == 0, res.stderr
     doc = json.loads(res.stdout)
     assert doc["comparison"]["equal"]
+    # the comparison takes any prime up to 127, but only a prime
+    for bad in ("4", "0"):
+        res = run_cli("derive-system", "--pattern", "t1", "--compare", "t1_reduced",
+                      "--prime", bad)
+        assert res.returncode == 2, (bad, res.stdout)
+        assert res.stderr == f"error: {bad} is not a prime\n"
+        assert not res.stdout
 
 
 def test_rb_subcommand():

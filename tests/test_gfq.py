@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from m3decomp.gfq import GFq2
+from m3decomp.errors import NotSupported
+from m3decomp.gfq import MAX_PRIME, GFq, check_prime, quadratic
+from m3decomp.scalars import is_prime
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_field_axioms(p):
-    gf = GFq2(p)
+    gf = GFq(p, 2)
     els = gf.elements()
     q = gf.q
     assert els.shape == (q, 2)
@@ -21,9 +23,9 @@ def test_field_axioms(p):
     assert np.array_equal(gf.mul(a, gf.add(b, c)), gf.add(gf.mul(a, b), gf.mul(a, c)))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_inverses(p):
-    gf = GFq2(p)
+    gf = GFq(p, 2)
     els = gf.elements()
     nonzero = els[~gf.is_zero(els)]
     inv = gf.inv(nonzero)
@@ -31,12 +33,12 @@ def test_inverses(p):
     assert (prod[:, 0] == 1).all() and (prod[:, 1] == 0).all()
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_multiplicative_group_order(p):
     # the nonzero elements form a cyclic group of order p^2 - 1: verify that
     # x^(q-1) = 1 for all nonzero x, which also certifies irreducibility of
     # the reduction polynomial
-    gf = GFq2(p)
+    gf = GFq(p, 2)
     els = gf.elements()
     nonzero = els[~gf.is_zero(els)]
     acc = gf.lift(np.ones(nonzero.shape[0], dtype=np.int64))
@@ -46,7 +48,7 @@ def test_multiplicative_group_order(p):
 
 
 def test_matrix_inverse_batched():
-    gf = GFq2(3)
+    gf = GFq(3, 2)
     rng = np.random.default_rng(3)
     found = 0
     while found < 4:
@@ -68,9 +70,49 @@ def test_matrix_inverse_batched():
 
 
 def test_lift_embeds_prime_field():
-    gf = GFq2(5)
+    gf = GFq(5, 2)
     a = gf.lift(np.array([2, 3]))
     b = gf.lift(np.array([4, 4]))
     prod = gf.mul(a, b)
     assert prod[..., 1].sum() == 0
     assert list(prod[..., 0]) == [(2 * 4) % 5, (3 * 4) % 5]
+
+
+def test_derived_tables_match_the_former_literals():
+    # the quadratics and inverse tables once listed by hand for 2, 3 and 5
+    assert {p: quadratic(p) for p in (2, 3, 5)} == {2: (1, 1), 3: (0, 2), 5: (0, 2)}
+    assert {p: GFq(p).inverses.tolist() for p in (2, 3, 5)} == {
+        2: [0, 1], 3: [0, 1, 2], 5: [0, 1, 3, 2, 4]}
+    assert quadratic(7) == (0, 3)
+    assert GFq(7, 2).r == 3
+    assert GFq(7).inverses.tolist() == [0, 1, 4, 5, 2, 3, 6]
+
+
+@pytest.mark.parametrize("p", [p for p in range(MAX_PRIME + 1) if is_prime(p)])
+def test_reduction_quadratic_has_no_root(p):
+    s, r = quadratic(p)
+    assert all((t * t - s * t - r) % p for t in range(p))
+
+
+def test_prime_field_is_degree_one():
+    gf = GFq(5)
+    assert gf.q == 5 and np.array_equal(gf.elements(), np.arange(5))
+    a = np.arange(5)
+    assert np.array_equal(gf.mul(a, gf.inv(a)), [0, 1, 1, 1, 1])
+    m = np.array([[[1, 2], [3, 4]], [[2, 0], [0, 3]]])
+    assert np.array_equal(gf.matmul(m, gf.inv_mat(m)), [np.eye(2, dtype=int)] * 2)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, -3])
+def test_non_primes_rejected(p):
+    with pytest.raises(NotSupported, match="not a prime"):
+        check_prime(p, bound=None)
+    with pytest.raises(NotSupported, match="not a prime"):
+        GFq(p)
+
+
+def test_oracle_bound():
+    check_prime(MAX_PRIME)
+    check_prime(11, bound=None)
+    with pytest.raises(NotSupported, match=f"up to {MAX_PRIME}, not 11"):
+        check_prime(11)

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from m3decomp.errors import PatternMismatch
+from m3decomp.errors import NotSupported, PatternMismatch
 from m3decomp.fpsolve import solution_set, solve_system_fp
 from m3decomp.matrices import Mat3, is_direct_sum, span
 from m3decomp.patterns import (
@@ -150,6 +150,17 @@ def test_solver_on_tiny_systems():
     assert solution_set([x * x + 1], ("x", "y"), 3) == frozenset()
     arr = solve_system_fp([], ("x", "y"), 2)
     assert arr.shape == (4, 2)
+
+
+def test_solver_rejects_primes_its_cells_cannot_hold():
+    from m3decomp.scalars import PolynomialRing
+
+    x, = PolynomialRing(("x",)).gens()
+    assert solve_system_fp([x - 126], ("x",), 127).tolist() == [[126]]
+    # an int8 cell would wrap 130 to -126, which is 5 mod 131
+    for p, match in ((131, "up to 127, not 131"), (4, "4 is not a prime")):
+        with pytest.raises(NotSupported, match=match):
+            solve_system_fp([x - 5], ("x",), p)
 
 
 def test_dirless_pattern_empty_system():

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import subprocess
 import sys
 
@@ -6,6 +8,7 @@ import pytest
 
 from m3decomp.catalog import COMPLEMENTS
 from m3decomp.errors import BudgetExceeded, GroupMismatch, PatternMismatch
+from m3decomp.gfq import GFq
 from m3decomp.maps import apply_map, phi_map, psi_map, theta, transpose_map
 from m3decomp.matrices import span
 from m3decomp.patterns import PatternGen, PivotPattern, _affine_vec, _unit_vec
@@ -27,6 +30,8 @@ from m3decomp.search import (
     _pdata,
 )
 
+REPORT_DIR = pathlib.Path(__file__).resolve().parent.parent / "reports"
+
 
 def _orbits_by_union_find(sols, pattern_name, p):
     """Reference partition: every group element and every twisted element is
@@ -46,7 +51,7 @@ def _orbits_by_union_find(sols, pattern_name, p):
 
     for base in [rows] + ([] if twist is None else [rows @ twist.T % p]):
         for g in group_matrices(config["group"], p):
-            cells, ok = normalize_rows(base @ g.T % p, pdata, p)
+            cells, ok = normalize_rows(base @ g.T % p, pdata, GFq(p))
             for i in np.nonzero(ok)[0]:
                 j = index[cells[i].astype(np.int8).tobytes()]
                 a, b = sorted((find(int(i)), find(j)))
@@ -124,9 +129,26 @@ def test_normalize_roundtrip():
     pdata = _pdata("t2")
     sols = enumerate_complements_fp("t2", 3)[:50].astype(np.int64)
     rows = rows_from_cells(sols, pdata, 3)
-    cells, ok = normalize_rows(rows, pdata, 3)
+    cells, ok = normalize_rows(rows, pdata, GFq(3))
     assert ok.all()
     assert np.array_equal(cells, sols)
+
+
+@pytest.mark.parametrize("name, p", [("t1", 3), ("t6", 5)])
+def test_normal_form_is_the_same_over_the_extension(name, p):
+    # images of some solutions under some group maps, in the slice or not:
+    # lifted into GF(p^2), they normalize to the lifted F_p cells
+    sols = enumerate_complements_fp(name, p)[::7][:12].astype(np.int64)
+    group = group_matrices(SEARCH_CONFIGS[name]["group"], p)[::29][:12]
+    pdata = _pdata(name)
+    rows = np.einsum("gst,njt->gnjs", group, rows_from_cells(sols, pdata, p)) % p
+    rows = rows.reshape(-1, pdata.k, 9)
+    cells, ok = normalize_rows(rows, pdata, GFq(p))
+    assert ok.any() and not ok.all()
+    gf = GFq(p, 2)
+    cells2, ok2 = normalize_rows(gf.lift(rows), pdata, gf)
+    assert np.array_equal(ok2, ok)
+    assert np.array_equal(cells2, gf.lift(cells))
 
 
 def test_orbit_partition_refines_solutions():
@@ -154,7 +176,7 @@ def test_orbit_closed_under_group_f2():
     in_slice = 0
     for g in group:
         img = rows @ g.T % 2
-        cells, ok = normalize_rows(img, pdata, 2)
+        cells, ok = normalize_rows(img, pdata, GFq(2))
         if not ok[0]:
             continue
         in_slice += 1
@@ -218,6 +240,17 @@ def test_t4_t6_sweep_finds_the_linking_antiautomorphism():
         assert witness["gamma"] == p - 1 and witness["delta"] == p - 1
 
 
+@pytest.mark.parametrize(
+    "name, p",
+    [(name, 5) for name in SEARCH_CONFIGS] + [("t6", 7), ("t8", 7)],
+)
+def test_archived_report_reproduces(name, p):
+    # the archived p = 5 and p = 7 evidence, regenerated and compared bytes
+    # for bytes (criterion 7 rewrites the p = 2 and 3 reports itself)
+    text = json.dumps(coverage_report(name, p, explain=True), indent=2, sort_keys=True) + "\n"
+    assert text == (REPORT_DIR / f"coverage_{name}_p{p}.json").read_text()
+
+
 def test_explain_unmatched_direct():
     rep = coverage_report("t8", 3, explain=False)
     assert rep["unmatched_reps"]
@@ -254,7 +287,7 @@ def test_sweep_rejects_unsupported_prime():
     from m3decomp.errors import NotSupported
 
     with pytest.raises(NotSupported):
-        t4_t6_separation(7)
+        t4_t6_separation(11)
 
 
 def _m7_pattern(first):
