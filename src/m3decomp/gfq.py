@@ -12,9 +12,9 @@ quadratic extension, which is the precise content of a square-root
 obstruction.
 
 The finite-field oracle accepts the primes up to MAX_PRIME.  The bound comes
-from the oracle's groups, not from this arithmetic: they are held as whole
-stacks of 9x9 maps, and at p = 11 the largest family alone has 1.6 million
-of them, over a gigabyte of int64 entries.
+from the oracle's groups, not from this arithmetic: the orbit sweep applies
+a whole group in one batch, and at p = 11 the largest family alone has 1.6
+million members.
 """
 
 from __future__ import annotations

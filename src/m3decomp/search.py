@@ -3,17 +3,19 @@ partitioning under the complement-preserving maps, and catalog matching.
 
 The enumeration is the solution set of a pattern's closure system over F_p
 (direct sums are automatic for pattern instances, since the pivot parts
-complete any basis of the complement).  Each group family is the full
-stabilizer of its complement (`family_is_full_stabilizer`), so the family
-together with its twist coset is a group, and the orbit of a solution is the
-set of its images under all of those maps that land back in the pattern
-slice.  Orbits are therefore swept one at a time: every map is applied to one
-unlabelled solution, and each in-slice image joins its orbit.  Soundness
-(every constraint-satisfying catalog specialization appears and is matched)
-is checked with typed errors; completeness failures are data,
-reported verbatim and, where claimed, explained by re-running the sweep over
-the quadratic extension GF(p^2), which is exactly what a square-root
-obstruction must resolve.  Both sweeps are the same code over a field object
+complete any basis of the complement).  Every automorphism of M3 is inner:
+a group family is held as its 3x3 conjugators T (X -> T^-1 X T), a twist as a
+permutation matrix P (X -> P X^T P).  Each family is the full stabilizer of
+its complement (`family_is_full_stabilizer`), so the family together with
+its twist coset is a group, and the orbit of a solution is the set of its
+images under all of those maps that land back in the pattern slice.  Orbits
+are therefore swept one at a time: every map is applied to one unlabelled
+solution, and each in-slice image joins its orbit.  Soundness (every
+constraint-satisfying catalog specialization appears and is matched) is
+checked with typed errors; completeness failures are data, reported verbatim
+and, where claimed, explained by re-running the sweep over the quadratic
+extension GF(p^2), which is exactly what a square-root obstruction must
+resolve.  Both sweeps are the same code over a field object
 (`gfq.GFq`): F_p is its degree-1 case, GF(p^2) its degree-2 case.
 """
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
+import math
 
 import numpy as np
 
@@ -29,8 +31,6 @@ from .catalog import COMPLEMENTS, builtin_catalog
 from .errors import BudgetExceeded, GroupMismatch, PatternMismatch
 from .fpsolve import compile_poly, solve_system_fp
 from .gfq import GFq, check_prime
-from .maps import conjugation, phi_map, theta, transpose_map
-from .matrices import Mat3
 from .patterns import PATTERN_THEOREM_ENTRIES, get_pattern
 from .scalars import GF
 
@@ -137,138 +137,141 @@ def normalize_rows(rows, pdata, gf):
 
 
 # ---------------------------------------------------------------------------
-# group families over F_p and GF(p^2)
+# group families over F_p and GF(p^2), held as conjugators
 # ---------------------------------------------------------------------------
 
-#: the phi parameter slot (beta, gamma, kappa, lamda, mu, nu) that each free
-#: parameter of a family fills, in grid order; the other slots are 0.  psi's
-#: free parameters are (alpha, beta, gamma, delta, epsilon), with
-#: alpha -> nu, delta -> kappa and epsilon -> lamda.
-_FAMILY_SLOTS = {
-    "phi_full": (0, 1, 2, 3, 4, 5),
-    "phi_bg0": (2, 3, 4, 5),
-    "phi_lm0": (0, 1, 2, 5),
-    "phi_lm0_theta23": (0, 1, 2, 5),
-    "psi": (5, 0, 1, 2, 3),
+#: every member of a family is X -> T^-1 X T for a conjugator
+#: T = [[1, beta, gamma], [0, kappa, lamda], [0, mu, nu]]; these are the
+#: row-major positions of its parameter entries (the others are 0 or 1)
+_T_ENTRY = {"beta": 1, "gamma": 2, "kappa": 4, "lamda": 5, "mu": 7, "nu": 8}
+
+#: the entries of T that each family's free parameters fill, in grid order,
+#: and those of them that range over the units only (the diagonal of a
+#: triangular T); the other entries are 0.  psi's parameters (alpha, beta,
+#: gamma, delta, epsilon) are the entries (nu, beta, gamma, kappa, lamda).
+_FAMILIES = {
+    "phi_full": (("beta", "gamma", "kappa", "lamda", "mu", "nu"), ()),
+    "phi_bg0": (("kappa", "lamda", "mu", "nu"), ()),
+    "phi_lm0_theta23": (("beta", "gamma", "kappa", "nu"), ("kappa", "nu")),
+    "psi": (("nu", "beta", "gamma", "kappa", "lamda"), ("nu", "kappa")),
 }
 
+#: the permutation matrices exchanging two indices; conjugation by P_ij is
+#: the automorphism theta(i, j)
+_P13 = np.eye(3, dtype=np.int64)[[2, 1, 0]]
+_P23 = np.eye(3, dtype=np.int64)[[0, 2, 1]]
 
-def _grid(q, k, start=0, stop=None):
-    """Rows start..stop of the q^k index tuples in C order (the last index
-    varies fastest), as a (T, k) array."""
-    flat = np.arange(start, q ** k if stop is None else min(stop, q ** k))
-    if not k:
+
+def _grid(shape, start=0, stop=None):
+    """Rows start..stop of the index tuples of an array of this shape in C
+    order (the last index varies fastest), as an (N, len(shape)) array."""
+    size = math.prod(shape)
+    flat = np.arange(start, size if stop is None else min(stop, size))
+    if not shape:
         return np.zeros((flat.size, 0), dtype=np.int64)
-    return np.stack(np.unravel_index(flat, (q,) * k), axis=-1)
+    return np.stack(np.unravel_index(flat, shape), axis=-1)
 
 
-@functools.lru_cache(maxsize=None)
-def _phi_compiled(p):
-    """The 81 entry polynomials and denominator of the six-parameter family,
-    compiled for mod-p evaluation."""
-    phi = phi_map()
-    names = phi.domain.names
-    return ([compile_poly(phi.matrix9[i][j], names, p) for i in range(9) for j in range(9)],
-            compile_poly(phi.den, names, p))
-
-
-def _family_maps(family, gf, chunk=None):
-    """The phi maps of a family over the field gf, denominators divided out,
-    in parameter-grid order, chunk grid rows at a time (all at once when
-    chunk is None).  Yields (maps, tuples) for each chunk with a tuple whose
-    denominator does not vanish: maps (T, 9, 9) at those tuples, and the
-    tuples as (T, 6) phi parameters, the family's unused slots 0."""
-    compiled, den_c = _phi_compiled(gf.p)
-    slots = _FAMILY_SLOTS[family]
-    size = gf.q ** len(slots)
+def _family_conjugators(family, gf, chunk=None):
+    """The invertible conjugators T of a family over the field gf, in
+    parameter-grid order, chunk grid rows at a time (all at once when chunk
+    is None): yields an (N, 3, 3) batch for each chunk that keeps one.  For
+    phi_lm0_theta23 each batch is followed by its theta(2, 3) coset, the
+    conjugators P23 @ T."""
+    names, units = _FAMILIES[family]
+    skip = [int(n in units) for n in names]   # a unit skips elements()[0] = 0
+    shape = tuple(gf.q - s for s in skip)
+    size = math.prod(shape)
     chunk = chunk or size
+    elements = gf.elements()
     for start in range(0, size, chunk):
-        grid = _grid(gf.q, len(slots), start, start + chunk)
-        tuples = np.zeros((grid.shape[0], 6), dtype=np.int64)
-        tuples[:, slots] = grid
-        tuples = gf.elements()[tuples]
-        den = gf.eval_compiled(den_c, {i: tuples[:, i] for i in range(6)}, len(tuples))
-        keep = ~gf.is_zero(den)
-        if not keep.any():
-            continue
-        tuples, den = tuples[keep], den[keep]
-        columns = {i: tuples[:, i] for i in range(6)}
-        flat = np.zeros((len(tuples), 81) + den.shape[1:], dtype=np.int64)
-        for e, cp in enumerate(compiled):
-            flat[:, e] = gf.eval_compiled(cp, columns, len(tuples))
-        flat = gf.mul(flat, gf.inv(den)[:, None])
-        yield flat.reshape((len(tuples), 9, 9) + flat.shape[2:]), tuples
+        grid = _grid(shape, start, start + chunk) + skip
+        t = np.zeros((grid.shape[0], 9) + elements.shape[1:], dtype=np.int64)
+        t[:, 0] = gf.lift(1)
+        t[:, [_T_ENTRY[n] for n in names]] = elements[grid]
+        t = t.reshape((-1, 3, 3) + elements.shape[1:])
+        t = t[~gf.is_zero(gf.det_adj(t)[0])]
+        if family == "phi_lm0_theta23":
+            t = np.concatenate([t, gf.matmul(gf.lift(_P23), t)])
+        if len(t):
+            yield t
+
+
+def _conjugated(rows, conj, gf):
+    """Generator rows (..., k, 9) over the field gf sent through every
+    member X -> T^-1 X T of a group given as conj = (T, T^-1), two
+    (G, 3, 3) batches: (..., G, k, 9) rows."""
+    t, t_inv = conj
+    e = gf.degree - 1   # trailing axes of one field element
+    mats = rows.reshape(rows.shape[:rows.ndim - 1 - e] + (3, 3) + rows.shape[rows.ndim - e:])
+    mats = np.expand_dims(mats, -4 - e)
+    out = gf.matmul(gf.matmul(t_inv[:, None], mats), t[:, None])
+    return out.reshape(out.shape[:out.ndim - 2 - e] + (9,) + out.shape[out.ndim - e:])
 
 
 def _twisted(rows, twist, p):
     """Generator rows (..., k, 9) over F_p, stacked on a new axis before the
-    last two with their images under the twist when there is one.  A map g
-    composed with the twist sends rows to g applied to the twisted rows."""
+    last two with their images X -> P X^T P under the twist P when there is
+    one.  A group member composed with the twist sends rows to the member
+    applied to the twisted rows."""
     rows = rows[..., None, :, :]
-    return rows if twist is None else np.concatenate([rows, rows @ twist.T % p], axis=-3)
-
-
-def _and_coset(maps, right, gf):
-    """The maps followed by their composites with the F_p map `right`
-    (applied first); the maps alone when right is None."""
-    if right is None:
-        return maps
-    return np.concatenate([maps, gf.matmul(maps, gf.lift(right))])
-
-
-def _map_to_fp(algebra_map, p):
-    den = algebra_map.den
-    den_val = int(den) if not isinstance(den, Fraction) else den
-    den_int = Fraction(den_val).numerator * pow(Fraction(den_val).denominator, p - 2, p)
-    inv = pow(den_int % p, p - 2, p)
-    out = np.zeros((9, 9), dtype=np.int64)
-    for i in range(9):
-        for j in range(9):
-            x = Fraction(algebra_map.matrix9[i][j])
-            out[i, j] = x.numerator * pow(x.denominator, p - 2, p) * inv % p
-    return out
-
-
-def _family_coset(family, p):
-    """phi_lm0_theta23 is phi_lm0 together with its coset under theta(2, 3)."""
-    return _map_to_fp(theta(2, 3), p) if family == "phi_lm0_theta23" else None
+    if twist is None:
+        return rows
+    mats = rows.reshape(rows.shape[:-1] + (3, 3))
+    flipped = twist @ np.swapaxes(mats, -1, -2) @ twist % p
+    return np.concatenate([rows, flipped.reshape(rows.shape)], axis=-3)
 
 
 def group_matrices(family, p):
-    """All 9x9 map matrices (mod p, denominators divided out) of a family,
-    sorted and without repeats."""
-    gf = _gf(p)
-    maps = np.concatenate([m for m, _ in _family_maps(family, gf)])
-    maps = _and_coset(maps, _family_coset(family, p), gf)
-    return np.unique(maps.reshape(-1, 81), axis=0).reshape(-1, 9, 9)
+    """The conjugators T of a family over F_p, (|G|, 3, 3), in parameter-grid
+    order; distinct T give distinct maps X -> T^-1 X T."""
+    return np.concatenate(list(_family_conjugators(family, _gf(p))))
 
 
 def twist_matrix(name, p):
+    """The permutation matrix P of a twist X -> P X^T P: the identity for the
+    transpose "T", P13 for theta(1, 3) after the transpose."""
     if name is None:
         return None
     if name == "T":
-        return _map_to_fp(transpose_map(), p)
+        return np.eye(3, dtype=np.int64)
     if name == "theta13_T":
-        return _map_to_fp(theta(1, 3).compose(transpose_map()), p)
+        return _P13
     raise ValueError(name)
 
 
-def _check_group_preserves(pattern_name, group, twist, p, sample=5):
-    """Spot-check that group elements (and the twist) map the complement
-    row space to itself mod p."""
-    pat = get_pattern(pattern_name)
-    comp = COMPLEMENTS[pat.complement_id]
-    rows = np.array([[int(x) for x in g.coords()] for g in comp.generators],
-                    dtype=np.int64) % p
+def _annihilator(rows, p):
+    """A basis, as rows, of the vectors a with rows @ a = 0 mod p; a vector
+    lies in the row space of rows exactly when every basis row annihilates
+    it."""
     ref = _rref_mod(rows, p)
-    idx = np.linspace(0, group.shape[0] - 1, min(sample, group.shape[0])).astype(int)
-    mats = [group[i] for i in idx]
-    if twist is not None:
-        mats.append(twist)
-    for g in mats:
-        img = rows @ g.T % p
-        if not np.array_equal(_rref_mod(img, p), ref):
-            raise GroupMismatch(f"a group element does not preserve {comp.id}")
+    pivots = [int(np.flatnonzero(r)[0]) for r in ref if r.any()]
+    free = [c for c in range(rows.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), rows.shape[1]), dtype=np.int64)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        for r, c in enumerate(pivots):
+            basis[i, c] = -ref[r, f] % p
+    return basis
+
+
+def _complement_rows(complement_id, p):
+    return np.array([[int(x) for x in g.coords()] for g in COMPLEMENTS[complement_id].generators],
+                    dtype=np.int64) % p
+
+
+def _check_group_preserves(pattern_name, conj, twist, gf):
+    """Check that every group element, and the twist, maps the complement
+    row space into itself (hence onto it, being invertible) mod p."""
+    p = gf.p
+    comp_id = get_pattern(pattern_name).complement_id
+    rows = _complement_rows(comp_id, p)
+    ann_t = _annihilator(rows, p).T
+    # one complement row at a time, so that |G| images are held at once
+    images = itertools.chain([_twisted(rows, twist, p)],
+                             (_conjugated(row[None], conj, gf) for row in rows))
+    if any((batch @ ann_t % p).any() for batch in images):
+        raise GroupMismatch(f"a group element does not preserve {comp_id}")
 
 
 def _rref_mod(rows, p):
@@ -325,20 +328,20 @@ def orbit_partition_fp(solutions, pattern_name, p, group=None, twist=None):
         group = group_matrices(config["group"], p)
     if twist is None:
         twist = twist_matrix(config["twist"], p)
-    _check_group_preserves(pattern_name, group, twist, p)
     gf = _gf(p)
+    conj = (group, gf.inv_mat(group))
+    _check_group_preserves(pattern_name, conj, twist, gf)
     pdata = _pdata(pattern_name)
     sols = np.asarray(solutions, dtype=np.int64)
     n = sols.shape[0]
     index = {row.tobytes(): i for i, row in enumerate(sols.astype(np.int8))}
     rows_all = _twisted(rows_from_cells(sols, pdata, p), twist, p)
-    group_t = np.swapaxes(group, 1, 2)
     labels = np.full(n, -1, dtype=np.int64)
     orbits = {}
     for i in range(n):
         if labels[i] >= 0:
             continue
-        images = gf.matmul(rows_all[i][:, None], group_t).reshape(-1, pdata.k, 9)
+        images = _conjugated(rows_all[i], conj, gf).reshape(-1, pdata.k, 9)
         cells, ok = normalize_rows(images, pdata, gf)
         members = []
         for cell_row in np.unique(cells[ok].astype(np.int8), axis=0):
@@ -368,7 +371,7 @@ def _specializations(pattern_name, gf):
         if tag is None and "@" in entry.id:
             continue
         names = entry.params
-        values = gf.elements()[_grid(gf.q, len(names))]
+        values = gf.elements()[_grid((gf.q,) * len(names))]
         n = values.shape[0]
         columns = {i: values[:, i] for i in range(len(names))}
 
@@ -482,7 +485,7 @@ def coverage_clean(report):
 # quadratic-extension explanation of unmatched orbits
 # ---------------------------------------------------------------------------
 
-def explain_unmatched(pattern_name, p, rep_cells, chunk=4096):
+def explain_unmatched(pattern_name, p, rep_cells, chunk=1024):
     """True when the orbit of the representative meets a catalog
     specialization over GF(p^2).  The family's parameter grid over GF(p^2)
     is swept chunk tuples at a time."""
@@ -494,11 +497,10 @@ def explain_unmatched(pattern_name, p, rep_cells, chunk=4096):
              for i in np.nonzero(ok)[0]}
     rows = gf.lift(_twisted(rows_from_cells(rep_cells[None, :], pdata, p)[0],
                             twist_matrix(config["twist"], p), p))
-    coset = _family_coset(config["group"], p)
-    for maps, _ in _family_maps(config["group"], gf, chunk):
-        maps_t = np.swapaxes(_and_coset(maps, coset, gf), 1, 2)
+    for t in _family_conjugators(config["group"], gf, chunk):
+        conj = (t, gf.inv_mat(t))
         for variant in rows:
-            cells, ok = normalize_rows(gf.matmul(variant, maps_t), pdata, gf)
+            cells, ok = normalize_rows(_conjugated(variant, conj, gf), pdata, gf)
             if any(cells[i].tobytes() in forms for i in np.nonzero(ok)[0]):
                 return True
     return False
@@ -546,31 +548,20 @@ def family_is_full_stabilizer(family, complement_id, p):
     """Exhaustive converse check: over F_p the parameter family realizes
     exactly the conjugations preserving the complement.
 
-    Enumerates every invertible 3x3 matrix over F_p, keeps the conjugations
-    mapping the complement row space to itself, and compares that set of
-    9x9 maps with the family's."""
-    comp_rows = np.array(
-        [[int(x) for x in g.coords()] for g in COMPLEMENTS[complement_id].generators],
-        dtype=np.int64,
-    ) % p
-    ref = _rref_mod(comp_rows, p).tobytes()
-    family_set = {g.tobytes() for g in group_matrices(family, p)}
-    found = set()
-    dom = GF(p)
-    for flat in itertools.product(range(p), repeat=9):
-        t_rows = np.array(flat, dtype=np.int64).reshape(3, 3)
-        if _rank_mod(t_rows, p) != 3:
-            continue
-        conj = conjugation(Mat3(t_rows.tolist(), dom))
-        mat = np.array(
-            [[x.value for x in row] for row in conj.matrix9], dtype=np.int64
-        )
-        inv = pow(conj.den.value, p - 2, p)
-        mat = mat * inv % p
-        img = comp_rows @ mat.T % p
-        if _rref_mod(img, p).tobytes() == ref:
-            found.add(mat.tobytes())
-    return found == family_set
+    Enumerates every invertible 3x3 matrix over F_p, keeps those whose
+    conjugation maps the complement row space to itself, and compares them
+    with the family's conjugators.  Conjugation by T determines T up to a
+    scalar, so only matrices whose first nonzero entry is 1 are enumerated,
+    as the family's conjugators are."""
+    gf = _gf(p)
+    rows = _complement_rows(complement_id, p)
+    every = _grid((p,) * 9)
+    lead = every[np.arange(len(every)), (every != 0).argmax(axis=1)]
+    every = every[lead == 1].reshape(-1, 3, 3)
+    every = every[~gf.is_zero(gf.det_adj(every)[0])]
+    images = _conjugated(rows, (every, gf.inv_mat(every)), gf)
+    found = every[~(images @ _annihilator(rows, p).T % p).any(axis=(1, 2))]
+    return {t.tobytes() for t in found} == {t.tobytes() for t in group_matrices(family, p)}
 
 
 def t4_t6_separation(p):
@@ -579,28 +570,29 @@ def t4_t6_separation(p):
     complement-preserving antiautomorphism twist) and report whether any
     carries the (T4) subalgebra onto the (T6) subalgebra.
 
-    Returns (separated, witness): witness names the first mapping found, as
-    family parameters plus whether it includes the twist."""
+    Returns (separated, witness): witness names the first mapping found in
+    grid order, untwisted maps first, as family parameters plus whether it
+    includes the twist."""
     from .catalog import entry_by_id
 
     gf = _gf(p)
-    twist = twist_matrix("theta13_T", p)
     s4, _ = entry_by_id("T4").specialize({}, GF(p))
     s6, _ = entry_by_id("T6").specialize({}, GF(p))
     rows4 = np.array([[x.value for x in g.coords()] for g in s4.generators], dtype=np.int64)
     rows6 = np.array([[x.value for x in g.coords()] for g in s6.generators], dtype=np.int64)
-    target = _rref_mod(rows6, p).tobytes()
-
-    [(mats, tuples)] = _family_maps("psi", gf)
-    for twisted, start_rows in ((False, rows4), (True, rows4 @ twist.T % p)):
-        for idx in range(mats.shape[0]):
-            img = start_rows @ mats[idx].T % p
-            if _rref_mod(img, p).tobytes() == target:
-                t = tuples[idx]
-                witness = {
-                    "alpha": int(t[5]), "beta": int(t[0]), "gamma": int(t[1]),
-                    "delta": int(t[2]), "epsilon": int(t[3]),
-                    "composed_with_transpose_twist": twisted,
-                }
-                return False, witness
-    return True, None
+    if _rank_mod(rows4, p) != _rank_mod(rows6, p):
+        return True, None
+    # an invertible map carries T4 onto T6 when every image row lies in T6
+    [t] = _family_conjugators("psi", gf)
+    images = _conjugated(_twisted(rows4, twist_matrix("theta13_T", p), p), (t, gf.inv_mat(t)), gf)
+    hits = ~(images @ _annihilator(rows6, p).T % p).any(axis=(-2, -1))
+    if not hits.any():
+        return True, None
+    twisted, idx = divmod(int(hits.argmax()), len(t))
+    m = t[idx]
+    witness = {
+        "alpha": int(m[2, 2]), "beta": int(m[0, 1]), "gamma": int(m[0, 2]),
+        "delta": int(m[1, 1]), "epsilon": int(m[1, 2]),
+        "composed_with_transpose_twist": bool(twisted),
+    }
+    return False, witness

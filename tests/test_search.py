@@ -1,13 +1,17 @@
+import functools
+import itertools
 import json
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from m3decomp.catalog import COMPLEMENTS
 from m3decomp.errors import BudgetExceeded, GroupMismatch, PatternMismatch
+from m3decomp.fpsolve import compile_poly
 from m3decomp.gfq import GFq
 from m3decomp.maps import apply_map, phi_map, psi_map, theta, transpose_map
 from m3decomp.matrices import span
@@ -26,19 +30,90 @@ from m3decomp.search import (
     slow_cube_solutions,
     t4_t6_separation,
     twist_matrix,
+    _conjugated,
     _PatternData,
     _pdata,
 )
 
 REPORT_DIR = pathlib.Path(__file__).resolve().parent.parent / "reports"
 
+#: each group family as the exact layer defines it: its symbolic map, the
+#: parameters held at 0, and whether theta(2, 3) composes a second coset
+_SYMBOLIC_FAMILIES = {
+    "phi_full": (phi_map, (), False),
+    "phi_bg0": (phi_map, ("beta", "gamma"), False),
+    "phi_lm0_theta23": (phi_map, ("lamda", "mu"), True),
+    "psi": (psi_map, (), False),
+}
+
+#: the coordinate basis matrices E_11, E_12, ..., E_33
+_BASIS = np.eye(9, dtype=np.int64).reshape(9, 3, 3)
+
+_P12 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+
+
+def _mod(x, p):
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, p - 2, p) % p
+
+
+def _fp_map(amap, p):
+    """A constant map of maps.py as a 9x9 matrix mod p, denominator divided
+    out."""
+    inv = pow(_mod(amap.den, p), p - 2, p)
+    return np.array([[_mod(x, p) * inv % p for x in row] for row in amap.matrix9])
+
+
+@functools.lru_cache(maxsize=None)
+def _symbolic_group(family, p):
+    """The 9x9 maps mod p of a family, from its symbolic map evaluated at
+    every point of F_p where the denominator does not vanish, sorted and
+    without repeats."""
+    make, zero, coset = _SYMBOLIC_FAMILIES[family]
+    amap = make()
+    names = amap.domain.names
+    gf = GFq(p)
+    points = np.array(list(itertools.product(range(p), repeat=len(names))))
+    points = points[~points[:, [names.index(n) for n in zero]].any(axis=1)]
+    columns = dict(enumerate(points.T))
+
+    def evaluate(poly):
+        return gf.eval_compiled(compile_poly(poly, names, p), columns, len(points))
+
+    den = evaluate(amap.den)
+    maps = np.moveaxis(np.array([[evaluate(x) for x in row] for row in amap.matrix9]), -1, 0)
+    maps = maps[den != 0] * gf.inv(den[den != 0])[:, None, None] % p
+    if coset:
+        maps = np.concatenate([maps, maps @ _fp_map(theta(2, 3), p) % p])
+    return np.unique(maps.reshape(-1, 81), axis=0).reshape(-1, 9, 9)
+
+
+def _symbolic_twist(name, p):
+    if name is None:
+        return None
+    tw = transpose_map() if name == "T" else theta(1, 3).compose(transpose_map())
+    return _fp_map(tw, p)
+
+
+def _induced_maps(conjugators, p):
+    """The 9x9 matrices of the maps X -> T^-1 X T, one per conjugator T."""
+    inv = GFq(p).inv_mat(conjugators)
+    images = inv[:, None] @ _BASIS @ conjugators[:, None] % p
+    return np.swapaxes(images.reshape(-1, 9, 9), 1, 2)
+
+
+def _induced_twist(twist):
+    """The 9x9 matrix of the twist X -> P X^T P."""
+    return (twist @ np.swapaxes(_BASIS, 1, 2) @ twist).reshape(9, 9).T
+
 
 def _orbits_by_union_find(sols, pattern_name, p):
-    """Reference partition: every group element and every twisted element is
-    applied to every solution, and each in-slice image is unioned with its
-    source; the least index of a class is its root."""
+    """Reference partition: every map of the symbolic family and every one
+    composed with the twist is applied to every solution, and each in-slice
+    image is unioned with its source; the least index of a class is its
+    root."""
     config = SEARCH_CONFIGS[pattern_name]
-    twist = twist_matrix(config["twist"], p)
+    twist = _symbolic_twist(config["twist"], p)
     pdata = _pdata(pattern_name)
     index = {row.tobytes(): i for i, row in enumerate(sols.astype(np.int8))}
     rows = rows_from_cells(sols.astype(np.int64), pdata, p)
@@ -50,7 +125,7 @@ def _orbits_by_union_find(sols, pattern_name, p):
         return x
 
     for base in [rows] + ([] if twist is None else [rows @ twist.T % p]):
-        for g in group_matrices(config["group"], p):
+        for g in _symbolic_group(config["group"], p):
             cells, ok = normalize_rows(base @ g.T % p, pdata, GFq(p))
             for i in np.nonzero(ok)[0]:
                 j = index[cells[i].astype(np.int8).tobytes()]
@@ -60,12 +135,27 @@ def _orbits_by_union_find(sols, pattern_name, p):
     return labels, {int(r): int(r) for r in np.unique(labels)}
 
 
-def test_group_orders_f3():
-    # |GL2(F3)| = 48 building blocks underneath each family
-    assert group_matrices("phi_full", 3).shape[0] == 432
-    assert group_matrices("psi", 3).shape[0] == 108
-    assert group_matrices("phi_bg0", 3).shape[0] == 48
-    assert group_matrices("phi_lm0_theta23", 3).shape[0] == 72
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_group_orders_match_closed_forms(p):
+    gl2 = (p * p - 1) * (p * p - p)
+    assert group_matrices("phi_full", p).shape[0] == p * p * gl2
+    assert group_matrices("psi", p).shape[0] == p ** 3 * (p - 1) ** 2
+    assert group_matrices("phi_bg0", p).shape[0] == gl2
+    assert group_matrices("phi_lm0_theta23", p).shape[0] == 2 * p * p * (p - 1) ** 2
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_conjugators_induce_the_symbolic_maps(p):
+    # each family's conjugators, its theta(2, 3) coset included, give the
+    # maps of the exact layer, each once; so do the twists
+    for family in _SYMBOLIC_FAMILIES:
+        induced = _induced_maps(group_matrices(family, p), p).reshape(-1, 81)
+        assert len(np.unique(induced, axis=0)) == len(induced), family
+        assert np.array_equal(np.unique(induced, axis=0),
+                              _symbolic_group(family, p).reshape(-1, 81)), family
+    for name in ("T", "theta13_T"):
+        assert np.array_equal(_induced_twist(twist_matrix(name, p)),
+                              _symbolic_twist(name, p)), name
 
 
 def test_group_families_preserve_their_complements_symbolically():
@@ -141,8 +231,8 @@ def test_normal_form_is_the_same_over_the_extension(name, p):
     sols = enumerate_complements_fp(name, p)[::7][:12].astype(np.int64)
     group = group_matrices(SEARCH_CONFIGS[name]["group"], p)[::29][:12]
     pdata = _pdata(name)
-    rows = np.einsum("gst,njt->gnjs", group, rows_from_cells(sols, pdata, p)) % p
-    rows = rows.reshape(-1, pdata.k, 9)
+    conj = (group, GFq(p).inv_mat(group))
+    rows = _conjugated(rows_from_cells(sols, pdata, p), conj, GFq(p)).reshape(-1, pdata.k, 9)
     cells, ok = normalize_rows(rows, pdata, GFq(p))
     assert ok.any() and not ok.all()
     gf = GFq(p, 2)
@@ -170,7 +260,7 @@ def test_orbit_closed_under_group_f2():
     labels, _ = orbit_partition_fp(sols, "t1", 2)
     pdata = _pdata("t1")
     zero_idx = next(i for i, row in enumerate(sols) if not row.any())
-    group = group_matrices("phi_full", 2)
+    group = _symbolic_group("phi_full", 2)
     rows = rows_from_cells(sols[zero_idx:zero_idx + 1].astype(np.int64), pdata, 2)
     index = {row.tobytes(): i for i, row in enumerate(sols.astype(np.int8))}
     in_slice = 0
@@ -242,7 +332,7 @@ def test_t4_t6_sweep_finds_the_linking_antiautomorphism():
 
 @pytest.mark.parametrize(
     "name, p",
-    [(name, 5) for name in SEARCH_CONFIGS] + [("t6", 7), ("t8", 7)],
+    [(name, 5) for name in SEARCH_CONFIGS] + [(name, 7) for name in ("t1", "t6", "t7", "t8")],
 )
 def test_archived_report_reproduces(name, p):
     # the archived p = 5 and p = 7 evidence, regenerated and compared bytes
@@ -262,15 +352,16 @@ def test_explain_unmatched_direct():
 
 
 def test_group_mismatch_detected():
-    import m3decomp.errors as errors
-
+    # theta(1, 2) does not preserve the complement row space: as the whole
+    # group, as one element at an index that five evenly spaced samples of
+    # the 24 (0, 5, 11, 17 and 23) miss, and the transpose as the twist
     sols = enumerate_complements_fp("t1", 2)
-    # a permutation that does not preserve the complement row space
-    bad = np.zeros((1, 9, 9), dtype=np.int64)
-    for k in range(9):
-        bad[0, (k + 1) % 9, k] = 1
-    with pytest.raises(errors.GroupMismatch):
-        orbit_partition_fp(sols, "t1", 2, group=bad)
+    corrupted = group_matrices("phi_full", 2).copy()
+    corrupted[1] = _P12
+    for kwargs in ({"group": _P12[None]}, {"group": corrupted},
+                   {"twist": np.eye(3, dtype=np.int64)}):
+        with pytest.raises(GroupMismatch, match="does not preserve"):
+            orbit_partition_fp(sols, "t1", 2, **kwargs)
 
 
 def test_families_are_full_stabilizers_f2():
