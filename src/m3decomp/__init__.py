@@ -41,9 +41,7 @@ from .matrices import (
 from .patterns import PATTERNS, PivotPattern, get_pattern
 from .rota_baxter import RBOperator, check_rb_identity, rb_for_entry, splitting_rb
 from .scalars import (
-    GF,
     ConstraintSet,
-    FpElem,
     MultiPoly,
     PolynomialRing,
     QQ,

@@ -31,10 +31,8 @@ class ComplementDef:
         self.dim = len(self.generators)
         self.unital = unital
 
-    def subspace(self, domain=QQ):
-        if domain is QQ:
-            return span(self.generators)
-        return span([g.map_domain(domain) for g in self.generators])
+    def subspace(self):
+        return span(self.generators)
 
     def __repr__(self):
         return f"ComplementDef({self.id}, dim={self.dim})"
@@ -165,24 +163,23 @@ class CatalogEntry:
             self.ring,
         )
 
-    def specialize(self, values, domain=QQ):
-        """Concrete (S, B) at a parameter assignment; all constraints are
-        checked and the first violated polynomial is reported."""
+    def specialize(self, values):
+        """Concrete (S, B) over Q at a parameter assignment; all constraints
+        are checked and the first violated polynomial is reported."""
         missing = [p for p in self.params if p not in values]
         if missing:
             raise SchemaError("params", f"assignment misses {missing}")
-        zero = domain.zero()
         for p in self.constraints.nonzero:
-            if p.eval(values, domain) == zero:
+            if p.eval(values) == 0:
                 raise ConstraintViolated(poly_to_string(p))
         for a, b in self.constraints.not_both_zero:
-            if a.eval(values, domain) == zero and b.eval(values, domain) == zero:
+            if a.eval(values) == 0 and b.eval(values) == 0:
                 raise ConstraintViolated(f"({poly_to_string(a)},{poly_to_string(b)})")
         gens = [
-            Mat3([[cell.eval(values, domain) for cell in row] for row in g.rows], domain)
+            Mat3([[cell.eval(values) for cell in row] for row in g.rows], QQ)
             for g in self.s_generators
         ]
-        return span(gens, domain=domain), self.complement.subspace(domain)
+        return span(gens, domain=QQ), self.complement.subspace()
 
     def to_json(self):
         return {
@@ -554,8 +551,8 @@ def entry_by_id(ident, entries=None):
     raise KeyError(ident)
 
 
-def specialize(entry, values, domain=QQ):
-    return entry.specialize(values, domain)
+def specialize(entry, values):
+    return entry.specialize(values)
 
 
 def save_catalog(entries, path):

@@ -1,7 +1,7 @@
 """Command-line surface: every check in the package as a reproducible batch
 run with deterministic JSON (or table) reports.
 
-    m3decomp verify --all --mode symbolic --jobs 4
+    m3decomp verify --all --mode symbolic
     m3decomp verify --entry R9 --mode specialized --n 10 --seed 1
     m3decomp search --pattern 7-2 --prime 2
     m3decomp invariants
@@ -13,9 +13,9 @@ search and invariants --sweep-primes take the primes up to 7 (the
 finite-field oracle's bound, gfq.MAX_PRIME); derive-system compares over the
 primes up to 127 (its solver stores cells as int8).  Exit codes: 0 all
 requested checks pass, 1 a check failed, 2 configuration error (an unknown
-pattern, entry or fixture, or a prime out of range).  Identical configuration (including seed) produces byte-identical
-JSON output.  --jobs runs verify in parallel and changes its wall time only;
-search accepts --jobs and ignores it.  The environment variable
+pattern, entry or fixture, or a prime out of range).  Identical
+configuration (including seed) produces byte-identical JSON output.  verify
+and search accept --jobs and ignore it.  The environment variable
 M3DECOMP_CATALOG points verification at a catalog file instead of the
 built-in corpus.
 """
@@ -97,31 +97,14 @@ def _config_error(msg):
     return 2
 
 
-def _verify_one(payload):
+def cmd_verify(args):
     from .verifier import verify_entry
 
-    entry_id, mode, n, seed, cat_path = payload
-    if cat_path == "builtin":
-        entries = catalog_mod.builtin_catalog()
-    else:
-        entries = catalog_mod.load_catalog(cat_path)
-    entry = next(e for e in entries if e.id == entry_id)
-    return verify_entry(entry, mode, n, seed).to_json()
-
-
-def cmd_verify(args):
     if args.mode == "specialized" and args.seed is None:
         return _config_error("--seed is required when --mode specialized")
     entries, cat_path = _load_entries()
     chosen = _select_entries(entries, args.entry)
-    payloads = [(e.id, args.mode, args.n, args.seed, cat_path) for e in chosen]
-    if args.jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(args.jobs) as pool:
-            reports = pool.map(_verify_one, payloads)
-    else:
-        reports = [_verify_one(p) for p in payloads]
+    reports = [verify_entry(e, args.mode, args.n, args.seed).to_json() for e in chosen]
     reports.sort(key=lambda r: r["entry"])
     doc = {
         "schema_version": SCHEMA,
@@ -295,7 +278,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=100, help="samples per entry (specialized)")
     p.add_argument("--seed", type=int, default=None,
                    help="required when --mode specialized")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -60,10 +60,6 @@ class ConstraintViolated(M3DecompError):
         super().__init__(f"constraint violated: {polynomial} must not vanish")
 
 
-class CharNotZero(M3DecompError):
-    """An operation that needs characteristic zero was invoked over F_p."""
-
-
 class DimensionMismatch(M3DecompError):
     """Operand has the wrong dimension for this operation."""
 

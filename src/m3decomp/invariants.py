@@ -3,23 +3,17 @@ annihilator containments, idempotents, and the seven 2-dimensional types.
 
 All computations here are exact.  Over the rationals the Jacobson radical of
 a subalgebra of the matrix algebra is the kernel of the ambient trace form
-restricted to the subalgebra (characteristic zero); over a prime field that
-form can degenerate, so a fallback computes the largest nilpotent ideal by
-sweeping nilpotent elements, which is exact but limited to small p^dim.
+restricted to the subalgebra (characteristic zero).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CharNotZero, DimensionMismatch, NotSupported, SoundnessError
+from .errors import DimensionMismatch, NotSupported, SoundnessError
 from .linalg import echelonize, kernel_basis, sc_is_zero, solve_linear
 from .matrices import Mat3, span
-from .scalars import FpElem
-
-_FP_ENUM_BUDGET = 40000
 
 
 def _domain_of(s):
@@ -57,66 +51,19 @@ def is_nilpotent_span(mats, domain, bound=9):
     return not current
 
 
-def radical(s, allow_fp=False):
-    """Jacobson radical of a subalgebra of the matrix algebra.
-
-    Characteristic zero: {x in s : trace(x y) = 0 for all y in s} via the
-    ambient trace form.  Over F_p (with allow_fp) the largest nilpotent ideal
-    is found by closing each nilpotent element into a two-sided ideal and
-    summing the nilpotent ones.
-    """
+def radical(s):
+    """Jacobson radical of a subalgebra of the matrix algebra:
+    {x in s : trace(x y) = 0 for all y in s} via the ambient trace form."""
     dom = _domain_of(s)
     basis = _basis(s)
-    if dom.characteristic == 0:
-        if not basis:
-            return s
-        gram = [[(x @ y).trace() for x in basis] for y in basis]
-        kern = kernel_basis(gram, len(basis), dom)
-        if not kern:
-            return span([Mat3.zero(dom)], domain=dom)
-        rad_gens = [_combo(basis, vec, dom) for vec in kern]
-        return span(rad_gens, domain=dom)
-    if not allow_fp:
-        raise CharNotZero("radical over F_p requires the nilpotent-ideal fallback")
-    return _radical_fp(s, basis, dom)
-
-
-def _radical_fp(s, basis, dom):
-    p = dom.p
-    k = len(basis)
-    if p ** k > _FP_ENUM_BUDGET:
-        raise NotSupported(f"F_{p} radical enumeration over {p}^{k} elements")
-    zero = Mat3.zero(dom)
-    good = []
-    for coeffs in itertools.product(range(p), repeat=k):
-        x = _combo(basis, [dom.from_int(c) for c in coeffs], dom)
-        if x.is_zero():
-            continue
-        if not (x @ x @ x).is_zero():
-            continue
-        ideal = _ideal_closure([x], basis, dom)
-        if is_nilpotent_span(ideal, dom):
-            good.extend(ideal)
-    if not good:
-        return span([zero], domain=dom)
-    rad = span(good, domain=dom)
-    if not is_nilpotent_span(rad.basis_mats(), dom):
-        raise SoundnessError("the sum of the nilpotent ideals is not nilpotent")
-    return rad
-
-
-def _ideal_closure(seed, algebra_basis, dom):
-    current = span(seed, domain=dom).basis_mats()
-    while True:
-        extended = list(current)
-        for g in algebra_basis:
-            for x in current:
-                extended.append(g @ x)
-                extended.append(x @ g)
-        nxt = span([m for m in extended if not m.is_zero()] or [Mat3.zero(dom)], domain=dom)
-        if nxt.dim == len(current):
-            return current
-        current = nxt.basis_mats()
+    if not basis:
+        return s
+    gram = [[(x @ y).trace() for x in basis] for y in basis]
+    kern = kernel_basis(gram, len(basis), dom)
+    if not kern:
+        return span([Mat3.zero(dom)], domain=dom)
+    rad_gens = [_combo(basis, vec, dom) for vec in kern]
+    return span(rad_gens, domain=dom)
 
 
 def find_unit(s, side="two"):
@@ -206,8 +153,6 @@ class Fingerprint:
 def fingerprint(s):
     """Full invariant battery for a concrete subalgebra over Q."""
     dom = _domain_of(s)
-    if dom.characteristic != 0:
-        raise CharNotZero("fingerprints are computed over Q")
     basis = _basis(s)
     rad = radical(s)
     rad_basis = [m for m in rad.basis_mats() if not m.is_zero()]
@@ -312,7 +257,7 @@ class Idempotents:
             # diff must be a scalar multiple of the direction
             for c_d, c_m in zip(fam.direction.coords(), diff.coords()):
                 if not sc_is_zero(c_d):
-                    t = c_m / c_d if not isinstance(c_m, FpElem) else c_m * c_d.inverse()
+                    t = c_m / c_d
                     if fam.base + fam.direction.scale(t) == m:
                         return True
                     break
@@ -320,11 +265,8 @@ class Idempotents:
 
 
 def idempotents(s):
-    """All nonzero idempotents of a subalgebra of dimension <= 2 over Q,
-    or of any dimension over F_p by enumeration (budgeted)."""
+    """All nonzero idempotents of a subalgebra of dimension <= 2 over Q."""
     dom = _domain_of(s)
-    if dom.characteristic != 0:
-        return _idempotents_fp(s, dom)
     if s.dim > 2:
         raise NotSupported("exact idempotent enumeration is limited to dim <= 2 over Q")
     if s.dim == 0:
@@ -412,22 +354,6 @@ def _idempotents_semisimple2(s, dom):
                 raise SoundnessError("a split idempotent does not square to itself")
             out.append((e, matrix_rank(e)))
     return Idempotents(tuple(out), ())
-
-
-def _idempotents_fp(s, dom):
-    p = dom.p
-    k = s.dim
-    if p ** k > _FP_ENUM_BUDGET:
-        raise NotSupported(f"F_{p} idempotent enumeration over {p}^{k} elements")
-    basis = s.basis_mats()
-    pts = []
-    for coeffs in itertools.product(range(p), repeat=k):
-        x = _combo(basis, [dom.from_int(c) for c in coeffs], dom)
-        if x.is_zero():
-            continue
-        if (x @ x) == x:
-            pts.append((x, matrix_rank(x)))
-    return Idempotents(tuple(pts), ())
 
 
 def _coefficient_on(target, u, n, which):

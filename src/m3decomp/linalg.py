@@ -1,9 +1,9 @@
-"""Constraint-aware exact linear algebra over rationals, prime fields, and
-parametric polynomials.
+"""Constraint-aware exact linear algebra over rationals and parametric
+polynomials.
 
 Everything here is division-free at the core: rows are combined by
 cross-multiplication with pivots that are *certified* nonzero (a nonzero
-field element, or a polynomial that is a unit multiple of a product of the
+rational, or a polynomial that is a unit multiple of a product of the
 declared nonzero constraint polynomials).  Ranks computed this way are valid
 for every parameter specialization satisfying the constraints; when no
 certified pivot exists among nonzero entries the computation refuses with
@@ -17,7 +17,6 @@ from fractions import Fraction
 from .errors import SingularMatrix, UndecidedPivot
 from .scalars import (
     EMPTY_CONSTRAINTS,
-    FpElem,
     MultiPoly,
     certified_nonzero,
     QQ,
@@ -27,8 +26,6 @@ from .scalars import (
 def sc_is_zero(x):
     if isinstance(x, MultiPoly):
         return x.is_zero()
-    if isinstance(x, FpElem):
-        return x.value == 0
     return x == 0
 
 
@@ -42,9 +39,6 @@ def _normalize_row(row):
             break
     if lead is None:
         return row
-    if isinstance(lead, FpElem):
-        inv = lead.inverse()
-        return [x * inv for x in row]
     if isinstance(lead, Fraction):
         num = 0
         den = 1
@@ -236,8 +230,6 @@ def ff_inverse(matrix, constraints=EMPTY_CONSTRAINTS, domain=QQ):
 
 
 def _field_div(a, b):
-    if isinstance(a, FpElem) or isinstance(b, FpElem):
-        return a * b.inverse()
     return Fraction(a) / Fraction(b)
 
 
@@ -285,9 +277,6 @@ def _exact_div(a, b):
         if b.is_constant():
             return a * (Fraction(1) / b.constant_value())
         return a.exact_divide(b)
-    if isinstance(a, FpElem):
-        inv = b.inverse() if isinstance(b, FpElem) else FpElem(b, a.p).inverse()
-        return a * inv
     if isinstance(b, MultiPoly):
         return a / b.constant_value()
     return a / Fraction(b)

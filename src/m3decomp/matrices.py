@@ -113,7 +113,7 @@ class Mat3:
 
     def map_domain(self, domain, convert=None):
         """Re-express entries in another domain (e.g. lift Q into a
-        polynomial ring, or reduce mod p)."""
+        polynomial ring)."""
         conv = convert if convert is not None else domain.coerce
         return Mat3(tuple(tuple(conv(x) for x in r) for r in self.rows), domain)
 

@@ -207,10 +207,6 @@ class PivotPattern:
         return f"PivotPattern({self.name}, cells={len(self.params)})"
 
 
-def derive_closure_system(pattern, pairs="all"):
-    return pattern.closure_system(pairs)
-
-
 # ---------------------------------------------------------------------------
 # the theorem patterns, each built on first use
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import NotDirectSum
 from .linalg import ff_inverse
-from .matrices import COORD_ORDER, Mat3, is_direct_sum
+from .matrices import COORD_ORDER, Mat3, is_direct_sum, span
 from .scalars import (
     EMPTY_CONSTRAINTS,
     ConstraintSet,
@@ -140,41 +140,29 @@ def check_complement_identity(r, r_tilde):
     return True
 
 
-def rb_for_entry(entry, weight=None):
-    """Splitting operator of a catalog entry, symbolic in the entry's
-    parameters and (by default) in the weight."""
+def _summands(entry, weight):
+    """(S, B, weight) of an entry's decomposition: symbolic in the entry's
+    parameters and the weight when weight is None, else over Q with the
+    parameters set to 2, 3, ..."""
     if weight is None:
         ring = PolynomialRing(entry.params + (WEIGHT_VAR,))
         lam = ring.gen(WEIGHT_VAR)
-        gens = [g.map_domain(ring) for g in entry.s_generators]
-        comp = [g.map_domain(ring) for g in entry.complement.generators]
         constraints = entry.constraints.cast(ring).merged(ConstraintSet([lam]))
-        from .matrices import span
+        s = span([g.map_domain(ring) for g in entry.s_generators], constraints, ring)
+        b = span([g.map_domain(ring) for g in entry.complement.generators], constraints, ring)
+        return s, b, lam
+    s, b = entry.specialize({p: 2 + i for i, p in enumerate(entry.params)})
+    return s, b, Fraction(weight)
 
-        s = span(gens, constraints, ring)
-        b = span(comp, constraints, ring)
-        return splitting_rb(s, b, lam, entry.id)
-    s, b = entry.specialize({p: 2 + i for i, p in enumerate(entry.params)}) \
-        if entry.params else entry.specialize({})
-    return splitting_rb(s, b, Fraction(weight), entry.id)
+
+def rb_for_entry(entry, weight=None):
+    """Splitting operator of a catalog entry, symbolic in the entry's
+    parameters and (by default) in the weight."""
+    s, b, w = _summands(entry, weight)
+    return splitting_rb(s, b, w, entry.id)
 
 
 def rb_pair_for_entry(entry, weight=None):
     """Both complementary operators of an entry's decomposition."""
-    r = rb_for_entry(entry, weight)
-    if weight is None:
-        ring = PolynomialRing(entry.params + (WEIGHT_VAR,))
-        lam = ring.gen(WEIGHT_VAR)
-        gens = [g.map_domain(ring) for g in entry.s_generators]
-        comp = [g.map_domain(ring) for g in entry.complement.generators]
-        constraints = entry.constraints.cast(ring).merged(ConstraintSet([lam]))
-        from .matrices import span
-
-        s = span(gens, constraints, ring)
-        b = span(comp, constraints, ring)
-        r_tilde = splitting_rb(b, s, lam, entry.id)
-    else:
-        s, b = entry.specialize({p: 2 + i for i, p in enumerate(entry.params)}) \
-            if entry.params else entry.specialize({})
-        r_tilde = splitting_rb(b, s, Fraction(weight), entry.id)
-    return r, r_tilde
+    s, b, w = _summands(entry, weight)
+    return splitting_rb(s, b, w, entry.id), splitting_rb(b, s, w, entry.id)

@@ -1,11 +1,10 @@
-"""Exact scalar domains: rationals, prime fields, and sparse multivariate
-polynomials with rational coefficients.
+"""Exact scalar domains: rationals and sparse multivariate polynomials with
+rational coefficients.
 
-Three scalar kinds appear throughout the package:
+Two scalar kinds appear throughout the package:
 
   Fraction   -- arbitrary-precision rationals (the stand-in for the complex
                 base field at desk scale),
-  FpElem     -- elements of a prime field F_p,
   MultiPoly  -- sparse polynomials over Q in a fixed ordered variable list,
                 represented as  {exponent tuple: Fraction coefficient}.
 
@@ -40,8 +39,6 @@ from .errors import DomainMismatch, MissingVariable, ParseError
 class RationalField:
     """The field Q with Fraction elements."""
 
-    characteristic = 0
-
     def zero(self):
         return Fraction(0)
 
@@ -71,132 +68,8 @@ class RationalField:
 QQ = RationalField()
 
 
-class FpElem:
-    """An element of the prime field F_p."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        self.value = value % p
-        self.p = p
-
-    def _check(self, other):
-        if isinstance(other, FpElem):
-            if other.p != self.p:
-                raise DomainMismatch(f"F_{self.p} vs F_{other.p}")
-            return other.value
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._check(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElem(self.value + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._check(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElem(self.value - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._check(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElem(v - self.value, self.p)
-
-    def __mul__(self, other):
-        v = self._check(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElem(self.value * v, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElem(-self.value, self.p)
-
-    def __pow__(self, n):
-        return FpElem(pow(self.value, n, self.p), self.p)
-
-    def inverse(self):
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
-        return FpElem(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElem):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return f"{self.value}"
-
-
 def is_prime(n):
     return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
-
-
-class PrimeField:
-    """The prime field F_p as a domain object."""
-
-    def __init__(self, p):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.characteristic = p
-
-    def zero(self):
-        return FpElem(0, self.p)
-
-    def one(self):
-        return FpElem(1, self.p)
-
-    def from_int(self, n):
-        return FpElem(n, self.p)
-
-    def coerce(self, x):
-        if isinstance(x, FpElem):
-            if x.p != self.p:
-                raise DomainMismatch(f"F_{x.p} element in F_{self.p}")
-            return x
-        if isinstance(x, int):
-            return FpElem(x, self.p)
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise DomainMismatch(f"denominator of {x} vanishes mod {self.p}")
-            return FpElem(x.numerator, self.p) * FpElem(x.denominator, self.p).inverse()
-        raise DomainMismatch(f"cannot coerce {x!r} into F_{self.p}")
-
-    def elements(self):
-        return [FpElem(v, self.p) for v in range(self.p)]
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
-
-_GF_CACHE = {}
-
-
-def GF(p):
-    if p not in _GF_CACHE:
-        _GF_CACHE[p] = PrimeField(p)
-    return _GF_CACHE[p]
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +81,6 @@ _IDENT_RE = re.compile(r"[a-z][a-z0-9]*")
 
 class PolynomialRing:
     """Q[x1,...,xn] for a fixed ordered tuple of variable names."""
-
-    characteristic = 0
 
     def __init__(self, names):
         names = tuple(names)
@@ -442,19 +313,19 @@ class MultiPoly:
         except (ValueError, ZeroDivisionError):
             return False
 
-    def eval(self, assignment, domain=QQ):
-        """Substitute scalars for every variable; a ring homomorphism into
-        the target domain."""
+    def eval(self, assignment):
+        """Substitute rationals for every variable; a ring homomorphism into
+        Q."""
         vals = []
         for n in self.ring.names:
             if n not in assignment:
                 # variables that never occur may stay unassigned
                 vals.append(None)
             else:
-                vals.append(domain.coerce(assignment[n]))
-        total = domain.zero()
+                vals.append(QQ.coerce(assignment[n]))
+        total = QQ.zero()
         for exp, coeff in self.terms.items():
-            term = domain.coerce(coeff)
+            term = coeff
             for i, e in enumerate(exp):
                 if e == 0:
                     continue
@@ -537,20 +408,19 @@ class ConstraintSet:
 EMPTY_CONSTRAINTS = ConstraintSet()
 
 
-def poly_eval(p, assignment, domain=QQ):
+def poly_eval(p, assignment):
     """Evaluate p at the assignment (must cover all variables of p)."""
-    return p.eval(assignment, domain)
+    return p.eval(assignment)
 
 
-def constraint_satisfied(constraints, assignment, domain=QQ):
+def constraint_satisfied(constraints, assignment):
     """True iff every nonzero polynomial evaluates nonzero and every
     not-both-zero pair has a nonzero member."""
-    zero = domain.zero()
     for p in constraints.nonzero:
-        if poly_eval(p, assignment, domain) == zero:
+        if poly_eval(p, assignment) == 0:
             return False
     for a, b in constraints.not_both_zero:
-        if poly_eval(a, assignment, domain) == zero and poly_eval(b, assignment, domain) == zero:
+        if poly_eval(a, assignment) == 0 and poly_eval(b, assignment) == 0:
             return False
     return True
 
@@ -558,15 +428,13 @@ def constraint_satisfied(constraints, assignment, domain=QQ):
 def certified_nonzero(scalar, constraints=EMPTY_CONSTRAINTS):
     """Syntactic nonvanishing certificate.
 
-    Field elements certify by being nonzero.  A polynomial certifies when it
+    Rationals certify by being nonzero.  A polynomial certifies when it
     is a nonzero rational multiple of a product of powers of the declared
     nonzero constraint polynomials -- decidable by greedy exact division.
     Membership failures are reported as False, never as a wrong answer.
     """
     if isinstance(scalar, (Fraction, int)):
         return scalar != 0
-    if isinstance(scalar, FpElem):
-        return scalar.value != 0
     if isinstance(scalar, MultiPoly):
         if scalar.is_zero():
             return False

@@ -32,7 +32,6 @@ from .errors import BudgetExceeded, GroupMismatch, PatternMismatch
 from .fpsolve import compile_poly, solve_system_fp
 from .gfq import GFq, check_prime
 from .patterns import PATTERN_THEOREM_ENTRIES, get_pattern
-from .scalars import GF
 
 #: group family and optional antiautomorphism twist preserving each fixed
 #: complement (one twist representative suffices: any two complement-
@@ -576,10 +575,10 @@ def t4_t6_separation(p):
     from .catalog import entry_by_id
 
     gf = _gf(p)
-    s4, _ = entry_by_id("T4").specialize({}, GF(p))
-    s6, _ = entry_by_id("T6").specialize({}, GF(p))
-    rows4 = np.array([[x.value for x in g.coords()] for g in s4.generators], dtype=np.int64)
-    rows6 = np.array([[x.value for x in g.coords()] for g in s6.generators], dtype=np.int64)
+    s4, _ = entry_by_id("T4").specialize({})
+    s6, _ = entry_by_id("T6").specialize({})
+    rows4 = np.array([[int(x) for x in g.coords()] for g in s4.generators], dtype=np.int64) % p
+    rows6 = np.array([[int(x) for x in g.coords()] for g in s6.generators], dtype=np.int64) % p
     if _rank_mod(rows4, p) != _rank_mod(rows6, p):
         return True, None
     # an invertible map carries T4 onto T6 when every image row lies in T6

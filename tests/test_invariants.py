@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from m3decomp.catalog import LEMMA5_SUBALGEBRAS, entry_by_id
-from m3decomp.errors import CharNotZero, DimensionMismatch, NotSupported, SoundnessError
+from m3decomp.errors import DimensionMismatch, NotSupported, SoundnessError
 from m3decomp.invariants import (
     classify_2dim,
     fingerprint,
@@ -15,7 +15,6 @@ from m3decomp.invariants import (
 )
 from m3decomp.maps import apply_map, phi_map, transpose_map
 from m3decomp.matrices import Mat3, span
-from m3decomp.scalars import GF
 
 
 def e(i, j):
@@ -52,20 +51,6 @@ def test_radical_upper_triangular():
     rad = radical(upper)
     assert rad.dim == 3
     assert rad.same_space(span([e(1, 2), e(1, 3), e(2, 3)]))
-
-
-def test_radical_fp_fallback():
-    F = GF(3)
-    up = span([Mat3.basis(1, 1, F), Mat3.basis(1, 2, F)])
-    with pytest.raises(CharNotZero):
-        radical(up)
-    rad = radical(up, allow_fp=True)
-    assert rad.dim == 1
-    assert rad.contains(Mat3.basis(1, 2, F))
-    # scalar multiples of E inside M_3(F_3): trace form degenerates but the
-    # fallback still reports a zero radical
-    ident = span([Mat3.identity(F)])
-    assert radical(ident, allow_fp=True).dim == 0
 
 
 def test_radical_is_nilpotent_ideal_catalog_sample():
@@ -138,13 +123,6 @@ def test_idempotents_d7_split():
 def test_idempotents_dim_limit():
     with pytest.raises(NotSupported):
         idempotents(s_of("T1") if s_of("T1").dim > 2 else s_of("X1"))
-
-
-def test_idempotents_fp_enumeration():
-    F = GF(3)
-    s = span([Mat3.basis(2, 1, F) + Mat3.basis(2, 2, F), Mat3.basis(3, 1, F)])
-    ids = idempotents(s)
-    assert any(pt == Mat3.basis(2, 1, F) + Mat3.basis(2, 2, F) for pt, _ in ids.points)
 
 
 def test_fingerprint_t_cases():

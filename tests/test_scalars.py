@@ -5,7 +5,6 @@ import pytest
 
 from m3decomp.errors import MissingVariable, ParseError
 from m3decomp.scalars import (
-    GF,
     ConstraintSet,
     PolynomialRing,
     QQ,
@@ -38,17 +37,6 @@ def test_fraction_normalization_idempotent():
     x = Fraction(-6, 8)
     assert x.numerator == -3 and x.denominator == 4
     assert Fraction(x.numerator, x.denominator) == x
-
-
-def test_fp_arithmetic():
-    F = GF(5)
-    a, b = F.from_int(3), F.from_int(4)
-    assert a + b == F.from_int(2)
-    assert a * b == F.from_int(2)
-    assert (a * a.inverse()) == F.one()
-    assert F.coerce(Fraction(1, 2)) == F.from_int(3)
-    with pytest.raises(ValueError):
-        GF(6)
 
 
 def test_poly_eval_substitution():
@@ -96,13 +84,6 @@ def test_poly_eval_is_ring_homomorphism_randomized():
         sigma = {n: rng.randint(-5, 5) for n in R.names}
         assert poly_eval(p * q, sigma) == poly_eval(p, sigma) * poly_eval(q, sigma)
         assert poly_eval(p + q, sigma) == poly_eval(p, sigma) + poly_eval(q, sigma)
-
-
-def test_poly_eval_into_fp():
-    R = ring("x")
-    x = R.gen("x")
-    F = GF(3)
-    assert poly_eval(x * x + 1, {"x": F.from_int(2)}, F) == F.from_int(2)
 
 
 def test_constraint_satisfied():

@@ -320,14 +320,15 @@ def test_t6_char2_caveat():
 
 
 def test_t4_t6_sweep_finds_the_linking_antiautomorphism():
-    for p in (3, 5):
+    for p in (2, 3, 5, 7):
         separated, witness = t4_t6_separation(p)
         assert not separated
-        assert witness["composed_with_transpose_twist"]
         # the witness interpolates the exact rational map checked in
         # test_maps/verifier: alpha=1, beta=epsilon=0, gamma=delta=-1 mod p
-        assert witness["alpha"] == 1
-        assert witness["gamma"] == p - 1 and witness["delta"] == p - 1
+        assert witness == {
+            "alpha": 1, "beta": 0, "gamma": p - 1, "delta": p - 1, "epsilon": 0,
+            "composed_with_transpose_twist": True,
+        }
 
 
 @pytest.mark.parametrize(
