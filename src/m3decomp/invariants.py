@@ -16,15 +16,6 @@ from .linalg import echelonize, kernel_basis, sc_is_zero, solve_linear
 from .matrices import Mat3, span
 
 
-def _domain_of(s):
-    g = s.generators[0]
-    return g.domain
-
-
-def _basis(s):
-    return s.basis_mats()
-
-
 def _combo(mats, coeffs, domain):
     acc = Mat3.zero(domain)
     for m, c in zip(mats, coeffs):
@@ -32,7 +23,7 @@ def _combo(mats, coeffs, domain):
     return acc
 
 
-def product_span(a_mats, b_mats, domain):
+def product_span(a_mats, b_mats):
     """Span of all pairwise products, as a (possibly zero) list of basis
     matrices."""
     prods = [x @ y for x in a_mats for y in b_mats]
@@ -42,20 +33,20 @@ def product_span(a_mats, b_mats, domain):
     return span(nonzero).basis_mats()
 
 
-def is_nilpotent_span(mats, domain, bound=9):
+def is_nilpotent_span(mats, bound=9):
     current = list(mats)
     for _ in range(bound):
         if not current:
             return True
-        current = product_span(mats, current, domain)
+        current = product_span(mats, current)
     return not current
 
 
 def radical(s):
     """Jacobson radical of a subalgebra of the matrix algebra:
     {x in s : trace(x y) = 0 for all y in s} via the ambient trace form."""
-    dom = _domain_of(s)
-    basis = _basis(s)
+    dom = s.domain
+    basis = s.basis_mats()
     if not basis:
         return s
     gram = [[(x @ y).trace() for x in basis] for y in basis]
@@ -68,8 +59,8 @@ def radical(s):
 
 def find_unit(s, side="two"):
     """Solve for a (left/right/two-sided) unit inside s; None if absent."""
-    dom = _domain_of(s)
-    basis = _basis(s)
+    dom = s.domain
+    basis = s.basis_mats()
     if not basis:
         return None
     rows = []
@@ -152,12 +143,12 @@ class Fingerprint:
 
 def fingerprint(s):
     """Full invariant battery for a concrete subalgebra over Q."""
-    dom = _domain_of(s)
-    basis = _basis(s)
+    dom = s.domain
+    basis = s.basis_mats()
     rad = radical(s)
     rad_basis = [m for m in rad.basis_mats() if not m.is_zero()]
-    rad2 = product_span(rad_basis, rad_basis, dom) if rad_basis else []
-    rad3 = product_span(rad_basis, rad2, dom) if rad2 else []
+    rad2 = product_span(rad_basis, rad_basis) if rad_basis else []
+    rad3 = product_span(rad_basis, rad2) if rad2 else []
     rad_dims = (len(rad_basis), len(rad2), len(rad3))
     unit = find_unit(s, "two")
     left = find_unit(s, "left")
@@ -165,7 +156,7 @@ def fingerprint(s):
     rad_in_left = annihilates(basis, rad_basis)
     rad_in_right = annihilates(rad_basis, basis)
     ann = _two_sided_annihilator(basis, rad2, dom)
-    ann_has_idem = bool(ann) and not is_nilpotent_span(ann, dom)
+    ann_has_idem = bool(ann) and not is_nilpotent_span(ann)
     if s.dim <= 2:
         ranks = idempotent_ranks(s)
     else:
@@ -193,8 +184,8 @@ def matrix_rank(m):
 def principal_idempotent(s):
     """An idempotent of s lifting the identity of s/rad (None when s is
     nilpotent).  All such lifts are conjugate, so the rank is an invariant."""
-    dom = _domain_of(s)
-    basis = _basis(s)
+    dom = s.domain
+    basis = s.basis_mats()
     rad = radical(s)
     if rad.dim == s.dim:
         return None
@@ -266,7 +257,6 @@ class Idempotents:
 
 def idempotents(s):
     """All nonzero idempotents of a subalgebra of dimension <= 2 over Q."""
-    dom = _domain_of(s)
     if s.dim > 2:
         raise NotSupported("exact idempotent enumeration is limited to dim <= 2 over Q")
     if s.dim == 0:
@@ -286,15 +276,15 @@ def idempotents(s):
         if e @ e != e:
             raise SoundnessError("the scaled generator is not idempotent")
         return Idempotents(((e, matrix_rank(e)),), ())
-    return _idempotents_dim2(s, dom)
+    return _idempotents_dim2(s)
 
 
-def _idempotents_dim2(s, dom):
+def _idempotents_dim2(s):
     rad = radical(s)
     if rad.dim == 2:
         return Idempotents((), ())
     if rad.dim == 0:
-        return _idempotents_semisimple2(s, dom)
+        return _idempotents_semisimple2(s)
     # one-dimensional radical: normalize a complement element u with
     # u^2 = u + m*n, u n = sigma n, n u = tau n, sigma/tau idempotent scalars
     n = rad.basis_mats()[0]
@@ -325,7 +315,7 @@ def _idempotents_dim2(s, dom):
     return Idempotents(((e, matrix_rank(e)),), ())
 
 
-def _idempotents_semisimple2(s, dom):
+def _idempotents_semisimple2(s):
     unit = find_unit(s, "two")
     if unit is None:
         raise SoundnessError("2-dim semisimple algebras are unital")
@@ -403,12 +393,11 @@ def classify_2dim(s):
     """
     if s.dim != 2:
         raise DimensionMismatch(f"expected a 2-dimensional subalgebra, got dim {s.dim}")
-    dom = _domain_of(s)
-    basis = _basis(s)
-    s2 = product_span(basis, basis, dom)
+    basis = s.basis_mats()
+    s2 = product_span(basis, basis)
     if not s2:
         return "D1"
-    if is_nilpotent_span(basis, dom):
+    if is_nilpotent_span(basis):
         return "D2"
     rad = radical(s)
     if rad.dim == 0:

@@ -13,6 +13,7 @@ UndecidedPivot rather than guessing.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import SingularMatrix, UndecidedPivot
 from .scalars import (
@@ -43,8 +44,8 @@ def _normalize_row(row):
         num = 0
         den = 1
         for x in row:
-            num = _gcd(num, abs(x.numerator))
-            den = _lcm(den, x.denominator)
+            num = gcd(num, abs(x.numerator))
+            den = lcm(den, x.denominator)
         c = Fraction(num, den)
         if lead < 0:
             c = -c
@@ -54,23 +55,13 @@ def _normalize_row(row):
     den = 1
     for x in row:
         for coeff in x.terms.values():
-            num = _gcd(num, abs(coeff.numerator))
-            den = _lcm(den, coeff.denominator)
+            num = gcd(num, abs(coeff.numerator))
+            den = lcm(den, coeff.denominator)
     c = Fraction(num, den)
     if lead.leading()[1] < 0:
         c = -c
     inv = 1 / c
     return [x * inv for x in row]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm(a, b):
-    return a * b // _gcd(a, b)
 
 
 def _eliminate(row, piv_row, col, constraints):

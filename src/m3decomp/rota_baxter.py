@@ -8,8 +8,14 @@ exactly on all 81 ordered basis pairs.
 Convention: the decomposition S (+) B induces R(s + b) = -lambda * b, the
 projection onto B scaled by -lambda; R and R + lambda*Id are then the two
 complementary splitting operators, and both satisfy the identity.  Operators
-are stored fraction-free as a 9x9 numerator matrix over a scalar denominator
-(the determinant of the basis-change matrix).
+are stored fraction-free as a 9x9 numerator matrix N over a scalar denominator
+den (the determinant of the basis-change matrix), R = N / den.
+
+By linearity a pair x = e_ij, y = e_kl needs only the columns X = N(e_ij) and
+Y = N(e_kl) of N, read as 3x3 matrices.  As e_ij e_kl = delta_jk e_il, the
+identity times den^2 reads
+
+    X Y = sum_m X[m,k] N(e_ml) + sum_m Y[j,m] N(e_im) + delta_jk lambda den N(e_il).
 """
 
 from __future__ import annotations
@@ -46,12 +52,8 @@ class RBOperator:
 
     def apply_numerator(self, m):
         coords = m.coords()
-        out = []
-        for i in range(9):
-            acc = self.domain.zero()
-            for j in range(9):
-                acc = acc + self.matrix9[i][j] * coords[j]
-            out.append(acc)
+        zero = self.domain.zero()
+        out = [sum((a * x for a, x in zip(row, coords)), zero) for row in self.matrix9]
         return Mat3.from_coords(out, self.domain)
 
     def to_json(self):
@@ -93,33 +95,31 @@ def splitting_rb(s, b, weight, source_entry=""):
     numer, det = ff_inverse(d_mat, constraints, domain)
     m = len(b_rows)
     zero = domain.zero()
-    proj = []
-    for i in range(9):
-        row = []
-        for j in range(9):
-            acc = zero
-            for t in range(m):
-                acc = acc + d_mat[i][t] * numer[t][j]
-            row.append(acc)
-        proj.append(row)
     neg_w = -weight
-    matrix9 = tuple(tuple(neg_w * x for x in row) for row in proj)
+    matrix9 = tuple(
+        tuple(neg_w * sum((d_mat[i][t] * numer[t][j] for t in range(m)), zero) for j in range(9))
+        for i in range(9)
+    )
     return RBOperator(matrix9, det, weight, source_entry, constraints, domain)
 
 
 def check_rb_identity(r):
-    """Verify the weight identity on all 81 ordered basis pairs; returns
-    (ok, first failing pair)."""
-    dom = r.domain
-    basis = [Mat3.basis(i, j, dom) for (i, j) in COORD_ORDER]
-    images = [r.apply_numerator(x) for x in basis]
+    """The weight identity on all 81 ordered basis pairs, each as a 3x3 product
+    against at most seven columns of N; returns (ok, first failing pair)."""
+    cols = [[row[a] for row in r.matrix9] for a in range(9)]  # cols[3i + j] = N(e_ij)
     lam_d = r.weight * r.den
-    for a in range(9):
-        for c in range(9):
-            x, y = basis[a], basis[c]
-            lhs = images[a] @ images[c]
-            inner = (images[a] @ y) + (x @ images[c]) + (x @ y).scale(lam_d)
-            rhs = r.apply_numerator(inner)
+    zero = r.domain.zero()
+    for a, X in enumerate(cols):
+        i, j = divmod(a, 3)
+        for c, Y in enumerate(cols):
+            k, l = divmod(c, 3)
+            lhs = [sum((X[p + m] * Y[3 * m + q] for m in range(3)), zero)
+                   for p in (0, 3, 6) for q in range(3)]
+            terms = [(X[3 * m + k], cols[3 * m + l]) for m in range(3)]
+            terms += [(Y[3 * j + m], cols[3 * i + m]) for m in range(3)]
+            if j == k:
+                terms.append((lam_d, cols[3 * i + l]))
+            rhs = [sum((f * col[t] for f, col in terms), zero) for t in range(9)]
             if lhs != rhs:
                 return False, (COORD_ORDER[a], COORD_ORDER[c])
     return True, None

@@ -56,24 +56,30 @@ def sample_assignment(entry, rng):
             return values
 
 
-def _verify_concrete(entry, values):
-    S, B = entry.specialize(values)
+def _check_decomposition(entry, S, B):
+    """Closure of both summands, the rank-9 direct sum and the unital
+    component of S (+) B: the four flags, then the failing generator pairs of
+    S and of B."""
     ok_s, wit_s = S.is_subalgebra()
     ok_b, wit_b = B.is_subalgebra()
     ds = is_direct_sum(S, B)
-    unital_side = S if entry.unital_component == "S" else B
-    other_side = B if entry.unital_component == "S" else S
+    unital_side, other_side = (S, B) if entry.unital_component == "S" else (B, S)
     unital = unital_side.contains_identity() and not other_side.contains_identity()
-    failures = []
-    if not ok_s:
-        failures.append(f"closure of S fails at generator pair {wit_s} for {values}")
-    if not ok_b:
-        failures.append(f"closure of B fails at generator pair {wit_b}")
-    if not ds:
-        failures.append(f"direct sum fails for {values}")
-    if not unital:
-        failures.append(f"unital component check fails for {values}")
-    return ok_s, ok_b, ds, unital, failures
+    return (ok_s, ok_b, ds, unital), wit_s, wit_b
+
+
+def _failed(flags, texts):
+    return [text for ok, text in zip(flags, texts) if not ok]
+
+
+def _verify_concrete(entry, values):
+    flags, wit_s, wit_b = _check_decomposition(entry, *entry.specialize(values))
+    return flags, _failed(flags, (
+        f"closure of S fails at generator pair {wit_s} for {values}",
+        f"closure of B fails at generator pair {wit_b}",
+        f"direct sum fails for {values}",
+        f"unital component check fails for {values}",
+    ))
 
 
 def verify_entry(entry, mode="symbolic", n=100, seed=0):
@@ -82,24 +88,15 @@ def verify_entry(entry, mode="symbolic", n=100, seed=0):
     or on seeded constraint-satisfying specializations."""
     if mode == "symbolic":
         try:
-            S = entry.s_subspace()
-            B = entry.b_subspace_symbolic()
-            ok_s, wit_s = S.is_subalgebra()
-            ok_b, wit_b = B.is_subalgebra()
-            ds = is_direct_sum(S, B)
-            unital_side = S if entry.unital_component == "S" else B
-            other_side = B if entry.unital_component == "S" else S
-            unital = unital_side.contains_identity() and not other_side.contains_identity()
-            failures = []
-            if not ok_s:
-                failures.append(f"closure of S fails at generator pair {wit_s}")
-            if not ok_b:
-                failures.append(f"closure of B fails at generator pair {wit_b}")
-            if not ds:
-                failures.append("direct sum rank is not 9")
-            if not unital:
-                failures.append("unital component check fails")
-            return VerifyReport(entry.id, ok_s, ok_b, ds, unital, "symbolic", failures)
+            flags, wit_s, wit_b = _check_decomposition(
+                entry, entry.s_subspace(), entry.b_subspace_symbolic())
+            failures = _failed(flags, (
+                f"closure of S fails at generator pair {wit_s}",
+                f"closure of B fails at generator pair {wit_b}",
+                "direct sum rank is not 9",
+                "unital component check fails",
+            ))
+            return VerifyReport(entry.id, *flags, "symbolic", failures)
         except UndecidedPivot as exc:
             report = verify_entry(entry, "specialized", n=100, seed=0)
             report.warning = f"symbolic mode undecided ({exc}); downgraded to specialized"
@@ -112,7 +109,7 @@ def verify_entry(entry, mode="symbolic", n=100, seed=0):
     draws = max(1, n) if entry.params else 1
     for _ in range(draws):
         values = sample_assignment(entry, rng)
-        ok_s, ok_b, ds, unital, fails = _verify_concrete(entry, values)
+        (ok_s, ok_b, ds, unital), fails = _verify_concrete(entry, values)
         all_s &= ok_s
         all_b &= ok_b
         all_ds &= ds

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -63,12 +64,30 @@ def test_zero_and_scaled_identity_pass():
     assert ok
 
 
-def test_broken_operator_fails():
+def _e11_to_e12():
     rows = [[Fraction(0)] * 9 for _ in range(9)]
     rows[1][0] = Fraction(1)  # e11 -> e12, everything else -> 0
-    bad = RBOperator(tuple(tuple(r) for r in rows), Fraction(1), Fraction(1))
-    ok, witness = check_rb_identity(bad)
-    assert not ok and witness is not None
+    return RBOperator(tuple(tuple(r) for r in rows), Fraction(1), Fraction(1))
+
+
+def _bumped(ident, weight):
+    """The entry's splitting operator with N[e33, e33] increased by one."""
+    r = rb_for_entry(entry_by_id(ident), weight)
+    rows = [list(row) for row in r.matrix9]
+    rows[8][8] = rows[8][8] + 1
+    return replace(r, matrix9=tuple(tuple(row) for row in rows))
+
+
+@pytest.mark.parametrize("make, expected", [
+    (_e11_to_e12, ((1, 1), (1, 1))),
+    (lambda: _bumped("R9", None), ((3, 1), (2, 3))),
+    (lambda: _bumped("R9", 1), ((3, 1), (2, 3))),
+    (lambda: _bumped("T5", None), ((3, 3), (3, 1))),
+    (lambda: _bumped("T5", 1), ((3, 3), (3, 1))),
+], ids=["e11-to-e12", "R9-symbolic", "R9-weight1", "T5-symbolic", "T5-weight1"])
+def test_broken_operator_fails(make, expected):
+    # the witness is the first failing pair in coordinate order
+    assert check_rb_identity(make()) == (False, expected)
 
 
 def test_not_direct_sum_rejected():
