@@ -14,8 +14,8 @@ finite-field oracle's bound, gfq.MAX_PRIME); derive-system compares over the
 primes up to 127 (its solver stores cells as int8).  Exit codes: 0 all
 requested checks pass, 1 a check failed, 2 configuration error (an unknown
 pattern, entry or fixture, or a prime out of range).  Identical
-configuration (including seed) produces byte-identical JSON output.  verify
-and search accept --jobs and ignore it.  The environment variable
+configuration (including seed) produces byte-identical JSON output.  search
+accepts --jobs and ignores it.  The environment variable
 M3DECOMP_CATALOG points verification at a catalog file instead of the
 built-in corpus.
 """
@@ -278,7 +278,6 @@ def build_parser():
     p.add_argument("--n", type=int, default=100, help="samples per entry (specialized)")
     p.add_argument("--seed", type=int, default=None,
                    help="required when --mode specialized")
-    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     common(p)
     p.set_defaults(func=cmd_verify)
 

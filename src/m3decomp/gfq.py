@@ -12,9 +12,9 @@ quadratic extension, which is the precise content of a square-root
 obstruction.
 
 The finite-field oracle accepts the primes up to MAX_PRIME.  The bound comes
-from the oracle's groups, not from this arithmetic: the orbit sweep applies
-a whole group in one batch, and at p = 11 the largest family alone has 1.6
-million members.
+from the oracle, not from this arithmetic: its sweeps apply a group in
+batches, but at p = 11 the solver's row budget refuses two patterns, and no
+report there is archived.
 """
 
 from __future__ import annotations

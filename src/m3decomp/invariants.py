@@ -137,9 +137,6 @@ class Fingerprint:
             self.ann_radsq_has_idempotent,
         )
 
-    def matches_up_to_transpose(self, other):
-        return self == other or self == other.swapped()
-
 
 def fingerprint(s):
     """Full invariant battery for a concrete subalgebra over Q."""
@@ -239,20 +236,6 @@ class Idempotents:
         ranks = [r for (_, r) in self.points]
         ranks += [f.generic_rank for f in self.families]
         return tuple(sorted(set(ranks)))
-
-    def contains_matrix(self, m):
-        if any(pt == m for pt, _ in self.points):
-            return True
-        for fam in self.families:
-            diff = m - fam.base
-            # diff must be a scalar multiple of the direction
-            for c_d, c_m in zip(fam.direction.coords(), diff.coords()):
-                if not sc_is_zero(c_d):
-                    t = c_m / c_d
-                    if fam.base + fam.direction.scale(t) == m:
-                        return True
-                    break
-        return False
 
 
 def idempotents(s):

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import NotDirectSum
 from .linalg import ff_inverse
-from .matrices import COORD_ORDER, Mat3, is_direct_sum, span
+from .matrices import COORD_ORDER, is_direct_sum, span
 from .scalars import (
     EMPTY_CONSTRAINTS,
     ConstraintSet,
@@ -49,12 +49,6 @@ class RBOperator:
     source_entry: str = ""
     constraints: ConstraintSet = EMPTY_CONSTRAINTS
     domain: object = QQ
-
-    def apply_numerator(self, m):
-        coords = m.coords()
-        zero = self.domain.zero()
-        out = [sum((a * x for a, x in zip(row, coords)), zero) for row in self.matrix9]
-        return Mat3.from_coords(out, self.domain)
 
     def to_json(self):
         return {

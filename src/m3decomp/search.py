@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -102,13 +103,9 @@ class _PatternData:
         self.reads = reads
 
 
-_PDATA_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _pdata(pattern_name):
-    if pattern_name not in _PDATA_CACHE:
-        _PDATA_CACHE[pattern_name] = _PatternData(get_pattern(pattern_name))
-    return _PDATA_CACHE[pattern_name]
+    return _PatternData(get_pattern(pattern_name))
 
 
 def rows_from_cells(cells, pdata, p):
@@ -133,6 +130,32 @@ def normalize_rows(rows, pdata, gf):
     recon = np.einsum("nc...,cjt->njt...", cells, pdata.dirs) % p
     ok = gf.is_zero(gf.sub(recon, resid)).all(axis=(1, 2))
     return cells, ok
+
+
+def _row_keys(cells):
+    """Rows of cells, (N, ...) with entries in int8, as fixed-width bytes (a
+    numpy void view); for entries 0..p-1 byte order is lexicographic order."""
+    cells = np.ascontiguousarray(cells, dtype=np.int8)
+    width = math.prod(cells.shape[1:])
+    return cells.reshape(len(cells), width).view(np.dtype((np.void, width)))[:, 0]
+
+
+def _row_index(table):
+    """find(rows): the first index in table of each row, -1 where table lacks
+    it.  Rows are cells, (N, C) over F_p or (N, C, 2) over GF(p^2), found by
+    binary search on their keys; the solver's sorted solutions need no
+    reordering, and any other order works too."""
+    table = _row_keys(table)
+    order = np.argsort(table, kind="stable")
+
+    def find(rows):
+        rows = _row_keys(rows)
+        if not len(table):
+            return np.full(len(rows), -1)
+        at = order[np.searchsorted(table, rows, sorter=order).clip(max=len(table) - 1)]
+        return np.where(table[at] == rows, at, -1)
+
+    return find
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +242,22 @@ def _twisted(rows, twist, p):
     mats = rows.reshape(rows.shape[:-1] + (3, 3))
     flipped = twist @ np.swapaxes(mats, -1, -2) @ twist % p
     return np.concatenate([rows, flipped.reshape(rows.shape)], axis=-3)
+
+
+#: conjugators per batch of a sweep, so that the images held at once do not
+#: grow with the order of the group
+_SWEEP_CHUNK = 1024
+
+
+def _images(rep_cells, twist, batches, pdata, gf):
+    """For each batch (T, T^-1) of conjugators over the field gf, the cells of
+    the images of one representative (its cells over F_p) under the batch and
+    its twist coset that normalize into the pattern slice."""
+    rows = gf.lift(_twisted(rows_from_cells(rep_cells[None], pdata, gf.p)[0], twist, gf.p))
+    for conj in batches:
+        # one variant at a time, so that at most |batch| images are held at once
+        found = [normalize_rows(_conjugated(variant, conj, gf), pdata, gf) for variant in rows]
+        yield np.concatenate([cells[ok] for cells, ok in found])
 
 
 def group_matrices(family, p):
@@ -311,16 +350,17 @@ def orbit_partition_fp(solutions, pattern_name, p, group=None, twist=None):
 
     In index order, each solution not yet labelled has every group element
     g applied to its generator rows and to their twisted images (which
-    g.twist sends where g sends the twisted rows) in one batch, and every
-    in-slice image is labelled with that solution's index.  This relies on
-    the maps forming a group (the identity included), which holds because
-    each family is the full stabilizer of its complement; an image outside
-    the solutions, or one already in another orbit, raises GroupMismatch.
+    g.twist sends where g sends the twisted rows), _SWEEP_CHUNK elements at
+    a time, and every in-slice image is labelled with that solution's index.
+    This relies on the maps forming a group (the identity included), which
+    holds because each family is the full stabilizer of its complement; an
+    image outside the solutions, or one already in another orbit, raises
+    GroupMismatch.
 
     Returns (labels, orbits): labels[i] is the least member index of the
-    orbit of solution i; orbits maps each such index to itself (solutions are
-    sorted, so that member is the orbit's canonical, lexicographically least
-    representative).
+    orbit of solution i; orbits maps each such index to itself (for the
+    solver's sorted solutions, that member is the orbit's canonical,
+    lexicographically least representative).
     """
     config = SEARCH_CONFIGS[pattern_name]
     if group is None:
@@ -331,26 +371,23 @@ def orbit_partition_fp(solutions, pattern_name, p, group=None, twist=None):
     conj = (group, gf.inv_mat(group))
     _check_group_preserves(pattern_name, conj, twist, gf)
     pdata = _pdata(pattern_name)
-    sols = np.asarray(solutions, dtype=np.int64)
-    n = sols.shape[0]
-    index = {row.tobytes(): i for i, row in enumerate(sols.astype(np.int8))}
-    rows_all = _twisted(rows_from_cells(sols, pdata, p), twist, p)
-    labels = np.full(n, -1, dtype=np.int64)
+    sols = np.asarray(solutions)
+    find = _row_index(sols)
+    batches = [tuple(m[s:s + _SWEEP_CHUNK] for m in conj)
+               for s in range(0, len(group), _SWEEP_CHUNK)]
+    labels = np.full(len(sols), -1, dtype=np.int64)
     orbits = {}
-    for i in range(n):
+    for i in range(len(sols)):
         if labels[i] >= 0:
             continue
-        images = _conjugated(rows_all[i], conj, gf).reshape(-1, pdata.k, 9)
-        cells, ok = normalize_rows(images, pdata, gf)
-        members = []
-        for cell_row in np.unique(cells[ok].astype(np.int8), axis=0):
-            j = index.get(cell_row.tobytes())
-            if j is None:
+        for cells in _images(sols[i], twist, batches, pdata, gf):
+            members = find(cells)
+            if (members < 0).any():
                 raise GroupMismatch("group image escaped the enumerated solution set")
-            members.append(j)
-        if (labels[members] >= 0).any():
-            raise GroupMismatch("the maps do not form a group: two orbits meet")
-        labels[members] = i
+            # a member an earlier batch of this orbit labelled is no meeting
+            if not np.isin(labels[members], (-1, i)).all():
+                raise GroupMismatch("the maps do not form a group: two orbits meet")
+            labels[members] = i
         orbits[i] = i
     return labels, orbits
 
@@ -424,30 +461,18 @@ def coverage_report(pattern_name, p, explain=True, budget=None):
     sols = enumerate_complements_fp(pattern_name, p, budget)
     labels, orbits = orbit_partition_fp(sols, pattern_name, p)
     specs = catalog_specializations_fp(pattern_name, p)
-    sols8 = sols.astype(np.int8)
-    index = {row.tobytes(): i for i, row in enumerate(sols8)}
-    matched_roots = set()
-    per_entry = {}
-    for (eid, assign, cells) in specs:
-        i = index.get(cells.astype(np.int8).tobytes())
-        if i is None:
-            raise PatternMismatch(f"{eid} specialization missing from the enumeration")
-        matched_roots.add(int(labels[i]))
-        per_entry[eid] = per_entry.get(eid, 0) + 1
+    found = _row_index(sols)(np.array([c for *_, c in specs]).reshape(len(specs), len(pat.params)))
+    if (found < 0).any():
+        eid = specs[int(np.argmin(found))][0]
+        raise PatternMismatch(f"{eid} specialization missing from the enumeration")
+    matched_roots = set(labels[found].tolist())
     unmatched = []
-    for root, member in sorted(orbits.items(), key=lambda kv: kv[1]):
-        if root in matched_roots:
-            continue
-        rep = [int(x) for x in sols[member]]
-        record = {"cells": dict(zip(pat.params, rep)), "raw": rep}
+    for root in sorted(orbits.keys() - matched_roots):
+        member = sols[orbits[root]]
+        record = {"cells": dict(zip(pat.params, member.tolist())), "raw": member.tolist()}
         if explain:
-            record["explained_by_quadratic_extension"] = explain_unmatched(
-                pattern_name, p, np.array(rep, dtype=np.int64)
-            )
+            record["explained_by_quadratic_extension"] = explain_unmatched(pattern_name, p, member)
         unmatched.append(record)
-    orbit_sizes = {}
-    for lab in labels:
-        orbit_sizes[int(lab)] = orbit_sizes.get(int(lab), 0) + 1
     report = {
         "pattern": pattern_name,
         "prime": p,
@@ -457,9 +482,9 @@ def coverage_report(pattern_name, p, explain=True, budget=None):
         "orbit_count": len(orbits),
         "matched": len(matched_roots),
         "matched_orbits": len(matched_roots),
-        "orbit_sizes": sorted(orbit_sizes.values(), reverse=True),
+        "orbit_sizes": sorted(np.unique(labels, return_counts=True)[1].tolist(), reverse=True),
         "catalog_specializations": len(specs),
-        "specializations_per_entry": dict(sorted(per_entry.items())),
+        "specializations_per_entry": dict(sorted(Counter(eid for eid, *_ in specs).items())),
         "unmatched_reps": unmatched,
         "soundness": "every constraint-satisfying specialization was enumerated and matched",
     }
@@ -484,25 +509,18 @@ def coverage_clean(report):
 # quadratic-extension explanation of unmatched orbits
 # ---------------------------------------------------------------------------
 
-def explain_unmatched(pattern_name, p, rep_cells, chunk=1024):
+def explain_unmatched(pattern_name, p, rep_cells):
     """True when the orbit of the representative meets a catalog
     specialization over GF(p^2).  The family's parameter grid over GF(p^2)
-    is swept chunk tuples at a time."""
+    is swept _SWEEP_CHUNK tuples at a time, up to the first hit."""
     gf = _gf(p, 2)
     config = SEARCH_CONFIGS[pattern_name]
     pdata = _pdata(pattern_name)
-    forms = {cells[i].tobytes()
-             for *_, cells, ok in _specializations(pattern_name, gf)
-             for i in np.nonzero(ok)[0]}
-    rows = gf.lift(_twisted(rows_from_cells(rep_cells[None, :], pdata, p)[0],
-                            twist_matrix(config["twist"], p), p))
-    for t in _family_conjugators(config["group"], gf, chunk):
-        conj = (t, gf.inv_mat(t))
-        for variant in rows:
-            cells, ok = normalize_rows(_conjugated(variant, conj, gf), pdata, gf)
-            if any(cells[i].tobytes() in forms for i in np.nonzero(ok)[0]):
-                return True
-    return False
+    find = _row_index(np.concatenate(
+        [cells[ok] for *_, cells, ok in _specializations(pattern_name, gf)]))
+    batches = ((t, gf.inv_mat(t)) for t in _family_conjugators(config["group"], gf, _SWEEP_CHUNK))
+    images = _images(rep_cells, twist_matrix(config["twist"], p), batches, pdata, gf)
+    return any((find(cells) >= 0).any() for cells in images)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +578,7 @@ def family_is_full_stabilizer(family, complement_id, p):
     every = every[~gf.is_zero(gf.det_adj(every)[0])]
     images = _conjugated(rows, (every, gf.inv_mat(every)), gf)
     found = every[~(images @ _annihilator(rows, p).T % p).any(axis=(1, 2))]
-    return {t.tobytes() for t in found} == {t.tobytes() for t in group_matrices(family, p)}
+    return np.array_equal(np.sort(_row_keys(found)), np.sort(_row_keys(group_matrices(family, p))))
 
 
 def t4_t6_separation(p):

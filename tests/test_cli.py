@@ -91,11 +91,6 @@ def test_determinism_byte_identical(tmp_path):
 
 
 def test_jobs_do_not_change_output(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    base = ("verify", "--entry", "R1,R2,R3,T1,T2", "--mode", "symbolic")
-    assert run_cli(*base, "--jobs", "1", "--output", str(a)).returncode == 0
-    assert run_cli(*base, "--jobs", "3", "--output", str(b)).returncode == 0
-    assert a.read_bytes() == b.read_bytes()
     s1, s2 = tmp_path / "s1.json", tmp_path / "s2.json"
     sargs = ("search", "--pattern", "t3", "--prime", "3", "--no-explain")
     assert run_cli(*sargs, "--jobs", "1", "--output", str(s1)).returncode == 0

@@ -20,13 +20,19 @@ def e(i, j):
     return Mat3.basis(i, j)
 
 
+def numerator(r, m):
+    """The fraction-free image of m under r: matrix9 applied to the
+    coordinates of m, before dividing by the denominator."""
+    return Mat3.from_coords([sum(a * x for a, x in zip(row, m.coords())) for row in r.matrix9])
+
+
 def test_r1_projection_values():
     S, B = entry_by_id("R1").specialize({})
     r = splitting_rb(S, B, Fraction(3))
     # e21 lies in S: killed; e11 lies in B: scaled by -weight
-    img = r.apply_numerator(e(2, 1))
+    img = numerator(r, e(2, 1))
     assert img.is_zero()
-    img = r.apply_numerator(e(1, 1))
+    img = numerator(r, e(1, 1))
     assert img == e(1, 1).scale(Fraction(-3) * r.den)
 
 
@@ -36,8 +42,8 @@ def test_projection_identity():
     # R^2 = -weight * R, checked fraction-free
     for (i, j) in ((1, 1), (2, 1), (3, 3), (1, 2)):
         x = e(i, j)
-        lhs = r.apply_numerator(r.apply_numerator(x))
-        rhs = r.apply_numerator(x).scale(Fraction(-2) * r.den)
+        lhs = numerator(r, numerator(r, x))
+        rhs = numerator(r, x).scale(Fraction(-2) * r.den)
         assert lhs == rhs
 
 
@@ -45,7 +51,7 @@ def test_identity_in_s_for_s1():
     entry = entry_by_id("S1")
     S, B = entry.specialize({})
     r = splitting_rb(S, B, Fraction(1))
-    assert r.apply_numerator(Mat3.identity()).is_zero()
+    assert numerator(r, Mat3.identity()).is_zero()
 
 
 def test_zero_and_scaled_identity_pass():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from m3decomp import search
 from m3decomp.catalog import COMPLEMENTS
 from m3decomp.errors import BudgetExceeded, GroupMismatch, PatternMismatch
 from m3decomp.fpsolve import compile_poly
@@ -275,14 +276,28 @@ def test_orbit_closed_under_group_f2():
     assert in_slice > 1
 
 
-def test_orbit_partition_matches_union_find_reference():
+@pytest.mark.parametrize("shuffled", [False, True])
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_orbit_partition_matches_union_find_reference(chunk, shuffled, monkeypatch):
+    # chunk 7 splits every group into batches, so an orbit is labelled across
+    # batches; shuffled solutions are swept in another order and their labels
+    # mapped back to the least sorted index of each orbit
+    if chunk is not None:
+        monkeypatch.setattr(search, "_SWEEP_CHUNK", chunk)
     cases = [(name, 2) for name in SEARCH_CONFIGS] + [("t1", 3), ("t3", 3)]
     for name, p in cases:
         sols = enumerate_complements_fp(name, p)
-        labels, orbits = orbit_partition_fp(sols, name, p)
+        n = sols.shape[0]
+        perm = np.random.default_rng(n).permutation(n) if shuffled else np.arange(n)
+        labels, orbits = orbit_partition_fp(sols[perm], name, p)
+        assert orbits == {r: r for r in set(labels.tolist())}, (name, p)
+        member = np.empty(n, dtype=np.int64)
+        member[perm] = perm[labels]
+        least = np.full(n, n)
+        np.minimum.at(least, member, np.arange(n))
         ref_labels, ref_orbits = _orbits_by_union_find(sols, name, p)
-        assert np.array_equal(labels, ref_labels), (name, p)
-        assert orbits == ref_orbits, (name, p)
+        assert np.array_equal(least[member], ref_labels), (name, p)
+        assert sorted(least[perm[list(orbits)]].tolist()) == sorted(ref_orbits), (name, p)
 
 
 def test_orbit_partition_rejects_escaped_image():
@@ -428,3 +443,52 @@ def test_pattern_data_check_survives_optimize():
     )
     assert res.returncode == 0, res.stderr
     assert "non-integral read scale" in res.stdout
+
+
+_SWEEP_CHECKS_OPTIMIZED = """
+import numpy as np
+from m3decomp import search
+from m3decomp.errors import GroupMismatch, PatternMismatch
+
+assert not __debug__
+sols = search.enumerate_complements_fp("t1", 2)
+labels, _ = search.orbit_partition_fp(sols, "t1", 2)
+sizes = np.bincount(labels)
+victim = next(i for i in range(len(sols)) if sizes[labels[i]] > 1)
+zero = next(i for i, row in enumerate(sols) if not row.any())
+
+
+def missing():
+    # drop the whole orbit of R1's all-zero solution: the sweep is sound, but
+    # the R1 specialization is no longer enumerated
+    search.enumerate_complements_fp = lambda *args: sols[labels != labels[zero]]
+    search.coverage_report("t1", 2, explain=False)
+
+
+cases = {
+    "escape": lambda: search.orbit_partition_fp(np.delete(sols, victim, axis=0), "t1", 2),
+    "meet": lambda: search.orbit_partition_fp(np.concatenate([sols, sols[:1]]), "t1", 2),
+    "missing": missing,
+}
+for name, case in cases.items():
+    try:
+        case()
+    except (GroupMismatch, PatternMismatch) as exc:
+        print(name, type(exc).__name__, exc)
+"""
+
+
+def test_sweep_checks_survive_optimize():
+    # an image outside the solutions, two orbits that meet (a repeated
+    # solution is swept as its own orbit) and a catalog specialization
+    # missing from the enumeration raise their typed errors under -O
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", _SWEEP_CHECKS_OPTIMIZED],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "escape GroupMismatch group image escaped the enumerated solution set",
+        "meet GroupMismatch the maps do not form a group: two orbits meet",
+        "missing PatternMismatch R1 specialization missing from the enumeration",
+    ]
