@@ -1,12 +1,16 @@
 """Exhaustive solution sets of polynomial systems over small prime fields.
 
 The solver enumerates by a staged join rather than materializing the full
-assignment cube: variables are introduced equation by equation (greedily
-picking the equation needing the fewest new variables), and the partial
-assignment frontier is filtered by every equation as soon as all of its
-variables are present.  For the closure systems used here the frontier stays
-close to the final solution count, which makes 19-cell patterns enumerable
-in seconds.  A hard frontier budget guards against pathological systems.
+assignment cube.  It first plans a variable order once: it repeatedly takes
+the equation needing the fewest new variables (then the fewest terms, then
+the lowest index), introduces those variables in index order, and records for
+each variable the equations it completes; variables no equation uses come
+last.  It then extends the frontier of partial assignments by each planned
+variable, _FRONTIER_CHUNK rows at a time, and filters every expanded chunk by
+the equations that variable completes before keeping its survivors.  For the
+closure systems used here the frontier stays close to the final solution
+count.  A hard budget bounds the rows held at once, the kept rows plus one
+expanded chunk, against pathological systems.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .errors import BudgetExceeded, NotSupported
 from .gfq import GFq
 
 DEFAULT_BUDGET = 4_000_000
+_FRONTIER_CHUNK = 65_536
 
 
 def compile_poly(poly, names, p):
@@ -33,6 +38,23 @@ def compile_poly(poly, names, p):
         )
         out.append((c, pairs))
     return out
+
+
+def _plan(compiled, n_vars):
+    """[(variable, [(equation, its variables) it completes])] in
+    introduction order, every variable once."""
+    eq_vars = [frozenset(v for _, pairs in cp for v, _ in pairs) for cp in compiled]
+    remaining = set(range(len(compiled)))
+    present = set()
+    plan = []
+    while remaining:
+        best = min((len(eq_vars[k] - present), len(compiled[k]), k) for k in remaining)[2]
+        for var in sorted(eq_vars[best] - present):
+            present.add(var)
+            done = sorted(k for k in remaining if eq_vars[k] <= present)
+            remaining.difference_update(done)
+            plan.append((var, [(compiled[k], eq_vars[k]) for k in done]))
+    return plan + [(v, []) for v in range(n_vars) if v not in present]
 
 
 def solve_system_fp(polys, names, p, budget=DEFAULT_BUDGET):
@@ -53,64 +75,32 @@ def solve_system_fp(polys, names, p, budget=DEFAULT_BUDGET):
                 return np.zeros((0, len(names)), dtype=np.int8)
             continue
         compiled.append(cp)
-    # deterministic greedy order: fewest new variables, then fewest terms
-    remaining = list(range(len(compiled)))
-    eq_vars = [frozenset(v for _, pairs in compiled[k] for v, _ in pairs)
-               for k in range(len(compiled))]
-
+    plan = _plan(compiled, len(names))
+    pos = {var: i for i, (var, _) in enumerate(plan)}
+    values = np.arange(p, dtype=np.int8)
     frontier = np.zeros((1, 0), dtype=np.int8)
-    intro = []       # variable indices in introduction order
-    intro_set = set()
-
-    def filter_covered():
-        nonlocal frontier
-        changed = True
-        while changed:
-            changed = False
-            for k in list(remaining):
-                if eq_vars[k] <= intro_set:
-                    remaining.remove(k)
-                    if frontier.shape[0] == 0:
-                        continue
-                    columns = {v: frontier[:, intro.index(v)].astype(np.int64)
-                               for v in eq_vars[k]}
-                    vals = gf.eval_compiled(compiled[k], columns, frontier.shape[0])
-                    frontier = frontier[vals == 0]
-                    changed = True
-
-    def introduce(var):
-        nonlocal frontier
-        n = frontier.shape[0]
-        if n * p > budget:
-            raise BudgetExceeded(f"frontier would exceed {budget} rows")
-        rep = np.repeat(frontier, p, axis=0)
-        col = np.tile(np.arange(p, dtype=np.int8), n)[:, None]
-        frontier = np.hstack([rep, col])
-        intro.append(var)
-        intro_set.add(var)
-
-    filter_covered()
-    while remaining:
-        best = min(
-            remaining,
-            key=lambda k: (len(eq_vars[k] - intro_set), len(compiled[k]), k),
-        )
-        for var in sorted(eq_vars[best] - intro_set):
-            introduce(var)
-        filter_covered()
-    for var in range(len(names)):
-        if var not in intro_set:
-            introduce(var)
+    for var, equations in plan:
+        kept, held = [], 0
+        for start in range(0, frontier.shape[0], _FRONTIER_CHUNK):
+            part = frontier[start:start + _FRONTIER_CHUNK]
+            if held + part.shape[0] * p > budget:
+                raise BudgetExceeded(f"frontier would exceed {budget} rows")
+            rows = np.hstack([np.repeat(part, p, axis=0),
+                              np.tile(values, part.shape[0])[:, None]])
+            for cp, used in equations:
+                columns = {v: rows[:, pos[v]].astype(np.int64) for v in used}
+                rows = rows[gf.eval_compiled(cp, columns, rows.shape[0]) == 0]
+            kept.append(rows)
+            held += rows.shape[0]
+        if not held:
+            return np.zeros((0, len(names)), dtype=np.int8)
+        frontier = np.concatenate(kept)
     # restore declared column order and sort rows
-    perm = [intro.index(v) for v in range(len(names))]
-    result = frontier[:, perm]
-    if result.shape[0]:
-        order = np.lexsort(result.T[::-1])
-        result = result[order]
-    return np.ascontiguousarray(result, dtype=np.int8)
+    result = frontier[:, [pos[v] for v in range(len(names))]]
+    return result[np.lexsort(result.T[::-1])]
 
 
-def solution_set(polys, names, p, budget=DEFAULT_BUDGET):
+def solution_set(polys, names, p):
     """The solution set as a frozenset of int tuples."""
-    arr = solve_system_fp(polys, names, p, budget)
+    arr = solve_system_fp(polys, names, p)
     return frozenset(map(tuple, arr.tolist()))

@@ -13,8 +13,8 @@ obstruction.
 
 The finite-field oracle accepts the primes up to MAX_PRIME.  The bound comes
 from the oracle, not from this arithmetic: its sweeps apply a group in
-batches, but at p = 11 the solver's row budget refuses two patterns, and no
-report there is archived.
+batches and its solver's row budget admits every pattern at p = 11, but no
+report there is archived yet.
 """
 
 from __future__ import annotations
@@ -159,6 +159,9 @@ class GFq:
             return self.lift(np.ones(m.shape[0], dtype=np.int64))
         if k == 1:
             return m[:, 0, 0]
+        if k == 2:
+            return self.sub(self.mul(m[:, 0, 0], m[:, 1, 1]),
+                            self.mul(m[:, 0, 1], m[:, 1, 0]))
         return self._expand(m, [self._det(_minor(m, 0, j)) for j in range(k)])
 
     def _expand(self, m, minors):

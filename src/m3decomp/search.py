@@ -336,12 +336,11 @@ def _rref_mod(rows, p):
 # enumeration, orbits, matching
 # ---------------------------------------------------------------------------
 
-def enumerate_complements_fp(pattern_name, p, budget=None):
+def enumerate_complements_fp(pattern_name, p):
     """All pattern instances over F_p whose span is a subalgebra (and hence a
     direct complement), as sorted cell-value rows."""
     pat = get_pattern(pattern_name)
-    kwargs = {} if budget is None else {"budget": budget}
-    return solve_system_fp(pat.closure_system(), pat.params, p, **kwargs)
+    return solve_system_fp(pat.closure_system(), pat.params, p)
 
 
 def orbit_partition_fp(solutions, pattern_name, p, group=None, twist=None):
@@ -449,7 +448,7 @@ KNOWN_CAVEATS = {
 }
 
 
-def coverage_report(pattern_name, p, explain=True, budget=None):
+def coverage_report(pattern_name, p, explain=True):
     """Enumerate, partition into orbits, and match against the catalog.
 
     Unmatched orbit representatives are listed verbatim; when ``explain`` is
@@ -458,7 +457,7 @@ def coverage_report(pattern_name, p, explain=True, budget=None):
     A catalog specialization missing from the enumeration raises
     PatternMismatch."""
     pat = get_pattern(pattern_name)
-    sols = enumerate_complements_fp(pattern_name, p, budget)
+    sols = enumerate_complements_fp(pattern_name, p)
     labels, orbits = orbit_partition_fp(sols, pattern_name, p)
     specs = catalog_specializations_fp(pattern_name, p)
     found = _row_index(sols)(np.array([c for *_, c in specs]).reshape(len(specs), len(pat.params)))

@@ -47,26 +47,25 @@ def test_multiplicative_group_order(p):
     assert (acc[:, 0] == 1).all() and (acc[:, 1] == 0).all()
 
 
-def test_matrix_inverse_batched():
-    gf = GFq(3, 2)
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_matrix_inverse_batched(k, degree):
+    gf = GFq(3, degree)
     rng = np.random.default_rng(3)
     found = 0
     while found < 4:
-        m = gf.lift(rng.integers(0, 3, (8, 4, 4)))
-        m[..., 1] = rng.integers(0, 3, (8, 4, 4))
+        m = rng.integers(0, 3, (8, k, k, 2))
+        if degree == 1:
+            m = m[..., 0]
         det, _ = gf.det_adj(m)
-        keep = ~gf.is_zero(det)
-        m = m[keep]
+        if degree == 1:
+            assert (det == np.rint(np.linalg.det(m)).astype(np.int64) % 3).all()
+        m = m[~gf.is_zero(det)]
         if not m.shape[0]:
             continue
         found += m.shape[0]
-        inv = gf.inv_mat(m)
-        prod = gf.matmul(m, inv)
-        for i in range(4):
-            for j in range(4):
-                expect = 1 if i == j else 0
-                assert (prod[:, i, j, 0] == expect).all()
-                assert (prod[:, i, j, 1] == 0).all()
+        prod = gf.matmul(m, gf.inv_mat(m))
+        assert (prod == gf.lift(np.eye(k, dtype=np.int64))).all()
 
 
 def test_lift_embeds_prime_field():

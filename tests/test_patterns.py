@@ -4,7 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from m3decomp.errors import NotSupported, PatternMismatch
+from m3decomp import fpsolve
+from m3decomp.errors import BudgetExceeded, NotSupported, PatternMismatch
 from m3decomp.fpsolve import solution_set, solve_system_fp
 from m3decomp.matrices import Mat3, is_direct_sum, span
 from m3decomp.patterns import (
@@ -150,6 +151,53 @@ def test_solver_on_tiny_systems():
     assert solution_set([x * x + 1], ("x", "y"), 3) == frozenset()
     arr = solve_system_fp([], ("x", "y"), 2)
     assert arr.shape == (4, 2)
+
+
+def test_solver_budget_counts_kept_rows_plus_one_chunk(monkeypatch):
+    from m3decomp.scalars import PolynomialRing
+
+    x, y = PolynomialRing(("x", "y")).gens()
+    monkeypatch.setattr(fpsolve, "_FRONTIER_CHUNK", 1)
+    # the last chunk of y meets four kept diagonal rows: 4 + 5 rows at once
+    arr = solve_system_fp([x - y], ("x", "y"), 5, budget=9)
+    assert arr.tolist() == [[v, v] for v in range(5)]
+    with pytest.raises(BudgetExceeded, match="frontier would exceed 8 rows"):
+        solve_system_fp([x - y], ("x", "y"), 5, budget=8)
+
+
+def test_solver_chunking_keeps_solutions(monkeypatch):
+    systems = [(get_pattern(name).closure_system(), get_pattern(name).params)
+               for name in sorted(PATTERNS)]
+    whole = [solve_system_fp(polys, names, 3) for polys, names in systems]
+    monkeypatch.setattr(fpsolve, "_FRONTIER_CHUNK", 7)
+    for (polys, names), expect in zip(systems, whole):
+        assert solve_system_fp(polys, names, 3).tobytes() == expect.tobytes()
+
+
+# Solution counts of the closure systems as polynomials in p; the counts at
+# p >= 11 of t2, t4m2 and t5 (each 2-14 s) are left to manual runs.
+_COUNT_FORMS = {
+    "t1": lambda p: p**4 + p**3 + 2 * p**2 - p - 2,
+    "t2": lambda p: p**6 + p**4 - p**2,
+    "t3": lambda p: 3 * p**2 - 2 * p,
+    "t4": lambda p: p**4,
+    "t4m2": lambda p: p**5,
+    "t5": lambda p: 2 * p**2 * (p - 1),
+    "t6": lambda p: p * (3 * p + 1),
+    "t7": lambda p: p * (p - 1) * (3 * p + 1),
+    "t8": lambda p: 2 * p * (p + 1),
+}
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [(name, p) for p in (2, 3, 5, 7) for name in sorted(_COUNT_FORMS)]
+    + [(name, p) for p in (11, 13) for name in ("t1", "t3", "t6", "t7", "t8")]
+    + [("t4", 11)],
+)
+def test_solution_counts_match_closed_forms(name, p):
+    pat = get_pattern(name)
+    assert len(solve_system_fp(pat.closure_system(), pat.params, p)) == _COUNT_FORMS[name](p)
 
 
 def test_solver_rejects_primes_its_cells_cannot_hold():

@@ -348,7 +348,8 @@ def test_t4_t6_sweep_finds_the_linking_antiautomorphism():
 
 @pytest.mark.parametrize(
     "name, p",
-    [(name, 5) for name in SEARCH_CONFIGS] + [(name, 7) for name in ("t1", "t6", "t7", "t8")],
+    [(name, 5) for name in SEARCH_CONFIGS]
+    + [(name, 7) for name in ("t1", "t3", "t4", "t4m2", "t5", "t6", "t7", "t8")],
 )
 def test_archived_report_reproduces(name, p):
     # the archived p = 5 and p = 7 evidence, regenerated and compared bytes
