@@ -9,15 +9,13 @@ from .catalog import (
     CatalogEntry,
     ComplementDef,
     builtin_catalog,
-    catalog_io,
     entry_by_id,
     load_catalog,
     save_catalog,
-    specialize,
 )
 from .errors import M3DecompError
 from .invariants import Fingerprint, classify_2dim, fingerprint, idempotents, radical
-from .linalg import ff_inverse, ff_rank
+from .linalg import echelonize, ff_inverse
 from .maps import (
     AlgebraMap,
     apply_map,
@@ -28,16 +26,7 @@ from .maps import (
     theta,
     transpose_map,
 )
-from .matrices import (
-    Mat3,
-    Subspace,
-    contains,
-    contains_identity,
-    is_direct_sum,
-    is_subalgebra,
-    mat_mul,
-    span,
-)
+from .matrices import Mat3, Subspace, is_direct_sum, span
 from .patterns import PATTERNS, PivotPattern, get_pattern
 from .rota_baxter import RBOperator, check_rb_identity, rb_for_entry, splitting_rb
 from .scalars import (
@@ -46,7 +35,6 @@ from .scalars import (
     PolynomialRing,
     QQ,
     constraint_satisfied,
-    poly_eval,
 )
 from .search import (
     coverage_report,
@@ -57,8 +45,6 @@ from .search import (
 from .verifier import (
     VerifyReport,
     compare_with_reference_system,
-    derive_closure_system,
-    verify_catalog,
     verify_entry,
     verify_remarks,
 )

@@ -154,14 +154,11 @@ class CatalogEntry:
 
     def s_subspace(self):
         """S with symbolic parameters, under the declared constraints."""
-        return span(self.s_generators, self.constraints, self.ring)
+        return span(self.s_generators, self.constraints)
 
     def b_subspace_symbolic(self):
-        return span(
-            [g.map_domain(self.ring) for g in self.complement.generators],
-            self.constraints,
-            self.ring,
-        )
+        return span([g.map_domain(self.ring) for g in self.complement.generators],
+                    self.constraints)
 
     def specialize(self, values):
         """Concrete (S, B) over Q at a parameter assignment; all constraints
@@ -179,7 +176,7 @@ class CatalogEntry:
             Mat3([[cell.eval(values) for cell in row] for row in g.rows], QQ)
             for g in self.s_generators
         ]
-        return span(gens, domain=QQ), self.complement.subspace()
+        return span(gens), self.complement.subspace()
 
     def to_json(self):
         return {
@@ -551,10 +548,6 @@ def entry_by_id(ident, entries=None):
     raise KeyError(ident)
 
 
-def specialize(entry, values):
-    return entry.specialize(values)
-
-
 def save_catalog(entries, path):
     doc = {"schema_version": SCHEMA_VERSION, "entries": [e.to_json() for e in entries]}
     with open(path, "w") as fh:
@@ -570,13 +563,3 @@ def load_catalog(path):
     if "entries" not in doc:
         raise SchemaError("entries", "missing")
     return [CatalogEntry.from_json(rec) for rec in doc["entries"]]
-
-
-def catalog_io(path, direction, entries=None):
-    """load/save round trip entry point."""
-    if direction == "save":
-        save_catalog(builtin_catalog() if entries is None else entries, path)
-        return entries
-    if direction == "load":
-        return load_catalog(path)
-    raise ValueError(f"direction must be load or save, not {direction!r}")

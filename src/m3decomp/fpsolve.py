@@ -95,6 +95,8 @@ def solve_system_fp(polys, names, p, budget=DEFAULT_BUDGET):
         if not held:
             return np.zeros((0, len(names)), dtype=np.int8)
         frontier = np.concatenate(kept)
+    if not names:
+        return frontier   # the one empty assignment
     # restore declared column order and sort rows
     result = frontier[:, [pos[v] for v in range(len(names))]]
     return result[np.lexsort(result.T[::-1])]

@@ -50,11 +50,10 @@ def radical(s):
     if not basis:
         return s
     gram = [[(x @ y).trace() for x in basis] for y in basis]
-    kern = kernel_basis(gram, len(basis), dom)
+    kern = kernel_basis(gram, len(basis))
     if not kern:
-        return span([Mat3.zero(dom)], domain=dom)
-    rad_gens = [_combo(basis, vec, dom) for vec in kern]
-    return span(rad_gens, domain=dom)
+        return span([Mat3.zero(dom)])
+    return span([_combo(basis, vec, dom) for vec in kern])
 
 
 def find_unit(s, side="two"):
@@ -95,7 +94,7 @@ def _two_sided_annihilator(s_basis, targets, dom):
         for coord in range(9):
             rows.append([(gi @ t).coords()[coord] for gi in s_basis])
             rows.append([(t @ gi).coords()[coord] for gi in s_basis])
-    kern = kernel_basis(rows, len(s_basis), dom)
+    kern = kernel_basis(rows, len(s_basis))
     return [_combo(s_basis, vec, dom) for vec in kern]
 
 
@@ -155,7 +154,7 @@ def fingerprint(s):
     ann = _two_sided_annihilator(basis, rad2, dom)
     ann_has_idem = bool(ann) and not is_nilpotent_span(ann)
     if s.dim <= 2:
-        ranks = idempotent_ranks(s)
+        ranks = idempotents(s).all_ranks()
     else:
         e = principal_idempotent(s)
         ranks = (matrix_rank(e),) if e is not None and not e.is_zero() else ()
@@ -392,7 +391,3 @@ def classify_2dim(s):
     if find_unit(s, "right") is not None:
         return "D6"
     return "D3"
-
-
-def idempotent_ranks(s):
-    return idempotents(s).all_ranks()

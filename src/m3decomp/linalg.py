@@ -13,7 +13,6 @@ UndecidedPivot rather than guessing.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import SingularMatrix, UndecidedPivot
 from .scalars import (
@@ -21,6 +20,7 @@ from .scalars import (
     MultiPoly,
     certified_nonzero,
     QQ,
+    rational_content,
 )
 
 
@@ -30,37 +30,20 @@ def sc_is_zero(x):
     return x == 0
 
 
+def _coefficients(x):
+    return x.terms.values() if isinstance(x, MultiPoly) else (x,)
+
+
 def _normalize_row(row):
-    """Divide a row by its rational content and fix the sign of its leading
-    nonzero entry (leading coefficient positive for polynomials)."""
-    lead = None
-    for x in row:
-        if not sc_is_zero(x):
-            lead = x
-            break
+    """Divide a row by the rational content of all its coefficients and make
+    its leading nonzero entry positive (for a polynomial, its lex-leading
+    coefficient)."""
+    lead = next((x for x in row if not sc_is_zero(x)), None)
     if lead is None:
         return row
-    if isinstance(lead, Fraction):
-        num = 0
-        den = 1
-        for x in row:
-            num = gcd(num, abs(x.numerator))
-            den = lcm(den, x.denominator)
-        c = Fraction(num, den)
-        if lead < 0:
-            c = -c
-        return [x / c for x in row]
-    # polynomial row: numeric content only, sign from lex-leading coefficient
-    num = 0
-    den = 1
-    for x in row:
-        for coeff in x.terms.values():
-            num = gcd(num, abs(coeff.numerator))
-            den = lcm(den, coeff.denominator)
-    c = Fraction(num, den)
-    if lead.leading()[1] < 0:
-        c = -c
-    inv = 1 / c
+    content = rational_content(c for x in row for c in _coefficients(x))
+    sign = lead.leading()[1] if isinstance(lead, MultiPoly) else lead
+    inv = (1 if sign > 0 else -1) / content
     return [x * inv for x in row]
 
 
@@ -81,16 +64,20 @@ def _eliminate(row, piv_row, col, constraints):
 class Echelon:
     """Row echelon data for a list of coordinate rows."""
 
-    __slots__ = ("rows", "pivot_cols", "certificates")
+    __slots__ = ("rows", "pivot_cols")
 
-    def __init__(self, rows, pivot_cols, certificates):
+    def __init__(self, rows, pivot_cols):
         self.rows = rows
         self.pivot_cols = pivot_cols
-        self.certificates = certificates
 
     @property
     def rank(self):
         return len(self.rows)
+
+    @property
+    def certificates(self):
+        """The pivots, each certified nonzero under the constraints."""
+        return [r[c] for r, c in zip(self.rows, self.pivot_cols)]
 
     def reduce(self, row, constraints=EMPTY_CONSTRAINTS):
         """Residual of a row against the echelon; the residual is identically
@@ -112,7 +99,7 @@ class Echelon:
         for erow, col in zip(self.rows, self.pivot_cols):
             c = row[col]
             if not sc_is_zero(c):
-                f = _field_div(c, erow[col])
+                f = c / erow[col]
                 row = [x - f * y for x, y in zip(row, erow)]
         return row
 
@@ -125,7 +112,6 @@ def echelonize(rows, constraints=EMPTY_CONSTRAINTS):
     """
     ech_rows = []
     pivot_cols = []
-    certificates = []
     for row in rows:
         row = list(row)
         for erow, col in zip(ech_rows, pivot_cols):
@@ -144,27 +130,16 @@ def echelonize(rows, constraints=EMPTY_CONSTRAINTS):
         # keep echelon sorted by pivot column, reducing earlier rows too
         ech_rows.append(row)
         pivot_cols.append(pick)
-        certificates.append(row[pick])
         order = sorted(range(len(pivot_cols)), key=lambda i: pivot_cols[i])
         ech_rows = [ech_rows[i] for i in order]
         pivot_cols = [pivot_cols[i] for i in order]
-        certificates = [certificates[i] for i in order]
     # fully reduce: each pivot column must vanish in every other row, or a
     # later single-pass residual reduction could reintroduce cleared columns
     for i in range(len(ech_rows)):
         for k in range(len(ech_rows)):
             if k != i:
                 ech_rows[k] = _eliminate(ech_rows[k], ech_rows[i], pivot_cols[i], constraints)
-    ech_rows = [_normalize_row(r) for r in ech_rows]
-    certificates = [r[c] for r, c in zip(ech_rows, pivot_cols)]
-    return Echelon(ech_rows, pivot_cols, certificates)
-
-
-def ff_rank(rows, constraints=EMPTY_CONSTRAINTS):
-    """Rank of the row span, valid for every constraint-satisfying
-    specialization, together with the pivot certificates used."""
-    ech = echelonize(rows, constraints)
-    return ech.rank, list(ech.certificates)
+    return Echelon([_normalize_row(r) for r in ech_rows], pivot_cols)
 
 
 def ff_inverse(matrix, constraints=EMPTY_CONSTRAINTS, domain=QQ):
@@ -220,10 +195,6 @@ def ff_inverse(matrix, constraints=EMPTY_CONSTRAINTS, domain=QQ):
     return numer, det
 
 
-def _field_div(a, b):
-    return Fraction(a) / Fraction(b)
-
-
 def solve_linear(a_rows, rhs):
     """One exact solution of A c = rhs over a field (free unknowns set to 0),
     or None when inconsistent."""
@@ -237,24 +208,24 @@ def solve_linear(a_rows, rhs):
     # rows are fully reduced, so with free unknowns at zero each pivot
     # unknown reads off directly
     for row, col in zip(ech.rows, ech.pivot_cols):
-        sol[col] = _field_div(row[n], row[col])
+        sol[col] = row[n] / row[col]
     return sol
 
 
-def kernel_basis(a_rows, n, domain=QQ):
-    """Basis of {c : A c = 0} over a field, for a matrix given as rows of
-    length n.  Relies on echelonize producing fully reduced rows."""
-    ech = echelonize([list(r) for r in a_rows]) if a_rows else Echelon([], [], [])
+def kernel_basis(a_rows, n):
+    """Basis of {c : A c = 0} over Q, for a matrix given as rows of length n.
+    Relies on echelonize producing fully reduced rows."""
+    ech = echelonize(a_rows)
     pivots = set(ech.pivot_cols)
     basis = []
     for free in range(n):
         if free in pivots:
             continue
-        vec = [domain.zero()] * n
-        vec[free] = domain.one()
+        vec = [Fraction(0)] * n
+        vec[free] = Fraction(1)
         for row, col in zip(ech.rows, ech.pivot_cols):
             if not sc_is_zero(row[free]):
-                vec[col] = -_field_div(row[free], row[col])
+                vec[col] = -(row[free] / row[col])
         basis.append(vec)
     return basis
 

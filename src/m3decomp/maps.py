@@ -106,7 +106,7 @@ def apply_map(m, s):
     """Span of the images of s's generators (denominator dropped: a global
     certified-nonzero rescaling never changes a span)."""
     images = [m.image_numerator(g) for g in s.generators]
-    return span(images, s.constraints.merged(m.constraints), m.domain)
+    return span(images, s.constraints.merged(m.constraints))
 
 
 def preserves(m, s):

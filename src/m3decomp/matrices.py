@@ -111,11 +111,10 @@ class Mat3:
     def is_zero(self):
         return all(sc_is_zero(x) for row in self.rows for x in row)
 
-    def map_domain(self, domain, convert=None):
+    def map_domain(self, domain):
         """Re-express entries in another domain (e.g. lift Q into a
         polynomial ring)."""
-        conv = convert if convert is not None else domain.coerce
-        return Mat3(tuple(tuple(conv(x) for x in r) for r in self.rows), domain)
+        return Mat3(self.rows, domain)
 
     def __eq__(self, other):
         if not isinstance(other, Mat3):
@@ -128,11 +127,6 @@ class Mat3:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"[{body}]"
-
-
-def mat_mul(a, b):
-    """Ordinary matrix product (structure constants e_ij e_kl = d_jk e_il)."""
-    return a @ b
 
 
 class Subspace:
@@ -195,8 +189,9 @@ class Subspace:
         return f"Subspace(dim={self.dim}, gens={len(self.generators)})"
 
 
-def span(gens, constraints=EMPTY_CONSTRAINTS, domain=None):
-    """Span of matrices, with reduced form and certified dimension.
+def span(gens, constraints=EMPTY_CONSTRAINTS):
+    """Span of matrices over their common domain, with reduced form and
+    certified dimension.
 
     Rescaling a generator by a constraint-nonzero polynomial yields an equal
     subspace; all-zero generators give the zero subspace (dimension 0).
@@ -204,21 +199,12 @@ def span(gens, constraints=EMPTY_CONSTRAINTS, domain=None):
     gens = list(gens)
     if not gens:
         raise ValueError("at least one generator required")
-    if domain is None:
-        domain = gens[0].domain
+    domain = gens[0].domain
     for g in gens:
         if g.domain != domain:
             raise DomainMismatch(f"{domain} vs {g.domain}")
     ech = echelonize([list(g.coords()) for g in gens], constraints)
     return Subspace(gens, ech, constraints, domain)
-
-
-def is_subalgebra(s):
-    return s.is_subalgebra()
-
-
-def contains(s, m):
-    return s.contains(m)
 
 
 def is_direct_sum(s, b):
@@ -232,7 +218,3 @@ def is_direct_sum(s, b):
     rows = [list(r) for r in s.echelon.rows] + [list(r) for r in b.echelon.rows]
     ech = echelonize(rows, merged)
     return ech.rank == 9
-
-
-def contains_identity(s):
-    return s.contains_identity()

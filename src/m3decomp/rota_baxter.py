@@ -142,8 +142,8 @@ def _summands(entry, weight):
         ring = PolynomialRing(entry.params + (WEIGHT_VAR,))
         lam = ring.gen(WEIGHT_VAR)
         constraints = entry.constraints.cast(ring).merged(ConstraintSet([lam]))
-        s = span([g.map_domain(ring) for g in entry.s_generators], constraints, ring)
-        b = span([g.map_domain(ring) for g in entry.complement.generators], constraints, ring)
+        s = span([g.map_domain(ring) for g in entry.s_generators], constraints)
+        b = span([g.map_domain(ring) for g in entry.complement.generators], constraints)
         return s, b, lam
     s, b = entry.specialize({p: 2 + i for i, p in enumerate(entry.params)})
     return s, b, Fraction(weight)

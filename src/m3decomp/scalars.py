@@ -45,9 +45,6 @@ class RationalField:
     def one(self):
         return Fraction(1)
 
-    def from_int(self, n):
-        return Fraction(n)
-
     def coerce(self, x):
         if isinstance(x, Fraction):
             return x
@@ -66,6 +63,14 @@ class RationalField:
 
 
 QQ = RationalField()
+
+
+def rational_content(values):
+    """The gcd of the numerators over the lcm of the denominators of some
+    rationals (zero when all of them are zero)."""
+    values = list(values)
+    return Fraction(math.gcd(*(v.numerator for v in values)),
+                    math.lcm(*(v.denominator for v in values)))
 
 
 def is_prime(n):
@@ -97,9 +102,6 @@ class PolynomialRing:
 
     def one(self):
         return MultiPoly(self, {self._zero_exp: Fraction(1)})
-
-    def from_int(self, n):
-        return self.constant(Fraction(n))
 
     def constant(self, c):
         c = Fraction(c)
@@ -273,12 +275,7 @@ class MultiPoly:
         """
         if not self.terms:
             return Fraction(1), self
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        content = Fraction(num, den)
+        content = rational_content(self.terms.values())
         prim = MultiPoly(self.ring, {e: c / content for e, c in self.terms.items()})
         return content, prim
 
@@ -306,13 +303,6 @@ class MultiPoly:
             rem = rem - mono * divisor
         return MultiPoly(self.ring, q_terms)
 
-    def divides(self, other):
-        try:
-            other.exact_divide(self)
-            return True
-        except (ValueError, ZeroDivisionError):
-            return False
-
     def eval(self, assignment):
         """Substitute rationals for every variable; a ring homomorphism into
         Q."""
@@ -335,27 +325,15 @@ class MultiPoly:
             total = total + term
         return total
 
-    def substitute(self, assignment):
-        """Partially substitute rationals for some variables, staying in the
-        same ring."""
-        out = self.ring.zero()
-        for exp, coeff in self.terms.items():
-            term = self.ring.constant(coeff)
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                name = self.ring.names[i]
-                if name in assignment:
-                    term = term * self.ring.constant(assignment[name]) ** e
-                else:
-                    term = term * self.ring.gen(name) ** e
-            out = out + term
-        return out
-
     # -- printing ---------------------------------------------------------
 
     def __repr__(self):
-        return poly_to_string(self)
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        if den == 1:
+            return poly_to_string(self)
+        # rational coefficients fall outside the grammar: show them over
+        # their common denominator
+        return f"({poly_to_string(self * den)})/{den}"
 
 
 # ---------------------------------------------------------------------------
@@ -408,19 +386,14 @@ class ConstraintSet:
 EMPTY_CONSTRAINTS = ConstraintSet()
 
 
-def poly_eval(p, assignment):
-    """Evaluate p at the assignment (must cover all variables of p)."""
-    return p.eval(assignment)
-
-
 def constraint_satisfied(constraints, assignment):
     """True iff every nonzero polynomial evaluates nonzero and every
     not-both-zero pair has a nonzero member."""
     for p in constraints.nonzero:
-        if poly_eval(p, assignment) == 0:
+        if p.eval(assignment) == 0:
             return False
     for a, b in constraints.not_both_zero:
-        if poly_eval(a, assignment) == 0 and poly_eval(b, assignment) == 0:
+        if a.eval(assignment) == 0 and b.eval(assignment) == 0:
             return False
     return True
 
@@ -528,7 +501,7 @@ def parse_poly(text, ring):
     def parse_factor():
         kind, val, pos = advance()
         if kind == "int":
-            return ring.from_int(val)
+            return ring.constant(val)
         if kind == "ident":
             if val not in ring.names:
                 raise ParseError(f"unknown parameter {val!r}", column=pos)

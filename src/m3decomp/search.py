@@ -278,10 +278,11 @@ def twist_matrix(name, p):
     raise ValueError(name)
 
 
-def _annihilator(rows, p):
-    """A basis, as rows, of the vectors a with rows @ a = 0 mod p; a vector
-    lies in the row space of rows exactly when every basis row annihilates
-    it."""
+def _in_row_space(rows, p):
+    """A test of which images lie in the row space of rows mod p: it maps
+    blocks of row vectors (the last two axes) to one flag per block, true
+    when every row of the block lies in the span.  A vector does exactly
+    when every row of the annihilator basis, computed once here, kills it."""
     ref = _rref_mod(rows, p)
     pivots = [int(np.flatnonzero(r)[0]) for r in ref if r.any()]
     free = [c for c in range(rows.shape[1]) if c not in pivots]
@@ -290,12 +291,12 @@ def _annihilator(rows, p):
         basis[i, f] = 1
         for r, c in enumerate(pivots):
             basis[i, c] = -ref[r, f] % p
-    return basis
+    return lambda images: ~(images @ basis.T % p).any(axis=(-2, -1))
 
 
-def _complement_rows(complement_id, p):
-    return np.array([[int(x) for x in g.coords()] for g in COMPLEMENTS[complement_id].generators],
-                    dtype=np.int64) % p
+def _generator_rows(mats, p):
+    """The coordinate rows mod p of matrices with integer entries."""
+    return np.array([[int(x) for x in g.coords()] for g in mats], dtype=np.int64) % p
 
 
 def _check_group_preserves(pattern_name, conj, twist, gf):
@@ -303,12 +304,12 @@ def _check_group_preserves(pattern_name, conj, twist, gf):
     row space into itself (hence onto it, being invertible) mod p."""
     p = gf.p
     comp_id = get_pattern(pattern_name).complement_id
-    rows = _complement_rows(comp_id, p)
-    ann_t = _annihilator(rows, p).T
+    rows = _generator_rows(COMPLEMENTS[comp_id].generators, p)
+    inside = _in_row_space(rows, p)
     # one complement row at a time, so that |G| images are held at once
     images = itertools.chain([_twisted(rows, twist, p)],
                              (_conjugated(row[None], conj, gf) for row in rows))
-    if any((batch @ ann_t % p).any() for batch in images):
+    if not all(inside(batch).all() for batch in images):
         raise GroupMismatch(f"a group element does not preserve {comp_id}")
 
 
@@ -570,13 +571,13 @@ def family_is_full_stabilizer(family, complement_id, p):
     scalar, so only matrices whose first nonzero entry is 1 are enumerated,
     as the family's conjugators are."""
     gf = _gf(p)
-    rows = _complement_rows(complement_id, p)
+    rows = _generator_rows(COMPLEMENTS[complement_id].generators, p)
     every = _grid((p,) * 9)
     lead = every[np.arange(len(every)), (every != 0).argmax(axis=1)]
     every = every[lead == 1].reshape(-1, 3, 3)
     every = every[~gf.is_zero(gf.det_adj(every)[0])]
     images = _conjugated(rows, (every, gf.inv_mat(every)), gf)
-    found = every[~(images @ _annihilator(rows, p).T % p).any(axis=(1, 2))]
+    found = every[_in_row_space(rows, p)(images)]
     return np.array_equal(np.sort(_row_keys(found)), np.sort(_row_keys(group_matrices(family, p))))
 
 
@@ -594,14 +595,14 @@ def t4_t6_separation(p):
     gf = _gf(p)
     s4, _ = entry_by_id("T4").specialize({})
     s6, _ = entry_by_id("T6").specialize({})
-    rows4 = np.array([[int(x) for x in g.coords()] for g in s4.generators], dtype=np.int64) % p
-    rows6 = np.array([[int(x) for x in g.coords()] for g in s6.generators], dtype=np.int64) % p
+    rows4 = _generator_rows(s4.generators, p)
+    rows6 = _generator_rows(s6.generators, p)
     if _rank_mod(rows4, p) != _rank_mod(rows6, p):
         return True, None
     # an invertible map carries T4 onto T6 when every image row lies in T6
     [t] = _family_conjugators("psi", gf)
     images = _conjugated(_twisted(rows4, twist_matrix("theta13_T", p), p), (t, gf.inv_mat(t)), gf)
-    hits = ~(images @ _annihilator(rows6, p).T % p).any(axis=(-2, -1))
+    hits = _in_row_space(rows6, p)(images)
     if not hits.any():
         return True, None
     twisted, idx = divmod(int(hits.argmax()), len(t))

@@ -10,12 +10,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .catalog import LEMMA5_SUBALGEBRAS, builtin_catalog, entry_by_id
+from .catalog import LEMMA5_SUBALGEBRAS, entry_by_id
 from .errors import UndecidedPivot
 from .fpsolve import solution_set
 from .invariants import classify_2dim, fingerprint, idempotents
 from .matrices import is_direct_sum
-from .patterns import get_pattern, reference_system
+from .patterns import reference_system
 from .scalars import constraint_satisfied
 
 
@@ -119,16 +119,6 @@ def verify_entry(entry, mode="symbolic", n=100, seed=0):
         entry.id, all_s, all_b, all_ds, all_unital,
         f"specialized(n={draws}, seed={seed})", failures,
     )
-
-
-def verify_catalog(entries=None, mode="symbolic", n=100, seed=0):
-    entries = builtin_catalog() if entries is None else entries
-    return [verify_entry(e, mode, n, seed) for e in entries]
-
-
-def derive_closure_system(pattern_name, pairs="all"):
-    """The closure system of a pattern (see patterns.PivotPattern)."""
-    return get_pattern(pattern_name).closure_system(pairs)
 
 
 def compare_with_reference_system(name, p=3):

@@ -8,7 +8,6 @@ from m3decomp.catalog import (
     LEMMA5_SUBALGEBRAS,
     CatalogEntry,
     builtin_catalog,
-    catalog_io,
     entry_by_id,
     load_catalog,
     save_catalog,
@@ -108,7 +107,7 @@ def test_roundtrip(tmp_path):
     path = tmp_path / "catalog.json"
     entries = builtin_catalog()
     save_catalog(entries, path)
-    loaded = catalog_io(path, "load")
+    loaded = load_catalog(path)
     assert len(loaded) == 71
     assert loaded == entries
 

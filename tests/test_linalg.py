@@ -4,15 +4,15 @@ from fractions import Fraction
 import pytest
 
 from m3decomp.errors import UndecidedPivot
-from m3decomp.linalg import echelonize, ff_inverse, ff_rank
-from m3decomp.scalars import ConstraintSet, PolynomialRing, poly_eval
+from m3decomp.linalg import echelonize, ff_inverse
+from m3decomp.scalars import ConstraintSet, PolynomialRing
 
 
 def test_identity_rank():
     rows = [[Fraction(i == j) for j in range(3)] for i in range(3)]
-    rank, certs = ff_rank(rows)
-    assert rank == 3
-    assert all(c == 1 for c in certs)
+    ech = echelonize(rows)
+    assert ech.rank == 3
+    assert all(c == 1 for c in ech.certificates)
 
 
 def test_diagonal_parametric_rank():
@@ -20,9 +20,9 @@ def test_diagonal_parametric_rank():
     f = R.gen("f")
     z = R.zero()
     c = ConstraintSet([f])
-    rank, certs = ff_rank([[f, z], [z, f]], c)
-    assert rank == 2
-    assert certs == [f, f]
+    ech = echelonize([[f, z], [z, f]], c)
+    assert ech.rank == 2
+    assert ech.certificates == [f, f]
 
 
 def test_undecided_pivot():
@@ -30,7 +30,7 @@ def test_undecided_pivot():
     f = R.gen("f")
     z = R.zero()
     with pytest.raises(UndecidedPivot):
-        ff_rank([[f + 1, z], [z, f]], ConstraintSet([f]))
+        echelonize([[f + 1, z], [z, f]], ConstraintSet([f]))
 
 
 def test_r10_scaled_rows_rank():
@@ -40,12 +40,10 @@ def test_r10_scaled_rows_rank():
     z, o = R.zero(), R.one()
     row1 = [z, z, z, f, d * f, f, z, o, f]
     row2 = [z, z, z, z, o, f, o, o, o + f - d * f]
-    rank, _ = ff_rank([row1, row2], ConstraintSet([f]))
-    assert rank == 2
+    assert echelonize([row1, row2], ConstraintSet([f])).rank == 2
     # oracle: specialize f := 1 and reduce over Q
-    rows_q = [[poly_eval(x, {"d": 0, "f": 1}) for x in row] for row in (row1, row2)]
-    rank_q, _ = ff_rank(rows_q)
-    assert rank_q == 2
+    rows_q = [[x.eval({"d": 0, "f": 1}) for x in row] for row in (row1, row2)]
+    assert echelonize(rows_q).rank == 2
 
 
 def test_rank_matches_specialization_randomized():
@@ -54,7 +52,7 @@ def test_rank_matches_specialization_randomized():
     z, o = R.zero(), R.one()
     c = ConstraintSet([s])
     rows = [[s, z, o + t], [z, s, t], [s, s, o + t + t]]
-    rank, _ = ff_rank(rows, c)
+    rank = echelonize(rows, c).rank
     rng = random.Random(3)
     hits = 0
     while hits < 100:
@@ -63,8 +61,8 @@ def test_rank_matches_specialization_randomized():
         if sv == 0:
             continue
         hits += 1
-        conc = [[poly_eval(x, {"s": sv, "t": tv}) for x in row] for row in rows]
-        assert ff_rank(conc)[0] == rank
+        conc = [[x.eval({"s": sv, "t": tv}) for x in row] for row in rows]
+        assert echelonize(conc).rank == rank
 
 
 def test_echelon_reduce_membership():
@@ -112,7 +110,7 @@ def test_echelon_agrees_with_gaussian_after_specialization():
     rng = random.Random(5)
     for _ in range(25):
         rows = [[Fraction(rng.randint(-4, 4)) for _ in range(5)] for _ in range(4)]
-        rank, _ = ff_rank(rows)
+        rank = echelonize(rows).rank
         # plain elimination oracle
         work = [list(r) for r in rows]
         piv = 0
@@ -131,3 +129,28 @@ def test_echelon_agrees_with_gaussian_after_specialization():
                     work[r] = [a - factor * b for a, b in zip(work[r], work[piv])]
             piv += 1
         assert rank == piv
+
+
+def test_undecided_pivot_outside_the_grammar():
+    R = PolynomialRing(("x",))
+    x = R.gen("x")
+    # a rational coefficient cannot be printed in the catalog grammar; the
+    # pivot error must still be raised as itself
+    with pytest.raises(UndecidedPivot, match=r"\(-2\*x\+3\)/3") as info:
+        echelonize([[Fraction(-2, 3) * x + 1, R.zero()]])
+    assert info.value.candidates == (Fraction(-2, 3) * x + 1,)
+    # integer polynomials keep their grammar rendering
+    with pytest.raises(UndecidedPivot) as info:
+        echelonize([[x + 1, R.zero()]])
+    assert str(info.value) == "no certified pivot among nonzero entries: x+1"
+
+
+def test_normalized_echelon_rows():
+    # content divided out, leading entry made positive
+    q = [Fraction(-2, 3), Fraction(4, 9), Fraction(0)]
+    assert echelonize([q]).rows == [[3, -2, 0]]
+    R = PolynomialRing(("x",))
+    x = R.gen("x")
+    assert echelonize([[R.constant(v) for v in q]]).rows == [[3, -2, 0]]
+    row = [Fraction(-2, 3) * x, Fraction(4, 9) * x + Fraction(1, 3), R.zero()]
+    assert echelonize([row], ConstraintSet([x])).rows == [[6 * x, -4 * x - 3, 0]]

@@ -15,7 +15,7 @@ from m3decomp.patterns import (
     get_pattern,
     reference_system,
 )
-from m3decomp.scalars import QQ, poly_eval
+from m3decomp.scalars import QQ
 
 
 def test_pattern_registry():
@@ -86,7 +86,7 @@ def test_zero_pattern_gives_empty_square_system():
     system = pat.closure_system()
     zeros = {c: 0 for c in pat.params}
     for eq in system:
-        assert poly_eval(eq, zeros) == 0
+        assert eq.eval(zeros) == 0
 
 
 def test_pattern_instances_always_direct_sums():
@@ -151,6 +151,20 @@ def test_solver_on_tiny_systems():
     assert solution_set([x * x + 1], ("x", "y"), 3) == frozenset()
     arr = solve_system_fp([], ("x", "y"), 2)
     assert arr.shape == (4, 2)
+
+
+def test_solver_on_systems_without_variables():
+    from m3decomp.scalars import PolynomialRing
+
+    one = PolynomialRing(()).one()
+    # no variables: the one empty assignment, unless a constant is nonzero
+    for polys in ([], [one * 3]):
+        arr = solve_system_fp(polys, (), 3)
+        assert arr.shape == (1, 0) and arr.dtype == np.int8
+        assert solution_set(polys, (), 3) == frozenset({()})
+    arr = solve_system_fp([one * 2], (), 3)
+    assert arr.shape == (0, 0) and arr.dtype == np.int8
+    assert solution_set([one * 2], (), 3) == frozenset()
 
 
 def test_solver_budget_counts_kept_rows_plus_one_chunk(monkeypatch):
@@ -237,7 +251,7 @@ def test_closure_system_matches_subalgebra_check():
     seen = {True: 0, False: 0}
     for _ in range(60):
         cells = {c: rng.randint(-2, 2) for c in pat.params}
-        vanishes = all(poly_eval(eq, cells) == 0 for eq in system)
+        vanishes = all(eq.eval(cells) == 0 for eq in system)
         gens = []
         for g in pat.gens:
             coords = [QQ.coerce(int(x)) for x in g.base]
