@@ -33,7 +33,6 @@ from .scalars import (
     ConstraintSet,
     MultiPoly,
     PolynomialRing,
-    QQ,
     constraint_satisfied,
 )
 from .search import (

@@ -15,24 +15,35 @@ import json
 
 from .errors import ConstraintViolated, SchemaError
 from .matrices import Mat3, span
-from .scalars import ConstraintSet, PolynomialRing, QQ, parse_poly, poly_to_string
+from .scalars import ConstraintSet, PolynomialRing, first_violation, parse_poly, poly_to_string
 
 SCHEMA_VERSION = 1
 
 
 class ComplementDef:
-    """A fixed complement subalgebra with constant generators."""
+    """A fixed complement subalgebra with constant generators.  Its span
+    and the verdict on its closure are computed on first use and shared by
+    every entry against it."""
 
-    __slots__ = ("id", "generators", "dim", "unital")
+    __slots__ = ("id", "generators", "dim", "unital", "_subspace", "_closure")
 
     def __init__(self, ident, generators, unital):
         self.id = ident
         self.generators = tuple(generators)
         self.dim = len(self.generators)
         self.unital = unital
+        self._subspace = self._closure = None
 
     def subspace(self):
-        return span(self.generators)
+        if self._subspace is None:
+            self._subspace = span(self.generators)
+        return self._subspace
+
+    def closure(self):
+        """subspace().is_subalgebra(), computed once."""
+        if self._closure is None:
+            self._closure = self.subspace().is_subalgebra()
+        return self._closure
 
     def __repr__(self):
         return f"ComplementDef({self.id}, dim={self.dim})"
@@ -137,7 +148,7 @@ class CatalogEntry:
         self.params = tuple(params)
         self.ring = PolynomialRing(self.params)
         self.s_generators = tuple(
-            Mat3([[parse_poly(cell, self.ring) for cell in row] for row in g], self.ring)
+            Mat3([[parse_poly(cell, self.ring) for cell in row] for row in g])
             for g in gen_strings
         )
         # parsing against the ring of declared params already rejects any
@@ -157,8 +168,8 @@ class CatalogEntry:
         return span(self.s_generators, self.constraints)
 
     def b_subspace_symbolic(self):
-        return span([g.map_domain(self.ring) for g in self.complement.generators],
-                    self.constraints)
+        """B as it stands: its constant entries are constants of every ring."""
+        return self.complement.subspace()
 
     def specialize(self, values):
         """Concrete (S, B) over Q at a parameter assignment; all constraints
@@ -166,16 +177,13 @@ class CatalogEntry:
         missing = [p for p in self.params if p not in values]
         if missing:
             raise SchemaError("params", f"assignment misses {missing}")
-        for p in self.constraints.nonzero:
-            if p.eval(values) == 0:
-                raise ConstraintViolated(poly_to_string(p))
-        for a, b in self.constraints.not_both_zero:
-            if a.eval(values) == 0 and b.eval(values) == 0:
-                raise ConstraintViolated(f"({poly_to_string(a)},{poly_to_string(b)})")
-        gens = [
-            Mat3([[cell.eval(values) for cell in row] for row in g.rows], QQ)
-            for g in self.s_generators
-        ]
+        bad = first_violation(self.constraints, values)
+        if isinstance(bad, tuple):
+            raise ConstraintViolated("({},{})".format(*map(poly_to_string, bad)))
+        if bad is not None:
+            raise ConstraintViolated(poly_to_string(bad))
+        gens = [Mat3([[cell.eval(values) for cell in row] for row in g.rows])
+                for g in self.s_generators]
         return span(gens), self.complement.subspace()
 
     def to_json(self):

@@ -6,7 +6,7 @@ class M3DecompError(Exception):
 
 
 class DomainMismatch(M3DecompError):
-    """Operands live in different coefficient domains."""
+    """Polynomials from different rings meet, or a value is no exact scalar."""
 
 
 class MissingVariable(M3DecompError):

@@ -16,8 +16,8 @@ from .linalg import echelonize, kernel_basis, sc_is_zero, solve_linear
 from .matrices import Mat3, span
 
 
-def _combo(mats, coeffs, domain):
-    acc = Mat3.zero(domain)
+def _combo(mats, coeffs):
+    acc = Mat3.zero()
     for m, c in zip(mats, coeffs):
         acc = acc + m.scale(c)
     return acc
@@ -45,20 +45,18 @@ def is_nilpotent_span(mats, bound=9):
 def radical(s):
     """Jacobson radical of a subalgebra of the matrix algebra:
     {x in s : trace(x y) = 0 for all y in s} via the ambient trace form."""
-    dom = s.domain
     basis = s.basis_mats()
     if not basis:
         return s
     gram = [[(x @ y).trace() for x in basis] for y in basis]
     kern = kernel_basis(gram, len(basis))
     if not kern:
-        return span([Mat3.zero(dom)])
-    return span([_combo(basis, vec, dom) for vec in kern])
+        return span([Mat3.zero()])
+    return span([_combo(basis, vec) for vec in kern])
 
 
 def find_unit(s, side="two"):
     """Solve for a (left/right/two-sided) unit inside s; None if absent."""
-    dom = s.domain
     basis = s.basis_mats()
     if not basis:
         return None
@@ -77,7 +75,7 @@ def find_unit(s, side="two"):
     sol = solve_linear(rows, rhs)
     if sol is None:
         return None
-    return _combo(basis, sol, dom)
+    return _combo(basis, sol)
 
 
 def annihilates(a_mats, b_mats):
@@ -85,7 +83,7 @@ def annihilates(a_mats, b_mats):
     return all((a @ b).is_zero() for a in a_mats for b in b_mats)
 
 
-def _two_sided_annihilator(s_basis, targets, dom):
+def _two_sided_annihilator(s_basis, targets):
     """{x in s : x t = t x = 0 for all t in targets} as combination vectors."""
     if not targets:
         return list(s_basis)
@@ -95,7 +93,7 @@ def _two_sided_annihilator(s_basis, targets, dom):
             rows.append([(gi @ t).coords()[coord] for gi in s_basis])
             rows.append([(t @ gi).coords()[coord] for gi in s_basis])
     kern = kernel_basis(rows, len(s_basis))
-    return [_combo(s_basis, vec, dom) for vec in kern]
+    return [_combo(s_basis, vec) for vec in kern]
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,6 @@ class Fingerprint:
 
 def fingerprint(s):
     """Full invariant battery for a concrete subalgebra over Q."""
-    dom = s.domain
     basis = s.basis_mats()
     rad = radical(s)
     rad_basis = [m for m in rad.basis_mats() if not m.is_zero()]
@@ -151,7 +148,7 @@ def fingerprint(s):
     right = find_unit(s, "right")
     rad_in_left = annihilates(basis, rad_basis)
     rad_in_right = annihilates(rad_basis, basis)
-    ann = _two_sided_annihilator(basis, rad2, dom)
+    ann = _two_sided_annihilator(basis, rad2)
     ann_has_idem = bool(ann) and not is_nilpotent_span(ann)
     if s.dim <= 2:
         ranks = idempotents(s).all_ranks()
@@ -180,7 +177,6 @@ def matrix_rank(m):
 def principal_idempotent(s):
     """An idempotent of s lifting the identity of s/rad (None when s is
     nilpotent).  All such lifts are conjugate, so the rank is an invariant."""
-    dom = s.domain
     basis = s.basis_mats()
     rad = radical(s)
     if rad.dim == s.dim:
@@ -201,7 +197,7 @@ def principal_idempotent(s):
     sol = solve_linear(rows, rhs)
     if sol is None:
         return None
-    u = _combo(basis, sol, dom)
+    u = _combo(basis, sol)
     # Newton lift: squares converge since the radical is nilpotent
     for _ in range(4):
         u2 = u @ u

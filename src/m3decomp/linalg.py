@@ -19,7 +19,6 @@ from .scalars import (
     EMPTY_CONSTRAINTS,
     MultiPoly,
     certified_nonzero,
-    QQ,
     rational_content,
 )
 
@@ -142,7 +141,7 @@ def echelonize(rows, constraints=EMPTY_CONSTRAINTS):
     return Echelon([_normalize_row(r) for r in ech_rows], pivot_cols)
 
 
-def ff_inverse(matrix, constraints=EMPTY_CONSTRAINTS, domain=QQ):
+def ff_inverse(matrix, constraints=EMPTY_CONSTRAINTS):
     """Fraction-free Gauss-Jordan inverse.
 
     Returns (N, d) with matrix^-1 = N / d; every intermediate entry is a
@@ -150,8 +149,7 @@ def ff_inverse(matrix, constraints=EMPTY_CONSTRAINTS, domain=QQ):
     searched downward in each column and must be certified nonzero.
     """
     n = len(matrix)
-    one = domain.one()
-    zero = domain.zero()
+    one, zero = Fraction(1), Fraction(0)
     aug = []
     for i, row in enumerate(matrix):
         if len(row) != n:
@@ -231,14 +229,12 @@ def kernel_basis(a_rows, n):
 
 
 def _exact_div(a, b):
-    if isinstance(a, MultiPoly):
-        if a.is_zero():
-            return a
-        if isinstance(b, (int, Fraction)):
-            return a if b == 1 else a * (Fraction(1) / Fraction(b))
-        if b.is_constant():
-            return a * (Fraction(1) / b.constant_value())
-        return a.exact_divide(b)
+    # a zero numerator first: a rational zero may meet a polynomial divisor
+    if sc_is_zero(a):
+        return a
     if isinstance(b, MultiPoly):
-        return a / b.constant_value()
-    return a / Fraction(b)
+        if not b.is_constant():
+            # only a polynomial is divisible by a nonconstant one
+            return a.exact_divide(b)
+        b = b.constant_value()
+    return a if b == 1 else a * (1 / Fraction(b))

@@ -24,8 +24,8 @@ from .scalars import (
     ConstraintSet,
     MultiPoly,
     PolynomialRing,
-    QQ,
     certified_nonzero,
+    exact,
 )
 
 AUTOMORPHISM = "automorphism"
@@ -36,15 +36,14 @@ class AlgebraMap:
     """A linear map of the matrix algebra, tagged automorphism or
     antiautomorphism candidate."""
 
-    __slots__ = ("matrix9", "den", "kind", "params", "constraints", "domain")
+    __slots__ = ("matrix9", "den", "kind", "params", "constraints")
 
-    def __init__(self, matrix9, den, kind, constraints=EMPTY_CONSTRAINTS, params=None, domain=QQ):
+    def __init__(self, matrix9, den, kind, constraints=EMPTY_CONSTRAINTS, params=None):
         self.matrix9 = tuple(tuple(row) for row in matrix9)
         self.den = den
         self.kind = kind
         self.constraints = constraints
         self.params = params
-        self.domain = domain
         if not certified_nonzero(den, constraints):
             raise SingularMatrix(f"denominator {den} is not certifiably nonzero")
 
@@ -52,51 +51,25 @@ class AlgebraMap:
 
     def image_numerator(self, m):
         """N applied to m's coordinates: d * map(m), fraction-free."""
-        if m.domain != self.domain:
-            raise DomainMismatch(f"{self.domain} vs {m.domain}")
         coords = m.coords()
-        out = []
-        for i in range(9):
-            acc = self.domain.zero()
-            for j in range(9):
-                acc = acc + self.matrix9[i][j] * coords[j]
-            out.append(acc)
-        return Mat3.from_coords(out, self.domain)
+        return Mat3.from_coords([sum(a * x for a, x in zip(row, coords)) for row in self.matrix9])
 
     def image(self, m):
-        """map(m) itself; requires an invertible denominator in the domain."""
-        num = self.image_numerator(m)
+        """map(m) itself; requires a constant denominator."""
         d = self.den
         if isinstance(d, MultiPoly):
             if not d.is_constant():
                 raise DomainMismatch("parametric denominator: use image_numerator")
             d = d.constant_value()
-        if isinstance(d, Fraction) or isinstance(d, int):
-            return num.scale(Fraction(1, 1) / Fraction(d))
-        return num.scale(d.inverse())
+        return self.image_numerator(m).scale(1 / Fraction(d))
 
     def compose(self, other):
         """self after other: (self . other)(x) = self(other(x))."""
-        if other.domain != self.domain:
-            raise DomainMismatch(f"{self.domain} vs {other.domain}")
-        prod = []
-        for i in range(9):
-            row = []
-            for j in range(9):
-                acc = self.domain.zero()
-                for k in range(9):
-                    acc = acc + self.matrix9[i][k] * other.matrix9[k][j]
-                row.append(acc)
-            prod.append(row)
+        cols = list(zip(*other.matrix9))
+        prod = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.matrix9]
         kind = AUTOMORPHISM if self.kind == other.kind else ANTIAUTOMORPHISM
-        return AlgebraMap(
-            prod,
-            self.den * other.den,
-            kind,
-            self.constraints.merged(other.constraints),
-            None,
-            self.domain,
-        )
+        return AlgebraMap(prod, self.den * other.den, kind,
+                          self.constraints.merged(other.constraints))
 
     def __repr__(self):
         return f"AlgebraMap({self.kind}, den={self.den})"
@@ -121,12 +94,11 @@ def is_algebra_map(m):
     candidates), that the identity matrix is fixed, and that the map is
     nonzero.  Returns (ok, witness): witness is the first failing basis pair,
     or a short tag for the unital/nonzero checks."""
-    dom = m.domain
-    basis = [Mat3.basis(i, j, dom) for (i, j) in COORD_ORDER]
+    basis = [Mat3.basis(i, j) for (i, j) in COORD_ORDER]
     if all(sc_is_zero(x) for row in m.matrix9 for x in row):
         return False, "zero map"
     # d * map(E) = N(E) must equal d * E
-    ident = Mat3.identity(dom)
+    ident = Mat3.identity()
     lhs = m.image_numerator(ident)
     rhs = ident.scale(m.den)
     if lhs != rhs:
@@ -149,12 +121,11 @@ def is_algebra_map(m):
 # concrete constructions
 # ---------------------------------------------------------------------------
 
-def transpose_map(domain=QQ):
-    z, o = domain.zero(), domain.one()
-    rows = [[z] * 9 for _ in range(9)]
+def transpose_map():
+    rows = [[Fraction(0)] * 9 for _ in range(9)]
     for k, (i, j) in enumerate(COORD_ORDER):
-        rows[COORD_ORDER.index((j, i))][k] = o
-    return AlgebraMap(rows, domain.one(), ANTIAUTOMORPHISM, EMPTY_CONSTRAINTS, None, domain)
+        rows[COORD_ORDER.index((j, i))][k] = Fraction(1)
+    return AlgebraMap(rows, Fraction(1), ANTIAUTOMORPHISM)
 
 
 def _det3(m):
@@ -186,7 +157,7 @@ def _adjugate3(m):
         ],
     ]
     # adjugate is the transposed cofactor matrix
-    return Mat3(tuple(tuple(cof[j][i] for j in range(3)) for i in range(3)), m.domain)
+    return Mat3(tuple(tuple(cof[j][i] for j in range(3)) for i in range(3)))
 
 
 def conjugation(t, constraints=EMPTY_CONSTRAINTS):
@@ -195,19 +166,18 @@ def conjugation(t, constraints=EMPTY_CONSTRAINTS):
     if not certified_nonzero(det, constraints):
         raise SingularMatrix(f"det {det} not certifiably nonzero")
     adj = _adjugate3(t)
-    dom = t.domain
     cols = []
     for (i, j) in COORD_ORDER:
-        image = adj @ Mat3.basis(i, j, dom) @ t
+        image = adj @ Mat3.basis(i, j) @ t
         cols.append(image.coords())
     rows = [[cols[j][i] for j in range(9)] for i in range(9)]
-    return AlgebraMap(rows, det, AUTOMORPHISM, constraints, None, dom)
+    return AlgebraMap(rows, det, AUTOMORPHISM, constraints)
 
 
-def theta(i, j, domain=QQ):
+def theta(i, j):
     """The index-swap automorphism: conjugation by e_ij + e_ji + e_kk."""
     k = ({1, 2, 3} - {i, j}).pop()
-    t = Mat3.basis(i, j, domain) + Mat3.basis(j, i, domain) + Mat3.basis(k, k, domain)
+    t = Mat3.basis(i, j) + Mat3.basis(j, i) + Mat3.basis(k, k)
     return conjugation(t)
 
 
@@ -219,39 +189,36 @@ PHI_PARAM_NAMES = ("beta", "gamma", "kappa", "lamda", "mu", "nu")
 PSI_PARAM_NAMES = ("alpha", "beta", "gamma", "delta", "epsilon")
 
 
-def _phi_cleared_images(beta, gamma, kappa, lamda, mu, nu, domain):
+def _phi_cleared_images(beta, gamma, kappa, lamda, mu, nu):
     """The nine images of the family, each multiplied by Delta = kappa*nu -
     lamda*mu so that all entries are polynomial."""
     b, g, k, l, m, n = beta, gamma, kappa, lamda, mu, nu
     delta = k * n - l * m
     gm_bn = g * m - b * n   # the recurring 2x2 minor with beta/gamma
     bl_gk = b * l - g * k
-    z = domain.zero()
-
-    def M(rows):
-        return Mat3(rows, domain)
+    z = 0 * delta  # the zero of the parameters' ring, so entries stay polynomials
 
     images = {
-        (1, 1): M([[delta, delta * b, delta * g], [z, z, z], [z, z, z]]),
-        (1, 2): M([[z, delta * k, delta * l], [z, z, z], [z, z, z]]),
-        (1, 3): M([[z, delta * m, delta * n], [z, z, z], [z, z, z]]),
-        (2, 2): M([[z, k * gm_bn, l * gm_bn], [z, k * n, l * n], [z, -(k * m), -(l * m)]]),
-        (2, 3): M([[z, m * gm_bn, n * gm_bn], [z, m * n, n * n], [z, -(m * m), -(m * n)]]),
-        (3, 2): M([[z, k * bl_gk, l * bl_gk], [z, -(k * l), -(l * l)], [z, k * k, k * l]]),
-        (3, 3): M([[z, m * bl_gk, n * bl_gk], [z, -(l * m), -(l * n)], [z, k * m, k * n]]),
-        (2, 1): M([[gm_bn, b * gm_bn, g * gm_bn], [n, b * n, g * n], [-m, -(b * m), -(g * m)]]),
-        (3, 1): M([[bl_gk, b * bl_gk, g * bl_gk], [-l, -(b * l), -(g * l)], [k, b * k, g * k]]),
+        (1, 1): Mat3([[delta, delta * b, delta * g], [z, z, z], [z, z, z]]),
+        (1, 2): Mat3([[z, delta * k, delta * l], [z, z, z], [z, z, z]]),
+        (1, 3): Mat3([[z, delta * m, delta * n], [z, z, z], [z, z, z]]),
+        (2, 2): Mat3([[z, k * gm_bn, l * gm_bn], [z, k * n, l * n], [z, -(k * m), -(l * m)]]),
+        (2, 3): Mat3([[z, m * gm_bn, n * gm_bn], [z, m * n, n * n], [z, -(m * m), -(m * n)]]),
+        (3, 2): Mat3([[z, k * bl_gk, l * bl_gk], [z, -(k * l), -(l * l)], [z, k * k, k * l]]),
+        (3, 3): Mat3([[z, m * bl_gk, n * bl_gk], [z, -(l * m), -(l * n)], [z, k * m, k * n]]),
+        (2, 1): Mat3([[gm_bn, b * gm_bn, g * gm_bn], [n, b * n, g * n], [-m, -(b * m), -(g * m)]]),
+        (3, 1): Mat3([[bl_gk, b * bl_gk, g * bl_gk], [-l, -(b * l), -(g * l)], [k, b * k, g * k]]),
     }
     return images, delta
 
 
-def _map_from_images(images, den, constraints, params, domain):
+def _map_from_images(images, den, constraints, params):
     cols = {src: images[src].coords() for src in images}
     rows = [[cols[COORD_ORDER[j]][i] for j in range(9)] for i in range(9)]
-    return AlgebraMap(rows, den, AUTOMORPHISM, constraints, params, domain)
+    return AlgebraMap(rows, den, AUTOMORPHISM, constraints, params)
 
 
-def phi_map(beta=None, gamma=None, kappa=None, lamda=None, mu=None, nu=None, domain=None):
+def phi_map(beta=None, gamma=None, kappa=None, lamda=None, mu=None, nu=None):
     """The six-parameter automorphism family preserving
     Span{e11,e12,e13,e22,e23,e32,e33}; requires Delta = kappa*nu - lamda*mu
     nonzero.
@@ -264,20 +231,18 @@ def phi_map(beta=None, gamma=None, kappa=None, lamda=None, mu=None, nu=None, dom
         b, g, k, l, m, n = ring.gens()
         delta = k * n - l * m
         constraints = ConstraintSet([delta])
-        images, den = _phi_cleared_images(b, g, k, l, m, n, ring)
+        images, den = _phi_cleared_images(b, g, k, l, m, n)
         params = dict(zip(PHI_PARAM_NAMES, ring.gens()))
-        return _map_from_images(images, den, constraints, params, ring)
-    if domain is None:
-        domain = QQ
-    vals = [domain.coerce(x) for x in (beta, gamma, kappa, lamda, mu, nu)]
-    images, den = _phi_cleared_images(*vals, domain)
+        return _map_from_images(images, den, constraints, params)
+    vals = [exact(x) for x in (beta, gamma, kappa, lamda, mu, nu)]
+    images, den = _phi_cleared_images(*vals)
     if sc_is_zero(den):
         raise SingularMatrix("Delta = kappa*nu - lamda*mu vanishes")
     params = dict(zip(PHI_PARAM_NAMES, vals))
-    return _map_from_images(images, den, EMPTY_CONSTRAINTS, params, domain)
+    return _map_from_images(images, den, EMPTY_CONSTRAINTS, params)
 
 
-def psi_map(alpha=None, beta=None, gamma=None, delta=None, epsilon=None, domain=None):
+def psi_map(alpha=None, beta=None, gamma=None, delta=None, epsilon=None):
     """The five-parameter automorphism family preserving the upper-triangular
     subalgebra: the previous family specialized to mu = 0 under the renaming
     (kappa, lamda, mu, nu) = (delta, epsilon, 0, alpha); requires alpha and
@@ -286,17 +251,15 @@ def psi_map(alpha=None, beta=None, gamma=None, delta=None, epsilon=None, domain=
         ring = PolynomialRing(PSI_PARAM_NAMES)
         a, b, g, d, e = ring.gens()
         constraints = ConstraintSet([a, d])
-        images, den = _phi_cleared_images(b, g, d, e, ring.zero(), a, ring)
+        images, den = _phi_cleared_images(b, g, d, e, ring.zero(), a)
         params = dict(zip(PSI_PARAM_NAMES, ring.gens()))
-        return _map_from_images(images, den, constraints, params, ring)
-    if domain is None:
-        domain = QQ
-    a, b, g, d, e = [domain.coerce(x) for x in (alpha, beta, gamma, delta, epsilon)]
+        return _map_from_images(images, den, constraints, params)
+    a, b, g, d, e = [exact(x) for x in (alpha, beta, gamma, delta, epsilon)]
     if sc_is_zero(a) or sc_is_zero(d):
         raise SingularMatrix("alpha and delta must be nonzero")
-    images, den = _phi_cleared_images(b, g, d, e, domain.zero(), a, domain)
+    images, den = _phi_cleared_images(b, g, d, e, Fraction(0), a)
     params = dict(zip(PSI_PARAM_NAMES, (a, b, g, d, e)))
-    return _map_from_images(images, den, EMPTY_CONSTRAINTS, params, domain)
+    return _map_from_images(images, den, EMPTY_CONSTRAINTS, params)
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +279,17 @@ def rescaled_pair_images_72():
     ring = PolynomialRing(names)
     k, n, d, e, f, g, s, t, x, y = ring.gens()
     z = ring.zero()
-    images, den = _phi_cleared_images(z, z, k, z, z, n, ring)
-    phi = _map_from_images(images, den, ConstraintSet([k, n]), None, ring)
-    v1 = Mat3([[z, z, z], [ring.one(), d, e], [z, f, g]], ring)
-    v2 = Mat3([[z, z, z], [z, s, t], [ring.one(), x, y]], ring)
+    images, den = _phi_cleared_images(z, z, k, z, z, n)
+    phi = _map_from_images(images, den, ConstraintSet([k, n]), None)
+    v1 = Mat3([[z, z, z], [ring.one(), d, e], [z, f, g]])
+    v2 = Mat3([[z, z, z], [z, s, t], [ring.one(), x, y]])
     computed1 = phi.image_numerator(v1).scale(k)
     claimed1 = Mat3(
-        [[z, z, z], [k * n, k * k * n * d, k * n * n * e], [z, k * k * k * f, k * k * n * g]],
-        ring,
+        [[z, z, z], [k * n, k * k * n * d, k * n * n * e], [z, k * k * k * f, k * k * n * g]]
     )
     computed2 = phi.image_numerator(v2).scale(n)
     claimed2 = Mat3(
-        [[z, z, z], [z, k * n * n * s, t * n * n * n], [k * n, k * k * n * x, k * n * n * y]],
-        ring,
+        [[z, z, z], [z, k * n * n * s, t * n * n * n], [k * n, k * k * n * x, k * n * n * y]]
     )
     return (computed1, claimed1), (computed2, claimed2)
 
@@ -340,18 +301,17 @@ def rescaled_pair_images_63():
     ring = PolynomialRing(names)
     k, n, a, b, c, d, e, f, r, s, t, u, x, y = ring.gens()
     z, o = ring.zero(), ring.one()
-    images, den = _phi_cleared_images(z, z, k, z, z, n, ring)
-    phi = _map_from_images(images, den, ConstraintSet([k, n]), None, ring)
-    v1 = Mat3([[z, a, b], [o, c, d], [z, e, f]], ring)
-    v2 = Mat3([[z, r, s], [z, t, u], [o, x, y]], ring)
+    images, den = _phi_cleared_images(z, z, k, z, z, n)
+    phi = _map_from_images(images, den, ConstraintSet([k, n]), None)
+    v1 = Mat3([[z, a, b], [o, c, d], [z, e, f]])
+    v2 = Mat3([[z, r, s], [z, t, u], [o, x, y]])
     computed1 = phi.image_numerator(v1).scale(k)
     claimed1 = Mat3(
         [
             [z, k * k * k * n * a, k * k * n * n * b],
             [k * n, k * k * n * c, k * n * n * d],
             [z, k * k * k * e, k * k * n * f],
-        ],
-        ring,
+        ]
     )
     computed2 = phi.image_numerator(v2).scale(n)
     claimed2 = Mat3(
@@ -359,7 +319,6 @@ def rescaled_pair_images_63():
             [z, k * k * n * n * r, k * n * n * n * s],
             [z, k * n * n * t, n * n * n * u],
             [k * n, k * k * n * x, k * n * n * y],
-        ],
-        ring,
+        ]
     )
     return (computed1, claimed1), (computed2, claimed2)

@@ -1,4 +1,10 @@
-"""The 3x3 matrix algebra over an exact scalar domain, and subspaces of it.
+"""The 3x3 matrix algebra over the exact scalars, and subspaces of it.
+
+Entries are Fractions or polynomials, and one matrix may hold both: a
+rational entry is a constant of whatever ring its neighbours live in, so a
+constant matrix multiplies, adds to and spans with a parametric one as it
+stands.  Two polynomials from different rings still refuse to meet
+(DomainMismatch), which is the only compatibility check left.
 
 Coordinates are always flattened in the fixed order
 
@@ -9,98 +15,77 @@ which every report and file format in the package relies on.
 
 from __future__ import annotations
 
-from .errors import DomainMismatch
+from fractions import Fraction
+
 from .linalg import echelonize, sc_is_zero
-from .scalars import EMPTY_CONSTRAINTS, QQ
+from .scalars import EMPTY_CONSTRAINTS, exact
 
 #: coordinate order of the nine basis matrices
 COORD_ORDER = tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
 COORD_INDEX = {ij: k for k, ij in enumerate(COORD_ORDER)}
 
+_Z, _O = Fraction(0), Fraction(1)
+
 
 class Mat3:
-    """A 3x3 matrix with entries in one scalar domain."""
+    """A 3x3 matrix of exact scalars (Fractions and polynomials)."""
 
-    __slots__ = ("rows", "domain")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows, domain):
-        rows = tuple(tuple(domain.coerce(x) for x in r) for r in rows)
+    def __init__(self, rows):
+        rows = tuple(tuple(exact(x) for x in r) for r in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("3x3 entries required")
         self.rows = rows
-        self.domain = domain
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(domain=QQ):
-        z = domain.zero()
-        return Mat3(((z, z, z),) * 3, domain)
+    def zero():
+        return Mat3(((_Z, _Z, _Z),) * 3)
 
     @staticmethod
-    def identity(domain=QQ):
-        z, o = domain.zero(), domain.one()
-        return Mat3(((o, z, z), (z, o, z), (z, z, o)), domain)
+    def identity():
+        return Mat3(((_O, _Z, _Z), (_Z, _O, _Z), (_Z, _Z, _O)))
 
     @staticmethod
-    def basis(i, j, domain=QQ):
+    def basis(i, j):
         """The matrix unit e_ij (1-based indices)."""
-        z, o = domain.zero(), domain.one()
-        rows = [[z, z, z], [z, z, z], [z, z, z]]
-        rows[i - 1][j - 1] = o
-        return Mat3(rows, domain)
+        rows = [[_Z, _Z, _Z], [_Z, _Z, _Z], [_Z, _Z, _Z]]
+        rows[i - 1][j - 1] = _O
+        return Mat3(rows)
 
     @staticmethod
-    def from_coords(coords, domain=QQ):
+    def from_coords(coords):
         coords = list(coords)
         if len(coords) != 9:
             raise ValueError("nine coordinates required")
-        return Mat3((coords[0:3], coords[3:6], coords[6:9]), domain)
+        return Mat3((coords[0:3], coords[3:6], coords[6:9]))
 
     # -- ring structure ------------------------------------------------------
 
-    def _same_domain(self, other):
-        if not isinstance(other, Mat3):
-            raise DomainMismatch(f"expected Mat3, got {other!r}")
-        if other.domain != self.domain:
-            raise DomainMismatch(f"{self.domain} vs {other.domain}")
-
     def __add__(self, other):
-        self._same_domain(other)
-        return Mat3(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
-            self.domain,
-        )
+        return Mat3(tuple(tuple(a + b for a, b in zip(r1, r2))
+                          for r1, r2 in zip(self.rows, other.rows)))
 
     def __sub__(self, other):
-        self._same_domain(other)
-        return Mat3(
-            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
-            self.domain,
-        )
+        return Mat3(tuple(tuple(a - b for a, b in zip(r1, r2))
+                          for r1, r2 in zip(self.rows, other.rows)))
 
     def __neg__(self):
-        return Mat3(tuple(tuple(-a for a in r) for r in self.rows), self.domain)
+        return Mat3(tuple(tuple(-a for a in r) for r in self.rows))
 
     def scale(self, c):
-        c = self.domain.coerce(c)
-        return Mat3(tuple(tuple(c * a for a in r) for r in self.rows), self.domain)
+        c = exact(c)
+        return Mat3(tuple(tuple(c * a for a in r) for r in self.rows))
 
     def __matmul__(self, other):
-        self._same_domain(other)
-        rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                acc = self.domain.zero()
-                for k in range(3):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return Mat3(tuple(rows), self.domain)
+        b = other.rows
+        return Mat3(tuple(tuple(r[0] * b[0][j] + r[1] * b[1][j] + r[2] * b[2][j] for j in range(3))
+                          for r in self.rows))
 
     def transpose(self):
-        return Mat3(tuple(tuple(self.rows[j][i] for j in range(3)) for i in range(3)), self.domain)
+        return Mat3(tuple(tuple(self.rows[j][i] for j in range(3)) for i in range(3)))
 
     def trace(self):
         return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
@@ -111,18 +96,13 @@ class Mat3:
     def is_zero(self):
         return all(sc_is_zero(x) for row in self.rows for x in row)
 
-    def map_domain(self, domain):
-        """Re-express entries in another domain (e.g. lift Q into a
-        polynomial ring)."""
-        return Mat3(self.rows, domain)
-
     def __eq__(self, other):
         if not isinstance(other, Mat3):
             return NotImplemented
-        return self.domain == other.domain and self.rows == other.rows
+        return self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.domain, self.rows))
+        return hash(self.rows)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -138,13 +118,12 @@ class Subspace:
     specialization.
     """
 
-    __slots__ = ("generators", "echelon", "constraints", "domain")
+    __slots__ = ("generators", "echelon", "constraints")
 
-    def __init__(self, generators, echelon, constraints, domain):
+    def __init__(self, generators, echelon, constraints):
         self.generators = tuple(generators)
         self.echelon = echelon
         self.constraints = constraints
-        self.domain = domain
 
     @property
     def dim(self):
@@ -157,8 +136,6 @@ class Subspace:
     def contains(self, m):
         """True iff m lies in the span under every constraint-satisfying
         specialization (the reduced residual vanishes identically)."""
-        if m.domain != self.domain:
-            raise DomainMismatch(f"{self.domain} vs {m.domain}")
         residual = self.echelon.reduce(list(m.coords()), self.constraints)
         return all(sc_is_zero(x) for x in residual)
 
@@ -180,18 +157,17 @@ class Subspace:
         return True, None
 
     def contains_identity(self):
-        return self.contains(Mat3.identity(self.domain))
+        return self.contains(Mat3.identity())
 
     def basis_mats(self):
-        return [Mat3.from_coords(r, self.domain) for r in self.echelon.rows]
+        return [Mat3.from_coords(r) for r in self.echelon.rows]
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, gens={len(self.generators)})"
 
 
 def span(gens, constraints=EMPTY_CONSTRAINTS):
-    """Span of matrices over their common domain, with reduced form and
-    certified dimension.
+    """Span of matrices, with reduced form and certified dimension.
 
     Rescaling a generator by a constraint-nonzero polynomial yields an equal
     subspace; all-zero generators give the zero subspace (dimension 0).
@@ -199,19 +175,13 @@ def span(gens, constraints=EMPTY_CONSTRAINTS):
     gens = list(gens)
     if not gens:
         raise ValueError("at least one generator required")
-    domain = gens[0].domain
-    for g in gens:
-        if g.domain != domain:
-            raise DomainMismatch(f"{domain} vs {g.domain}")
     ech = echelonize([list(g.coords()) for g in gens], constraints)
-    return Subspace(gens, ech, constraints, domain)
+    return Subspace(gens, ech, constraints)
 
 
 def is_direct_sum(s, b):
     """True iff dims add to 9 and the stacked coordinate matrix has rank 9
     for every specialization satisfying the merged constraints."""
-    if s.domain != b.domain:
-        raise DomainMismatch(f"{s.domain} vs {b.domain}")
     if s.dim + b.dim != 9:
         return False
     merged = s.constraints.merged(b.constraints)

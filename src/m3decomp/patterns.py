@@ -130,13 +130,13 @@ class PivotPattern:
         ring = self.ring
         out = []
         if self.include_identity:
-            out.append(Mat3.identity(ring))
+            out.append(Mat3.identity())
         for g in self.gens:
             coords = [ring.constant(x) for x in g.base]
             for (p, vec) in g.dirs:
                 gen = ring.gen(p)
                 coords = [c + gen * ring.constant(v) for c, v in zip(coords, vec)]
-            out.append(Mat3.from_coords(coords, ring))
+            out.append(Mat3.from_coords(coords))
         return out
 
     def closure_system(self, pairs="all"):
@@ -373,20 +373,6 @@ PATTERN_ALIASES = {"7-2": "t1", "t4m1": "t4"}
 
 def get_pattern(name):
     return PATTERNS[PATTERN_ALIASES.get(name, name)]
-
-
-#: which catalog theorem feeds which pattern for coverage matching
-PATTERN_THEOREM_ENTRIES = {
-    "t1": ("R", None),
-    "t2": ("S", None),
-    "t3": ("T", None),
-    "t4": ("U", "@M1"),
-    "t4m2": ("U", "@M2"),
-    "t5": ("V", None),
-    "t6": ("X", None),
-    "t7": ("Y", None),
-    "t8": ("Z", None),
-}
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,14 @@ from fractions import Fraction
 
 from .errors import NotDirectSum
 from .linalg import ff_inverse
-from .matrices import COORD_ORDER, is_direct_sum, span
+from .matrices import COORD_ORDER, Mat3, is_direct_sum, span
 from .scalars import (
     EMPTY_CONSTRAINTS,
     ConstraintSet,
     MultiPoly,
     PolynomialRing,
-    QQ,
     certified_nonzero,
+    exact,
     poly_to_string,
 )
 
@@ -48,7 +48,6 @@ class RBOperator:
     weight: object
     source_entry: str = ""
     constraints: ConstraintSet = EMPTY_CONSTRAINTS
-    domain: object = QQ
 
     def to_json(self):
         return {
@@ -72,12 +71,9 @@ def splitting_rb(s, b, weight, source_entry=""):
 
     The basis-change matrix is assembled with B's (constant-pivoted) reduced
     basis first so that parametric entries never block a pivot."""
-    if s.domain != b.domain:
-        raise NotDirectSum("summands live over different domains")
     if not is_direct_sum(s, b):
         raise NotDirectSum("the two subspaces do not span the matrix space directly")
-    domain = s.domain
-    weight = domain.coerce(weight)
+    weight = exact(weight)
     constraints = s.constraints.merged(b.constraints)
     if not certified_nonzero(weight, constraints):
         raise ValueError("weight must be (certifiably) nonzero")
@@ -86,15 +82,14 @@ def splitting_rb(s, b, weight, source_entry=""):
     cols = [list(r) for r in b_rows] + [list(r) for r in s_rows]
     # D has the basis vectors as columns, B's first
     d_mat = [[cols[j][i] for j in range(9)] for i in range(9)]
-    numer, det = ff_inverse(d_mat, constraints, domain)
+    numer, det = ff_inverse(d_mat, constraints)
     m = len(b_rows)
-    zero = domain.zero()
     neg_w = -weight
     matrix9 = tuple(
-        tuple(neg_w * sum((d_mat[i][t] * numer[t][j] for t in range(m)), zero) for j in range(9))
+        tuple(neg_w * sum(d_mat[i][t] * numer[t][j] for t in range(m)) for j in range(9))
         for i in range(9)
     )
-    return RBOperator(matrix9, det, weight, source_entry, constraints, domain)
+    return RBOperator(matrix9, det, weight, source_entry, constraints)
 
 
 def check_rb_identity(r):
@@ -102,18 +97,17 @@ def check_rb_identity(r):
     against at most seven columns of N; returns (ok, first failing pair)."""
     cols = [[row[a] for row in r.matrix9] for a in range(9)]  # cols[3i + j] = N(e_ij)
     lam_d = r.weight * r.den
-    zero = r.domain.zero()
     for a, X in enumerate(cols):
         i, j = divmod(a, 3)
         for c, Y in enumerate(cols):
             k, l = divmod(c, 3)
-            lhs = [sum((X[p + m] * Y[3 * m + q] for m in range(3)), zero)
+            lhs = [sum(X[p + m] * Y[3 * m + q] for m in range(3))
                    for p in (0, 3, 6) for q in range(3)]
             terms = [(X[3 * m + k], cols[3 * m + l]) for m in range(3)]
             terms += [(Y[3 * j + m], cols[3 * i + m]) for m in range(3)]
             if j == k:
                 terms.append((lam_d, cols[3 * i + l]))
-            rhs = [sum((f * col[t] for f, col in terms), zero) for t in range(9)]
+            rhs = [sum(f * col[t] for f, col in terms) for t in range(9)]
             if lhs != rhs:
                 return False, (COORD_ORDER[a], COORD_ORDER[c])
     return True, None
@@ -123,12 +117,11 @@ def check_complement_identity(r, r_tilde):
     """R + R~ = -lambda Id, cross-multiplied through both denominators."""
     if r.weight != r_tilde.weight:
         return False
-    dom = r.domain
     lam = r.weight
     for i in range(9):
         for j in range(9):
             lhs = r.matrix9[i][j] * r_tilde.den + r_tilde.matrix9[i][j] * r.den
-            rhs = -(lam * r.den * r_tilde.den) if i == j else dom.zero()
+            rhs = -(lam * r.den * r_tilde.den) if i == j else 0
             if lhs != rhs:
                 return False
     return True
@@ -136,15 +129,16 @@ def check_complement_identity(r, r_tilde):
 
 def _summands(entry, weight):
     """(S, B, weight) of an entry's decomposition: symbolic in the entry's
-    parameters and the weight when weight is None, else over Q with the
-    parameters set to 2, 3, ..."""
+    parameters and the weight when weight is None (S's entries cast into the
+    ring that carries the weight, B's constant ones left over Q), else over Q
+    with the parameters set to 2, 3, ..."""
     if weight is None:
         ring = PolynomialRing(entry.params + (WEIGHT_VAR,))
         lam = ring.gen(WEIGHT_VAR)
         constraints = entry.constraints.cast(ring).merged(ConstraintSet([lam]))
-        s = span([g.map_domain(ring) for g in entry.s_generators], constraints)
-        b = span([g.map_domain(ring) for g in entry.complement.generators], constraints)
-        return s, b, lam
+        s = span([Mat3([[x.cast(ring) for x in row] for row in g.rows])
+                  for g in entry.s_generators], constraints)
+        return s, entry.complement.subspace(), lam
     s, b = entry.specialize({p: 2 + i for i, p in enumerate(entry.params)})
     return s, b, Fraction(weight)
 

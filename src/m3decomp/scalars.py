@@ -1,4 +1,4 @@
-"""Exact scalar domains: rationals and sparse multivariate polynomials with
+"""Exact scalars: rationals and sparse multivariate polynomials with
 rational coefficients.
 
 Two scalar kinds appear throughout the package:
@@ -7,6 +7,13 @@ Two scalar kinds appear throughout the package:
                 base field at desk scale),
   MultiPoly  -- sparse polynomials over Q in a fixed ordered variable list,
                 represented as  {exponent tuple: Fraction coefficient}.
+
+The two mix freely: a rational is a constant of every polynomial ring, so a
+matrix or a row may hold both, and arithmetic between them gives a
+polynomial.  Only two polynomials decide whether they may meet: their rings
+must have the same variable list, or the operation raises DomainMismatch.
+`exact` is the one gate into this world: ints become Fractions, and anything
+else (a float above all) is refused.
 
 A polynomial never stores zero coefficients, and every exponent tuple has one
 entry per ring variable.  Monomials are ordered lexicographically on the fixed
@@ -32,37 +39,14 @@ from fractions import Fraction
 from .errors import DomainMismatch, MissingVariable, ParseError
 
 
-# ---------------------------------------------------------------------------
-# domains
-# ---------------------------------------------------------------------------
-
-class RationalField:
-    """The field Q with Fraction elements."""
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        raise DomainMismatch(f"cannot coerce {x!r} into Q")
-
-    def __repr__(self):
-        return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
-
-QQ = RationalField()
+def exact(x):
+    """x as an exact scalar: an int becomes a Fraction, a Fraction or a
+    polynomial passes unchanged, and anything else raises DomainMismatch."""
+    if type(x) is Fraction or isinstance(x, MultiPoly):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise DomainMismatch(f"{x!r} is not an exact scalar")
 
 
 def rational_content(values):
@@ -118,20 +102,11 @@ class PolynomialRing:
     def gens(self):
         return tuple(self.gen(n) for n in self.names)
 
-    def coerce(self, x):
-        if isinstance(x, MultiPoly):
-            if x.ring.names == self.names:
-                return x
-            return x.cast(self)
-        if isinstance(x, (int, Fraction)):
-            return self.constant(x)
-        raise DomainMismatch(f"cannot coerce {x!r} into {self!r}")
-
     def parse(self, text):
         return parse_poly(text, self)
 
     def __repr__(self):
-        return "QQ[" + ",".join(self.names) + "]"
+        return "Q[" + ",".join(self.names) + "]"
 
     def __eq__(self, other):
         return isinstance(other, PolynomialRing) and other.names == self.names
@@ -185,6 +160,8 @@ class MultiPoly:
         return None
 
     def __add__(self, other):
+        if not isinstance(other, MultiPoly) and isinstance(other, (int, Fraction)) and not other:
+            return self
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
@@ -211,6 +188,8 @@ class MultiPoly:
         return other - self
 
     def __mul__(self, other):
+        if not isinstance(other, MultiPoly) and isinstance(other, (int, Fraction)):
+            return MultiPoly(self.ring, {e: c * other for e, c in self.terms.items()})
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
@@ -233,15 +212,17 @@ class MultiPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.constant(other)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.ring.constant(other)
         return self.ring.names == other.ring.names and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring.names, frozenset(self.terms.items())))
+            # a constant equals its rational, so it hashes like it
+            self._hash = (hash(self.constant_value()) if self.is_constant()
+                          else hash((self.ring.names, frozenset(self.terms.items()))))
         return self._hash
 
     # -- structure --------------------------------------------------------
@@ -312,8 +293,8 @@ class MultiPoly:
                 # variables that never occur may stay unassigned
                 vals.append(None)
             else:
-                vals.append(QQ.coerce(assignment[n]))
-        total = QQ.zero()
+                vals.append(exact(assignment[n]))
+        total = Fraction(0)
         for exp, coeff in self.terms.items():
             term = coeff
             for i, e in enumerate(exp):
@@ -386,16 +367,23 @@ class ConstraintSet:
 EMPTY_CONSTRAINTS = ConstraintSet()
 
 
+def first_violation(constraints, assignment):
+    """The first side condition an assignment breaks, or None: a nonzero
+    polynomial that evaluates to zero, else a not-both-zero pair whose
+    members both do."""
+    for p in constraints.nonzero:
+        if p.eval(assignment) == 0:
+            return p
+    for pair in constraints.not_both_zero:
+        if all(q.eval(assignment) == 0 for q in pair):
+            return pair
+    return None
+
+
 def constraint_satisfied(constraints, assignment):
     """True iff every nonzero polynomial evaluates nonzero and every
     not-both-zero pair has a nonzero member."""
-    for p in constraints.nonzero:
-        if p.eval(assignment) == 0:
-            return False
-    for a, b in constraints.not_both_zero:
-        if a.eval(assignment) == 0 and b.eval(assignment) == 0:
-            return False
-    return True
+    return first_violation(constraints, assignment) is None
 
 
 def certified_nonzero(scalar, constraints=EMPTY_CONSTRAINTS):

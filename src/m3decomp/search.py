@@ -32,7 +32,7 @@ from .catalog import COMPLEMENTS, builtin_catalog
 from .errors import BudgetExceeded, GroupMismatch, PatternMismatch
 from .fpsolve import compile_poly, solve_system_fp
 from .gfq import GFq, check_prime
-from .patterns import PATTERN_THEOREM_ENTRIES, get_pattern
+from .patterns import get_pattern
 
 #: group family and optional antiautomorphism twist preserving each fixed
 #: complement (one twist representative suffices: any two complement-
@@ -398,13 +398,9 @@ def _specializations(pattern_name, gf):
     yields (entry id, parameter names, values, cells, ok) per entry, values
     holding one row of parameter values per specialization in grid order."""
     pdata = _pdata(pattern_name)
-    prefix, tag = PATTERN_THEOREM_ENTRIES[pattern_name]
+    comp_id = get_pattern(pattern_name).complement_id
     for entry in builtin_catalog():
-        if not entry.id.startswith(prefix) or entry.id[len(prefix)].isalpha():
-            continue
-        if tag is not None and not entry.id.endswith(tag):
-            continue
-        if tag is None and "@" in entry.id:
+        if entry.complement_id != comp_id:
             continue
         names = entry.params
         values = gf.elements()[_grid((gf.q,) * len(names))]

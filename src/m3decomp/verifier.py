@@ -59,9 +59,9 @@ def sample_assignment(entry, rng):
 def _check_decomposition(entry, S, B):
     """Closure of both summands, the rank-9 direct sum and the unital
     component of S (+) B: the four flags, then the failing generator pairs of
-    S and of B."""
+    S and of B.  B is the entry's complement, whose closure is decided once."""
     ok_s, wit_s = S.is_subalgebra()
-    ok_b, wit_b = B.is_subalgebra()
+    ok_b, wit_b = entry.complement.closure()
     ds = is_direct_sum(S, B)
     unital_side, other_side = (S, B) if entry.unital_component == "S" else (B, S)
     unital = unital_side.contains_identity() and not other_side.contains_identity()

@@ -7,13 +7,14 @@ from m3decomp.catalog import (
     D_TEMPLATES,
     LEMMA5_SUBALGEBRAS,
     CatalogEntry,
+    ComplementDef,
     builtin_catalog,
     entry_by_id,
     load_catalog,
     save_catalog,
 )
 from m3decomp.errors import ConstraintViolated, ParseError, SchemaError
-from m3decomp.matrices import Mat3, is_direct_sum, span
+from m3decomp.matrices import Mat3, Subspace, is_direct_sum, span
 
 
 def test_catalog_count_and_split():
@@ -57,6 +58,39 @@ def test_specialize_constraint_violation():
     assert "y" in str(exc.value)
     with pytest.raises(ConstraintViolated):
         entry_by_id("S12").specialize({"e": 1, "u": 1})
+
+
+def test_specialize_names_the_first_violated_condition():
+    rec = entry_by_id("R9").to_json()
+    rec["params"] = ["y", "a"]
+    rec["constraints"]["not_both_zero"] = [["a", "y-1"]]
+    entry = CatalogEntry.from_json(rec)
+    with pytest.raises(ConstraintViolated) as exc:
+        entry.specialize({"y": 0, "a": 0})
+    assert exc.value.polynomial == "y"
+    with pytest.raises(ConstraintViolated) as exc:
+        entry.specialize({"y": 1, "a": 0})
+    assert exc.value.polynomial == "(a,y-1)"
+    S, _ = entry.specialize({"y": 1, "a": 1})
+    assert S.dim == 2
+
+
+def test_complement_subspace_and_closure_built_once(monkeypatch):
+    checked = []
+    is_subalgebra = Subspace.is_subalgebra
+    monkeypatch.setattr(Subspace, "is_subalgebra",
+                        lambda s: checked.append(s) or is_subalgebra(s))
+    comp = ComplementDef("M7", COMPLEMENTS["M7"].generators, unital=True)
+    sub = comp.subspace()
+    assert comp.subspace() is sub and sub.dim == 7
+    assert comp.closure() == comp.closure() == (True, None)
+    assert checked == [sub]
+    assert all(c.closure() == (True, None) for c in COMPLEMENTS.values())
+    # every entry shares its complement's one subspace, whatever the mode
+    for e in builtin_catalog():
+        b = e.complement.subspace()
+        assert e.b_subspace_symbolic() is b
+        assert e.specialize({p: 2 for p in e.params})[1] is b
 
 
 def test_specialize_r10_full_checks():

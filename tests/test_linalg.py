@@ -97,7 +97,7 @@ def test_ff_inverse_parametric():
     z, o = R.zero(), R.one()
     c = ConstraintSet([y])
     m = [[y, z, z], [o, o, z], [z, y, o]]
-    numer, det = ff_inverse(m, c, domain=R)
+    numer, det = ff_inverse(m, c)
     for i in range(3):
         for j in range(3):
             acc = R.zero()
@@ -154,3 +154,10 @@ def test_normalized_echelon_rows():
     assert echelonize([[R.constant(v) for v in q]]).rows == [[3, -2, 0]]
     row = [Fraction(-2, 3) * x, Fraction(4, 9) * x + Fraction(1, 3), R.zero()]
     assert echelonize([row], ConstraintSet([x])).rows == [[6 * x, -4 * x - 3, 0]]
+    # a rational entry is a constant of the ring: mixed rows reduce alike
+    mixed = [Fraction(-2, 3) * x, Fraction(4, 9) * x + Fraction(1, 3), Fraction(0)]
+    assert echelonize([mixed], ConstraintSet([x])).rows == [[6 * x, -4 * x - 3, 0]]
+    rows = [[x, Fraction(1), Fraction(0)], [Fraction(0), x, Fraction(2)]]
+    lifted = [[v * R.one() for v in r] for r in rows]
+    assert (echelonize(rows, ConstraintSet([x])).rows
+            == echelonize(lifted, ConstraintSet([x])).rows)

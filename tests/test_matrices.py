@@ -5,7 +5,7 @@ import pytest
 
 from m3decomp.errors import DomainMismatch
 from m3decomp.matrices import Mat3, is_direct_sum, span
-from m3decomp.scalars import ConstraintSet, PolynomialRing, QQ
+from m3decomp.scalars import ConstraintSet, PolynomialRing
 
 
 def e(i, j):
@@ -26,7 +26,7 @@ def test_mat_mul_associativity_randomized():
     rng = random.Random(2)
     for _ in range(30):
         mats = [
-            Mat3([[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)], QQ)
+            Mat3([[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)])
             for _ in range(3)
         ]
         a, b, c = mats
@@ -36,9 +36,31 @@ def test_mat_mul_associativity_randomized():
 
 
 def test_domain_mismatch():
-    R = PolynomialRing(("y",))
+    y = PolynomialRing(("y",)).gen("y")
+    z = PolynomialRing(("z",)).gen("z")
     with pytest.raises(DomainMismatch):
-        e(1, 1) @ Mat3.identity(R)
+        Mat3.identity().scale(y) @ Mat3.identity().scale(z)
+    with pytest.raises(DomainMismatch):
+        Mat3.identity().scale(y) + Mat3.identity().scale(z)
+    with pytest.raises(DomainMismatch):
+        Mat3.identity().scale(0.5)
+
+
+def test_rational_matrix_mixes_with_polynomial_matrix():
+    R = PolynomialRing(("y",))
+    y = R.gen("y")
+    q = Mat3([[1, Fraction(1, 2), 0], [0, 3, -1], [2, 0, 1]])
+    m = e(1, 2).scale(y) + e(2, 1) + e(3, 3).scale(y * y - 1)
+
+    def lift(a):
+        return Mat3([[x * R.one() for x in row] for row in a.rows])
+
+    assert all(type(x) is Fraction for x in q.coords())
+    assert all(x.ring is R for x in lift(q).coords())
+    assert q @ m == lift(q) @ lift(m) and m @ q == lift(m) @ lift(q)
+    assert q + m == lift(q) + lift(m)
+    assert q == lift(q) and hash(q) == hash(lift(q))
+    assert span([q, m]).dim == span([lift(q), lift(m)]).dim == 2
 
 
 def test_span_dims():
@@ -53,8 +75,8 @@ def test_span_r10_scaled():
     d, f = R.gens()
     c = ConstraintSet([f])
     z, o = R.zero(), R.one()
-    g1 = Mat3([[z, z, z], [f, d * f, f], [z, o, f]], R)
-    g2 = Mat3([[z, z, z], [z, o, f], [o, o, o + f - d * f]], R)
+    g1 = Mat3([[z, z, z], [f, d * f, f], [z, o, f]])
+    g2 = Mat3([[z, z, z], [z, o, f], [o, o, o + f - d * f]])
     s = span([g1, g2], c)
     assert s.dim == 2
 
@@ -63,8 +85,8 @@ def test_span_scaling_invariance():
     R = PolynomialRing(("y",))
     y = R.gen("y")
     c = ConstraintSet([y])
-    g = Mat3.basis(2, 1, R) + Mat3.basis(2, 2, R).scale(y)
-    h = Mat3.basis(3, 1, R)
+    g = Mat3.basis(2, 1) + Mat3.basis(2, 2).scale(y)
+    h = Mat3.basis(3, 1)
     s1 = span([g, h], c)
     s2 = span([g.scale(y), h.scale(y * y)], c)
     assert s1.same_space(s2)
@@ -89,15 +111,15 @@ def test_contains_r8_closure():
     c = ConstraintSet([y])
     one = R.one()
     v1 = (
-        Mat3.basis(2, 1, R)
-        + Mat3.basis(2, 2, R).scale(one - y)
-        + Mat3.basis(2, 3, R)
+        Mat3.basis(2, 1)
+        + Mat3.basis(2, 2).scale(one - y)
+        + Mat3.basis(2, 3)
     )
     v2 = (
-        Mat3.basis(3, 1, R)
-        + Mat3.basis(2, 2, R)
-        + Mat3.basis(2, 3, R)
-        + Mat3.basis(3, 3, R).scale(y)
+        Mat3.basis(3, 1)
+        + Mat3.basis(2, 2)
+        + Mat3.basis(2, 3)
+        + Mat3.basis(3, 3).scale(y)
     )
     s = span([v1, v2], c)
     assert s.contains(v1 @ v1)
@@ -117,9 +139,9 @@ def test_is_subalgebra_s12():
     ev, uv = R.gens()
     c = ConstraintSet([ev, ev * uv - 1])
     z, o = R.zero(), R.one()
-    E = Mat3.identity(R)
-    v1 = Mat3([[z, z, ev * uv - 1], [o, o, o], [z, ev, o]], R)
-    v2 = Mat3([[z, ev * uv - 1, z], [z, o, uv], [o, o, o]], R)
+    E = Mat3.identity()
+    v1 = Mat3([[z, z, ev * uv - 1], [o, o, o], [z, ev, o]])
+    v2 = Mat3([[z, ev * uv - 1, z], [z, o, uv], [o, o, o]])
     s = span([E, v1, v2], c)
     assert s.dim == 3
     ok, witness = s.is_subalgebra()
@@ -141,7 +163,7 @@ def test_direct_sum_y9():
     z, o = R.zero(), R.one()
 
     def b(i, j):
-        return Mat3.basis(i, j, R)
+        return Mat3.basis(i, j)
 
     gens = [
         b(2, 1) + b(2, 2) - b(2, 3).scale(x + 1),
@@ -154,7 +176,7 @@ def test_direct_sum_y9():
     assert is_direct_sum(s, m)
     # concrete specializations agree, including the x = -1 and x = 0 edges
     for xv in (-1, 0, 1, 2, 5):
-        conc = [Mat3([[p.eval({"x": xv}) for p in row] for row in g.rows], QQ) for g in gens]
+        conc = [Mat3([[p.eval({"x": xv}) for p in row] for row in g.rows]) for g in gens]
         mc = span([Mat3.basis(i, j) for (i, j) in ((1, 1), (1, 2), (1, 3), (2, 2), (3, 3))])
         assert is_direct_sum(span(conc), mc)
 

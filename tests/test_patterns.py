@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from m3decomp.patterns import (
     get_pattern,
     reference_system,
 )
-from m3decomp.scalars import QQ
 
 
 def test_pattern_registry():
@@ -104,9 +104,9 @@ def test_pattern_instances_always_direct_sums():
             if pat.include_identity:
                 gens.append(Mat3.identity())
             for g in pat.gens:
-                coords = [QQ.coerce(int(x)) for x in g.base]
+                coords = [Fraction(int(x)) for x in g.base]
                 for (p, vec) in g.dirs:
-                    coords = [c0 + cells[p] * QQ.coerce(int(v)) for c0, v in zip(coords, vec)]
+                    coords = [c0 + cells[p] * Fraction(int(v)) for c0, v in zip(coords, vec)]
                 gens.append(Mat3.from_coords(coords))
             s = span(gens)
             assert s.dim == pat.gen_count
@@ -254,9 +254,9 @@ def test_closure_system_matches_subalgebra_check():
         vanishes = all(eq.eval(cells) == 0 for eq in system)
         gens = []
         for g in pat.gens:
-            coords = [QQ.coerce(int(x)) for x in g.base]
+            coords = [Fraction(int(x)) for x in g.base]
             for (p, vec) in g.dirs:
-                coords = [c0 + cells[p] * QQ.coerce(int(v)) for c0, v in zip(coords, vec)]
+                coords = [c0 + cells[p] * Fraction(int(v)) for c0, v in zip(coords, vec)]
             gens.append(Mat3.from_coords(coords))
         closed, _ = span(gens).is_subalgebra()
         assert vanishes == closed

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from m3decomp.errors import MissingVariable, ParseError
+from m3decomp.errors import DomainMismatch, MissingVariable, ParseError
 from m3decomp.scalars import (
     ConstraintSet,
     PolynomialRing,
-    QQ,
     certified_nonzero,
+    exact,
     constraint_satisfied,
     parse_poly,
     poly_to_string,
@@ -154,6 +154,32 @@ def test_cast_between_rings():
     assert q.eval({"a": 1, "b": 2, "lam": 9}) == Fraction(4)
 
 
-def test_qq_domain():
-    assert QQ.coerce(3) == Fraction(3)
-    assert QQ.one() - QQ.one() == QQ.zero()
+def test_exact_scalars():
+    assert exact(3) == Fraction(3) and type(exact(3)) is Fraction
+    q = Fraction(2, 3)
+    assert exact(q) is q
+    x = ring("x").gen("x")
+    assert exact(x) is x
+    for bad in (0.5, 1.0, "1", None):
+        with pytest.raises(DomainMismatch):
+            exact(bad)
+    with pytest.raises(DomainMismatch):
+        x.eval({"x": 0.5})
+    assert type(x.eval({"x": 2})) is Fraction
+
+
+def test_rationals_mix_with_polynomials():
+    R = ring("x", "y")
+    x, y = R.gens()
+    p = x * y + 1
+    # a rational is a constant of the ring, from either side
+    assert p * Fraction(2, 3) == Fraction(2, 3) * p == p * R.constant(Fraction(2, 3))
+    assert 2 * p == p + p
+    assert (p * 0).is_zero() and (p * 0).ring is R
+    assert p + Fraction(0) is p and 0 + p is p
+    assert p - 1 == x * y and 1 - p == -(x * y)
+    assert p == p + 0 and x * y == p - Fraction(1)
+    # equal scalars hash alike, so a constant and its rational are one key
+    assert len({R.constant(Fraction(2, 3)), Fraction(2, 3), R.zero(), 0}) == 2
+    with pytest.raises(DomainMismatch):
+        x + ring("x", "z").gen("x")
