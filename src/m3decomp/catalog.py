@@ -49,16 +49,11 @@ class ComplementDef:
         return f"ComplementDef({self.id}, dim={self.dim})"
 
 
-def _mat(*unit_positions, extra=()):
+def _mat(*unit_positions):
     m = Mat3.zero()
     for (i, j) in unit_positions:
         m = m + Mat3.basis(i, j)
-    for (i, j, c) in extra:
-        m = m + Mat3.basis(i, j).scale(c)
     return m
-
-
-_E = [[(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)]
 
 COMPLEMENTS = {
     "M7": ComplementDef(

@@ -55,27 +55,32 @@ def radical(s):
     return span([_combo(basis, vec) for vec in kern])
 
 
-def find_unit(s, side="two"):
-    """Solve for a (left/right/two-sided) unit inside s; None if absent."""
+def _solve_unit(s, sides, modulo=None):
+    """A u in s with u g = g (side "left") and g u = g (side "right") for every
+    basis element g, the equations taken modulo the span of the echelon
+    `modulo` when one is given; None if absent."""
     basis = s.basis_mats()
     if not basis:
         return None
+    reduce = list if modulo is None else modulo.project_field
     rows = []
     rhs = []
     for g in basis:
-        left = [(gi @ g).coords() for gi in basis]
-        right = [(g @ gi).coords() for gi in basis]
-        for coord in range(9):
-            if side in ("two", "left"):
-                rows.append([left[i][coord] for i in range(len(basis))])
-                rhs.append(g.coords()[coord])
-            if side in ("two", "right"):
-                rows.append([right[i][coord] for i in range(len(basis))])
-                rhs.append(g.coords()[coord])
+        target = reduce(g.coords())
+        for side in sides:
+            cols = [reduce((gi @ g if side == "left" else g @ gi).coords()) for gi in basis]
+            for coord in range(9):
+                rows.append([c[coord] for c in cols])
+                rhs.append(target[coord])
     sol = solve_linear(rows, rhs)
     if sol is None:
         return None
     return _combo(basis, sol)
+
+
+def find_unit(s, side="two"):
+    """Solve for a (left/right/two-sided) unit inside s; None if absent."""
+    return _solve_unit(s, [x for x in ("left", "right") if side in ("two", x)])
 
 
 def annihilates(a_mats, b_mats):
@@ -177,27 +182,13 @@ def matrix_rank(m):
 def principal_idempotent(s):
     """An idempotent of s lifting the identity of s/rad (None when s is
     nilpotent).  All such lifts are conjugate, so the rank is an invariant."""
-    basis = s.basis_mats()
     rad = radical(s)
     if rad.dim == s.dim:
         return None
-    rad_ech = rad.echelon
-    rows = []
-    rhs = []
     # u*g - g and g*u - g must lie in rad for every basis element g
-    for g in basis:
-        for prod in ((gi @ g for gi in basis), (g @ gi for gi in basis)):
-            cols = [list(p.coords()) for p in prod]
-            target = list(g.coords())
-            red_cols = [rad_ech.project_field(c) for c in cols]
-            red_target = rad_ech.project_field(target)
-            for coord in range(9):
-                rows.append([rc[coord] for rc in red_cols])
-                rhs.append(red_target[coord])
-    sol = solve_linear(rows, rhs)
-    if sol is None:
+    u = _solve_unit(s, ("left", "right"), rad.echelon)
+    if u is None:
         return None
-    u = _combo(basis, sol)
     # Newton lift: squares converge since the radical is nilpotent
     for _ in range(4):
         u2 = u @ u
@@ -336,15 +327,10 @@ def _coefficient_on(target, u, n, which):
 
 
 def _scalar_multiple(target, n):
-    if target.is_zero():
-        return Fraction(0)
-    for a, b in zip(target.coords(), n.coords()):
-        if not sc_is_zero(b):
-            c = a / b
-            break
-    if n.scale(c) != target:
+    sol = solve_linear([[x] for x in n.coords()], list(target.coords()))
+    if sol is None:
         raise SoundnessError("a product with u is not a multiple of n")
-    return c
+    return sol[0]
 
 
 def _rational_sqrt(x):

@@ -10,6 +10,10 @@ pure polynomial identities: multiplicativity of f = N/d amounts to
 for all 81 ordered pairs of basis matrices.  A map that is multiplicative,
 fixes the identity matrix and is nonzero is automatically bijective: its
 kernel is a proper two-sided ideal of the full (simple) matrix algebra.
+
+A conjugation X -> T^-1 X T takes its numerator and denominator from the
+fraction-free inverse of T (linalg.ff_inverse).  The phi and psi families
+share one construction, over their parameter ring or at given values.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainMismatch, SingularMatrix
-from .linalg import sc_is_zero
+from .linalg import ff_inverse, sc_is_zero
 from .matrices import COORD_ORDER, Mat3, span
 from .scalars import (
     EMPTY_CONSTRAINTS,
@@ -36,14 +40,13 @@ class AlgebraMap:
     """A linear map of the matrix algebra, tagged automorphism or
     antiautomorphism candidate."""
 
-    __slots__ = ("matrix9", "den", "kind", "params", "constraints")
+    __slots__ = ("matrix9", "den", "kind", "constraints")
 
-    def __init__(self, matrix9, den, kind, constraints=EMPTY_CONSTRAINTS, params=None):
+    def __init__(self, matrix9, den, kind, constraints=EMPTY_CONSTRAINTS):
         self.matrix9 = tuple(tuple(row) for row in matrix9)
         self.den = den
         self.kind = kind
         self.constraints = constraints
-        self.params = params
         if not certified_nonzero(den, constraints):
             raise SingularMatrix(f"denominator {den} is not certifiably nonzero")
 
@@ -128,50 +131,14 @@ def transpose_map():
     return AlgebraMap(rows, Fraction(1), ANTIAUTOMORPHISM)
 
 
-def _det3(m):
-    r = m.rows
-    return (
-        r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-        - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-        + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-    )
-
-
-def _adjugate3(m):
-    r = m.rows
-    cof = [
-        [
-            r[1][1] * r[2][2] - r[1][2] * r[2][1],
-            -(r[1][0] * r[2][2] - r[1][2] * r[2][0]),
-            r[1][0] * r[2][1] - r[1][1] * r[2][0],
-        ],
-        [
-            -(r[0][1] * r[2][2] - r[0][2] * r[2][1]),
-            r[0][0] * r[2][2] - r[0][2] * r[2][0],
-            -(r[0][0] * r[2][1] - r[0][1] * r[2][0]),
-        ],
-        [
-            r[0][1] * r[1][2] - r[0][2] * r[1][1],
-            -(r[0][0] * r[1][2] - r[0][2] * r[1][0]),
-            r[0][0] * r[1][1] - r[0][1] * r[1][0],
-        ],
-    ]
-    # adjugate is the transposed cofactor matrix
-    return Mat3(tuple(tuple(cof[j][i] for j in range(3)) for i in range(3)))
-
-
 def conjugation(t, constraints=EMPTY_CONSTRAINTS):
-    """X -> T^-1 X T as a 9x9 map with denominator det(T)."""
-    det = _det3(t)
-    if not certified_nonzero(det, constraints):
-        raise SingularMatrix(f"det {det} not certifiably nonzero")
-    adj = _adjugate3(t)
-    cols = []
-    for (i, j) in COORD_ORDER:
-        image = adj @ Mat3.basis(i, j) @ t
-        cols.append(image.coords())
+    """X -> T^-1 X T as a 9x9 map whose denominator is that of
+    ff_inverse(T): det(T), or -det(T) where the inverse swaps rows."""
+    numer, den = ff_inverse(t.rows, constraints)
+    inv = Mat3(numer)
+    cols = [(inv @ Mat3.basis(i, j) @ t).coords() for (i, j) in COORD_ORDER]
     rows = [[cols[j][i] for j in range(9)] for i in range(9)]
-    return AlgebraMap(rows, det, AUTOMORPHISM, constraints)
+    return AlgebraMap(rows, den, AUTOMORPHISM, constraints)
 
 
 def theta(i, j):
@@ -212,10 +179,25 @@ def _phi_cleared_images(beta, gamma, kappa, lamda, mu, nu):
     return images, delta
 
 
-def _map_from_images(images, den, constraints, params):
+def _map_from_images(images, den, constraints):
     cols = {src: images[src].coords() for src in images}
     rows = [[cols[COORD_ORDER[j]][i] for j in range(9)] for i in range(9)]
-    return AlgebraMap(rows, den, AUTOMORPHISM, constraints, params)
+    return AlgebraMap(rows, den, AUTOMORPHISM, constraints)
+
+
+def _family_map(names, values, to_phi, side_conditions):
+    """A family's map through _phi_cleared_images, to_phi sending its
+    parameters to (beta, gamma, kappa, lamda, mu, nu).  With values None the
+    map is symbolic over Q[names] under the side conditions; at given values
+    AlgebraMap refuses a vanishing denominator."""
+    if values is None:
+        params = PolynomialRing(names).gens()
+        constraints = ConstraintSet(side_conditions(*params))
+    else:
+        params = [exact(x) for x in values]
+        constraints = EMPTY_CONSTRAINTS
+    images, den = _phi_cleared_images(*to_phi(*params))
+    return _map_from_images(images, den, constraints)
 
 
 def phi_map(beta=None, gamma=None, kappa=None, lamda=None, mu=None, nu=None):
@@ -226,20 +208,9 @@ def phi_map(beta=None, gamma=None, kappa=None, lamda=None, mu=None, nu=None):
     With no arguments the map is built symbolically over
     Q[beta,gamma,kappa,lamda,mu,nu] with the constraint Delta != 0.
     """
-    if beta is None:
-        ring = PolynomialRing(PHI_PARAM_NAMES)
-        b, g, k, l, m, n = ring.gens()
-        delta = k * n - l * m
-        constraints = ConstraintSet([delta])
-        images, den = _phi_cleared_images(b, g, k, l, m, n)
-        params = dict(zip(PHI_PARAM_NAMES, ring.gens()))
-        return _map_from_images(images, den, constraints, params)
-    vals = [exact(x) for x in (beta, gamma, kappa, lamda, mu, nu)]
-    images, den = _phi_cleared_images(*vals)
-    if sc_is_zero(den):
-        raise SingularMatrix("Delta = kappa*nu - lamda*mu vanishes")
-    params = dict(zip(PHI_PARAM_NAMES, vals))
-    return _map_from_images(images, den, EMPTY_CONSTRAINTS, params)
+    values = None if beta is None else (beta, gamma, kappa, lamda, mu, nu)
+    return _family_map(PHI_PARAM_NAMES, values, lambda *v: v,
+                       lambda b, g, k, l, m, n: [k * n - l * m])
 
 
 def psi_map(alpha=None, beta=None, gamma=None, delta=None, epsilon=None):
@@ -247,19 +218,11 @@ def psi_map(alpha=None, beta=None, gamma=None, delta=None, epsilon=None):
     subalgebra: the previous family specialized to mu = 0 under the renaming
     (kappa, lamda, mu, nu) = (delta, epsilon, 0, alpha); requires alpha and
     delta nonzero."""
-    if alpha is None:
-        ring = PolynomialRing(PSI_PARAM_NAMES)
-        a, b, g, d, e = ring.gens()
-        constraints = ConstraintSet([a, d])
-        images, den = _phi_cleared_images(b, g, d, e, ring.zero(), a)
-        params = dict(zip(PSI_PARAM_NAMES, ring.gens()))
-        return _map_from_images(images, den, constraints, params)
-    a, b, g, d, e = [exact(x) for x in (alpha, beta, gamma, delta, epsilon)]
-    if sc_is_zero(a) or sc_is_zero(d):
-        raise SingularMatrix("alpha and delta must be nonzero")
-    images, den = _phi_cleared_images(b, g, d, e, Fraction(0), a)
-    params = dict(zip(PSI_PARAM_NAMES, (a, b, g, d, e)))
-    return _map_from_images(images, den, EMPTY_CONSTRAINTS, params)
+    values = None if alpha is None else (alpha, beta, gamma, delta, epsilon)
+    # mu is the zero of alpha's ring, so symbolic entries stay polynomials
+    return _family_map(PSI_PARAM_NAMES, values,
+                       lambda a, b, g, d, e: (b, g, d, e, 0 * a, a),
+                       lambda a, b, g, d, e: [a, d])
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +243,7 @@ def rescaled_pair_images_72():
     k, n, d, e, f, g, s, t, x, y = ring.gens()
     z = ring.zero()
     images, den = _phi_cleared_images(z, z, k, z, z, n)
-    phi = _map_from_images(images, den, ConstraintSet([k, n]), None)
+    phi = _map_from_images(images, den, ConstraintSet([k, n]))
     v1 = Mat3([[z, z, z], [ring.one(), d, e], [z, f, g]])
     v2 = Mat3([[z, z, z], [z, s, t], [ring.one(), x, y]])
     computed1 = phi.image_numerator(v1).scale(k)
@@ -302,7 +265,7 @@ def rescaled_pair_images_63():
     k, n, a, b, c, d, e, f, r, s, t, u, x, y = ring.gens()
     z, o = ring.zero(), ring.one()
     images, den = _phi_cleared_images(z, z, k, z, z, n)
-    phi = _map_from_images(images, den, ConstraintSet([k, n]), None)
+    phi = _map_from_images(images, den, ConstraintSet([k, n]))
     v1 = Mat3([[z, a, b], [o, c, d], [z, e, f]])
     v2 = Mat3([[z, r, s], [z, t, u], [o, x, y]])
     computed1 = phi.image_numerator(v1).scale(k)

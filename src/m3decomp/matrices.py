@@ -129,10 +129,6 @@ class Subspace:
     def dim(self):
         return self.echelon.rank
 
-    @property
-    def reduced(self):
-        return [list(r) for r in self.echelon.rows]
-
     def contains(self, m):
         """True iff m lies in the span under every constraint-satisfying
         specialization (the reduced residual vanishes identically)."""

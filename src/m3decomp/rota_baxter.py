@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotDirectSum
-from .linalg import ff_inverse
+from .linalg import ff_inverse, sc_is_zero
 from .matrices import COORD_ORDER, Mat3, is_direct_sum, span
 from .scalars import (
     EMPTY_CONSTRAINTS,
@@ -107,6 +107,8 @@ def check_rb_identity(r):
             terms += [(Y[3 * j + m], cols[3 * i + m]) for m in range(3)]
             if j == k:
                 terms.append((lam_d, cols[3 * i + l]))
+            # a zero coefficient adds nothing to the combination
+            terms = [(f, col) for f, col in terms if not sc_is_zero(f)]
             rhs = [sum(f * col[t] for f, col in terms) for t in range(9)]
             if lhs != rhs:
                 return False, (COORD_ORDER[a], COORD_ORDER[c])

@@ -525,7 +525,8 @@ def explain_unmatched(pattern_name, p, rep_cells):
 
 def slow_cube_solutions(pattern_name, p, budget=20000):
     """Unpruned reference enumeration: iterate the full assignment cube and
-    test closure by rank computations, without the closure system."""
+    test closure directly, without the closure system: every product of two
+    generators must lie in the generators' row space mod p."""
     pat = get_pattern(pattern_name)
     pdata = _pdata(pattern_name)
     c = len(pat.params)
@@ -536,19 +537,7 @@ def slow_cube_solutions(pattern_name, p, budget=20000):
         arr = np.array(cells, dtype=np.int64)
         rows = rows_from_cells(arr[None, :], pdata, p)[0]
         mats = rows.reshape(-1, 3, 3)
-        k = rows.shape[0]
-        base_rank = _rank_mod(rows, p)
-        closed = True
-        for i in range(k):
-            for j in range(k):
-                prod = mats[i] @ mats[j] % p
-                stacked = np.vstack([rows, prod.reshape(1, 9)])
-                if _rank_mod(stacked, p) != base_rank:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
+        if _in_row_space(rows, p)((mats[:, None] @ mats[None]).reshape(-1, 9)):
             sols.append(cells)
     return np.array(sorted(sols), dtype=np.int8).reshape(len(sols), c)
 

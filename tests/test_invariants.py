@@ -7,6 +7,7 @@ from m3decomp.catalog import LEMMA5_SUBALGEBRAS, entry_by_id
 from m3decomp.errors import DimensionMismatch, NotSupported, SoundnessError
 from m3decomp.invariants import (
     classify_2dim,
+    find_unit,
     fingerprint,
     idempotents,
     matrix_rank,
@@ -201,6 +202,17 @@ def test_fingerprint_transpose_swaps_sides():
         s = s_of(ident)
         st = apply_map(transpose_map(), s)
         assert fingerprint(st) == fingerprint(s).swapped()
+
+
+def test_one_sided_units():
+    # e11 is a left unit of span(e11, e12) and a right unit of span(e11, e21);
+    # neither span has a unit on the other side, nor a two-sided one
+    for gens, side in (([e(1, 1), e(1, 2)], "left"), ([e(1, 1), e(2, 1)], "right")):
+        s = span(gens)
+        other = "right" if side == "left" else "left"
+        assert find_unit(s, side) == e(1, 1)
+        assert find_unit(s, other) is None
+        assert find_unit(s, "two") is None
 
 
 def test_principal_idempotent_ranks():

@@ -99,6 +99,40 @@ def test_psi_equals_phi_mu0_randomized():
             assert psi.image(e(i, j)) == phi.image(e(i, j))
 
 
+def _random_rational(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def _same_images(f, g):
+    return all(f.image(e(i, j)) == g.image(e(i, j)) for i in (1, 2, 3) for j in (1, 2, 3))
+
+
+def test_phi_is_conjugation_over_q():
+    # phi(beta, ..., nu) is X -> T^-1 X T for T = [[1, b, g], [0, k, l], [0, m, n]]
+    rng = random.Random(21)
+    done = 0
+    while done < 20:
+        b, g, k, l, m, n = (_random_rational(rng) for _ in range(6))
+        if k * n - l * m == 0:
+            continue
+        done += 1
+        t = Mat3([[1, b, g], [0, k, l], [0, m, n]])
+        assert _same_images(phi_map(b, g, k, l, m, n), conjugation(t))
+
+
+def test_psi_is_conjugation_over_q():
+    # psi(alpha, ..., epsilon) is X -> T^-1 X T for T = [[1, b, g], [0, d, e], [0, 0, a]]
+    rng = random.Random(22)
+    done = 0
+    while done < 20:
+        a, b, g, d, eps = (_random_rational(rng) for _ in range(5))
+        if a == 0 or d == 0:
+            continue
+        done += 1
+        t = Mat3([[1, b, g], [0, d, eps], [0, 0, a]])
+        assert _same_images(psi_map(a, b, g, d, eps), conjugation(t))
+
+
 def test_apply_map_theta23():
     s = span([e(2, 2), e(2, 3)])
     img = apply_map(theta(2, 3), s)

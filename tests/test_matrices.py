@@ -96,7 +96,7 @@ def test_span_idempotent():
     s = span([e(2, 1) + e(2, 2), e(3, 1), e(2, 1) - e(3, 1)])
     s2 = span(s.basis_mats())
     assert s.same_space(s2)
-    assert s.reduced == s2.reduced
+    assert s.echelon.rows == s2.echelon.rows
 
 
 def test_contains():

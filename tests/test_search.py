@@ -203,9 +203,11 @@ def test_soundness_all_specializations_enumerated():
                 assert cells.astype(np.int8).tobytes() in sols, (eid, assign, p)
 
 
-def test_slow_cube_oracle_matches_t1_p2():
-    slow = slow_cube_solutions("t1", 2)
-    fast = enumerate_complements_fp("t1", 2)
+@pytest.mark.parametrize("name", ["t1", "t2", "t4"])
+def test_slow_cube_oracle_matches_t1_p2(name):
+    # 2^12, 2^12 and 2^14 points, each within the default budget
+    slow = slow_cube_solutions(name, 2)
+    fast = enumerate_complements_fp(name, 2)
     assert np.array_equal(slow, fast)
 
 

@@ -1,5 +1,8 @@
+import pathlib
+
 import pytest
 
+from m3decomp import cli
 from m3decomp.catalog import CatalogEntry, builtin_catalog, entry_by_id
 from m3decomp.verifier import (
     compare_with_reference_system,
@@ -7,6 +10,8 @@ from m3decomp.verifier import (
     verify_entry,
     verify_remarks,
 )
+
+REPORT_DIR = pathlib.Path(__file__).resolve().parent.parent / "reports"
 
 
 def test_verify_t6_symbolic():
@@ -88,3 +93,12 @@ def test_verify_remarks_report():
     for pair, rec in t_pairs.items():
         if pair != ("T4", "T6"):
             assert rec["separated_by"] is not None
+
+
+@pytest.mark.parametrize("command, code", [("invariants", 1), ("export", 0)])
+def test_archived_exact_report_reproduces(command, code, tmp_path):
+    # the archived reports of two exact commands, regenerated in-process and
+    # compared byte for byte (invariants exits 1 by Finding 2)
+    out = tmp_path / f"{command}.json"
+    assert cli.main([command, "--output", str(out)]) == code
+    assert out.read_bytes() == (REPORT_DIR / f"{command}.json").read_bytes()
