@@ -1,104 +1,157 @@
 """Structural invariants separating subalgebra orbits: radical tower, units,
 annihilator containments, idempotents, and the seven 2-dimensional types.
 
-All computations here are exact.  Over the rationals the Jacobson radical of
-a subalgebra of the matrix algebra is the kernel of the ambient trace form
-restricted to the subalgebra (characteristic zero).
+All computations here are exact and over Q (a parametric span raises
+NotSupported).  A subalgebra is read through one table: the k^2 products
+b_i b_j of its echelon basis, formed once and written in the basis as
+sum_l c_ij^l b_l (None when the product leaves the span).  Units, radical
+powers, annihilators and idempotents are linear algebra on coordinate
+vectors and this table, with no further matrix product.
+
+In characteristic zero the Jacobson radical of a subalgebra of the matrix
+algebra is the kernel of the ambient trace form tr(x y) = sum x_ab y_ba,
+read from the coordinates, and (Dickson) an algebra is nilpotent exactly
+when its radical is all of it, that is, when the trace form vanishes on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotSupported, SoundnessError
-from .linalg import echelonize, kernel_basis, sc_is_zero, solve_linear
+from .linalg import echelonize, kernel_basis, solve_linear
 from .matrices import Mat3, span
 
-
-def _combo(mats, coeffs):
-    acc = Mat3.zero()
-    for m, c in zip(mats, coeffs):
-        acc = acc + m.scale(c)
-    return acc
+#: tr(x y) = sum over a of x[a] * y[_TRANSPOSED[a]] in flattened coordinates
+_TRANSPOSED = tuple(3 * (a % 3) + a // 3 for a in range(9))
 
 
-def product_span(a_mats, b_mats):
-    """Span of all pairwise products, as a (possibly zero) list of basis
-    matrices."""
-    prods = [x @ y for x in a_mats for y in b_mats]
-    nonzero = [p for p in prods if not p.is_zero()]
-    if not nonzero:
-        return []
-    return span(nonzero).basis_mats()
+def _rational_rows(s):
+    """The echelon rows of s over Q: a constant polynomial entry becomes its
+    value, and a span with a parametric entry is refused."""
+    from .scalars import MultiPoly
+
+    try:
+        return [[x.constant_value() if isinstance(x, MultiPoly) else x for x in row]
+                for row in s.echelon.rows]
+    except ValueError:
+        raise NotSupported("the invariants are computed over Q, not on parameters") from None
 
 
-def is_nilpotent_span(mats, bound=9):
-    current = list(mats)
-    for _ in range(bound):
-        if not current:
-            return True
-        current = product_span(mats, current)
-    return not current
+def _gram(rows):
+    """The trace form on flattened matrices, without a product."""
+    return [[sum(a * y[t] for a, t in zip(x, _TRANSPOSED)) for y in rows] for x in rows]
+
+
+def _comb(a, x, b, y):
+    """a x + b y for coordinate vectors."""
+    return [a * p + b * q for p, q in zip(x, y)]
+
+
+def _flat(rows, x):
+    """The flattened matrix with coordinates x in the basis rows."""
+    return [sum(xi * r[a] for xi, r in zip(x, rows)) for a in range(9)]
+
+
+class _Table:
+    """A span through its echelon basis b_1..b_k and their products.
+
+    Elements are coordinate vectors in the basis.  c[i][j] holds the
+    coordinates of b_i b_j, or None when that product leaves the span; rad is
+    a basis of the radical (the kernel of the trace form) as vectors.
+    """
+
+    def __init__(self, s):
+        self.rows = _rational_rows(s)
+        self.pivots = s.echelon.pivot_cols
+        self.k = len(self.rows)
+        self.basis = [[Fraction(int(i == j)) for j in range(self.k)] for i in range(self.k)]
+        self.rad = kernel_basis(_gram(self.rows), self.k)
+        mats = [Mat3.from_coords(r) for r in self.rows]
+        self.c = [[self._coords((x @ y).coords()) for y in mats] for x in mats]
+
+    def _coords(self, flat):
+        """Coordinates of a flattened matrix, or None outside the span.  The
+        rows are fully reduced, so each coordinate is read at its pivot."""
+        x = [flat[p] / r[p] for r, p in zip(self.rows, self.pivots)]
+        return x if list(flat) == _flat(self.rows, x) else None
+
+    def mat(self, x):
+        return Mat3.from_coords(_flat(self.rows, x))
+
+    def closed(self):
+        """This table, once every basis product is known to stay in the span."""
+        if any(None in row for row in self.c):
+            raise SoundnessError("a basis product leaves the span, which is no subalgebra")
+        return self
+
+    def mul(self, x, y):
+        """x y, or None when it needs a basis product that leaves the span."""
+        terms = [(xi * yj, self.c[i][j])
+                 for i, xi in enumerate(x) for j, yj in enumerate(y) if xi and yj]
+        if any(c is None for _, c in terms):
+            return None
+        return [sum((f * c[l] for f, c in terms), Fraction(0)) for l in range(self.k)]
+
+    def annihilator(self, ts):
+        """A basis of {x : x t = t x = 0 for every t in ts}."""
+        rows = []
+        for t in ts:
+            rows += [list(row) for row in zip(*[self.mul(b, t) for b in self.basis])]
+            rows += [list(row) for row in zip(*[self.mul(t, b) for b in self.basis])]
+        return kernel_basis(rows, self.k)
+
+    def unit(self, side, modulo=None):
+        """A u with u b = b (side "left"), b u = b ("right") or both ("two")
+        for every basis element b, modulo the span of the echelon `modulo`
+        when one is given; None if absent or a product leaves the span."""
+        if not self.k:
+            return None
+        reduce = list if modulo is None else modulo.project_field
+        rows = []
+        rhs = []
+        sides = [x for x in ("left", "right") if side in ("two", x)]
+        for j, b in enumerate(self.basis):
+            for one in sides:
+                cols = [self.c[i][j] if one == "left" else self.c[j][i] for i in range(self.k)]
+                if None in cols:
+                    return None
+                rows += [list(row) for row in zip(*map(reduce, cols))]
+                rhs += reduce(b)
+        return solve_linear(rows, rhs)
+
+    def principal_idempotent(self):
+        """An idempotent lifting the identity of s/rad, as a matrix (None when
+        s is nilpotent)."""
+        if len(self.rad) == self.k:
+            return None
+        # u b - b and b u - b must lie in rad for every basis element b
+        u = self.unit("two", echelonize(self.rad))
+        if u is None:
+            return None
+        # Newton lift: squares converge since the radical is nilpotent
+        for _ in range(5):
+            u2 = self.mul(u, u)
+            if u2 == u:
+                return self.mat(u)
+            u = _comb(3, u2, -2, self.mul(u2, u))
+        raise SoundnessError("the idempotent lift did not converge")
 
 
 def radical(s):
     """Jacobson radical of a subalgebra of the matrix algebra:
     {x in s : trace(x y) = 0 for all y in s} via the ambient trace form."""
-    basis = s.basis_mats()
-    if not basis:
-        return s
-    gram = [[(x @ y).trace() for x in basis] for y in basis]
-    kern = kernel_basis(gram, len(basis))
-    if not kern:
-        return span([Mat3.zero()])
-    return span([_combo(basis, vec) for vec in kern])
-
-
-def _solve_unit(s, sides, modulo=None):
-    """A u in s with u g = g (side "left") and g u = g (side "right") for every
-    basis element g, the equations taken modulo the span of the echelon
-    `modulo` when one is given; None if absent."""
-    basis = s.basis_mats()
-    if not basis:
-        return None
-    reduce = list if modulo is None else modulo.project_field
-    rows = []
-    rhs = []
-    for g in basis:
-        target = reduce(g.coords())
-        for side in sides:
-            cols = [reduce((gi @ g if side == "left" else g @ gi).coords()) for gi in basis]
-            for coord in range(9):
-                rows.append([c[coord] for c in cols])
-                rhs.append(target[coord])
-    sol = solve_linear(rows, rhs)
-    if sol is None:
-        return None
-    return _combo(basis, sol)
+    rows = _rational_rows(s)
+    kern = kernel_basis(_gram(rows), len(rows))
+    return span([Mat3.from_coords(_flat(rows, x)) for x in kern] or [Mat3.zero()])
 
 
 def find_unit(s, side="two"):
-    """Solve for a (left/right/two-sided) unit inside s; None if absent."""
-    return _solve_unit(s, [x for x in ("left", "right") if side in ("two", x)])
-
-
-def annihilates(a_mats, b_mats):
-    """True iff every product a*b vanishes."""
-    return all((a @ b).is_zero() for a in a_mats for b in b_mats)
-
-
-def _two_sided_annihilator(s_basis, targets):
-    """{x in s : x t = t x = 0 for all t in targets} as combination vectors."""
-    if not targets:
-        return list(s_basis)
-    rows = []
-    for t in targets:
-        for coord in range(9):
-            rows.append([(gi @ t).coords()[coord] for gi in s_basis])
-            rows.append([(t @ gi).coords()[coord] for gi in s_basis])
-    kern = kernel_basis(rows, len(s_basis))
-    return [_combo(s_basis, vec) for vec in kern]
+    """A (left/right/two-sided) unit of the subalgebra s, or None."""
+    tab = _Table(s).closed()
+    u = tab.unit(side)
+    return None if u is None else tab.mat(u)
 
 
 @dataclass(frozen=True)
@@ -126,78 +179,52 @@ class Fingerprint:
     def swapped(self):
         """The fingerprint of the transposed algebra: one-sided fields swap,
         everything else is fixed."""
-        return Fingerprint(
-            self.dim,
-            self.rad_dims,
-            self.ss_dim,
-            self.has_unit,
-            self.has_right_unit,
-            self.has_left_unit,
-            self.rad_in_right_ann,
-            self.rad_in_left_ann,
-            self.idempotent_ranks,
-            self.ann_radsq_has_idempotent,
+        return replace(
+            self,
+            has_left_unit=self.has_right_unit,
+            has_right_unit=self.has_left_unit,
+            rad_in_left_ann=self.rad_in_right_ann,
+            rad_in_right_ann=self.rad_in_left_ann,
         )
 
 
 def fingerprint(s):
     """Full invariant battery for a concrete subalgebra over Q."""
-    basis = s.basis_mats()
-    rad = radical(s)
-    rad_basis = [m for m in rad.basis_mats() if not m.is_zero()]
-    rad2 = product_span(rad_basis, rad_basis) if rad_basis else []
-    rad3 = product_span(rad_basis, rad2) if rad2 else []
-    rad_dims = (len(rad_basis), len(rad2), len(rad3))
-    unit = find_unit(s, "two")
-    left = find_unit(s, "left")
-    right = find_unit(s, "right")
-    rad_in_left = annihilates(basis, rad_basis)
-    rad_in_right = annihilates(rad_basis, basis)
-    ann = _two_sided_annihilator(basis, rad2)
-    ann_has_idem = bool(ann) and not is_nilpotent_span(ann)
-    if s.dim <= 2:
-        ranks = idempotents(s).all_ranks()
-    else:
-        e = principal_idempotent(s)
+    tab = _Table(s)
+    # in dim <= 2 the idempotents come first: their checks name the product
+    # that leaves a span which is not closed
+    ranks = _idempotents(tab).all_ranks() if tab.k <= 2 else None
+    rad = tab.closed().rad
+    rad2 = echelonize([tab.mul(x, y) for x in rad for y in rad]).rows
+    rad3 = echelonize([tab.mul(x, y) for x in rad for y in rad2]).rows
+    # the annihilator of rad^2 is an ideal; it is nilpotent iff the trace
+    # form vanishes on it
+    ann = [_flat(tab.rows, x) for x in tab.annihilator(rad2)]
+    if ranks is None:
+        e = tab.principal_idempotent()
         ranks = (matrix_rank(e),) if e is not None and not e.is_zero() else ()
     return Fingerprint(
-        dim=s.dim,
-        rad_dims=rad_dims,
-        ss_dim=s.dim - rad_dims[0],
-        has_unit=unit is not None,
-        has_left_unit=left is not None,
-        has_right_unit=right is not None,
-        rad_in_left_ann=rad_in_left,
-        rad_in_right_ann=rad_in_right,
+        dim=tab.k,
+        rad_dims=(len(rad), len(rad2), len(rad3)),
+        ss_dim=tab.k - len(rad),
+        has_unit=tab.unit("two") is not None,
+        has_left_unit=tab.unit("left") is not None,
+        has_right_unit=tab.unit("right") is not None,
+        rad_in_left_ann=not any(any(tab.mul(b, r)) for b in tab.basis for r in rad),
+        rad_in_right_ann=not any(any(tab.mul(r, b)) for b in tab.basis for r in rad),
         idempotent_ranks=tuple(sorted(ranks)),
-        ann_radsq_has_idempotent=ann_has_idem,
+        ann_radsq_has_idempotent=any(any(row) for row in _gram(ann)),
     )
 
 
 def matrix_rank(m):
-    ech = echelonize([list(m.rows[i]) for i in range(3)])
-    return ech.rank
+    return echelonize([list(r) for r in m.rows]).rank
 
 
 def principal_idempotent(s):
     """An idempotent of s lifting the identity of s/rad (None when s is
     nilpotent).  All such lifts are conjugate, so the rank is an invariant."""
-    rad = radical(s)
-    if rad.dim == s.dim:
-        return None
-    # u*g - g and g*u - g must lie in rad for every basis element g
-    u = _solve_unit(s, ("left", "right"), rad.echelon)
-    if u is None:
-        return None
-    # Newton lift: squares converge since the radical is nilpotent
-    for _ in range(4):
-        u2 = u @ u
-        if u2 == u:
-            return u
-        u = u2.scale(3) - (u2 @ u).scale(2)
-    if (u @ u) != u:
-        raise SoundnessError("the idempotent lift did not converge")
-    return u
+    return _Table(s).closed().principal_idempotent()
 
 
 # ---------------------------------------------------------------------------
@@ -228,109 +255,84 @@ def idempotents(s):
     """All nonzero idempotents of a subalgebra of dimension <= 2 over Q."""
     if s.dim > 2:
         raise NotSupported("exact idempotent enumeration is limited to dim <= 2 over Q")
-    if s.dim == 0:
+    return _idempotents(_Table(s))
+
+
+def _points(tab, elements):
+    """(matrix, rank) for each element, each checked to be idempotent."""
+    out = []
+    for x in elements:
+        if tab.mul(x, x) != x:
+            raise SoundnessError("a computed idempotent does not square to itself")
+        m = tab.mat(x)
+        out.append((m, matrix_rank(m)))
+    return tuple(out)
+
+
+def _idempotents(tab):
+    if len(tab.rad) == tab.k:
         return Idempotents((), ())
-    if s.dim == 1:
-        g = s.basis_mats()[0]
-        g2 = g @ g
-        # closure gives g^2 = c g
-        c = None
-        for a, b in zip(g2.coords(), g.coords()):
-            if not sc_is_zero(b):
-                c = a / b
-                break
-        if c is None or c == 0:
-            return Idempotents((), ())
-        e = g.scale(Fraction(1) / c)
-        if e @ e != e:
+    if tab.k == 1:
+        # closure gives b^2 = c b, with c != 0 as b is not nilpotent
+        c = tab.c[0][0]
+        if c is None:
             raise SoundnessError("the scaled generator is not idempotent")
-        return Idempotents(((e, matrix_rank(e)),), ())
-    return _idempotents_dim2(s)
-
-
-def _idempotents_dim2(s):
-    rad = radical(s)
-    if rad.dim == 2:
-        return Idempotents((), ())
-    if rad.dim == 0:
-        return _idempotents_semisimple2(s)
-    # one-dimensional radical: normalize a complement element u with
-    # u^2 = u + m*n, u n = sigma n, n u = tau n, sigma/tau idempotent scalars
-    n = rad.basis_mats()[0]
-    u = None
-    for g in s.basis_mats():
-        if not rad.contains(g):
-            u = g
-            break
-    lam = _coefficient_on(u @ u, u, n, which=0)
+        return Idempotents(_points(tab, [[1 / c[0]]]), ())
+    if not tab.rad:
+        return _idempotents_semisimple2(tab)
+    # one-dimensional radical n: normalize u, the first basis element outside
+    # it, to u^2 = u + m*n; then u n = sigma n, n u = tau n, sigma, tau in {0, 1}
+    n = tab.rad[0]
+    u = tab.basis[0] if n[1] else tab.basis[1]
+    lam = _solve_in(tab.mul(u, u), (u, n), _LEAVES)[0]
     if lam == 0:
         raise SoundnessError("non-nilpotent 2-dim algebra must have u^2 ~ u")
-    u = u.scale(Fraction(1) / lam)
-    mu = _coefficient_on(u @ u, u, n, which=1)
-    sigma = _scalar_multiple(u @ n, n)
-    tau = _scalar_multiple(n @ u, n)
+    u = [x / lam for x in u]
+    mu = _solve_in(tab.mul(u, u), (u, n), _LEAVES)[1]
+    sigma = _solve_in(tab.mul(u, n), (n,), _NOT_MULTIPLE)[0]
+    tau = _solve_in(tab.mul(n, u), (n,), _NOT_MULTIPLE)[0]
     if sigma not in (0, 1) or tau not in (0, 1):
         raise SoundnessError("the radical is not scaled by 0 or 1 under u")
     if sigma + tau == 1:
         if mu != 0:
             raise SoundnessError("idempotent lifting forces the mixed case to be exact")
-        generic = max(matrix_rank(u + n.scale(t)) for t in (0, 1, -1, 2, -2, 3, 4))
-        fam = IdempotentFamily(u, n, generic)
-        return Idempotents(((u, matrix_rank(u)),), (fam,))
-    t = mu / (1 - sigma - tau)
-    e = u + n.scale(t)
-    if e @ e != e:
-        raise SoundnessError("the lifted element is not idempotent")
-    return Idempotents(((e, matrix_rank(e)),), ())
+        base, direction = tab.mat(u), tab.mat(n)
+        generic = max(matrix_rank(base + direction.scale(t)) for t in (0, 1, -1, 2, -2, 3, 4))
+        return Idempotents(_points(tab, [u]), (IdempotentFamily(base, direction, generic),))
+    return Idempotents(_points(tab, [_comb(1, u, mu / (1 - sigma - tau), n)]), ())
 
 
-def _idempotents_semisimple2(s):
-    unit = find_unit(s, "two")
+def _idempotents_semisimple2(tab):
+    unit = tab.unit("two")
     if unit is None:
         raise SoundnessError("2-dim semisimple algebras are unital")
-    w = None
-    for g in s.basis_mats():
-        if not span([unit]).contains(g):
-            w = g
-            break
+    # the first basis element outside span(unit)
+    w = tab.basis[0] if unit[1] else tab.basis[1]
     # w^2 = a w + b 1; split when the discriminant is a rational square
-    a = _coefficient_on(w @ w, w, unit, which=0)
-    b = _coefficient_on(w @ w, w, unit, which=1)
+    a, b = _solve_in(tab.mul(w, w), (w, unit), _LEAVES)
     disc = a * a + 4 * b
     if disc == 0:
         raise SoundnessError("separable quadratic expected in a semisimple algebra")
     root = _rational_sqrt(disc)
     if root is None:
-        return Idempotents(((unit, matrix_rank(unit)),), ())
-    r1 = (a + root) / 2
-    r2 = (a - root) / 2
-    e1 = (w - unit.scale(r2)).scale(Fraction(1) / (r1 - r2))
-    e2 = unit - e1
-    out = []
-    for e in (e1, e2, unit):
-        if not e.is_zero():
-            if e @ e != e:
-                raise SoundnessError("a split idempotent does not square to itself")
-            out.append((e, matrix_rank(e)))
-    return Idempotents(tuple(out), ())
+        return Idempotents(_points(tab, [unit]), ())
+    # e1 = (w - r2) / (r1 - r2) for the roots r1, r2 = (a +- root) / 2
+    e1 = _comb(1 / root, w, (root - a) / (2 * root), unit)
+    e2 = _comb(1, unit, -1, e1)
+    return Idempotents(_points(tab, [e for e in (e1, e2, unit) if any(e)]), ())
 
 
-def _coefficient_on(target, u, n, which):
-    """Coefficients (c_u, c_n) with target = c_u u + c_n n; returns one."""
-    sol = solve_linear(
-        [[cu, cn] for cu, cn in zip(u.coords(), n.coords())],
-        list(target.coords()),
-    )
+_LEAVES = "a product leaves the span of its two factors"
+_NOT_MULTIPLE = "a product with u is not a multiple of n"
+
+
+def _solve_in(target, vectors, message):
+    """Coefficients c with target = sum c_i vectors[i]; SoundnessError with
+    the message when the target is None or outside their span."""
+    sol = None if target is None else solve_linear([list(r) for r in zip(*vectors)], target)
     if sol is None:
-        raise SoundnessError("a product leaves the span of its two factors")
-    return sol[which]
-
-
-def _scalar_multiple(target, n):
-    sol = solve_linear([[x] for x in n.coords()], list(target.coords()))
-    if sol is None:
-        raise SoundnessError("a product with u is not a multiple of n")
-    return sol[0]
+        raise SoundnessError(message)
+    return sol
 
 
 def _rational_sqrt(x):
@@ -352,24 +354,19 @@ def _rational_sqrt(x):
 def classify_2dim(s):
     """The isomorphism type D1..D7 of a 2-dimensional subalgebra over Q.
 
-    Decided by the dimension of s^2 and the nilpotency index (D1, D2), then
-    the radical and the unit/one-sided-unit structure (D3..D7).
+    Decided by s^2 = 0 (D1) and nilpotency, read from the trace form (D2),
+    then the radical and the unit/one-sided-unit structure (D3..D7).
     """
     if s.dim != 2:
         raise DimensionMismatch(f"expected a 2-dimensional subalgebra, got dim {s.dim}")
-    basis = s.basis_mats()
-    s2 = product_span(basis, basis)
-    if not s2:
+    tab = _Table(s).closed()
+    if not any(any(c) for row in tab.c for c in row):
         return "D1"
-    if is_nilpotent_span(basis):
+    if len(tab.rad) == 2:
         return "D2"
-    rad = radical(s)
-    if rad.dim == 0:
+    if not tab.rad:
         return "D7"
-    if find_unit(s, "two") is not None:
-        return "D4"
-    if find_unit(s, "left") is not None:
-        return "D5"
-    if find_unit(s, "right") is not None:
-        return "D6"
+    for side, tag in (("two", "D4"), ("left", "D5"), ("right", "D6")):
+        if tab.unit(side) is not None:
+            return tag
     return "D3"

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from m3decomp.catalog import LEMMA5_SUBALGEBRAS, entry_by_id
+from m3decomp.catalog import LEMMA5_SUBALGEBRAS, builtin_catalog, entry_by_id
 from m3decomp.errors import DimensionMismatch, NotSupported, SoundnessError
 from m3decomp.invariants import (
+    _Table,
     classify_2dim,
     find_unit,
     fingerprint,
@@ -241,3 +242,73 @@ def test_soundness_checks_reject_non_closed_spans(gens, message):
     for check in (idempotents, fingerprint):
         with pytest.raises(SoundnessError, match=message):
             check(s)
+
+
+def test_fingerprint_rejects_non_closed_span_of_dim_3():
+    # e12 e23 = e13 leaves the span; idempotents does not take dim 3, so the
+    # table's closure check is what rejects it
+    s = span([e(1, 1), e(1, 2), e(2, 3)])
+    with pytest.raises(SoundnessError, match="leaves the span"):
+        fingerprint(s)
+
+
+def test_constant_polynomial_entries_read_as_rationals():
+    # R5 has no parameters, but its symbolic span holds constant polynomials
+    symbolic = entry_by_id("R5").s_subspace()
+    assert fingerprint(symbolic) == fingerprint(s_of("R5"))
+    assert classify_2dim(symbolic) == "D5"
+    assert idempotents(symbolic).all_ranks() == (2,)
+
+
+def test_parametric_span_is_not_supported():
+    s = entry_by_id("R8").s_subspace()
+    for check in (fingerprint, classify_2dim, idempotents, radical):
+        with pytest.raises(NotSupported):
+            check(s)
+
+
+def _catalog_subalgebras():
+    subs = {}
+    for entry in builtin_catalog():
+        subs[entry.id], _ = entry.specialize({p: 2 + k for k, p in enumerate(entry.params)})
+    return subs
+
+
+def test_catalog_fingerprints_form_few_matrix_products(monkeypatch):
+    # the structure constants need sum k^2 = 890 basis products over the 71
+    # entries; every other invariant reads them
+    subs = _catalog_subalgebras()
+    assert len(subs) == 71
+    count = [0]
+    product = Mat3.__matmul__
+
+    def counted(a, b):
+        count[0] += 1
+        return product(a, b)
+
+    monkeypatch.setattr(Mat3, "__matmul__", counted)
+    for s in subs.values():
+        fingerprint(s)
+    assert count[0] <= 1500
+
+
+def test_structure_constants_and_trace_form_nilpotency():
+    subs = _catalog_subalgebras()
+    subs.update({f"L5_{k}": c.subspace() for k, c in LEMMA5_SUBALGEBRAS.items()})
+    nilpotent = set()
+    for ident, s in subs.items():
+        tab = _Table(s)
+        basis = s.basis_mats()
+        for i, x in enumerate(basis):
+            for j, y in enumerate(basis):
+                combo = Mat3.zero()
+                for c, b in zip(tab.c[i][j], basis):
+                    combo = combo + b.scale(c)
+                assert combo == x @ y, (ident, i, j)
+        # a nilpotent subalgebra of M3 is strictly upper triangular up to
+        # conjugacy, so it is nilpotent exactly when s^3 = 0
+        cube_zero = all((x @ y @ z).is_zero() for x in basis for y in basis for z in basis)
+        assert (radical(s).dim == s.dim) == cube_zero, ident
+        if cube_zero:
+            nilpotent.add(ident)
+    assert {"R1", "R2", "T1"} <= nilpotent < set(subs)
