@@ -4,7 +4,6 @@ search oracle, and the induced splitting operators."""
 
 from .catalog import (
     COMPLEMENTS,
-    D_TEMPLATES,
     LEMMA5_SUBALGEBRAS,
     CatalogEntry,
     ComplementDef,

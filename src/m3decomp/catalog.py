@@ -105,19 +105,6 @@ LEMMA5_SUBALGEBRAS = {
     6: COMPLEMENTS["L5_6"],
 }
 
-#: structure-constant templates of the seven 2-dimensional algebra types:
-#: nonzero products (i, j) -> coefficients of the product on (x1, x2)
-D_TEMPLATES = {
-    "D1": {},
-    "D2": {(1, 1): (0, 1)},
-    "D3": {(1, 1): (1, 0)},
-    "D4": {(1, 1): (1, 0), (1, 2): (0, 1), (2, 1): (0, 1)},
-    "D5": {(1, 1): (1, 0), (1, 2): (0, 1)},
-    "D6": {(1, 1): (1, 0), (2, 1): (0, 1)},
-    "D7": {(1, 1): (1, 0), (2, 2): (0, 1)},
-}
-
-
 class CatalogEntry:
     """One classified decomposition case."""
 

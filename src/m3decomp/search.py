@@ -5,18 +5,22 @@ The enumeration is the solution set of a pattern's closure system over F_p
 (direct sums are automatic for pattern instances, since the pivot parts
 complete any basis of the complement).  Every automorphism of M3 is inner:
 a group family is held as its 3x3 conjugators T (X -> T^-1 X T), a twist as a
-permutation matrix P (X -> P X^T P).  Each family is the full stabilizer of
-its complement (`family_is_full_stabilizer`), so the family together with
-its twist coset is a group, and the orbit of a solution is the set of its
-images under all of those maps that land back in the pattern slice.  Orbits
-are therefore swept one at a time: every map is applied to one unlabelled
-solution, and each in-slice image joins its orbit.  Soundness (every
-constraint-satisfying catalog specialization appears and is matched) is
-checked with typed errors; completeness failures are data, reported verbatim
-and, where claimed, explained by re-running the sweep over the quadratic
-extension GF(p^2), which is exactly what a square-root obstruction must
-resolve.  Both sweeps are the same code over a field object
-(`gfq.GFq`): F_p is its degree-1 case, GF(p^2) its degree-2 case.
+permutation matrix P (X -> P X^T P).  Each conjugator comes with its
+adjugate, and the sweeps apply X -> adj(T) X T = det(T) T^-1 X T: a nonzero
+scalar on a whole image cancels in the pattern-normal form and leaves every
+row-space test unchanged, so no group is ever inverted.  Each family is the
+full stabilizer of its complement (`family_is_full_stabilizer`), so the
+family together with its twist coset is a group, and the orbit of a
+solution is the set of its images under all of those maps that land back in
+the pattern slice.  Orbits are therefore swept one at a time: every map is
+applied to one unlabelled solution, and each in-slice image joins its
+orbit.  Soundness (every constraint-satisfying catalog specialization
+appears and is matched) is checked with typed errors; completeness failures
+are data, reported verbatim and, where claimed, explained by re-running the
+sweep over the quadratic extension GF(p^2), which is exactly what a
+square-root obstruction must resolve.  Both sweeps are the same code over a
+field object (`gfq.GFq`): F_p is its degree-1 case, GF(p^2) its degree-2
+case.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from collections import Counter
 
 import numpy as np
 
-from .catalog import COMPLEMENTS, builtin_catalog
+from .catalog import COMPLEMENTS, builtin_catalog, entry_by_id
 from .errors import BudgetExceeded, GroupMismatch, PatternMismatch
 from .fpsolve import compile_poly, solve_system_fp
 from .gfq import GFq, check_prime
@@ -197,9 +201,11 @@ def _grid(shape, start=0, stop=None):
 def _family_conjugators(family, gf, chunk=None):
     """The invertible conjugators T of a family over the field gf, in
     parameter-grid order, chunk grid rows at a time (all at once when chunk
-    is None): yields an (N, 3, 3) batch for each chunk that keeps one.  For
-    phi_lm0_theta23 each batch is followed by its theta(2, 3) coset, the
-    conjugators P23 @ T."""
+    is None): yields (T, adj T), two (N, 3, 3) batches, for each chunk that
+    keeps a conjugator.  For phi_lm0_theta23 each chunk is followed by its
+    theta(2, 3) coset, the conjugators P23 @ T.  The adjugates come from the
+    cofactor pass that drops the singular T; the sweeps use them in place
+    of the inverses (see `_conjugated`)."""
     names, units = _FAMILIES[family]
     skip = [int(n in units) for n in names]   # a unit skips elements()[0] = 0
     shape = tuple(gf.q - s for s in skip)
@@ -212,22 +218,26 @@ def _family_conjugators(family, gf, chunk=None):
         t[:, 0] = gf.lift(1)
         t[:, [_T_ENTRY[n] for n in names]] = elements[grid]
         t = t.reshape((-1, 3, 3) + elements.shape[1:])
-        t = t[~gf.is_zero(gf.det_adj(t)[0])]
         if family == "phi_lm0_theta23":
             t = np.concatenate([t, gf.matmul(gf.lift(_P23), t)])
-        if len(t):
-            yield t
+        det, adj = gf.det_adj(t)
+        keep = ~gf.is_zero(det)
+        if keep.any():
+            yield t[keep], adj[keep]
 
 
 def _conjugated(rows, conj, gf):
     """Generator rows (..., k, 9) over the field gf sent through every
-    member X -> T^-1 X T of a group given as conj = (T, T^-1), two
-    (G, 3, 3) batches: (..., G, k, 9) rows."""
-    t, t_inv = conj
+    member X -> T^-1 X T of a group given as conj = (T, adj T), two
+    (G, 3, 3) batches: (..., G, k, 9) rows.  Each image is adj(T) X T,
+    det(T) times the conjugate; the pattern-normal form and the row-space
+    tests cannot tell the two apart.  T^-1 in place of adj T gives the
+    conjugates themselves."""
+    t, t_adj = conj
     e = gf.degree - 1   # trailing axes of one field element
     mats = rows.reshape(rows.shape[:rows.ndim - 1 - e] + (3, 3) + rows.shape[rows.ndim - e:])
     mats = np.expand_dims(mats, -4 - e)
-    out = gf.matmul(gf.matmul(t_inv[:, None], mats), t[:, None])
+    out = gf.matmul(gf.matmul(t_adj[:, None], mats), t[:, None])
     return out.reshape(out.shape[:out.ndim - 2 - e] + (9,) + out.shape[out.ndim - e:])
 
 
@@ -244,13 +254,14 @@ def _twisted(rows, twist, p):
     return np.concatenate([rows, flipped.reshape(rows.shape)], axis=-3)
 
 
-#: conjugators per batch of a sweep, so that the images held at once do not
+#: parameter tuples per batch of a sweep (at most as many conjugators, twice
+#: as many with a theta(2, 3) coset), so that the images held at once do not
 #: grow with the order of the group
 _SWEEP_CHUNK = 1024
 
 
 def _images(rep_cells, twist, batches, pdata, gf):
-    """For each batch (T, T^-1) of conjugators over the field gf, the cells of
+    """For each batch (T, adj T) of conjugators over the field gf, the cells of
     the images of one representative (its cells over F_p) under the batch and
     its twist coset that normalize into the pattern slice."""
     rows = gf.lift(_twisted(rows_from_cells(rep_cells[None], pdata, gf.p)[0], twist, gf.p))
@@ -263,7 +274,7 @@ def _images(rep_cells, twist, batches, pdata, gf):
 def group_matrices(family, p):
     """The conjugators T of a family over F_p, (|G|, 3, 3), in parameter-grid
     order; distinct T give distinct maps X -> T^-1 X T."""
-    return np.concatenate(list(_family_conjugators(family, _gf(p))))
+    return np.concatenate([t for t, _ in _family_conjugators(family, _gf(p))])
 
 
 def twist_matrix(name, p):
@@ -299,16 +310,18 @@ def _generator_rows(mats, p):
     return np.array([[int(x) for x in g.coords()] for g in mats], dtype=np.int64) % p
 
 
-def _check_group_preserves(pattern_name, conj, twist, gf):
-    """Check that every group element, and the twist, maps the complement
-    row space into itself (hence onto it, being invertible) mod p."""
+def _check_group_preserves(pattern_name, batches, twist, gf):
+    """Check that every group element, given as batches (T, adj T) of
+    conjugators over F_p, and the twist map the complement row space into
+    itself (hence onto it, being invertible) mod p.  adj T scales each
+    image by det(T), which no row-space test sees."""
     p = gf.p
     comp_id = get_pattern(pattern_name).complement_id
     rows = _generator_rows(COMPLEMENTS[comp_id].generators, p)
     inside = _in_row_space(rows, p)
-    # one complement row at a time, so that |G| images are held at once
+    # one batch at a time, so that at most |batch| images are held at once
     images = itertools.chain([_twisted(rows, twist, p)],
-                             (_conjugated(row[None], conj, gf) for row in rows))
+                             (_conjugated(rows, conj, gf) for conj in batches))
     if not all(inside(batch).all() for batch in images):
         raise GroupMismatch(f"a group element does not preserve {comp_id}")
 
@@ -344,14 +357,16 @@ def enumerate_complements_fp(pattern_name, p):
     return solve_system_fp(pat.closure_system(), pat.params, p)
 
 
-def orbit_partition_fp(solutions, pattern_name, p, group=None, twist=None):
+def orbit_partition_fp(solutions, pattern_name, p):
     """Partition solutions into orbits under the complement-preserving group
     (plus the antiautomorphism coset when the setup admits one).
 
     In index order, each solution not yet labelled has every group element
     g applied to its generator rows and to their twisted images (which
-    g.twist sends where g sends the twisted rows), _SWEEP_CHUNK elements at
-    a time, and every in-slice image is labelled with that solution's index.
+    g.twist sends where g sends the twisted rows), one batch of conjugators
+    (_SWEEP_CHUNK parameter tuples) at a time, and every in-slice image is
+    labelled with that solution's index.  The batches are built once, with
+    their adjugates, and checked to preserve the complement first.
     This relies on the maps forming a group (the identity included), which
     holds because each family is the full stabilizer of its complement; an
     image outside the solutions, or one already in another orbit, raises
@@ -363,18 +378,14 @@ def orbit_partition_fp(solutions, pattern_name, p, group=None, twist=None):
     lexicographically least representative).
     """
     config = SEARCH_CONFIGS[pattern_name]
-    if group is None:
-        group = group_matrices(config["group"], p)
-    if twist is None:
-        twist = twist_matrix(config["twist"], p)
     gf = _gf(p)
-    conj = (group, gf.inv_mat(group))
-    _check_group_preserves(pattern_name, conj, twist, gf)
+    twist = twist_matrix(config["twist"], p)
+    # built once: regenerating the group for each orbit costs more CPU
+    batches = list(_family_conjugators(config["group"], gf, _SWEEP_CHUNK))
+    _check_group_preserves(pattern_name, batches, twist, gf)
     pdata = _pdata(pattern_name)
     sols = np.asarray(solutions)
     find = _row_index(sols)
-    batches = [tuple(m[s:s + _SWEEP_CHUNK] for m in conj)
-               for s in range(0, len(group), _SWEEP_CHUNK)]
     labels = np.full(len(sols), -1, dtype=np.int64)
     orbits = {}
     for i in range(len(sols)):
@@ -514,7 +525,7 @@ def explain_unmatched(pattern_name, p, rep_cells):
     pdata = _pdata(pattern_name)
     find = _row_index(np.concatenate(
         [cells[ok] for *_, cells, ok in _specializations(pattern_name, gf)]))
-    batches = ((t, gf.inv_mat(t)) for t in _family_conjugators(config["group"], gf, _SWEEP_CHUNK))
+    batches = _family_conjugators(config["group"], gf, _SWEEP_CHUNK)
     images = _images(rep_cells, twist_matrix(config["twist"], p), batches, pdata, gf)
     return any((find(cells) >= 0).any() for cells in images)
 
@@ -560,8 +571,10 @@ def family_is_full_stabilizer(family, complement_id, p):
     every = _grid((p,) * 9)
     lead = every[np.arange(len(every)), (every != 0).argmax(axis=1)]
     every = every[lead == 1].reshape(-1, 3, 3)
-    every = every[~gf.is_zero(gf.det_adj(every)[0])]
-    images = _conjugated(rows, (every, gf.inv_mat(every)), gf)
+    det, adj = gf.det_adj(every)
+    keep = ~gf.is_zero(det)
+    every = every[keep]
+    images = _conjugated(rows, (every, adj[keep]), gf)
     found = every[_in_row_space(rows, p)(images)]
     return np.array_equal(np.sort(_row_keys(found)), np.sort(_row_keys(group_matrices(family, p))))
 
@@ -575,8 +588,6 @@ def t4_t6_separation(p):
     Returns (separated, witness): witness names the first mapping found in
     grid order, untwisted maps first, as family parameters plus whether it
     includes the twist."""
-    from .catalog import entry_by_id
-
     gf = _gf(p)
     s4, _ = entry_by_id("T4").specialize({})
     s6, _ = entry_by_id("T6").specialize({})
@@ -585,8 +596,8 @@ def t4_t6_separation(p):
     if _rank_mod(rows4, p) != _rank_mod(rows6, p):
         return True, None
     # an invertible map carries T4 onto T6 when every image row lies in T6
-    [t] = _family_conjugators("psi", gf)
-    images = _conjugated(_twisted(rows4, twist_matrix("theta13_T", p), p), (t, gf.inv_mat(t)), gf)
+    [(t, adj)] = _family_conjugators("psi", gf)
+    images = _conjugated(_twisted(rows4, twist_matrix("theta13_T", p), p), (t, adj), gf)
     hits = _in_row_space(rows6, p)(images)
     if not hits.any():
         return True, None

@@ -4,7 +4,6 @@ import pytest
 
 from m3decomp.catalog import (
     COMPLEMENTS,
-    D_TEMPLATES,
     LEMMA5_SUBALGEBRAS,
     CatalogEntry,
     ComplementDef,
@@ -129,12 +128,6 @@ def test_lemma5_records():
         if comp.unital:
             unital.append(k)
     assert unital == [1, 2, 3, 6]
-
-
-def test_d_templates():
-    assert set(D_TEMPLATES) == {f"D{k}" for k in range(1, 8)}
-    assert D_TEMPLATES["D2"] == {(1, 1): (0, 1)}
-    assert D_TEMPLATES["D4"][(1, 2)] == (0, 1)
 
 
 def test_roundtrip(tmp_path):

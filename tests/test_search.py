@@ -30,7 +30,9 @@ from m3decomp.search import (
     slow_cube_solutions,
     t4_t6_separation,
     twist_matrix,
+    _check_group_preserves,
     _conjugated,
+    _family_conjugators,
     _PatternData,
     _pdata,
 )
@@ -228,18 +230,23 @@ def test_normalize_roundtrip():
 @pytest.mark.parametrize("name, p", [("t1", 3), ("t6", 5)])
 def test_normal_form_is_the_same_over_the_extension(name, p):
     # images of some solutions under some group maps, in the slice or not:
-    # lifted into GF(p^2), they normalize to the lifted F_p cells
+    # lifted into GF(p^2), they normalize to the lifted F_p cells; the
+    # images under (T, adj T) are det(T) times those under (T, T^-1), and
+    # normalize to the same cells and flags over either field
     sols = enumerate_complements_fp(name, p)[::7][:12].astype(np.int64)
-    group = group_matrices(SEARCH_CONFIGS[name]["group"], p)[::29][:12]
     pdata = _pdata(name)
-    conj = (group, GFq(p).inv_mat(group))
-    rows = _conjugated(rows_from_cells(sols, pdata, p), conj, GFq(p)).reshape(-1, pdata.k, 9)
-    cells, ok = normalize_rows(rows, pdata, GFq(p))
+    gf = GFq(p)
+    [(t, adj)] = _family_conjugators(SEARCH_CONFIGS[name]["group"], gf)
+    t, adj = t[::29][:12], adj[::29][:12]
+    rows = [_conjugated(rows_from_cells(sols, pdata, p), conj, gf).reshape(-1, pdata.k, 9)
+            for conj in ((t, gf.inv_mat(t)), (t, adj))]
+    cells, ok = normalize_rows(rows[0], pdata, gf)
     assert ok.any() and not ok.all()
-    gf = GFq(p, 2)
-    cells2, ok2 = normalize_rows(gf.lift(rows), pdata, gf)
-    assert np.array_equal(ok2, ok)
-    assert np.array_equal(cells2, gf.lift(cells))
+    for field in (gf, GFq(p, 2)):
+        for images in rows:
+            cells2, ok2 = normalize_rows(field.lift(images), pdata, field)
+            assert np.array_equal(ok2, ok)
+            assert np.array_equal(cells2, field.lift(cells))
 
 
 def test_orbit_partition_refines_solutions():
@@ -368,17 +375,34 @@ def test_explain_unmatched_direct():
     assert explain_unmatched("t8", 3, cells)
 
 
-def test_group_mismatch_detected():
+def test_group_mismatch_detected(monkeypatch):
     # theta(1, 2) does not preserve the complement row space: as the whole
     # group, as one element at an index that five evenly spaced samples of
-    # the 24 (0, 5, 11, 17 and 23) miss, and the transpose as the twist
-    sols = enumerate_complements_fp("t1", 2)
-    corrupted = group_matrices("phi_full", 2).copy()
-    corrupted[1] = _P12
-    for kwargs in ({"group": _P12[None]}, {"group": corrupted},
-                   {"twist": np.eye(3, dtype=np.int64)}):
+    # the 24 (0, 5, 11, 17 and 23) miss, as the last element of the last of
+    # several batches, and the transpose as the twist
+    gf = GFq(2)
+    p12 = (_P12[None], gf.det_adj(_P12[None])[1])
+
+    def corrupted(batches, batch, index):
+        batches = [tuple(m.copy() for m in conj) for conj in batches]
+        for m, bad in zip(batches[batch], p12):
+            m[index] = bad[0]
+        return batches
+
+    whole = list(_family_conjugators("phi_full", gf))
+    monkeypatch.setattr(search, "_SWEEP_CHUNK", 5)
+    chunked = list(_family_conjugators("phi_full", gf, search._SWEEP_CHUNK))
+    assert len(chunked) > 1
+    for batches, twist in (([p12], None), (corrupted(whole, 0, 1), None),
+                           (corrupted(chunked, -1, -1), None),
+                           (whole, np.eye(3, dtype=np.int64))):
         with pytest.raises(GroupMismatch, match="does not preserve"):
-            orbit_partition_fp(sols, "t1", 2, **kwargs)
+            _check_group_preserves("t1", batches, twist, gf)
+    _check_group_preserves("t1", chunked, None, gf)
+    # the sweep runs the check on the group and twist its configuration names
+    monkeypatch.setitem(SEARCH_CONFIGS, "t1", {"group": "phi_full", "twist": "T"})
+    with pytest.raises(GroupMismatch, match="does not preserve"):
+        orbit_partition_fp(enumerate_complements_fp("t1", 2), "t1", 2)
 
 
 def test_families_are_full_stabilizers_f2():
