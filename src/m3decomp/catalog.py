@@ -96,14 +96,8 @@ COMPLEMENTS = {
 }
 
 #: the six 5-dimensional subalgebras, keyed by their list position
-LEMMA5_SUBALGEBRAS = {
-    1: COMPLEMENTS["L5_1"],
-    2: COMPLEMENTS["L5_2"],
-    3: COMPLEMENTS["L5_3"],
-    4: COMPLEMENTS["L5_4"],
-    5: COMPLEMENTS["L5_5"],
-    6: COMPLEMENTS["L5_6"],
-}
+LEMMA5_SUBALGEBRAS = {k: COMPLEMENTS[f"L5_{k}"] for k in range(1, 7)}
+
 
 class CatalogEntry:
     """One classified decomposition case."""
@@ -208,12 +202,9 @@ class CatalogEntry:
             rec["unital_component"],
             rec.get("notes", ""),
         )
-        for a, b in cons.get("not_both_zero", []):
-            pair = (parse_poly(a, entry.ring), parse_poly(b, entry.ring))
-            entry.constraints = ConstraintSet(
-                entry.constraints.nonzero,
-                entry.constraints.not_both_zero + (pair,),
-            )
+        pairs = [(parse_poly(a, entry.ring), parse_poly(b, entry.ring))
+                 for a, b in cons.get("not_both_zero", [])]
+        entry.constraints = ConstraintSet(entry.constraints.nonzero, pairs)
         return entry
 
     def __eq__(self, other):
@@ -225,14 +216,21 @@ class CatalogEntry:
 
 # ---------------------------------------------------------------------------
 # built-in corpus
+#
+# Each family is a table of generators of S keyed by case id, in case order.
+# A generator is three rows of cell strings; _m spells a row of one-character
+# cells as one string.  builtin_catalog() turns the tables into entries in one
+# pass: S_k is R_k's generators plus the identity (S11 and S12 stand alone),
+# U is listed against both non-unital 5-dimensional complements, and T, V, X,
+# Y and Z each pair their cases with one complement B that holds the identity.
 # ---------------------------------------------------------------------------
-
-_I3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
 
 def _m(r1, r2, r3):
     return [list(r1), list(r2), list(r3)]
 
+
+_I3 = _m("100", "010", "001")
 
 # (7,2)-cases against the 7-dimensional complement
 _R_GENS = {
@@ -259,273 +257,215 @@ _R_GENS = {
 
 _R_PARAMS = {"R8": ("y",), "R9": ("y",), "R10": ("d", "f")}
 _R_NONZERO = {"R8": ("y",), "R9": ("y",), "R10": ("f",)}
-_R10_NOTE = "first generator rescaled by f to clear a reciprocal entry"
+_R_NOTES = {"R10": "first generator rescaled by f to clear a reciprocal entry"}
+
+_T_GENS = {
+    "T1": [_m("000", "100", "000"), _m("000", "000", "100"), _m("000", "000", "010")],
+    "T2": [_m("000", "110", "000"), _m("000", "000", "100"), _m("000", "000", "010")],
+    "T3": [_m("000", "110", "001"), _m("000", "000", "100"), _m("000", "000", "010")],
+    "T4": [_m("000", "110", "000"), _m("100", "010", "100"), _m("000", "000", "110")],
+    "T5": [_m("000", "110", "000"), _m("100", "010", "100"), _m("010", "100", "010")],
+    "T6": [
+        [["0", "0", "1"], ["1", "1", "-1"], ["0", "0", "1"]],
+        _m("100", "010", "100"),
+        [["0", "1", "0"], ["0", "-1", "0"], ["0", "1", "0"]],
+    ],
+}
+
+# 4-dimensional unital S against either non-unital 5-dimensional
+# complement; generators follow the proof-stage displays, which pass the
+# direct-sum check for both complements (the theorem-statement spellings
+# of two cases do not)
+_U_GENS = {
+    "U1": [_I3, _m("000", "100", "000"), _m("000", "000", "100"), _m("000", "000", "010")],
+    "U2": [_I3, _m("000", "110", "000"), _m("000", "000", "100"), _m("000", "000", "010")],
+    "U3": [_I3, _m("000", "100", "000"), _m("000", "000", "100"), _m("000", "010", "010")],
+    "U4": [
+        _I3,
+        _m("000", "110", "000"),
+        [["0", "0", "1"], ["0", "0", "-1"], ["1", "0", "0"]],
+        _m("110", "000", "110"),
+    ],
+    "U5": [
+        _I3,
+        _m("000", "100", "000"),
+        _m("000", "000", "100"),
+        [["1", "0", "0"], ["0", "p", "1-p"], ["0", "1", "0"]],
+    ],
+    "U6": [
+        _I3,
+        [["0", "0", "0"], ["1", "0", "-1"], ["0", "0", "0"]],
+        [["1", "0", "-1"], ["0", "0", "0"], ["1", "0", "-1"]],
+        [["1", "1", "-1"], ["0", "p", "1-p"], ["0", "1", "0"]],
+    ],
+    "U7": [
+        _I3,
+        _m("000", "110", "000"),
+        [["1", "0", "m*(m+1)"], ["0", "1", "-m*(m+1)"], ["1", "0", "0"]],
+        [["m", "m+1", "-m*(m+1)"], ["0", "-1", "m*(m+1)"], ["0", "1", "0"]],
+    ],
+    "U8": [
+        _I3,
+        [["0", "0", "0"], ["1", "1", "-1"], ["0", "0", "0"]],
+        [["2-p", "0", "(m-1)*(m-p+1)"], ["0", "1-p", "-m*(m-p)"], ["1", "0", "0"]],
+        [["m", "m-p+1", "-m*(m-p+1)"], ["0", "p", "m*(m-p)"], ["0", "1", "0"]],
+    ],
+}
+
+_U_PARAMS = {"U5": ("p",), "U6": ("p",), "U7": ("m",), "U8": ("m", "p")}
+_U_NOTES = dict.fromkeys(("U7", "U8"), "generators taken from the derivation stage of the case")
+
+_V_GENS = {
+    "V1": [
+        [["0", "0", "0"], ["1", "0", "-1"], ["0", "0", "0"]],
+        _m("100", "010", "100"), _m("010", "000", "010"), _m("001", "010", "001"),
+    ],
+    "V2": [
+        [["0", "0", "0"], ["1", "0", "-1"], ["0", "0", "0"]],
+        _m("100", "010", "100"), _m("010", "001", "010"), _m("001", "010", "001"),
+    ],
+    "V3": [
+        [["0", "0", "0"], ["1", "0", "-1"], ["0", "0", "0"]],
+        _m("100", "000", "100"), _m("010", "000", "010"), _m("001", "000", "001"),
+    ],
+    "V4": [
+        [["0", "0", "0"], ["1", "1", "-1"], ["0", "0", "0"]],
+        _m("100", "000", "100"), _m("010", "000", "010"), _m("001", "000", "001"),
+    ],
+    "V5": [
+        [["0", "0", "0"], ["1", "0", "-1"], ["0", "0", "0"]],
+        _m("100", "010", "100"),
+        [["0", "1", "0"], ["0", "1", "s"], ["0", "1", "0"]],
+        _m("001", "010", "001"),
+    ],
+    "V6": [
+        [["0", "0", "0"], ["1", "b", "-(b+1)"], ["0", "0", "0"]],
+        _m("100", "100", "100"), _m("010", "010", "010"), _m("001", "001", "001"),
+    ],
+}
+
+_X_GENS = {
+    "X1": [_m("000", "100", "000"), _m("000", "010", "000"),
+           _m("000", "000", "100"), _m("000", "000", "010")],
+    "X2": [_m("000", "100", "000"), _m("000", "000", "100"),
+           _m("000", "000", "010"), _m("000", "000", "001")],
+    "X3": [_m("000", "100", "000"), _m("000", "000", "100"),
+           _m("000", "000", "010"), _m("100", "010", "000")],
+    "X4": [_m("000", "100", "000"), _m("000", "000", "100"),
+           _m("000", "000", "010"), _m("100", "000", "001")],
+    "X5": [_m("100", "000", "100"), _m("010", "000", "010"),
+           _m("000", "100", "000"), _m("000", "010", "000")],
+    "X6": [_m("010", "100", "000"), _m("000", "000", "100"),
+           _m("000", "000", "010"), _m("100", "010", "000")],
+    "X7": [_m("000", "110", "000"), _m("000", "000", "100"),
+           _m("000", "000", "010"), _m("000", "000", "001")],
+}
+
+_Y_GENS = {
+    "Y1": [_m("000", "100", "000"), _m("000", "000", "100"),
+           _m("000", "000", "011"), _m("000", "011", "000")],
+    "Y2": [_m("000", "100", "000"), _m("000", "000", "100"),
+           _m("000", "010", "010"), _m("000", "001", "001")],
+    "Y3": [_m("000", "100", "000"), _m("000", "000", "100"),
+           _m("100", "011", "000"), _m("100", "000", "011")],
+    "Y4": [_m("000", "100", "000"), _m("000", "000", "100"),
+           _m("100", "010", "010"), _m("100", "001", "001")],
+    "Y5": [_m("000", "110", "000"),
+           [["0", "0", "0"], ["0", "0", "0"], ["1", "0", "-1"]],
+           _m("000", "000", "011"), _m("000", "011", "000")],
+    "Y6": [
+        [["0", "0", "0"], ["1", "0", "0"], ["-1", "0", "0"]],
+        _m("011", "000", "100"), _m("100", "000", "011"), _m("100", "011", "000"),
+    ],
+    "Y7": [
+        [["0", "0", "0"], ["1", "0", "-1"], ["0", "0", "0"]],
+        _m("100", "100", "100"), _m("010", "010", "010"), _m("001", "001", "001"),
+    ],
+    "Y8": [
+        _m("000", "110", "001"), _m("000", "100", "100"),
+        [["1", "1", "-1"], ["0", "1", "0"], ["0", "1", "0"]],
+        [["0", "0", "0"], ["0", "1", "-1"], ["0", "1", "-1"]],
+    ],
+    "Y9": [
+        [["0", "0", "0"], ["1", "1", "-(x+1)"], ["0", "0", "0"]],
+        [["x", "0", "0"], ["1", "0", "0"], ["1", "0", "0"]],
+        [["0", "x", "0"], ["0", "1", "0"], ["0", "1", "0"]],
+        [["0", "0", "x"], ["0", "0", "1"], ["0", "0", "1"]],
+    ],
+    "Y10": [
+        [["0", "0", "0"], ["1", "d", "0"], ["0", "0", "0"]],
+        [["1", "d", "0"], ["0", "0", "0"], ["1", "d", "0"]],
+        _m("000", "011", "000"), _m("011", "000", "011"),
+    ],
+    "Y11": [
+        [["0", "0", "0"], ["1", "1", "0"], ["-1", "0", "1"]],
+        [["0", "c", "c"], ["1", "1", "0"], ["0", "0", "0"]],
+        _m("110", "000", "011"),
+        [["1", "0", "-1"], ["0", "1", "1"], ["0", "0", "0"]],
+    ],
+}
+
+_Z_GENS = {
+    "Z1": [_m("100", "000", "000"), _m("000", "100", "000"),
+           _m("000", "000", "100"), _m("000", "000", "010")],
+    "Z2": [_m("100", "000", "000"), _m("000", "100", "000"),
+           _m("000", "000", "100"), _m("000", "000", "011")],
+    "Z3": [_m("100", "010", "000"), _m("000", "100", "000"),
+           _m("000", "000", "100"), _m("000", "000", "010")],
+    "Z4": [_m("100", "010", "000"), _m("010", "100", "000"),
+           _m("000", "000", "100"), _m("000", "000", "010")],
+}
 
 
-def _expand(cells):
-    # rows given as compact digit strings expand to single-character cells
-    return [[c for c in row] if isinstance(row, str) else row for row in cells]
-
-
-def _raw_entries():
-    raw = []
-    for k in range(1, 11):
-        ident = f"R{k}"
-        raw.append(dict(
-            ident=ident, theorem=1, complement="M7",
-            params=_R_PARAMS.get(ident, ()),
-            gens=[_expand(g) for g in _R_GENS[ident]],
-            nonzero=_R_NONZERO.get(ident, ()),
-            unital="B",
-            notes=_R10_NOTE if ident == "R10" else "",
-        ))
-        sid = f"S{k}"
-        raw.append(dict(
-            ident=sid, theorem=2, complement="M6N",
-            params=_R_PARAMS.get(ident, ()),
-            gens=[_I3] + [_expand(g) for g in _R_GENS[ident]],
-            nonzero=_R_NONZERO.get(ident, ()),
-            unital="S",
-            notes=_R10_NOTE if ident == "R10" else "",
-        ))
-    raw.append(dict(
-        ident="S11", theorem=2, complement="M6N", params=("d",),
-        gens=[
-            _I3,
-            [["0", "0", "1"], ["1", "0", "d"], ["0", "1", "0"]],
-            [["0", "1", "0"], ["0", "d", "1"], ["1", "0", "d"]],
-        ],
-        nonzero=(), unital="S", notes="",
-    ))
-    raw.append(dict(
-        ident="S12", theorem=2, complement="M6N", params=("e", "u"),
-        gens=[
-            _I3,
-            [["0", "0", "e*u-1"], ["1", "1", "1"], ["0", "e", "1"]],
-            [["0", "e*u-1", "0"], ["0", "1", "u"], ["1", "1", "1"]],
-        ],
-        nonzero=("e", "e*u-1"), unital="S", notes="",
-    ))
-
-    t_gens = {
-        "T1": [_m("000", "100", "000"), _m("000", "000", "100"), _m("000", "000", "010")],
-        "T2": [_m("000", "110", "000"), _m("000", "000", "100"), _m("000", "000", "010")],
-        "T3": [_m("000", "110", "001"), _m("000", "000", "100"), _m("000", "000", "010")],
-        "T4": [_m("000", "110", "000"), _m("100", "010", "100"), _m("000", "000", "110")],
-        "T5": [_m("000", "110", "000"), _m("100", "010", "100"), _m("010", "100", "010")],
-        "T6": [
-            [["0", "0", "1"], ["1", "1", "-1"], ["0", "0", "1"]],
-            _m("100", "010", "100"),
-            [["0", "1", "0"], ["0", "-1", "0"], ["0", "1", "0"]],
-        ],
-    }
-    for k in range(1, 7):
-        ident = f"T{k}"
-        raw.append(dict(
-            ident=ident, theorem=3, complement="M6U", params=(),
-            gens=[_expand(g) for g in t_gens[ident]], nonzero=(), unital="B", notes="",
-        ))
-
-    # 4-dimensional unital S against either non-unital 5-dimensional
-    # complement; generators follow the proof-stage displays, which pass the
-    # direct-sum check for both complements (the theorem-statement spellings
-    # of two cases do not)
-    u_gens = {
-        "U1": [_I3, _m("000", "100", "000"), _m("000", "000", "100"), _m("000", "000", "010")],
-        "U2": [_I3, _m("000", "110", "000"), _m("000", "000", "100"), _m("000", "000", "010")],
-        "U3": [_I3, _m("000", "100", "000"), _m("000", "000", "100"), _m("000", "010", "010")],
-        "U4": [
-            _I3,
-            _m("000", "110", "000"),
-            [["0", "0", "1"], ["0", "0", "-1"], ["1", "0", "0"]],
-            _m("110", "000", "110"),
-        ],
-        "U5": [
-            _I3,
-            _m("000", "100", "000"),
-            _m("000", "000", "100"),
-            [["1", "0", "0"], ["0", "p", "1-p"], ["0", "1", "0"]],
-        ],
-        "U6": [
-            _I3,
-            [["0", "0", "0"], ["1", "0", "-1"], ["0", "0", "0"]],
-            [["1", "0", "-1"], ["0", "0", "0"], ["1", "0", "-1"]],
-            [["1", "1", "-1"], ["0", "p", "1-p"], ["0", "1", "0"]],
-        ],
-        "U7": [
-            _I3,
-            _m("000", "110", "000"),
-            [["1", "0", "m*(m+1)"], ["0", "1", "-m*(m+1)"], ["1", "0", "0"]],
-            [["m", "m+1", "-m*(m+1)"], ["0", "-1", "m*(m+1)"], ["0", "1", "0"]],
-        ],
-        "U8": [
-            _I3,
-            [["0", "0", "0"], ["1", "1", "-1"], ["0", "0", "0"]],
-            [["2-p", "0", "(m-1)*(m-p+1)"], ["0", "1-p", "-m*(m-p)"], ["1", "0", "0"]],
-            [["m", "m-p+1", "-m*(m-p+1)"], ["0", "p", "m*(m-p)"], ["0", "1", "0"]],
-        ],
-    }
-    u_params = {"U5": ("p",), "U6": ("p",), "U7": ("m",), "U8": ("m", "p")}
-    u_note = {
-        "U7": "generators taken from the derivation stage of the case",
-        "U8": "generators taken from the derivation stage of the case",
-    }
-    for comp, tag in (("L5_4", "M1"), ("L5_5", "M2")):
-        for k in range(1, 9):
-            base = f"U{k}"
-            if tag == "M2" and base == "U3":
-                # coincides with U2 over this complement under the
-                # transpose-composed index swap; kept as a single entry
-                continue
-            raw.append(dict(
-                ident=f"{base}@{tag}", theorem=4, complement=comp,
-                params=u_params.get(base, ()),
-                gens=[_expand(g) for g in u_gens[base]],
-                nonzero=(), unital="S", notes=u_note.get(base, ""),
-            ))
-
-    v_gens = {
-        "V1": [
-            [["0", "0", "0"], ["1", "0", "-1"], ["0", "0", "0"]],
-            _m("100", "010", "100"), _m("010", "000", "010"), _m("001", "010", "001"),
-        ],
-        "V2": [
-            [["0", "0", "0"], ["1", "0", "-1"], ["0", "0", "0"]],
-            _m("100", "010", "100"), _m("010", "001", "010"), _m("001", "010", "001"),
-        ],
-        "V3": [
-            [["0", "0", "0"], ["1", "0", "-1"], ["0", "0", "0"]],
-            _m("100", "000", "100"), _m("010", "000", "010"), _m("001", "000", "001"),
-        ],
-        "V4": [
-            [["0", "0", "0"], ["1", "1", "-1"], ["0", "0", "0"]],
-            _m("100", "000", "100"), _m("010", "000", "010"), _m("001", "000", "001"),
-        ],
-        "V5": [
-            [["0", "0", "0"], ["1", "0", "-1"], ["0", "0", "0"]],
-            _m("100", "010", "100"),
-            [["0", "1", "0"], ["0", "1", "s"], ["0", "1", "0"]],
-            _m("001", "010", "001"),
-        ],
-        "V6": [
-            [["0", "0", "0"], ["1", "b", "-(b+1)"], ["0", "0", "0"]],
-            _m("100", "100", "100"), _m("010", "010", "010"), _m("001", "001", "001"),
-        ],
-    }
-    v_params = {"V5": ("s",), "V6": ("b",)}
-    for k in range(1, 7):
-        ident = f"V{k}"
-        raw.append(dict(
-            ident=ident, theorem=5, complement="L5_1", params=v_params.get(ident, ()),
-            gens=[_expand(g) for g in v_gens[ident]], nonzero=(), unital="B", notes="",
-        ))
-
-    x_gens = {
-        "X1": [_m("000", "100", "000"), _m("000", "010", "000"),
-               _m("000", "000", "100"), _m("000", "000", "010")],
-        "X2": [_m("000", "100", "000"), _m("000", "000", "100"),
-               _m("000", "000", "010"), _m("000", "000", "001")],
-        "X3": [_m("000", "100", "000"), _m("000", "000", "100"),
-               _m("000", "000", "010"), _m("100", "010", "000")],
-        "X4": [_m("000", "100", "000"), _m("000", "000", "100"),
-               _m("000", "000", "010"), _m("100", "000", "001")],
-        "X5": [_m("100", "000", "100"), _m("010", "000", "010"),
-               _m("000", "100", "000"), _m("000", "010", "000")],
-        "X6": [_m("010", "100", "000"), _m("000", "000", "100"),
-               _m("000", "000", "010"), _m("100", "010", "000")],
-        "X7": [_m("000", "110", "000"), _m("000", "000", "100"),
-               _m("000", "000", "010"), _m("000", "000", "001")],
-    }
-    for k in range(1, 8):
-        ident = f"X{k}"
-        raw.append(dict(
-            ident=ident, theorem=6, complement="L5_3", params=(),
-            gens=[_expand(g) for g in x_gens[ident]], nonzero=(), unital="B", notes="",
-        ))
-
-    y_gens = {
-        "Y1": [_m("000", "100", "000"), _m("000", "000", "100"),
-               _m("000", "000", "011"), _m("000", "011", "000")],
-        "Y2": [_m("000", "100", "000"), _m("000", "000", "100"),
-               _m("000", "010", "010"), _m("000", "001", "001")],
-        "Y3": [_m("000", "100", "000"), _m("000", "000", "100"),
-               _m("100", "011", "000"), _m("100", "000", "011")],
-        "Y4": [_m("000", "100", "000"), _m("000", "000", "100"),
-               _m("100", "010", "010"), _m("100", "001", "001")],
-        "Y5": [_m("000", "110", "000"),
-               [["0", "0", "0"], ["0", "0", "0"], ["1", "0", "-1"]],
-               _m("000", "000", "011"), _m("000", "011", "000")],
-        "Y6": [
-            [["0", "0", "0"], ["1", "0", "0"], ["-1", "0", "0"]],
-            _m("011", "000", "100"), _m("100", "000", "011"), _m("100", "011", "000"),
-        ],
-        "Y7": [
-            [["0", "0", "0"], ["1", "0", "-1"], ["0", "0", "0"]],
-            _m("100", "100", "100"), _m("010", "010", "010"), _m("001", "001", "001"),
-        ],
-        "Y8": [
-            _m("000", "110", "001"), _m("000", "100", "100"),
-            [["1", "1", "-1"], ["0", "1", "0"], ["0", "1", "0"]],
-            [["0", "0", "0"], ["0", "1", "-1"], ["0", "1", "-1"]],
-        ],
-        "Y9": [
-            [["0", "0", "0"], ["1", "1", "-(x+1)"], ["0", "0", "0"]],
-            [["x", "0", "0"], ["1", "0", "0"], ["1", "0", "0"]],
-            [["0", "x", "0"], ["0", "1", "0"], ["0", "1", "0"]],
-            [["0", "0", "x"], ["0", "0", "1"], ["0", "0", "1"]],
-        ],
-        "Y10": [
-            [["0", "0", "0"], ["1", "d", "0"], ["0", "0", "0"]],
-            [["1", "d", "0"], ["0", "0", "0"], ["1", "d", "0"]],
-            _m("000", "011", "000"), _m("011", "000", "011"),
-        ],
-        "Y11": [
-            [["0", "0", "0"], ["1", "1", "0"], ["-1", "0", "1"]],
-            [["0", "c", "c"], ["1", "1", "0"], ["0", "0", "0"]],
-            _m("110", "000", "011"),
-            [["1", "0", "-1"], ["0", "1", "1"], ["0", "0", "0"]],
-        ],
-    }
-    y_params = {"Y9": ("x",), "Y10": ("d",), "Y11": ("c",)}
-    for k in range(1, 12):
-        ident = f"Y{k}"
-        raw.append(dict(
-            ident=ident, theorem=7, complement="L5_2", params=y_params.get(ident, ()),
-            gens=[_expand(g) for g in y_gens[ident]], nonzero=(), unital="B", notes="",
-        ))
-
-    z_gens = {
-        "Z1": [_m("100", "000", "000"), _m("000", "100", "000"),
-               _m("000", "000", "100"), _m("000", "000", "010")],
-        "Z2": [_m("100", "000", "000"), _m("000", "100", "000"),
-               _m("000", "000", "100"), _m("000", "000", "011")],
-        "Z3": [_m("100", "010", "000"), _m("000", "100", "000"),
-               _m("000", "000", "100"), _m("000", "000", "010")],
-        "Z4": [_m("100", "010", "000"), _m("010", "100", "000"),
-               _m("000", "000", "100"), _m("000", "000", "010")],
-    }
-    for k in range(1, 5):
-        ident = f"Z{k}"
-        raw.append(dict(
-            ident=ident, theorem=8, complement="L5_6", params=(),
-            gens=[_expand(g) for g in z_gens[ident]], nonzero=(), unital="B", notes="",
-        ))
-    return raw
+def _family(theorem, complement, gens, params=None):
+    """The entries of a family whose unital summand is B and whose cases
+    carry no side conditions."""
+    params = params or {}
+    return [CatalogEntry(ident, theorem, complement, params.get(ident, ()), g, (), "B")
+            for ident, g in gens.items()]
 
 
 _BUILTIN = None
 
 
 def builtin_catalog():
-    """All 71 classified decomposition entries, in theorem-then-case order."""
+    """All 71 classified decomposition entries, in theorem-then-case order
+    (with R_k and S_k side by side)."""
     global _BUILTIN
     if _BUILTIN is None:
         entries = []
-        for rec in _raw_entries():
-            entries.append(CatalogEntry(
-                rec["ident"], rec["theorem"], rec["complement"], rec["params"],
-                rec["gens"], rec["nonzero"], rec["unital"], rec["notes"],
-            ))
+        for ident, gens in _R_GENS.items():
+            params, nonzero = _R_PARAMS.get(ident, ()), _R_NONZERO.get(ident, ())
+            notes = _R_NOTES.get(ident, "")
+            entries += [
+                CatalogEntry(ident, 1, "M7", params, gens, nonzero, "B", notes),
+                CatalogEntry("S" + ident[1:], 2, "M6N", params, [_I3, *gens], nonzero, "S",
+                             notes),
+            ]
+        entries.append(CatalogEntry("S11", 2, "M6N", ("d",), [
+            _I3,
+            [["0", "0", "1"], ["1", "0", "d"], ["0", "1", "0"]],
+            [["0", "1", "0"], ["0", "d", "1"], ["1", "0", "d"]],
+        ], (), "S"))
+        entries.append(CatalogEntry("S12", 2, "M6N", ("e", "u"), [
+            _I3,
+            [["0", "0", "e*u-1"], ["1", "1", "1"], ["0", "e", "1"]],
+            [["0", "e*u-1", "0"], ["0", "1", "u"], ["1", "1", "1"]],
+        ], ("e", "e*u-1"), "S"))
+        entries += _family(3, "M6U", _T_GENS)
+        for complement, tag in (("L5_4", "M1"), ("L5_5", "M2")):
+            for base, gens in _U_GENS.items():
+                if tag == "M2" and base == "U3":
+                    # coincides with U2 over this complement under the
+                    # transpose-composed index swap; kept as a single entry
+                    continue
+                entries.append(CatalogEntry(f"{base}@{tag}", 4, complement,
+                                            _U_PARAMS.get(base, ()), gens, (), "S",
+                                            _U_NOTES.get(base, "")))
+        entries += _family(5, "L5_1", _V_GENS, {"V5": ("s",), "V6": ("b",)})
+        entries += _family(6, "L5_3", _X_GENS)
+        entries += _family(7, "L5_2", _Y_GENS, {"Y9": ("x",), "Y10": ("d",), "Y11": ("c",)})
+        entries += _family(8, "L5_6", _Z_GENS)
         _BUILTIN = tuple(entries)
     return list(_BUILTIN)
 

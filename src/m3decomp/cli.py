@@ -97,6 +97,10 @@ def _config_error(msg):
     return 2
 
 
+# Each command imports the layer functions it calls inside its own body, at
+# call time: bench/traced.py imports this module first and then replaces those
+# functions on their modules with traced wrappers, so a module-level import
+# here would keep the unwrapped function.
 def cmd_verify(args):
     from .verifier import verify_entry
 

@@ -46,12 +46,13 @@ def _normalize_row(row):
     return [x * inv for x in row]
 
 
-def _eliminate(row, piv_row, col, constraints):
+def _eliminate(row, piv_row, col):
     """Cross-multiplied elimination of row's entry in the pivot column.
 
-    row := piv * row - row[col] * piv_row, which rescales row by a certified
-    nonzero factor and therefore never changes zero/nonzero status of the
-    residual under any constraint-satisfying specialization.
+    row := piv * row - row[col] * piv_row.  The pivot was certified nonzero
+    when the echelon was built, so this rescales row by a nonzero factor and
+    never changes the zero/nonzero status of the residual under any
+    constraint-satisfying specialization.
     """
     c = row[col]
     if sc_is_zero(c):
@@ -78,7 +79,7 @@ class Echelon:
         """The pivots, each certified nonzero under the constraints."""
         return [r[c] for r, c in zip(self.rows, self.pivot_cols)]
 
-    def reduce(self, row, constraints=EMPTY_CONSTRAINTS):
+    def reduce(self, row):
         """Residual of a row against the echelon; the residual is identically
         zero exactly when the row lies in the span for every
         constraint-satisfying specialization.
@@ -88,7 +89,7 @@ class Echelon:
         """
         row = list(row)
         for erow, col in zip(self.rows, self.pivot_cols):
-            row = _eliminate(row, erow, col, constraints)
+            row = _eliminate(row, erow, col)
         return row
 
     def project_field(self, row):
@@ -114,7 +115,7 @@ def echelonize(rows, constraints=EMPTY_CONSTRAINTS):
     for row in rows:
         row = list(row)
         for erow, col in zip(ech_rows, pivot_cols):
-            row = _eliminate(row, erow, col, constraints)
+            row = _eliminate(row, erow, col)
         if all(sc_is_zero(x) for x in row):
             continue
         pick = None
@@ -137,7 +138,7 @@ def echelonize(rows, constraints=EMPTY_CONSTRAINTS):
     for i in range(len(ech_rows)):
         for k in range(len(ech_rows)):
             if k != i:
-                ech_rows[k] = _eliminate(ech_rows[k], ech_rows[i], pivot_cols[i], constraints)
+                ech_rows[k] = _eliminate(ech_rows[k], ech_rows[i], pivot_cols[i])
     return Echelon([_normalize_row(r) for r in ech_rows], pivot_cols)
 
 

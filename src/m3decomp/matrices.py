@@ -132,7 +132,7 @@ class Subspace:
     def contains(self, m):
         """True iff m lies in the span under every constraint-satisfying
         specialization (the reduced residual vanishes identically)."""
-        residual = self.echelon.reduce(list(m.coords()), self.constraints)
+        residual = self.echelon.reduce(m.coords())
         return all(sc_is_zero(x) for x in residual)
 
     def contains_subspace(self, other):

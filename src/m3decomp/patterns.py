@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import PatternMismatch
 from .linalg import ff_inverse, kernel_basis
 from .matrices import COORD_INDEX, Mat3
-from .scalars import PolynomialRing
+from .scalars import PolynomialRing, parse_poly
 
 from .catalog import COMPLEMENTS
 
@@ -448,6 +448,6 @@ def reference_system(name):
     rec = REFERENCE_SYSTEMS[name]
     pat = get_pattern(rec["pattern"])
     ring = pat.ring
-    eqs = [ring.parse(s) for s in rec["equations"]]
-    subs = [ring.gen(cell) - ring.parse(v) for cell, v in rec["substitutions"].items()]
+    eqs = [parse_poly(s, ring) for s in rec["equations"]]
+    subs = [ring.gen(cell) - parse_poly(v, ring) for cell, v in rec["substitutions"].items()]
     return pat, eqs, subs, rec.get("pairs", "all")

@@ -102,9 +102,6 @@ class PolynomialRing:
     def gens(self):
         return tuple(self.gen(n) for n in self.names)
 
-    def parse(self, text):
-        return parse_poly(text, self)
-
     def __repr__(self):
         return "Q[" + ",".join(self.names) + "]"
 

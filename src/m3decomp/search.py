@@ -36,6 +36,7 @@ from .catalog import COMPLEMENTS, builtin_catalog, entry_by_id
 from .errors import BudgetExceeded, GroupMismatch, PatternMismatch
 from .fpsolve import compile_poly, solve_system_fp
 from .gfq import GFq, check_prime
+from .maps import PSI_PARAM_NAMES
 from .patterns import get_pattern
 
 #: group family and optional antiautomorphism twist preserving each fixed
@@ -602,10 +603,8 @@ def t4_t6_separation(p):
     if not hits.any():
         return True, None
     twisted, idx = divmod(int(hits.argmax()), len(t))
-    m = t[idx]
-    witness = {
-        "alpha": int(m[2, 2]), "beta": int(m[0, 1]), "gamma": int(m[0, 2]),
-        "delta": int(m[1, 1]), "epsilon": int(m[1, 2]),
-        "composed_with_transpose_twist": bool(twisted),
-    }
+    entries = t[idx].reshape(9)
+    witness = {name: int(entries[_T_ENTRY[n]])
+               for name, n in zip(PSI_PARAM_NAMES, _FAMILIES["psi"][0])}
+    witness["composed_with_transpose_twist"] = bool(twisted)
     return False, witness

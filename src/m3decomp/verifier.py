@@ -202,6 +202,8 @@ def _pairwise_report(fps, sweep_resolver=None):
 def verify_remarks(sweep_primes=(3, 5)):
     """Reproduce the orbit-separation remarks; failures are report entries,
     including the machine-found antiautomorphism relating (T4) and (T6)."""
+    # imported at call time, like the CLI's layers, so a traced wrapper on
+    # search.t4_t6_separation is the function called
     from .search import t4_t6_separation
 
     report = {}

@@ -95,10 +95,28 @@ def test_verify_remarks_report():
             assert rec["separated_by"] is not None
 
 
-@pytest.mark.parametrize("command, code", [("invariants", 1), ("export", 0)])
-def test_archived_exact_report_reproduces(command, code, tmp_path):
-    # the archived reports of two exact commands, regenerated in-process and
+ARCHIVED_RUNS = [
+    ("invariants.json", ["invariants"], 1),
+    ("export.json", ["export"], 0),
+    ("verify_symbolic.json", ["verify", "--all", "--mode", "symbolic"], 0),
+    ("verify_specialized_n10_seed3.json",
+     ["verify", "--all", "--mode", "specialized", "--n", "10", "--seed", "3"], 0),
+    ("rb.json", ["rb"], 0),
+    ("rb_weight1_operators.json", ["rb", "--weight", "1", "--emit-operators"], 0),
+    ("derive_system_t2.json", ["derive-system", "--pattern", "t2", "--compare", "t2_system"], 0),
+    # the table renders lists and tuples differently, so this pins that
+    # cmd_invariants turns rad_dims into a list
+    ("invariants_T2_X6_Z4_p3.txt",
+     ["invariants", "--entry", "T2,X6,Z4", "--sweep-primes", "3", "--format", "table"], 1),
+]
+
+
+@pytest.mark.parametrize(
+    "archive, argv, code", ARCHIVED_RUNS, ids=[run[0].split(".")[0] for run in ARCHIVED_RUNS]
+)
+def test_archived_exact_report_reproduces(archive, argv, code, tmp_path):
+    # the archived reports of the exact commands, regenerated in-process and
     # compared byte for byte (invariants exits 1 by Finding 2)
-    out = tmp_path / f"{command}.json"
-    assert cli.main([command, "--output", str(out)]) == code
-    assert out.read_bytes() == (REPORT_DIR / f"{command}.json").read_bytes()
+    out = tmp_path / archive
+    assert cli.main([*argv, "--output", str(out)]) == code
+    assert out.read_bytes() == (REPORT_DIR / archive).read_bytes()
