@@ -123,10 +123,13 @@ class CatalogEntry:
         self.complement_id = complement_id
         self.params = tuple(params)
         self.ring = PolynomialRing(self.params)
-        self.s_generators = tuple(
-            Mat3([[parse_poly(cell, self.ring) for cell in row] for row in g])
-            for g in gen_strings
-        )
+        try:
+            self.s_generators = tuple(
+                Mat3([[parse_poly(cell, self.ring) for cell in row] for row in g])
+                for g in gen_strings
+            )
+        except ValueError as exc:
+            raise SchemaError("s_generators", f"entry {ident}: {exc}") from exc
         # parsing against the ring of declared params already rejects any
         # undeclared parameter name
         self.constraints = ConstraintSet([parse_poly(s, self.ring) for s in nonzero_strings])
@@ -146,6 +149,10 @@ class CatalogEntry:
     def b_subspace_symbolic(self):
         """B as it stands: its constant entries are constants of every ring."""
         return self.complement.subspace()
+
+    def standard_values(self):
+        """The entry's standard point: its parameters at 2, 3, ... in order."""
+        return {p: 2 + i for i, p in enumerate(self.params)}
 
     def specialize(self, values):
         """Concrete (S, B) over Q at a parameter assignment; all constraints
@@ -486,9 +493,14 @@ def save_catalog(entries, path):
 
 
 def load_catalog(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise SchemaError("path", f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise SchemaError("path", f"{path} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError("schema_version", f"expected {SCHEMA_VERSION}")
     if "entries" not in doc:
         raise SchemaError("entries", "missing")

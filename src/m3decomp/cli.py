@@ -13,7 +13,8 @@ search and invariants --sweep-primes take the primes up to 7 (the
 finite-field oracle's bound, gfq.MAX_PRIME); derive-system compares over the
 primes up to 127 (its solver stores cells as int8).  Exit codes: 0 all
 requested checks pass, 1 a check failed, 2 configuration error (an unknown
-pattern, entry or fixture, or a prime out of range).  Identical
+pattern, entry or fixture, an unusable catalog file, or a prime out of
+range).  Identical
 configuration (including seed) produces byte-identical JSON output.  search
 accepts --jobs and ignores it.  The environment variable
 M3DECOMP_CATALOG points verification at a catalog file instead of the
@@ -62,14 +63,14 @@ def _as_table(doc, indent=0):
     if isinstance(doc, dict):
         for key in sorted(doc):
             value = doc[key]
-            if isinstance(value, (dict, list)):
+            if isinstance(value, (dict, list, tuple)):
                 lines.append(f"{pad}{key}:")
                 lines.append(_as_table(value, indent + 1))
             else:
                 lines.append(f"{pad}{key:<24} {value}")
-    elif isinstance(doc, list):
+    elif isinstance(doc, (list, tuple)):
         for value in doc:
-            if isinstance(value, (dict, list)):
+            if isinstance(value, (dict, list, tuple)):
                 lines.append(_as_table(value, indent))
                 lines.append(pad + "-")
             else:
@@ -163,11 +164,9 @@ def cmd_invariants(args):
     chosen = _select_entries(entries, args.entry)
     fps = {}
     for e in chosen:
-        values = {p: 2 + i for i, p in enumerate(e.params)}
+        values = e.standard_values()
         s, _ = e.specialize(values)
         fps[e.id] = dataclasses.asdict(fingerprint(s))
-        fps[e.id]["rad_dims"] = list(fps[e.id]["rad_dims"])
-        fps[e.id]["idempotent_ranks"] = list(fps[e.id]["idempotent_ranks"])
         if values:
             fps[e.id]["specialized_at"] = values
     doc = {
@@ -226,7 +225,7 @@ def cmd_rb(args):
 def cmd_export(args):
     entries, cat_path = _load_entries()
     doc = {
-        "schema_version": SCHEMA,
+        "schema_version": catalog_mod.SCHEMA_VERSION,
         "entries": [e.to_json() for e in entries],
     }
     _emit(doc, args)

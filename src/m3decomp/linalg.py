@@ -196,19 +196,13 @@ def ff_inverse(matrix, constraints=EMPTY_CONSTRAINTS):
 
 def solve_linear(a_rows, rhs):
     """One exact solution of A c = rhs over a field (free unknowns set to 0),
-    or None when inconsistent."""
+    or None when inconsistent: the kernel vector of [A | -rhs] that is 1 in
+    the last column, cut to its first n coordinates."""
     n = len(a_rows[0]) if a_rows else 0
-    aug = [list(row) + [r] for row, r in zip(a_rows, rhs)]
-    ech = echelonize(aug)
-    zero = rhs[0] - rhs[0] if rhs else Fraction(0)
-    sol = [zero] * n
-    if n in ech.pivot_cols:
-        return None
-    # rows are fully reduced, so with free unknowns at zero each pivot
-    # unknown reads off directly
-    for row, col in zip(ech.rows, ech.pivot_cols):
-        sol[col] = row[n] / row[col]
-    return sol
+    for vec in kernel_basis([list(row) + [-r] for row, r in zip(a_rows, rhs)], n + 1):
+        if vec[n] == 1:
+            return vec[:n]
+    return None
 
 
 def kernel_basis(a_rows, n):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .errors import PatternMismatch
+from .errors import PatternMismatch, SingularMatrix, UndecidedPivot
 from .linalg import ff_inverse, kernel_basis
 from .matrices import COORD_INDEX, Mat3
 from .scalars import PolynomialRing, parse_poly
@@ -106,7 +106,7 @@ class PivotPattern:
         b_mat = [[sum(f[t] * base[t] for t in range(9)) for base in bases] for f in ann]
         try:
             numer, det = ff_inverse(b_mat)
-        except Exception as exc:
+        except (SingularMatrix, UndecidedPivot) as exc:
             raise PatternMismatch(f"pivot parts do not complete a basis: {exc}") from exc
         funcs = []
         for j in range(k):

@@ -133,7 +133,7 @@ def _summands(entry, weight):
     """(S, B, weight) of an entry's decomposition: symbolic in the entry's
     parameters and the weight when weight is None (S's entries cast into the
     ring that carries the weight, B's constant ones left over Q), else over Q
-    with the parameters set to 2, 3, ..."""
+    at the entry's standard point."""
     if weight is None:
         ring = PolynomialRing(entry.params + (WEIGHT_VAR,))
         lam = ring.gen(WEIGHT_VAR)
@@ -141,7 +141,7 @@ def _summands(entry, weight):
         s = span([Mat3([[x.cast(ring) for x in row] for row in g.rows])
                   for g in entry.s_generators], constraints)
         return s, entry.complement.subspace(), lam
-    s, b = entry.specialize({p: 2 + i for i, p in enumerate(entry.params)})
+    s, b = entry.specialize(entry.standard_values())
     return s, b, Fraction(weight)
 
 

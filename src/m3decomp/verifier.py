@@ -104,21 +104,13 @@ def verify_entry(entry, mode="symbolic", n=100, seed=0):
     if mode != "specialized":
         raise ValueError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
-    all_s = all_b = all_ds = all_unital = True
-    failures = []
+    flags, failures = (True,) * 4, []
     draws = max(1, n) if entry.params else 1
     for _ in range(draws):
-        values = sample_assignment(entry, rng)
-        (ok_s, ok_b, ds, unital), fails = _verify_concrete(entry, values)
-        all_s &= ok_s
-        all_b &= ok_b
-        all_ds &= ds
-        all_unital &= unital
+        ok, fails = _verify_concrete(entry, sample_assignment(entry, rng))
+        flags = tuple(a and b for a, b in zip(flags, ok))
         failures.extend(fails)
-    return VerifyReport(
-        entry.id, all_s, all_b, all_ds, all_unital,
-        f"specialized(n={draws}, seed={seed})", failures,
-    )
+    return VerifyReport(entry.id, *flags, f"specialized(n={draws}, seed={seed})", failures)
 
 
 def compare_with_reference_system(name, p=3):
@@ -151,8 +143,14 @@ def compare_with_reference_system(name, p=3):
 
 def _spec_subspace(ident):
     entry = entry_by_id(ident)
-    S, _ = entry.specialize({p: 2 + i for i, p in enumerate(entry.params)})
+    S, _ = entry.specialize(entry.standard_values())
     return S
+
+
+def _family_fingerprints(family, count):
+    """Fingerprints of a family's cases 1..count at their standard points."""
+    return {f"{family}{k}": fingerprint(_spec_subspace(f"{family}{k}"))
+            for k in range(1, count + 1)}
 
 
 def _first_separator(fp_a, fp_b):
@@ -175,28 +173,13 @@ def _first_separator(fp_a, fp_b):
     return "fingerprint"
 
 
-def _pairwise_report(fps, sweep_resolver=None):
-    pairs = []
-    all_ok = True
+def _pairwise_report(fps):
+    """Every pair of fingerprints with its first separating field (None when
+    none separates it), and whether every pair is separated."""
     keys = sorted(fps)
-    for i, a in enumerate(keys):
-        for b in keys[i + 1:]:
-            sep = _first_separator(fps[a], fps[b])
-            if sep is not None:
-                pairs.append({"pair": [a, b], "separated_by": sep})
-                continue
-            if sweep_resolver is not None:
-                resolved, detail = sweep_resolver(a, b)
-                pairs.append({
-                    "pair": [a, b],
-                    "separated_by": "exhaustive group sweep" if resolved else None,
-                    "detail": detail,
-                })
-                all_ok &= resolved
-            else:
-                pairs.append({"pair": [a, b], "separated_by": None})
-                all_ok = False
-    return pairs, all_ok
+    pairs = [{"pair": [a, b], "separated_by": _first_separator(fps[a], fps[b])}
+             for i, a in enumerate(keys) for b in keys[i + 1:]]
+    return pairs, all(rec["separated_by"] is not None for rec in pairs)
 
 
 def verify_remarks(sweep_primes=(3, 5)):
@@ -206,48 +189,41 @@ def verify_remarks(sweep_primes=(3, 5)):
     # search.t4_t6_separation is the function called
     from .search import t4_t6_separation
 
-    report = {}
-
     # two-dimensional types of the (7,2) cases
     d_types = {f"R{k}": classify_2dim(_spec_subspace(f"R{k}")) for k in range(1, 8)}
     r5_ranks = idempotents(_spec_subspace("R5")).all_ranks()
     r6_ranks = idempotents(_spec_subspace("R6")).all_ranks()
-    report["remark1"] = {
+    remark1 = {
         "d_types": d_types,
         "types_match": all(d_types[f"R{k}"] == f"D{k}" for k in range(1, 8)),
-        "r5_idempotent_ranks": list(r5_ranks),
-        "r6_idempotent_ranks": list(r6_ranks),
+        "r5_idempotent_ranks": r5_ranks,
+        "r6_idempotent_ranks": r6_ranks,
         "r5_r6_rank_separated": r5_ranks == (2,) and r6_ranks == (1,),
     }
-    report["remark1"]["passed"] = (
-        report["remark1"]["types_match"] and report["remark1"]["r5_r6_rank_separated"]
-    )
+    remark1["passed"] = remark1["types_match"] and remark1["r5_r6_rank_separated"]
+    report = {"remark1": remark1}
 
-    # (T1)-(T6)
-    t_fps = {f"T{k}": fingerprint(_spec_subspace(f"T{k}")) for k in range(1, 7)}
+    # (T1)-(T6): the pairs no fingerprint separates; only (T4, T6) has a sweep
+    pairs, _ = _pairwise_report(_family_fingerprints("T", 6))
     sweep = {}
-
-    def t_resolver(a, b):
-        if {a, b} != {"T4", "T6"}:
-            return False, "no fingerprint separation and no sweep defined"
-        found = {}
+    for rec in pairs:
+        if rec["separated_by"] is not None:
+            continue
+        if rec["pair"] != ["T4", "T6"]:
+            rec["detail"] = "no fingerprint separation and no sweep defined"
+            continue
         for p in sweep_primes:
             separated, witness = t4_t6_separation(p)
-            found[p] = {"separated": separated, "witness": witness}
-        sweep.update(found)
-        separated_everywhere = all(v["separated"] for v in found.values())
-        detail = (
-            "no complement-preserving map links the pair"
-            if separated_everywhere
-            else "sweep found a complement-preserving antiautomorphism linking the pair"
-        )
-        return separated_everywhere, detail
-
-    pairs, t_ok = _pairwise_report(t_fps, t_resolver)
+            sweep[str(p)] = {"separated": separated, "witness": witness}
+        if all(v["separated"] for v in sweep.values()):
+            rec["separated_by"] = "exhaustive group sweep"
+            rec["detail"] = "no complement-preserving map links the pair"
+        else:
+            rec["detail"] = "sweep found a complement-preserving antiautomorphism linking the pair"
     report["remark3"] = {
         "pairs": pairs,
-        "sweep": {str(p): v for p, v in sweep.items()},
-        "passed": t_ok,
+        "sweep": sweep,
+        "passed": all(rec["separated_by"] is not None for rec in pairs),
     }
 
     # the six 5-dimensional subalgebras
@@ -256,21 +232,20 @@ def verify_remarks(sweep_primes=(3, 5)):
     report["remark4"] = {"pairs": pairs, "passed": l5_ok}
 
     # (X1)-(X7)
-    x_fps = {f"X{k}": fingerprint(_spec_subspace(f"X{k}")) for k in range(1, 8)}
-    pairs, x_ok = _pairwise_report(x_fps)
+    pairs, x_ok = _pairwise_report(_family_fingerprints("X", 7))
     report["remark6"] = {"pairs": pairs, "passed": x_ok}
 
     # (Z1)-(Z4)
-    z_fps = {f"Z{k}": fingerprint(_spec_subspace(f"Z{k}")) for k in range(1, 5)}
+    z_fps = _family_fingerprints("Z", 4)
     pairs, z_ok = _pairwise_report(z_fps)
-    rad3 = {f"Z{k}": z_fps[f"Z{k}"].rad_dims[0] == 3 for k in range(1, 5)}
+    rad3 = {k: fp.rad_dims[0] == 3 for k, fp in z_fps.items()}
+    pattern_ok = rad3 == {"Z1": True, "Z2": False, "Z3": True, "Z4": False}
     report["remark7"] = {
         "pairs": pairs,
         "radical_3dim": rad3,
-        "radical_pattern_ok": rad3 == {"Z1": True, "Z2": False, "Z3": True, "Z4": False},
-        "passed": z_ok and rad3["Z1"] and rad3["Z3"] and not rad3["Z2"] and not rad3["Z4"],
+        "radical_pattern_ok": pattern_ok,
+        "passed": z_ok and pattern_ok,
     }
 
-    report["all_passed"] = all(report[k]["passed"] for k in
-                               ("remark1", "remark3", "remark4", "remark6", "remark7"))
+    report["all_passed"] = all(r["passed"] for r in report.values())
     return report

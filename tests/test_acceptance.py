@@ -157,24 +157,28 @@ def test_criterion_6_finite_field_soundness():
     _line(6, True, f"{total} specializations over F_2/F_3 all enumerated, {elapsed:.1f}s")
 
 
+def _differs_from_archive(rep, name, p):
+    archive = REPORT_DIR / f"coverage_{name}_p{p}.json"
+    return json.dumps(rep, indent=2, sort_keys=True) + "\n" != archive.read_text()
+
+
 def test_criterion_7_coverage_and_orbits():
+    # every report is compared with its archive in reports/, byte for byte
     t0 = time.monotonic()
-    REPORT_DIR.mkdir(exist_ok=True)
     ok = True
     details = []
+    stale = []
     for p in (2, 3):
         rep = coverage_report("t1", p, explain=False)
-        (REPORT_DIR / f"coverage_t1_p{p}.json").write_text(
-            json.dumps(rep, indent=2, sort_keys=True) + "\n"
-        )
+        if _differs_from_archive(rep, "t1", p):
+            stale.append(f"t1@{p}")
         full = rep["matched_orbits"] == rep["orbit_count"] and not rep["unmatched_reps"]
         ok &= full
         details.append(f"t1@{p}:{rep['matched_orbits']}/{rep['orbit_count']}")
     for name in ("t2", "t3", "t4", "t4m2", "t5", "t6", "t7", "t8"):
         rep = coverage_report(name, 3, explain=True)
-        (REPORT_DIR / f"coverage_{name}_p3.json").write_text(
-            json.dumps(rep, indent=2, sort_keys=True) + "\n"
-        )
+        if _differs_from_archive(rep, name, 3):
+            stale.append(f"{name}@3")
         unexplained = [u for u in rep["unmatched_reps"]
                        if not u.get("explained_by_quadratic_extension")]
         ok &= not unexplained
@@ -183,9 +187,9 @@ def test_criterion_7_coverage_and_orbits():
             + (f"+{len(rep['unmatched_reps'])}expl" if rep["unmatched_reps"] else "")
         )
     elapsed = time.monotonic() - t0
-    ok &= elapsed < 1800.0
+    ok &= elapsed < 1800.0 and not stale
     _line(7, ok, " ".join(details) + f", {elapsed:.1f}s")
-    assert ok
+    assert ok, f"stale archives: {stale}"
 
 
 def test_criterion_8_closure_system_equivalence():
@@ -239,5 +243,5 @@ def test_criterion_10_determinism(tmp_path):
             outs.append(path.read_bytes())
         ok &= outs[0] == outs[1]
     elapsed = time.monotonic() - t0
-    _line(10, ok, f"five seeded CLI runs byte-identical across repeats, {elapsed:.1f}s")
+    _line(10, ok, f"six seeded CLI runs byte-identical across repeats, {elapsed:.1f}s")
     assert ok

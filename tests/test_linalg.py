@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from m3decomp.errors import UndecidedPivot
-from m3decomp.linalg import echelonize, ff_inverse
+from m3decomp.linalg import echelonize, ff_inverse, solve_linear
 from m3decomp.scalars import ConstraintSet, PolynomialRing
 
 
@@ -161,3 +161,20 @@ def test_normalized_echelon_rows():
     lifted = [[v * R.one() for v in r] for r in rows]
     assert (echelonize(rows, ConstraintSet([x])).rows
             == echelonize(lifted, ConstraintSet([x])).rows)
+
+
+def _q(*xs):
+    return [Fraction(x) for x in xs]
+
+
+def test_solve_linear_unique_solution():
+    assert solve_linear([_q(2, 1), _q(1, 3)], _q(5, 10)) == [1, 3]
+
+
+def test_solve_linear_sets_free_unknowns_to_zero():
+    # the middle unknown is free: it is left at 0, the pivots read off
+    assert solve_linear([_q(1, 2, 1), _q(2, 4, 3)], _q(4, 11)) == [1, 0, 3]
+
+
+def test_solve_linear_inconsistent_system():
+    assert solve_linear([_q(1, 1), _q(2, 2)], _q(1, 3)) is None

@@ -360,7 +360,7 @@ def test_t4_t6_sweep_finds_the_linking_antiautomorphism():
 )
 def test_archived_report_reproduces(name, p):
     # the archived p = 5 and p = 7 evidence, regenerated and compared bytes
-    # for bytes (criterion 7 rewrites the p = 2 and 3 reports itself)
+    # for bytes (criterion 7 compares the p = 2 and 3 reports itself)
     text = json.dumps(coverage_report(name, p, explain=True), indent=2, sort_keys=True) + "\n"
     assert text == (REPORT_DIR / f"coverage_{name}_p{p}.json").read_text()
 

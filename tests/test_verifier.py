@@ -1,8 +1,9 @@
+import json
 import pathlib
 
 import pytest
 
-from m3decomp import cli
+from m3decomp import cli, verifier
 from m3decomp.catalog import CatalogEntry, builtin_catalog, entry_by_id
 from m3decomp.verifier import (
     compare_with_reference_system,
@@ -95,6 +96,23 @@ def test_verify_remarks_report():
             assert rec["separated_by"] is not None
 
 
+def test_remark3_unseparated_pair_without_a_sweep(monkeypatch):
+    # T1 read as T2's entry: no fingerprint separates (T1, T2), and no sweep
+    # is defined for that pair, so remark 3 fails on it
+    t2 = entry_by_id("T2")
+    monkeypatch.setattr(
+        verifier, "entry_by_id", lambda ident: t2 if ident == "T1" else entry_by_id(ident)
+    )
+    remark3 = verify_remarks(sweep_primes=())["remark3"]
+    t_pairs = {tuple(p["pair"]): p for p in remark3["pairs"]}
+    assert t_pairs[("T1", "T2")]["separated_by"] is None
+    assert t_pairs[("T1", "T2")]["detail"] == "no fingerprint separation and no sweep defined"
+    for pair, rec in t_pairs.items():
+        if pair not in (("T1", "T2"), ("T4", "T6")):
+            assert rec["separated_by"] is not None and "detail" not in rec
+    assert not remark3["passed"]
+
+
 ARCHIVED_RUNS = [
     ("invariants.json", ["invariants"], 1),
     ("export.json", ["export"], 0),
@@ -104,8 +122,8 @@ ARCHIVED_RUNS = [
     ("rb.json", ["rb"], 0),
     ("rb_weight1_operators.json", ["rb", "--weight", "1", "--emit-operators"], 0),
     ("derive_system_t2.json", ["derive-system", "--pattern", "t2", "--compare", "t2_system"], 0),
-    # the table renders lists and tuples differently, so this pins that
-    # cmd_invariants turns rad_dims into a list
+    # pins the table renderer, which lays out tuples such as rad_dims the
+    # way it lays out lists
     ("invariants_T2_X6_Z4_p3.txt",
      ["invariants", "--entry", "T2,X6,Z4", "--sweep-primes", "3", "--format", "table"], 1),
 ]
@@ -120,3 +138,22 @@ def test_archived_exact_report_reproduces(archive, argv, code, tmp_path):
     out = tmp_path / archive
     assert cli.main([*argv, "--output", str(out)]) == code
     assert out.read_bytes() == (REPORT_DIR / archive).read_bytes()
+
+
+@pytest.mark.parametrize("case", ["missing", "not-json", "not-an-object", "not-3x3"])
+def test_bad_catalog_file_is_a_config_error(case, tmp_path, monkeypatch, capsys):
+    # M3DECOMP_CATALOG naming a file the CLI cannot use: exit 2 with one
+    # error line, not a traceback
+    path = tmp_path / "catalog.json"
+    if case == "not-json":
+        path.write_text("{ not json\n")
+    elif case == "not-an-object":
+        path.write_text("[1]\n")
+    elif case == "not-3x3":
+        rec = entry_by_id("R1").to_json()
+        rec["s_generators"][0] = [["1", "0"], ["0", "1"]]
+        path.write_text(json.dumps({"schema_version": 1, "entries": [rec]}))
+    monkeypatch.setenv("M3DECOMP_CATALOG", str(path))
+    assert cli.main(["verify", "--all"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field ") and err.count("\n") == 1
