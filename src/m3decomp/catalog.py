@@ -99,6 +99,16 @@ COMPLEMENTS = {
 LEMMA5_SUBALGEBRAS = {k: COMPLEMENTS[f"L5_{k}"] for k in range(1, 7)}
 
 
+def _field(name, ident, build):
+    """build() for one field of entry ident; a malformed value (a bad or
+    repeated parameter, a cell that is no text, a zero constraint) is a
+    SchemaError."""
+    try:
+        return build()
+    except (ValueError, TypeError) as exc:
+        raise SchemaError(name, f"entry {ident}: {exc}") from exc
+
+
 class CatalogEntry:
     """One classified decomposition case."""
 
@@ -122,19 +132,17 @@ class CatalogEntry:
         self.theorem = theorem
         self.complement_id = complement_id
         self.params = tuple(params)
-        self.ring = PolynomialRing(self.params)
-        try:
-            self.s_generators = tuple(
-                Mat3([[parse_poly(cell, self.ring) for cell in row] for row in g])
-                for g in gen_strings
-            )
-        except ValueError as exc:
-            raise SchemaError("s_generators", f"entry {ident}: {exc}") from exc
+        self.ring = _field("params", ident, lambda: PolynomialRing(self.params))
+        self.s_generators = _field("s_generators", ident, lambda: tuple(
+            Mat3([[parse_poly(cell, self.ring) for cell in row] for row in g])
+            for g in gen_strings))
         # parsing against the ring of declared params already rejects any
         # undeclared parameter name
-        self.constraints = ConstraintSet([parse_poly(s, self.ring) for s in nonzero_strings])
-        if unital_component not in ("S", "B", "both"):
-            raise SchemaError("unital_component", unital_component)
+        self.constraints = _field("constraints", ident, lambda: ConstraintSet(
+            [parse_poly(s, self.ring) for s in nonzero_strings]))
+        if unital_component not in ("S", "B"):  # the identity lies in one summand
+            raise SchemaError("unital_component",
+                              f"entry {ident}: {unital_component!r} is neither 'S' nor 'B'")
         self.unital_component = unital_component
         self.notes = notes
 
@@ -209,9 +217,10 @@ class CatalogEntry:
             rec["unital_component"],
             rec.get("notes", ""),
         )
-        pairs = [(parse_poly(a, entry.ring), parse_poly(b, entry.ring))
-                 for a, b in cons.get("not_both_zero", [])]
-        entry.constraints = ConstraintSet(entry.constraints.nonzero, pairs)
+        entry.constraints = _field("constraints", entry.id, lambda: ConstraintSet(
+            entry.constraints.nonzero,
+            [(parse_poly(a, entry.ring), parse_poly(b, entry.ring))
+             for a, b in cons.get("not_both_zero", [])]))
         return entry
 
     def __eq__(self, other):

@@ -9,14 +9,15 @@ run with deterministic JSON (or table) reports.
     m3decomp export --output catalog.json
     m3decomp derive-system --pattern t2 --compare t2_system
 
-search and invariants --sweep-primes take the primes up to 7 (the
-finite-field oracle's bound, gfq.MAX_PRIME); derive-system compares over the
-primes up to 127 (its solver stores cells as int8).  Exit codes: 0 all
-requested checks pass, 1 a check failed, 2 configuration error (an unknown
-pattern, entry or fixture, an unusable catalog file, or a prime out of
-range).  Identical
-configuration (including seed) produces byte-identical JSON output.  search
-accepts --jobs and ignores it.  The environment variable
+search and invariants --sweep-primes take the primes up to
+scalars.MAX_PRIME (the finite-field oracle's bound); derive-system compares
+over the primes up to 127 (its solver stores cells as int8).  Each command
+returns its report and verdict; main writes the report and sets the exit
+code: 0 all requested checks pass, 1 a check failed, 2 configuration error,
+one "error: ..." line and no report (an unknown pattern, entry or fixture,
+--mode specialized without --seed, an unusable catalog file, or a prime out
+of range).  Identical configuration (including seed) produces byte-identical
+JSON output.  search accepts --jobs and ignores it.  The environment variable
 M3DECOMP_CATALOG points verification at a catalog file instead of the
 built-in corpus.
 """
@@ -33,16 +34,9 @@ from fractions import Fraction
 from . import catalog as catalog_mod
 from .errors import M3DecompError
 from .patterns import PATTERNS, PATTERN_ALIASES, REFERENCE_SYSTEMS, get_pattern
-from .scalars import poly_to_string
+from .scalars import MAX_PRIME, check_prime, poly_to_string
 
 SCHEMA = 1
-
-
-def _load_entries():
-    path = os.environ.get("M3DECOMP_CATALOG")
-    if path:
-        return catalog_mod.load_catalog(path), path
-    return catalog_mod.builtin_catalog(), "builtin"
 
 
 def _emit(doc, args):
@@ -80,22 +74,30 @@ def _as_table(doc, indent=0):
     return "\n".join(line for line in lines if line)
 
 
-def _select_entries(entries, selection):
+def _chosen_entries(selection):
+    """The entries named by the --entry lists (all of them when none is
+    given), in the order named, and the catalog's name."""
+    path = os.environ.get("M3DECOMP_CATALOG")
+    if path:
+        entries = catalog_mod.load_catalog(path)
+    else:
+        entries, path = catalog_mod.builtin_catalog(), "builtin"
     if not selection:
-        return entries
-    wanted = []
-    for chunk in selection:
-        wanted.extend(x.strip() for x in chunk.split(",") if x.strip())
+        return entries, path
+    wanted = [x.strip() for chunk in selection for x in chunk.split(",") if x.strip()]
     by_id = {e.id: e for e in entries}
     missing = [w for w in wanted if w not in by_id]
     if missing:
-        raise SystemExit(_config_error(f"unknown entries: {', '.join(missing)}"))
-    return [by_id[w] for w in wanted]
+        raise M3DecompError(f"unknown entries: {', '.join(missing)}")
+    return [by_id[w] for w in wanted], path
 
 
-def _config_error(msg):
-    sys.stderr.write(f"error: {msg}\n")
-    return 2
+def _pattern_name(pattern):
+    """A --pattern argument as a pattern name (7-2 is t1)."""
+    name = PATTERN_ALIASES.get(pattern, pattern)
+    if name not in PATTERNS:
+        raise M3DecompError(f"unknown pattern {pattern!r}")
+    return name
 
 
 # Each command imports the layer functions it calls inside its own body, at
@@ -106,9 +108,8 @@ def cmd_verify(args):
     from .verifier import verify_entry
 
     if args.mode == "specialized" and args.seed is None:
-        return _config_error("--seed is required when --mode specialized")
-    entries, cat_path = _load_entries()
-    chosen = _select_entries(entries, args.entry)
+        raise M3DecompError("--seed is required when --mode specialized")
+    chosen, cat_path = _chosen_entries(args.entry)
     reports = [verify_entry(e, args.mode, args.n, args.seed).to_json() for e in chosen]
     reports.sort(key=lambda r: r["entry"])
     doc = {
@@ -122,19 +123,15 @@ def cmd_verify(args):
         "entry_count": len(reports),
         "all_passed": all(r["passed"] for r in reports),
     }
-    _emit(doc, args)
-    return 0 if doc["all_passed"] else 1
+    return doc, doc["all_passed"]
 
 
 def cmd_search(args):
     import numpy as np
 
     from . import search as search_mod
-    from .gfq import check_prime
 
-    name = PATTERN_ALIASES.get(args.pattern, args.pattern)
-    if name not in PATTERNS:
-        return _config_error(f"unknown pattern {args.pattern!r}")
+    name = _pattern_name(args.pattern)
     check_prime(args.prime)
     report = search_mod.coverage_report(name, args.prime, explain=not args.no_explain)
     if args.slow_oracle:
@@ -148,20 +145,16 @@ def cmd_search(args):
         **report,
         "clean": search_mod.coverage_clean(report),
     }
-    _emit(doc, args)
-    ok = doc["clean"] and doc.get("slow_oracle_agrees", True)
-    return 0 if ok else 1
+    return doc, doc["clean"] and doc.get("slow_oracle_agrees", True)
 
 
 def cmd_invariants(args):
-    from .gfq import check_prime
     from .invariants import fingerprint
     from .verifier import verify_remarks
 
     for p in args.sweep_primes:
         check_prime(p)
-    entries, cat_path = _load_entries()
-    chosen = _select_entries(entries, args.entry)
+    chosen, cat_path = _chosen_entries(args.entry)
     fps = {}
     for e in chosen:
         values = e.standard_values()
@@ -174,22 +167,18 @@ def cmd_invariants(args):
         "command": "invariants",
         "catalog": cat_path,
         "fingerprints": fps,
+        "all_passed": True,
     }
     if not args.skip_remarks:
-        remarks = verify_remarks(sweep_primes=tuple(args.sweep_primes))
-        doc["remarks"] = remarks
-        doc["all_passed"] = remarks["all_passed"]
-    else:
-        doc["all_passed"] = True
-    _emit(doc, args)
-    return 0 if doc["all_passed"] else 1
+        doc["remarks"] = verify_remarks(sweep_primes=tuple(args.sweep_primes))
+        doc["all_passed"] = doc["remarks"]["all_passed"]
+    return doc, doc["all_passed"]
 
 
 def cmd_rb(args):
     from .rota_baxter import check_complement_identity, check_rb_identity, rb_pair_for_entry
 
-    entries, cat_path = _load_entries()
-    chosen = _select_entries(entries, args.entry)
+    chosen, cat_path = _chosen_entries(args.entry)
     weight = None if args.weight == "symbolic" else Fraction(args.weight)
     results = []
     all_ok = True
@@ -218,28 +207,25 @@ def cmd_rb(args):
         "operators": results,
         "all_passed": all_ok,
     }
-    _emit(doc, args)
-    return 0 if all_ok else 1
+    return doc, all_ok
 
 
 def cmd_export(args):
-    entries, cat_path = _load_entries()
+    entries, _ = _chosen_entries(None)
     doc = {
         "schema_version": catalog_mod.SCHEMA_VERSION,
         "entries": [e.to_json() for e in entries],
     }
-    _emit(doc, args)
-    return 0
+    return doc, True
 
 
 def cmd_derive_system(args):
-    from .gfq import check_prime
     from .verifier import compare_with_reference_system
 
-    name = PATTERN_ALIASES.get(args.pattern, args.pattern)
-    if name not in PATTERNS:
-        return _config_error(f"unknown pattern {args.pattern!r}")
+    name = _pattern_name(args.pattern)
     check_prime(args.prime, bound=None)
+    if args.compare and args.compare not in REFERENCE_SYSTEMS:
+        raise M3DecompError(f"unknown fixture {args.compare!r}")
     pat = get_pattern(name)
     system = pat.closure_system(args.pairs)
     doc = {
@@ -251,15 +237,11 @@ def cmd_derive_system(args):
         "equation_count": len(system),
         "equations": [poly_to_string(p) for p in system],
     }
-    ok = True
-    if args.compare:
-        if args.compare not in REFERENCE_SYSTEMS:
-            return _config_error(f"unknown fixture {args.compare!r}")
-        cmp_report = compare_with_reference_system(args.compare, args.prime)
-        doc["comparison"] = cmp_report
-        ok = cmp_report["equal"] and cmp_report.get("substitutions_implied_by_closure", True)
-    _emit(doc, args)
-    return 0 if ok else 1
+    if not args.compare:
+        return doc, True
+    cmp_report = compare_with_reference_system(args.compare, args.prime)
+    doc["comparison"] = cmp_report
+    return doc, cmp_report["equal"] and cmp_report.get("substitutions_implied_by_closure", True)
 
 
 def build_parser():
@@ -287,7 +269,7 @@ def build_parser():
     p = sub.add_parser("search", help="finite-field enumeration and orbit coverage")
     p.add_argument("--pattern", required=True,
                    help="one of %s (7-2 is an alias of t1)" % ", ".join(sorted(PATTERNS)))
-    p.add_argument("--prime", type=int, required=True, help="a prime up to 7")
+    p.add_argument("--prime", type=int, required=True, help=f"a prime up to {MAX_PRIME}")
     p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.add_argument("--no-explain", action="store_true",
                    help="skip the quadratic-extension explanation sweep")
@@ -300,7 +282,7 @@ def build_parser():
     p.add_argument("--entry", action="append")
     p.add_argument("--skip-remarks", action="store_true")
     p.add_argument("--sweep-primes", type=int, nargs="*", default=[3, 5],
-                   help="primes up to 7 for the (T4)/(T6) sweep")
+                   help=f"primes up to {MAX_PRIME} for the (T4)/(T6) sweep")
     common(p)
     p.set_defaults(func=cmd_invariants)
 
@@ -329,13 +311,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc, ok = args.func(args)
     except M3DecompError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    _emit(doc, args)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -11,10 +11,10 @@ search orbits become equivalent to catalog specializations after a
 quadratic extension, which is the precise content of a square-root
 obstruction.
 
-The finite-field oracle accepts the primes up to MAX_PRIME.  The bound comes
-from the oracle, not from this arithmetic: its sweeps apply a group in
-batches and its solver's row budget admits every pattern at p = 11, but no
-report there is archived yet.
+The finite-field oracle accepts the primes up to MAX_PRIME (kept in scalars,
+beside check_prime).  The bound comes from the oracle, not from this
+arithmetic: its sweeps apply a group in batches and its solver's row budget
+admits every pattern at p = 11, but no report there is archived yet.
 """
 
 from __future__ import annotations
@@ -22,20 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotSupported
-from .scalars import is_prime
-
-MAX_PRIME = 7
-
-
-def check_prime(p, bound=MAX_PRIME):
-    """Raise NotSupported unless p is a prime no larger than bound (None:
-    any prime)."""
-    if not is_prime(p):
-        raise NotSupported(f"{p} is not a prime")
-    if bound is not None and p > bound:
-        raise NotSupported(
-            f"the finite-field oracle supports the primes up to {bound}, not {p}"
-        )
+from .scalars import MAX_PRIME, check_prime  # noqa: F401
 
 
 def quadratic(p):

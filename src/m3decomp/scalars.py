@@ -36,7 +36,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import DomainMismatch, MissingVariable, ParseError
+from .errors import DomainMismatch, MissingVariable, NotSupported, ParseError
 
 
 def exact(x):
@@ -59,6 +59,21 @@ def rational_content(values):
 
 def is_prime(n):
     return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+#: the largest prime the finite-field oracle accepts (gfq explains the bound)
+MAX_PRIME = 7
+
+
+def check_prime(p, bound=MAX_PRIME):
+    """Raise NotSupported unless p is a prime no larger than bound (None:
+    any prime)."""
+    if not is_prime(p):
+        raise NotSupported(f"{p} is not a prime")
+    if bound is not None and p > bound:
+        raise NotSupported(
+            f"the finite-field oracle supports the primes up to {bound}, not {p}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +458,8 @@ def _tokenize(text):
 
 def parse_poly(text, ring):
     """Parse grammar text into a polynomial of the given ring."""
+    if not isinstance(text, str):
+        raise TypeError(f"polynomial text expected, not {text!r}")
     tokens = _tokenize(text)
     idx = 0
 

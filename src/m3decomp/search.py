@@ -59,7 +59,7 @@ SEARCH_CONFIGS = {
 @functools.lru_cache(maxsize=None)
 def _gf(p, degree=1):
     """The field the oracle works over: F_p, or GF(p^2) for the
-    explanation sweep; p must be a prime no larger than gfq.MAX_PRIME."""
+    explanation sweep; p must be a prime no larger than scalars.MAX_PRIME."""
     check_prime(p)
     return GFq(p, degree)
 

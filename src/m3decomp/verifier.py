@@ -215,7 +215,9 @@ def verify_remarks(sweep_primes=(3, 5)):
         for p in sweep_primes:
             separated, witness = t4_t6_separation(p)
             sweep[str(p)] = {"separated": separated, "witness": witness}
-        if all(v["separated"] for v in sweep.values()):
+        if not sweep:
+            rec["detail"] = "no sweep ran: no sweep prime was given"
+        elif all(v["separated"] for v in sweep.values()):
             rec["separated_by"] = "exhaustive group sweep"
             rec["detail"] = "no complement-preserving map links the pair"
         else:

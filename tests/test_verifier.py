@@ -113,6 +113,32 @@ def test_remark3_unseparated_pair_without_a_sweep(monkeypatch):
     assert not remark3["passed"]
 
 
+def test_remark3_without_sweep_primes_leaves_t4_t6_unseparated():
+    # with no sweep prime no sweep runs, so nothing separates (T4, T6)
+    remark3 = verify_remarks(sweep_primes=())["remark3"]
+    t_pairs = {tuple(p["pair"]): p for p in remark3["pairs"]}
+    assert remark3["sweep"] == {}
+    assert t_pairs[("T4", "T6")]["separated_by"] is None
+    assert t_pairs[("T4", "T6")]["detail"].startswith("no sweep ran")
+    assert not remark3["passed"]
+
+
+def test_undecided_symbolic_check_downgrades_to_specialized():
+    # nothing certifies the unconstrained y nonzero, so the symbolic
+    # elimination cannot pick y*e31 as a pivot and the entry is sampled
+    entry = CatalogEntry(
+        "y-free", 1, "M7", ("y",),
+        [
+            [["0", "0", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+            [["0", "0", "0"], ["0", "0", "0"], ["y", "0", "0"]],
+        ],
+        (), "B",
+    )
+    report = verify_entry(entry)
+    assert report.method == "specialized(n=100, seed=0)"
+    assert report.warning.startswith("symbolic mode undecided")
+
+
 ARCHIVED_RUNS = [
     ("invariants.json", ["invariants"], 1),
     ("export.json", ["export"], 0),
@@ -140,20 +166,47 @@ def test_archived_exact_report_reproduces(archive, argv, code, tmp_path):
     assert out.read_bytes() == (REPORT_DIR / archive).read_bytes()
 
 
-@pytest.mark.parametrize("case", ["missing", "not-json", "not-an-object", "not-3x3"])
+def _r9_with(field, value):
+    """R9's record with one field set to value, or one generator cell when
+    field is the cell's index path."""
+    rec = entry_by_id("R9").to_json()
+    if isinstance(field, tuple):
+        gen, row, col = field
+        rec["s_generators"][gen][row][col] = value
+    elif field == "nonzero":
+        rec["constraints"]["nonzero"] = value
+    else:
+        rec[field] = value
+    return rec
+
+
+# case: (records, or file text; the field the error line names)
+BAD_CATALOGS = {
+    "missing": (None, "path"),
+    "not-json": ("{ not json\n", "path"),
+    "not-an-object": ("[1]\n", "schema_version"),
+    "not-3x3": ([_r9_with("s_generators", [[["1", "0"], ["0", "1"]]])], "s_generators"),
+    "param-outside-grammar": ([_r9_with("params", ["Y"])], "params"),
+    "repeated-param": ([_r9_with("params", ["y", "y"])], "params"),
+    "number-cell": ([_r9_with((1, 2, 2), 7)], "s_generators"),
+    "zero-constraint": ([_r9_with("nonzero", ["0"])], "constraints"),
+    # no direct sum holds the identity in both summands
+    "unital-in-both": ([_r9_with("unital_component", "both")], "unital_component"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CATALOGS))
 def test_bad_catalog_file_is_a_config_error(case, tmp_path, monkeypatch, capsys):
     # M3DECOMP_CATALOG naming a file the CLI cannot use: exit 2 with one
-    # error line, not a traceback
+    # error line naming the field, not a traceback
+    content, field = BAD_CATALOGS[case]
     path = tmp_path / "catalog.json"
-    if case == "not-json":
-        path.write_text("{ not json\n")
-    elif case == "not-an-object":
-        path.write_text("[1]\n")
-    elif case == "not-3x3":
-        rec = entry_by_id("R1").to_json()
-        rec["s_generators"][0] = [["1", "0"], ["0", "1"]]
-        path.write_text(json.dumps({"schema_version": 1, "entries": [rec]}))
+    if isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_text(json.dumps({"schema_version": 1, "entries": content}))
     monkeypatch.setenv("M3DECOMP_CATALOG", str(path))
     assert cli.main(["verify", "--all"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: field ") and err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: field {field!r}")
+    assert captured.err.count("\n") == 1 and not captured.out
