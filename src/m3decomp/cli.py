@@ -15,11 +15,12 @@ over the primes up to 127 (its solver stores cells as int8).  Each command
 returns its report and verdict; main writes the report and sets the exit
 code: 0 all requested checks pass, 1 a check failed, 2 configuration error,
 one "error: ..." line and no report (an unknown pattern, entry or fixture,
---mode specialized without --seed, an unusable catalog file, or a prime out
-of range).  Identical configuration (including seed) produces byte-identical
-JSON output.  search accepts --jobs and ignores it.  The environment variable
-M3DECOMP_CATALOG points verification at a catalog file instead of the
-built-in corpus.
+--mode specialized without --seed, --n below 1, a --weight that is neither
+"symbolic" nor a nonzero rational, an unusable catalog file, a prime out of
+range, or an --output file that cannot be written).  Identical configuration
+(including seed) produces byte-identical JSON output.  search accepts --jobs
+and ignores it.  The environment variable M3DECOMP_CATALOG points
+verification at a catalog file instead of the built-in corpus.
 """
 
 from __future__ import annotations
@@ -109,6 +110,8 @@ def cmd_verify(args):
 
     if args.mode == "specialized" and args.seed is None:
         raise M3DecompError("--seed is required when --mode specialized")
+    if args.n < 1:
+        raise M3DecompError(f"--n must be at least 1, not {args.n}")
     chosen, cat_path = _chosen_entries(args.entry)
     reports = [verify_entry(e, args.mode, args.n, args.seed).to_json() for e in chosen]
     reports.sort(key=lambda r: r["entry"])
@@ -178,8 +181,14 @@ def cmd_invariants(args):
 def cmd_rb(args):
     from .rota_baxter import check_complement_identity, check_rb_identity, rb_pair_for_entry
 
+    try:
+        weight = None if args.weight == "symbolic" else Fraction(args.weight)
+    except (ValueError, ZeroDivisionError):
+        weight = 0  # refused below, like a zero weight
+    if weight == 0:
+        raise M3DecompError(
+            f"--weight must be 'symbolic' or a nonzero rational, not {args.weight!r}")
     chosen, cat_path = _chosen_entries(args.entry)
-    weight = None if args.weight == "symbolic" else Fraction(args.weight)
     results = []
     all_ok = True
     for e in chosen:
@@ -289,7 +298,7 @@ def build_parser():
     p = sub.add_parser("rb", help="splitting operators and the weight identity")
     p.add_argument("--entry", action="append")
     p.add_argument("--weight", default="symbolic",
-                   help="'symbolic' or a rational such as 1 or -3/2")
+                   help="'symbolic' or a nonzero rational: 1, 3/2, or --weight=-3/2")
     p.add_argument("--emit-operators", action="store_true")
     common(p)
     p.set_defaults(func=cmd_rb)
@@ -314,10 +323,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         doc, ok = args.func(args)
-    except M3DecompError as exc:
+        _emit(doc, args)  # a file the run cannot write is a configuration error
+    except (M3DecompError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _emit(doc, args)
     return 0 if ok else 1
 
 

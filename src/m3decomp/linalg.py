@@ -7,7 +7,8 @@ rational, or a polynomial that is a unit multiple of a product of the
 declared nonzero constraint polynomials).  Ranks computed this way are valid
 for every parameter specialization satisfying the constraints; when no
 certified pivot exists among nonzero entries the computation refuses with
-UndecidedPivot rather than guessing.
+UndecidedPivot rather than guessing.  echelonize is one Gauss-Jordan pass
+that reduces each row once and normalizes it once as it joins the echelon.
 """
 
 from __future__ import annotations
@@ -36,14 +37,14 @@ def _coefficients(x):
 def _normalize_row(row):
     """Divide a row by the rational content of all its coefficients and make
     its leading nonzero entry positive (for a polynomial, its lex-leading
-    coefficient)."""
+    coefficient); int entries become Fractions, so no division gives a float."""
     lead = next((x for x in row if not sc_is_zero(x)), None)
     if lead is None:
         return row
     content = rational_content(c for x in row for c in _coefficients(x))
     sign = lead.leading()[1] if isinstance(lead, MultiPoly) else lead
     inv = (1 if sign > 0 else -1) / content
-    return [x * inv for x in row]
+    return row if inv == 1 and int not in map(type, row) else [x * inv for x in row]
 
 
 def _eliminate(row, piv_row, col):
@@ -58,7 +59,7 @@ def _eliminate(row, piv_row, col):
     if sc_is_zero(c):
         return row
     piv = piv_row[col]
-    return _normalize_row([piv * x - c * y for x, y in zip(row, piv_row)])
+    return [piv * x - c * y for x, y in zip(row, piv_row)]
 
 
 class Echelon:
@@ -107,39 +108,28 @@ class Echelon:
 def echelonize(rows, constraints=EMPTY_CONSTRAINTS):
     """Bring rows to a fully reduced, content-normalized echelon form.
 
-    Pivots are chosen leftmost among certified-nonzero entries.  Raises
-    UndecidedPivot when a nonzero row offers no certified entry.
+    One Gauss-Jordan pass: each row is reduced once against the kept rows
+    and normalized (so entry sizes stay polynomial); its leftmost certified
+    entry becomes its pivot, and that column is cleared from the kept rows,
+    as reduce needs.  The finished rows are sorted and normalized once more.
+    Raises UndecidedPivot when a nonzero row offers no certified entry.
     """
-    ech_rows = []
-    pivot_cols = []
+    echelon = {}  # pivot column -> row
     for row in rows:
         row = list(row)
-        for erow, col in zip(ech_rows, pivot_cols):
+        for col, erow in echelon.items():
             row = _eliminate(row, erow, col)
-        if all(sc_is_zero(x) for x in row):
+        nonzero = [j for j, x in enumerate(row) if not sc_is_zero(x)]
+        if not nonzero:
             continue
-        pick = None
-        for j, x in enumerate(row):
-            if sc_is_zero(x):
-                continue
-            if certified_nonzero(x, constraints):
-                pick = j
-                break
+        pick = next((j for j in nonzero if certified_nonzero(row[j], constraints)), None)
         if pick is None:
-            raise UndecidedPivot([x for x in row if not sc_is_zero(x)])
-        # keep echelon sorted by pivot column, reducing earlier rows too
-        ech_rows.append(row)
-        pivot_cols.append(pick)
-        order = sorted(range(len(pivot_cols)), key=lambda i: pivot_cols[i])
-        ech_rows = [ech_rows[i] for i in order]
-        pivot_cols = [pivot_cols[i] for i in order]
-    # fully reduce: each pivot column must vanish in every other row, or a
-    # later single-pass residual reduction could reintroduce cleared columns
-    for i in range(len(ech_rows)):
-        for k in range(len(ech_rows)):
-            if k != i:
-                ech_rows[k] = _eliminate(ech_rows[k], ech_rows[i], pivot_cols[i])
-    return Echelon([_normalize_row(r) for r in ech_rows], pivot_cols)
+            raise UndecidedPivot([row[j] for j in nonzero])
+        row = _normalize_row(row)
+        echelon = {col: _eliminate(erow, row, pick) for col, erow in echelon.items()}
+        echelon[pick] = row
+    cols = sorted(echelon)
+    return Echelon([_normalize_row(echelon[col]) for col in cols], cols)
 
 
 def ff_inverse(matrix, constraints=EMPTY_CONSTRAINTS):

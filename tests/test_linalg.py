@@ -1,11 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from m3decomp.errors import UndecidedPivot
-from m3decomp.linalg import echelonize, ff_inverse, solve_linear
-from m3decomp.scalars import ConstraintSet, PolynomialRing
+from m3decomp.linalg import echelonize, ff_inverse, kernel_basis, solve_linear
+from m3decomp.scalars import ConstraintSet, PolynomialRing, certified_nonzero
 
 
 def test_identity_rank():
@@ -106,29 +107,40 @@ def test_ff_inverse_parametric():
             assert acc == (det if i == j else R.zero())
 
 
+def _primitive(row):
+    """A rational row as coprime integers with a positive leading entry."""
+    den = math.lcm(*(Fraction(x).denominator for x in row))
+    ints = [int(x * den) for x in row]
+    lead = next(v for v in ints if v)
+    g = math.gcd(*ints) * (1 if lead > 0 else -1)
+    return [v // g for v in ints]
+
+
+def _reference_rref(rows, n):
+    """Plain Fraction Gauss-Jordan: the reduced row echelon form's nonzero
+    rows (primitive) and its pivot columns."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        target = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if target is None:
+            continue
+        work[r], work[target] = work[target], work[r]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                f = work[i][col] / work[r][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+    return [_primitive(row) for row in work[:len(pivots)]], pivots
+
+
 def test_echelon_agrees_with_gaussian_after_specialization():
     rng = random.Random(5)
     for _ in range(25):
         rows = [[Fraction(rng.randint(-4, 4)) for _ in range(5)] for _ in range(4)]
-        rank = echelonize(rows).rank
-        # plain elimination oracle
-        work = [list(r) for r in rows]
-        piv = 0
-        for col in range(5):
-            target = None
-            for r in range(piv, 4):
-                if work[r][col] != 0:
-                    target = r
-                    break
-            if target is None:
-                continue
-            work[piv], work[target] = work[target], work[piv]
-            for r in range(4):
-                if r != piv and work[r][col] != 0:
-                    factor = work[r][col] / work[piv][col]
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[piv])]
-            piv += 1
-        assert rank == piv
+        ech = echelonize(rows)
+        assert (ech.rows, ech.pivot_cols) == _reference_rref(rows, 5)
 
 
 def test_undecided_pivot_outside_the_grammar():
@@ -161,6 +173,9 @@ def test_normalized_echelon_rows():
     lifted = [[v * R.one() for v in r] for r in rows]
     assert (echelonize(rows, ConstraintSet([x])).rows
             == echelonize(lifted, ConstraintSet([x])).rows)
+    # int entries come back as Fractions, so the kernel read off them is exact
+    assert all(type(v) is Fraction for r in echelonize([[1, 2]]).rows for v in r)
+    assert [type(v) for v in kernel_basis([[1, 2]], 2)[0]] == [Fraction, Fraction]
 
 
 def _q(*xs):
@@ -178,3 +193,60 @@ def test_solve_linear_sets_free_unknowns_to_zero():
 
 def test_solve_linear_inconsistent_system():
     assert solve_linear([_q(1, 1), _q(2, 2)], _q(1, 3)) is None
+
+
+def test_echelonize_matches_reference_gauss_jordan():
+    rng = random.Random(11)
+
+    def entry():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    for trial in range(60):
+        n = rng.randint(2, 9)
+        if trial % 3 == 0:
+            # rows fed with their pivots right to left: each row reaches
+            # further left, so the columns of the kept rows are cleared again
+            rows = [[Fraction(0)] * (n - 1 - i) + [entry() or Fraction(1)]
+                    + [entry() for _ in range(i)] for i in range(n)]
+        else:
+            # random combinations of fewer basis rows: rank-deficient, with
+            # rows that reduce to zero
+            basis = [[entry() for _ in range(n)] for _ in range(rng.randint(1, n))]
+            rows = [[sum((rng.randint(-3, 3) * b[j] for b in basis), Fraction(0))
+                     for j in range(n)] for _ in range(rng.randint(1, n + 3))]
+        ech = echelonize(rows)
+        assert (ech.rows, ech.pivot_cols) == _reference_rref(rows, n)
+
+
+def test_echelonize_certified_pivot_right_of_an_uncertified_entry():
+    R = PolynomialRing(("x", "y"))
+    x, y = R.gens()
+    z, o = R.zero(), R.one()
+    c = ConstraintSet([x, y])
+    # row 1: x+1 is nonzero but not certified, so its pivot is y in column 1
+    rows = [[x + o, y, z, o], [x, z, y, z], [z, z, o, x]]
+    ech = echelonize(rows, c)
+    assert ech.rank == 3 and ech.pivot_cols == [0, 1, 2]
+    assert all(certified_nonzero(p, c) for p in ech.certificates)
+    # fully reduced: each pivot column vanishes in every other row, which
+    # kernel_basis relies on
+    for i, col in enumerate(ech.pivot_cols):
+        assert all(row[col].is_zero() for k, row in enumerate(ech.rows) if k != i)
+
+
+def test_echelonize_keeps_entry_sizes_small(monkeypatch):
+    # cross-multiplying without ever dividing out a row's content grows the
+    # entries exponentially with the rank: hundreds of thousands of bits, and
+    # seconds, for one dense 9x9 rational matrix
+    eliminate, bits = echelonize.__globals__["_eliminate"], []
+
+    def spy(row, piv_row, col):
+        out = eliminate(row, piv_row, col)
+        bits.append(max(abs(x.numerator).bit_length() + x.denominator.bit_length() for x in out))
+        return out
+
+    monkeypatch.setitem(echelonize.__globals__, "_eliminate", spy)
+    rng = random.Random(1)
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(9)] for _ in range(9)]
+    assert echelonize(rows).rank == 9
+    assert max(bits) < 4096

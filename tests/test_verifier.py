@@ -210,3 +210,33 @@ def test_bad_catalog_file_is_a_config_error(case, tmp_path, monkeypatch, capsys)
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: field {field!r}")
     assert captured.err.count("\n") == 1 and not captured.out
+
+
+# case: (argv of a run the CLI must refuse before any check, the option named)
+_SPECIALIZED_R8 = ["verify", "--entry", "R8", "--mode", "specialized", "--seed", "1"]
+BAD_OPTIONS = {
+    "weight-not-rational": (["rb", "--entry", "R1", "--weight", "abc"], "--weight"),
+    "weight-zero-denominator": (["rb", "--entry", "R1", "--weight", "1/0"], "--weight"),
+    "weight-zero": (["rb", "--entry", "R1", "--weight", "0"], "--weight"),
+    "no-samples": ([*_SPECIALIZED_R8, "--n", "0"], "--n"),
+    "negative-samples": ([*_SPECIALIZED_R8, "--n", "-4"], "--n"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_OPTIONS))
+def test_bad_option_is_a_config_error(case, capsys):
+    # exit 2 with one error line naming the option: no traceback, no report
+    argv, option = BAD_OPTIONS[case]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {option} ")
+    assert captured.err.count("\n") == 1 and not captured.out
+
+
+def test_unwritable_output_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "catalog.json"
+    assert cli.main(["export", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert captured.err.count("\n") == 1 and not captured.out
+    assert not out.parent.exists()
