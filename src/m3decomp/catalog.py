@@ -125,7 +125,7 @@ class CatalogEntry:
     )
 
     def __init__(self, ident, theorem, complement_id, params, gen_strings,
-                 nonzero_strings, unital_component, notes=""):
+                 nonzero_strings, unital_component, notes="", not_both_zero_strings=()):
         if complement_id not in COMPLEMENTS:
             raise SchemaError("complement_id", f"unknown complement {complement_id!r}")
         self.id = ident
@@ -139,7 +139,9 @@ class CatalogEntry:
         # parsing against the ring of declared params already rejects any
         # undeclared parameter name
         self.constraints = _field("constraints", ident, lambda: ConstraintSet(
-            [parse_poly(s, self.ring) for s in nonzero_strings]))
+            [parse_poly(s, self.ring) for s in nonzero_strings],
+            [(parse_poly(a, self.ring), parse_poly(b, self.ring))
+             for a, b in not_both_zero_strings]))
         if unital_component not in ("S", "B"):  # the identity lies in one summand
             raise SchemaError("unital_component",
                               f"entry {ident}: {unital_component!r} is neither 'S' nor 'B'")
@@ -207,21 +209,9 @@ class CatalogEntry:
         cons = rec["constraints"]
         if not isinstance(cons, dict) or "nonzero" not in cons:
             raise SchemaError("constraints", "expected {nonzero: [...], ...}")
-        entry = CatalogEntry(
-            rec["id"],
-            rec["theorem"],
-            rec["complement_id"],
-            rec["params"],
-            rec["s_generators"],
-            cons["nonzero"],
-            rec["unital_component"],
-            rec.get("notes", ""),
-        )
-        entry.constraints = _field("constraints", entry.id, lambda: ConstraintSet(
-            entry.constraints.nonzero,
-            [(parse_poly(a, entry.ring), parse_poly(b, entry.ring))
-             for a, b in cons.get("not_both_zero", [])]))
-        return entry
+        return CatalogEntry(rec["id"], rec["theorem"], rec["complement_id"], rec["params"],
+                            rec["s_generators"], cons["nonzero"], rec["unital_component"],
+                            rec.get("notes", ""), cons.get("not_both_zero", []))
 
     def __eq__(self, other):
         return isinstance(other, CatalogEntry) and self.to_json() == other.to_json()

@@ -158,11 +158,12 @@ def cmd_invariants(args):
     for p in args.sweep_primes:
         check_prime(p)
     chosen, cat_path = _chosen_entries(args.entry)
-    fps = {}
+    table, fps = {}, {}
     for e in chosen:
         values = e.standard_values()
         s, _ = e.specialize(values)
-        fps[e.id] = dataclasses.asdict(fingerprint(s))
+        table[e.id] = fingerprint(s)
+        fps[e.id] = dataclasses.asdict(table[e.id])
         if values:
             fps[e.id]["specialized_at"] = values
     doc = {
@@ -173,7 +174,9 @@ def cmd_invariants(args):
         "all_passed": True,
     }
     if not args.skip_remarks:
-        doc["remarks"] = verify_remarks(sweep_primes=tuple(args.sweep_primes))
+        # the remarks describe the built-in catalog, never a catalog file
+        builtin = table if cat_path == "builtin" else None
+        doc["remarks"] = verify_remarks(builtin, tuple(args.sweep_primes))
         doc["all_passed"] = doc["remarks"]["all_passed"]
     return doc, doc["all_passed"]
 

@@ -72,14 +72,19 @@ class GFq:
         return (-a) % self.p
 
     def mul(self, a, b):
+        return self._product(a, b, np.multiply)
+
+    def _product(self, a, b, times):
+        """a b, with times the elementwise or the matrix product of F_p
+        arrays: over GF(p^2), (a0 + a1 t)(b0 + b1 t) with t^2 = s t + r."""
+        p = self.p
         if self.degree == 1:
-            return a * b % self.p
-        p, s, r = self.p, self.s, self.r
+            return times(a, b) % p
         a0, a1 = a[..., 0], a[..., 1]
         b0, b1 = b[..., 0], b[..., 1]
-        cross = a1 * b1 % p
-        c0 = (a0 * b0 + r * cross) % p
-        c1 = (a0 * b1 + a1 * b0 + s * cross) % p
+        cross = times(a1, b1) % p
+        c0 = (times(a0, b0) + self.r * cross) % p
+        c1 = (times(a0, b1) + times(a1, b0) + self.s * cross) % p
         return np.stack([c0, c1], axis=-1)
 
     def is_zero(self, a):
@@ -118,15 +123,7 @@ class GFq:
     # -- matrices: (..., n, k) @ (..., k, m) in the last matrix axes --------
 
     def matmul(self, a, b):
-        if self.degree == 1:
-            return a @ b % self.p
-        p, s, r = self.p, self.s, self.r
-        a0, a1 = a[..., 0], a[..., 1]
-        b0, b1 = b[..., 0], b[..., 1]
-        cross = a1 @ b1 % p
-        c0 = (a0 @ b0 + r * cross) % p
-        c1 = (a0 @ b1 + a1 @ b0 + s * cross) % p
-        return np.stack([c0, c1], axis=-1)
+        return self._product(a, b, np.matmul)
 
     # -- batched k x k matrices, (n, k, k) arrays of elements, k <= 4 --------
 

@@ -187,6 +187,18 @@ class Fingerprint:
             rad_in_right_ann=self.rad_in_left_ann,
         )
 
+    def two_dim_type(self):
+        """The type D1..D7 of a 2-dimensional algebra with this fingerprint:
+        s^2 = 0 (D1), nilpotent (D2), semisimple (D7), unital (D4), left or
+        right unital (D5, D6), or none of these (D3)."""
+        rad, rad2, _ = self.rad_dims
+        if rad == 2:
+            return "D2" if rad2 else "D1"
+        if not rad:
+            return "D7"
+        sided = ((self.has_unit, "D4"), (self.has_left_unit, "D5"), (self.has_right_unit, "D6"))
+        return next((tag for unit, tag in sided if unit), "D3")
+
 
 def fingerprint(s):
     """Full invariant battery for a concrete subalgebra over Q."""
@@ -352,21 +364,8 @@ def _rational_sqrt(x):
 # ---------------------------------------------------------------------------
 
 def classify_2dim(s):
-    """The isomorphism type D1..D7 of a 2-dimensional subalgebra over Q.
-
-    Decided by s^2 = 0 (D1) and nilpotency, read from the trace form (D2),
-    then the radical and the unit/one-sided-unit structure (D3..D7).
-    """
+    """The isomorphism type D1..D7 of a 2-dimensional subalgebra over Q, read
+    off its fingerprint (`Fingerprint.two_dim_type`)."""
     if s.dim != 2:
         raise DimensionMismatch(f"expected a 2-dimensional subalgebra, got dim {s.dim}")
-    tab = _Table(s).closed()
-    if not any(any(c) for row in tab.c for c in row):
-        return "D1"
-    if len(tab.rad) == 2:
-        return "D2"
-    if not tab.rad:
-        return "D7"
-    for side, tag in (("two", "D4"), ("left", "D5"), ("right", "D6")):
-        if tab.unit(side) is not None:
-            return tag
-    return "D3"
+    return fingerprint(s).two_dim_type()

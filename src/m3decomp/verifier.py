@@ -10,10 +10,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .catalog import LEMMA5_SUBALGEBRAS, entry_by_id
+from .catalog import COMPLEMENTS, LEMMA5_SUBALGEBRAS, entry_by_id
 from .errors import UndecidedPivot
 from .fpsolve import solution_set
-from .invariants import classify_2dim, fingerprint, idempotents
+from .invariants import fingerprint
 from .matrices import is_direct_sum
 from .patterns import reference_system
 from .scalars import constraint_satisfied
@@ -141,16 +141,19 @@ def compare_with_reference_system(name, p=3):
 # remark reproduction
 # ---------------------------------------------------------------------------
 
-def _spec_subspace(ident):
+def _subalgebra(ident):
+    """A remark's subalgebra: a complement (L5_k), or an entry's S at its
+    standard point."""
+    if ident in COMPLEMENTS:
+        return COMPLEMENTS[ident].subspace()
     entry = entry_by_id(ident)
-    S, _ = entry.specialize(entry.standard_values())
-    return S
+    return entry.specialize(entry.standard_values())[0]
 
 
-def _family_fingerprints(family, count):
-    """Fingerprints of a family's cases 1..count at their standard points."""
-    return {f"{family}{k}": fingerprint(_spec_subspace(f"{family}{k}"))
-            for k in range(1, count + 1)}
+def _fingerprints(given, prefix, keys):
+    """Fingerprints of the subalgebras prefix + k, read from given if there."""
+    return {i: given[i] if i in given else fingerprint(_subalgebra(i))
+            for i in (f"{prefix}{k}" for k in keys)}
 
 
 def _first_separator(fp_a, fp_b):
@@ -182,17 +185,22 @@ def _pairwise_report(fps):
     return pairs, all(rec["separated_by"] is not None for rec in pairs)
 
 
-def verify_remarks(sweep_primes=(3, 5)):
-    """Reproduce the orbit-separation remarks; failures are report entries,
-    including the machine-found antiautomorphism relating (T4) and (T6)."""
+def verify_remarks(fingerprints=None, sweep_primes=(3, 5)):
+    """Reproduce the orbit-separation remarks of the built-in catalog;
+    failures are report entries, including the machine-found antiautomorphism
+    relating (T4) and (T6).  fingerprints maps ids to the fingerprints of the
+    `_subalgebra`s they name; the remarks compute only those it lacks."""
     # imported at call time, like the CLI's layers, so a traced wrapper on
     # search.t4_t6_separation is the function called
     from .search import t4_t6_separation
 
+    given = fingerprints or {}
+
     # two-dimensional types of the (7,2) cases
-    d_types = {f"R{k}": classify_2dim(_spec_subspace(f"R{k}")) for k in range(1, 8)}
-    r5_ranks = idempotents(_spec_subspace("R5")).all_ranks()
-    r6_ranks = idempotents(_spec_subspace("R6")).all_ranks()
+    r_fps = _fingerprints(given, "R", range(1, 8))
+    d_types = {ident: fp.two_dim_type() for ident, fp in r_fps.items()}
+    r5_ranks = r_fps["R5"].idempotent_ranks
+    r6_ranks = r_fps["R6"].idempotent_ranks
     remark1 = {
         "d_types": d_types,
         "types_match": all(d_types[f"R{k}"] == f"D{k}" for k in range(1, 8)),
@@ -204,7 +212,7 @@ def verify_remarks(sweep_primes=(3, 5)):
     report = {"remark1": remark1}
 
     # (T1)-(T6): the pairs no fingerprint separates; only (T4, T6) has a sweep
-    pairs, _ = _pairwise_report(_family_fingerprints("T", 6))
+    pairs, _ = _pairwise_report(_fingerprints(given, "T", range(1, 7)))
     sweep = {}
     for rec in pairs:
         if rec["separated_by"] is not None:
@@ -229,16 +237,15 @@ def verify_remarks(sweep_primes=(3, 5)):
     }
 
     # the six 5-dimensional subalgebras
-    l5_fps = {f"L5_{k}": fingerprint(c.subspace()) for k, c in LEMMA5_SUBALGEBRAS.items()}
-    pairs, l5_ok = _pairwise_report(l5_fps)
+    pairs, l5_ok = _pairwise_report(_fingerprints(given, "L5_", LEMMA5_SUBALGEBRAS))
     report["remark4"] = {"pairs": pairs, "passed": l5_ok}
 
     # (X1)-(X7)
-    pairs, x_ok = _pairwise_report(_family_fingerprints("X", 7))
+    pairs, x_ok = _pairwise_report(_fingerprints(given, "X", range(1, 8)))
     report["remark6"] = {"pairs": pairs, "passed": x_ok}
 
     # (Z1)-(Z4)
-    z_fps = _family_fingerprints("Z", 4)
+    z_fps = _fingerprints(given, "Z", range(1, 5))
     pairs, z_ok = _pairwise_report(z_fps)
     rad3 = {k: fp.rad_dims[0] == 3 for k, fp in z_fps.items()}
     pattern_ok = rad3 == {"Z1": True, "Z2": False, "Z3": True, "Z4": False}

@@ -18,6 +18,7 @@ import time
 
 import numpy as np
 
+from archived_runs import CRITERION_7_COVERAGE, coverage_archive
 from m3decomp.catalog import builtin_catalog
 from m3decomp.maps import (
     is_algebra_map,
@@ -158,7 +159,7 @@ def test_criterion_6_finite_field_soundness():
 
 
 def _differs_from_archive(rep, name, p):
-    archive = REPORT_DIR / f"coverage_{name}_p{p}.json"
+    archive = REPORT_DIR / coverage_archive(name, p)
     return json.dumps(rep, indent=2, sort_keys=True) + "\n" != archive.read_text()
 
 
@@ -168,17 +169,16 @@ def test_criterion_7_coverage_and_orbits():
     ok = True
     details = []
     stale = []
-    for p in (2, 3):
-        rep = coverage_report("t1", p, explain=False)
-        if _differs_from_archive(rep, "t1", p):
-            stale.append(f"t1@{p}")
-        full = rep["matched_orbits"] == rep["orbit_count"] and not rep["unmatched_reps"]
-        ok &= full
-        details.append(f"t1@{p}:{rep['matched_orbits']}/{rep['orbit_count']}")
-    for name in ("t2", "t3", "t4", "t4m2", "t5", "t6", "t7", "t8"):
-        rep = coverage_report(name, 3, explain=True)
-        if _differs_from_archive(rep, name, 3):
-            stale.append(f"{name}@3")
+    for name, p, explain in CRITERION_7_COVERAGE:
+        rep = coverage_report(name, p, explain=explain)
+        if _differs_from_archive(rep, name, p):
+            stale.append(f"{name}@{p}")
+        if not explain:
+            # every orbit matched, with no explanation to fall back on
+            full = rep["matched_orbits"] == rep["orbit_count"] and not rep["unmatched_reps"]
+            ok &= full
+            details.append(f"{name}@{p}:{rep['matched_orbits']}/{rep['orbit_count']}")
+            continue
         unexplained = [u for u in rep["unmatched_reps"]
                        if not u.get("explained_by_quadratic_extension")]
         ok &= not unexplained

@@ -74,6 +74,22 @@ def test_specialize_names_the_first_violated_condition():
     assert S.dim == 2
 
 
+def test_not_both_zero_pairs_are_built_with_the_entry():
+    # the constructor parses the pairs that from_json reads, and a malformed
+    # pair is a SchemaError naming the constraints field
+    rec = entry_by_id("R9").to_json()
+    rec["params"] = ["y", "a"]
+    rec["constraints"]["not_both_zero"] = [["a", "y-1"]]
+    built = CatalogEntry(rec["id"], rec["theorem"], rec["complement_id"], rec["params"],
+                         rec["s_generators"], rec["constraints"]["nonzero"],
+                         rec["unital_component"], rec["notes"], [("a", "y-1")])
+    assert built == CatalogEntry.from_json(rec)
+    rec["constraints"]["not_both_zero"] = [["a", "y", "y-1"]]
+    with pytest.raises(SchemaError) as exc:
+        CatalogEntry.from_json(rec)
+    assert exc.value.field == "constraints"
+
+
 def test_complement_subspace_and_closure_built_once(monkeypatch):
     checked = []
     is_subalgebra = Subspace.is_subalgebra

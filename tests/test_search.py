@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from archived_runs import COVERAGE, coverage_archive
 from m3decomp import search
 from m3decomp.catalog import COMPLEMENTS
 from m3decomp.errors import BudgetExceeded, GroupMismatch, PatternMismatch
@@ -353,16 +354,12 @@ def test_t4_t6_sweep_finds_the_linking_antiautomorphism():
         }
 
 
-@pytest.mark.parametrize(
-    "name, p",
-    [(name, 5) for name in SEARCH_CONFIGS]
-    + [(name, 7) for name in ("t1", "t3", "t4", "t4m2", "t5", "t6", "t7", "t8")],
-)
+@pytest.mark.parametrize("name, p", COVERAGE)
 def test_archived_report_reproduces(name, p):
     # the archived p = 5 and p = 7 evidence, regenerated and compared bytes
     # for bytes (criterion 7 compares the p = 2 and 3 reports itself)
     text = json.dumps(coverage_report(name, p, explain=True), indent=2, sort_keys=True) + "\n"
-    assert text == (REPORT_DIR / f"coverage_{name}_p{p}.json").read_text()
+    assert text == (REPORT_DIR / coverage_archive(name, p)).read_text()
 
 
 def test_explain_unmatched_direct():

@@ -3,8 +3,10 @@ import pathlib
 
 import pytest
 
+from archived_runs import ARCHIVED_RUNS
 from m3decomp import cli, verifier
-from m3decomp.catalog import CatalogEntry, builtin_catalog, entry_by_id
+from m3decomp.catalog import LEMMA5_SUBALGEBRAS, CatalogEntry, builtin_catalog, entry_by_id
+from m3decomp.invariants import fingerprint
 from m3decomp.verifier import (
     compare_with_reference_system,
     sample_assignment,
@@ -123,6 +125,42 @@ def test_remark3_without_sweep_primes_leaves_t4_t6_unseparated():
     assert not remark3["passed"]
 
 
+def test_verify_remarks_reads_the_fingerprints_it_is_given(monkeypatch):
+    # every subalgebra the remarks read, fingerprinted beforehand: the
+    # remarks compute no fingerprint of their own and report the same
+    expected = verify_remarks()
+    table = {f"L5_{k}": fingerprint(c.subspace()) for k, c in LEMMA5_SUBALGEBRAS.items()}
+    for family, count in (("R", 7), ("T", 6), ("X", 7), ("Z", 4)):
+        for k in range(1, count + 1):
+            entry = entry_by_id(f"{family}{k}")
+            table[entry.id] = fingerprint(entry.specialize(entry.standard_values())[0])
+
+    def refuse(s):
+        raise AssertionError("verify_remarks computed a fingerprint it was given")
+
+    monkeypatch.setattr(verifier, "fingerprint", refuse)
+    assert verify_remarks(table) == expected
+
+
+def test_invariants_remarks_describe_the_builtin_catalog(tmp_path, monkeypatch):
+    # a catalog file whose T4 carries T1's generators: the fingerprints are
+    # the file's, but the remarks still describe the built-in catalog
+    records = [e.to_json() for e in builtin_catalog()]
+    t1 = next(rec for rec in records if rec["id"] == "T1")
+    t4 = next(rec for rec in records if rec["id"] == "T4")
+    t4["s_generators"] = t1["s_generators"]
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"schema_version": 1, "entries": records}))
+    monkeypatch.setenv("M3DECOMP_CATALOG", str(path))
+    out = tmp_path / "invariants.json"
+    assert cli.main(["invariants", "--output", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    archived = json.loads((REPORT_DIR / "invariants.json").read_text())
+    assert doc["fingerprints"]["T4"] == archived["fingerprints"]["T1"]
+    assert doc["fingerprints"]["T4"] != archived["fingerprints"]["T4"]
+    assert doc["remarks"] == archived["remarks"]
+
+
 def test_undecided_symbolic_check_downgrades_to_specialized():
     # nothing certifies the unconstrained y nonzero, so the symbolic
     # elimination cannot pick y*e31 as a pivot and the entry is sampled
@@ -137,22 +175,6 @@ def test_undecided_symbolic_check_downgrades_to_specialized():
     report = verify_entry(entry)
     assert report.method == "specialized(n=100, seed=0)"
     assert report.warning.startswith("symbolic mode undecided")
-
-
-ARCHIVED_RUNS = [
-    ("invariants.json", ["invariants"], 1),
-    ("export.json", ["export"], 0),
-    ("verify_symbolic.json", ["verify", "--all", "--mode", "symbolic"], 0),
-    ("verify_specialized_n10_seed3.json",
-     ["verify", "--all", "--mode", "specialized", "--n", "10", "--seed", "3"], 0),
-    ("rb.json", ["rb"], 0),
-    ("rb_weight1_operators.json", ["rb", "--weight", "1", "--emit-operators"], 0),
-    ("derive_system_t2.json", ["derive-system", "--pattern", "t2", "--compare", "t2_system"], 0),
-    # pins the table renderer, which lays out tuples such as rad_dims the
-    # way it lays out lists
-    ("invariants_T2_X6_Z4_p3.txt",
-     ["invariants", "--entry", "T2,X6,Z4", "--sweep-primes", "3", "--format", "table"], 1),
-]
 
 
 @pytest.mark.parametrize(
