@@ -126,6 +126,8 @@ class CatalogEntry:
 
     def __init__(self, ident, theorem, complement_id, params, gen_strings,
                  nonzero_strings, unital_component, notes="", not_both_zero_strings=()):
+        if not isinstance(ident, str) or not ident:
+            raise SchemaError("id", f"{ident!r} is not a nonempty text")
         if complement_id not in COMPLEMENTS:
             raise SchemaError("complement_id", f"unknown complement {complement_id!r}")
         self.id = ident
@@ -503,4 +505,10 @@ def load_catalog(path):
         raise SchemaError("schema_version", f"expected {SCHEMA_VERSION}")
     if "entries" not in doc:
         raise SchemaError("entries", "missing")
-    return [CatalogEntry.from_json(rec) for rec in doc["entries"]]
+    entries = [CatalogEntry.from_json(rec) for rec in doc["entries"]]
+    seen = set()
+    for e in entries:
+        if e.id in seen:
+            raise SchemaError("id", f"entry {e.id} is repeated")
+        seen.add(e.id)
+    return entries

@@ -15,12 +15,13 @@ over the primes up to 127 (its solver stores cells as int8).  Each command
 returns its report and verdict; main writes the report and sets the exit
 code: 0 all requested checks pass, 1 a check failed, 2 configuration error,
 one "error: ..." line and no report (an unknown pattern, entry or fixture,
---mode specialized without --seed, --n below 1, a --weight that is neither
-"symbolic" nor a nonzero rational, an unusable catalog file, a prime out of
-range, or an --output file that cannot be written).  Identical configuration
-(including seed) produces byte-identical JSON output.  search accepts --jobs
-and ignores it.  The environment variable M3DECOMP_CATALOG points
-verification at a catalog file instead of the built-in corpus.
+a fixture of another pattern or --pairs, --mode specialized without --seed,
+--n below 1, a --weight that is neither "symbolic" nor a nonzero rational,
+an unusable catalog file, a prime out of range, or an --output file that
+cannot be written).  Identical configuration (including seed) produces
+byte-identical JSON output.  search accepts --jobs and ignores it.  The
+environment variable M3DECOMP_CATALOG points verification at a catalog file
+instead of the built-in corpus.
 """
 
 from __future__ import annotations
@@ -236,8 +237,15 @@ def cmd_derive_system(args):
 
     name = _pattern_name(args.pattern)
     check_prime(args.prime, bound=None)
-    if args.compare and args.compare not in REFERENCE_SYSTEMS:
-        raise M3DecompError(f"unknown fixture {args.compare!r}")
+    if args.compare:
+        if args.compare not in REFERENCE_SYSTEMS:
+            raise M3DecompError(f"unknown fixture {args.compare!r}")
+        rec = REFERENCE_SYSTEMS[args.compare]
+        pairs = rec.get("pairs", "all")
+        if (rec["pattern"], pairs) != (name, args.pairs):
+            raise M3DecompError(
+                f"--compare {args.compare} is a system of --pattern {rec['pattern']} "
+                f"--pairs {pairs}, not of --pattern {name} --pairs {args.pairs}")
     pat = get_pattern(name)
     system = pat.closure_system(args.pairs)
     doc = {

@@ -2,29 +2,34 @@
 closure systems they induce.
 
 A pattern describes candidate complements S of a fixed subalgebra M as a list
-of generators, each a constant pivot matrix plus free parameters along
-constant directions inside M (some patterns also include the identity matrix
-as a generator).  Because the pivot parts complete any basis of M to a basis
-of the full space, every pattern instance automatically satisfies the
+of generators: the identity matrix first when the pattern includes it, then
+0/1 pivot matrices, each plus free cells, a cell being a parameter times a
+0/1 direction inside M.  Because the pivot parts complete any basis of M to a
+basis of the full space, every pattern instance automatically satisfies the
 direct-sum condition, and S being a subalgebra is equivalent to the vanishing
 of the derived closure system: for each product of generators, the unique
 candidate coefficients are read off by the dual functionals and the residual
 must be zero in all nine coordinates.
 
+`PivotPattern` is the one holder of this pattern-normal form, as integer
+data that the closure system and the finite-field oracle both read: the base
+rows, each cell's generator and direction, the coordinate each cell is read
+off (the lowest one that no other cell of its generator touches), and the
+dual functionals, which must be integral.
+
 Patterns whose cells are pinned to zero record the justification; only
 division-free normalizations are pinned where completeness over prime fields
 is claimed.
 
-The theorem patterns in `PATTERNS` are kept as a table of specifications.
-Each pattern is built, and its directions and dual functionals checked, the
-first time it is looked up, so a command pays only for the pattern it names
-(and one that names none pays nothing).
+The theorem patterns are kept as a table of specifications; `PATTERNS` names
+them.  `get_pattern` builds a pattern, and so checks its directions and dual
+functionals, the first time it is looked up, so a command pays only for the
+pattern it names (and one that names none pays nothing).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from fractions import Fraction
+import functools
 
 from .errors import PatternMismatch, SingularMatrix, UndecidedPivot
 from .linalg import ff_inverse, kernel_basis
@@ -34,65 +39,55 @@ from .scalars import PolynomialRing, parse_poly
 from .catalog import COMPLEMENTS
 
 
-def _unit_vec(*positions):
-    v = [Fraction(0)] * 9
-    for (i, j) in positions:
-        v[COORD_INDEX[(i, j)]] = Fraction(1)
+def _unit_vec(positions):
+    """The 0/1 coordinate row with a 1 at each (i, j) position."""
+    v = [0] * 9
+    for pos in positions:
+        v[COORD_INDEX[pos]] = 1
     return v
-
-
-def _affine_vec(positions):
-    v = [Fraction(0)] * 9
-    for item in positions:
-        if len(item) == 2:
-            i, j = item
-            c = 1
-        else:
-            i, j, c = item
-        v[COORD_INDEX[(i, j)]] += Fraction(c)
-    return v
-
-
-class PatternGen:
-    __slots__ = ("base", "dirs")
-
-    def __init__(self, base, dirs):
-        self.base = base            # 9-vector of Fractions
-        self.dirs = tuple(dirs)     # (param name, 9-vector) pairs
 
 
 class PivotPattern:
-    """A generator shape for candidate complements of a fixed subalgebra."""
+    """A generator shape for candidate complements of a fixed subalgebra.
 
-    def __init__(self, name, theorem, complement_id, gens, include_identity,
-                 fixed_zeros=""):
+    gens lists, per generator after the identity, its pivot positions and
+    its (cell, direction positions) pairs.  The pattern holds, as integers:
+    base, the k generator rows with every cell at 0 (the identity first when
+    include_identity); dirs, per cell its generator index and 0/1 direction;
+    reads, per cell its generator index and the lowest coordinate that no
+    other cell of that generator touches; functionals, the k dual
+    functionals that read a generator's coefficient off an element of S.
+    A direction outside the complement, pivot parts that do not complete a
+    basis of it and non-integral functionals each raise PatternMismatch.
+    """
+
+    def __init__(self, name, complement_id, gens, include_identity, fixed_zeros=""):
         self.name = name
-        self.theorem = theorem
         self.complement_id = complement_id
         self.include_identity = include_identity
-        self.gens = tuple(gens)
         self.fixed_zeros = fixed_zeros
-        self.params = tuple(p for g in self.gens for (p, _) in g.dirs)
-        if len(set(self.params)) != len(self.params):
-            raise ValueError("duplicate cell names")
-        self.ring = PolynomialRing(self.params)
-        self._check_directions()
-        self.functionals = self._compute_functionals()
-        self._system_cache = {}
-
-    # number of S generators including the identity when present
-    @property
-    def gen_count(self):
-        return len(self.gens) + (1 if self.include_identity else 0)
-
-    def _check_directions(self):
-        comp = COMPLEMENTS[self.complement_id].subspace()
-        for g in self.gens:
-            for (p, vec) in g.dirs:
+        comp = COMPLEMENTS[complement_id].subspace()
+        self.base = [_unit_vec(((1, 1), (2, 2), (3, 3)))] if include_identity else []
+        params, self.dirs, self.reads = [], [], []
+        for pivots, cells in gens:
+            gi = len(self.base)
+            self.base.append(_unit_vec(pivots))
+            vecs = [_unit_vec(positions) for _, positions in cells]
+            for (cell, _), vec in zip(cells, vecs):
                 if not comp.contains(Mat3.from_coords(vec)):
                     raise PatternMismatch(
-                        f"direction for cell {p!r} lies outside the complement"
-                    )
+                        f"direction for cell {cell!r} lies outside the complement")
+                private = [t for t in range(9) if vec[t] and sum(w[t] for w in vecs) == 1]
+                if not private:
+                    raise PatternMismatch(f"cell {cell!r} has no private coordinate")
+                params.append(cell)
+                self.dirs.append((gi, vec))
+                self.reads.append((gi, private[0]))
+        self.params = tuple(params)
+        self.ring = PolynomialRing(self.params)   # rejects a repeated cell name
+        self.gen_count = len(self.base)
+        self.functionals = self._compute_functionals()
+        self._system_cache = {}
 
     def _compute_functionals(self):
         comp = COMPLEMENTS[self.complement_id]
@@ -102,42 +97,25 @@ class PivotPattern:
             raise PatternMismatch(
                 f"complement annihilator has dimension {len(ann)}, expected {k}"
             )
-        bases = self.base_rows()
-        b_mat = [[sum(f[t] * base[t] for t in range(9)) for base in bases] for f in ann]
+        b_mat = [[sum(f[t] * base[t] for t in range(9)) for base in self.base] for f in ann]
         try:
             numer, det = ff_inverse(b_mat)
         except (SingularMatrix, UndecidedPivot) as exc:
             raise PatternMismatch(f"pivot parts do not complete a basis: {exc}") from exc
-        funcs = []
-        for j in range(k):
-            row = [Fraction(0)] * 9
-            for alpha in range(len(ann)):
-                c = numer[j][alpha] / det
-                for t in range(9):
-                    row[t] += c * ann[alpha][t]
-            funcs.append(row)
-        return funcs
-
-    def base_rows(self):
-        rows = []
-        if self.include_identity:
-            rows.append(_unit_vec((1, 1), (2, 2), (3, 3)))
-        rows.extend([list(g.base) for g in self.gens])
-        return rows
+        funcs = [[sum(numer[j][a] * ann[a][t] for a in range(k)) / det for t in range(9)]
+                 for j in range(k)]
+        if any(x.denominator != 1 for row in funcs for x in row):
+            raise PatternMismatch(f"pattern {self.name!r} has non-integral dual functionals")
+        return [[int(x) for x in row] for row in funcs]
 
     def symbolic_generators(self):
         """Generators over the cell ring (identity first when present)."""
         ring = self.ring
-        out = []
-        if self.include_identity:
-            out.append(Mat3.identity())
-        for g in self.gens:
-            coords = [ring.constant(x) for x in g.base]
-            for (p, vec) in g.dirs:
-                gen = ring.gen(p)
-                coords = [c + gen * ring.constant(v) for c, v in zip(coords, vec)]
-            out.append(Mat3.from_coords(coords))
-        return out
+        coords = [[ring.constant(x) for x in row] for row in self.base]
+        for cell, (gi, vec) in zip(self.params, self.dirs):
+            gen = ring.gen(cell)
+            coords[gi] = [c + gen * ring.constant(v) for c, v in zip(coords[gi], vec)]
+        return [Mat3.from_coords(c) for c in coords]
 
     def closure_system(self, pairs="all"):
         """The polynomial system whose vanishing is equivalent to closure of
@@ -180,29 +158,6 @@ class PivotPattern:
         self._system_cache[pairs] = tuple(system)
         return list(system)
 
-    def cell_read_offsets(self):
-        """Per generator, (param, coordinate index, inverse scale) triples
-        that read each cell value off a pattern-normalized row."""
-        out = []
-        for g in self.gens:
-            reads = []
-            for idx, (p, vec) in enumerate(g.dirs):
-                pos = None
-                for t in range(9):
-                    if vec[t] and all(
-                        other_vec[t] == 0
-                        for k, (q, other_vec) in enumerate(g.dirs)
-                        if k != idx
-                    ):
-                        pos = t
-                        scale = Fraction(1) / vec[t]
-                        break
-                if pos is None:
-                    raise PatternMismatch(f"cell {p!r} has no private coordinate")
-                reads.append((p, pos, scale))
-            out.append(reads)
-        return out
-
     def __repr__(self):
         return f"PivotPattern({self.name}, cells={len(self.params)})"
 
@@ -211,19 +166,12 @@ class PivotPattern:
 # the theorem patterns, each built on first use
 # ---------------------------------------------------------------------------
 
-def _gen(base_positions, dirs):
-    return PatternGen(
-        _unit_vec(*base_positions),
-        [(p, _affine_vec(spec)) for (p, spec) in dirs],
-    )
-
-
-#: per pattern: theorem, fixed complement, whether the identity is a
-#: generator, the pinned-zero justification, and per generator its pivot
-#: positions and (cell, direction positions) pairs
+#: per pattern: the fixed complement, whether the identity is a generator,
+#: the pinned-zero justification, and per generator its pivot positions and
+#: (cell, direction positions) pairs
 _PATTERN_SPECS = {
     "t1": dict(
-        theorem=1, complement_id="M7", include_identity=False,
+        complement_id="M7", include_identity=False,
         fixed_zeros="a = p = 0 (division-only normalization by the preserving family)",
         gens=[
             ([(2, 1)], [("b", [(1, 2)]), ("c", [(1, 3)]), ("d", [(2, 2)]),
@@ -233,7 +181,7 @@ _PATTERN_SPECS = {
         ],
     ),
     "t2": dict(
-        theorem=2, complement_id="M6N", include_identity=True,
+        complement_id="M6N", include_identity=True,
         fixed_zeros="none (the e12-cell normalization needs a square root)",
         gens=[
             ([(2, 1)], [("a", [(1, 2)]), ("b", [(1, 3)]), ("c", [(2, 2)]),
@@ -243,7 +191,7 @@ _PATTERN_SPECS = {
         ],
     ),
     "t3": dict(
-        theorem=3, complement_id="M6U", include_identity=False,
+        complement_id="M6U", include_identity=False,
         fixed_zeros="a = l = r = 0 (division-only normalization)",
         gens=[
             ([(2, 1)], [("b", [(1, 2)]), ("c", [(1, 3)]), ("d", [(2, 2)]),
@@ -255,7 +203,7 @@ _PATTERN_SPECS = {
         ],
     ),
     "t4": dict(
-        theorem=4, complement_id="L5_4", include_identity=True,
+        complement_id="L5_4", include_identity=True,
         fixed_zeros="a = 0 (division-only normalization)",
         gens=[
             ([(2, 1)], [("b", [(1, 2)]), ("c", [(1, 3)]), ("d", [(2, 2)]),
@@ -267,7 +215,7 @@ _PATTERN_SPECS = {
         ],
     ),
     "t4m2": dict(
-        theorem=4, complement_id="L5_5", include_identity=True,
+        complement_id="L5_5", include_identity=True,
         fixed_zeros="none (shape adapted to the second complement)",
         gens=[
             ([(2, 1)], [("a", [(1, 1)]), ("b", [(1, 2)]), ("c", [(1, 3)]),
@@ -279,7 +227,7 @@ _PATTERN_SPECS = {
         ],
     ),
     "t5": dict(
-        theorem=5, complement_id="L5_1", include_identity=False,
+        complement_id="L5_1", include_identity=False,
         fixed_zeros="a = m = u = 0 (up to the index swap, transpose and the preserving family)",
         gens=[
             ([(2, 1)], [("b", [(2, 2)]), ("c", [(2, 3)]), ("d", [(3, 2)]),
@@ -293,7 +241,7 @@ _PATTERN_SPECS = {
         ],
     ),
     "t6": dict(
-        theorem=6, complement_id="L5_3", include_identity=False,
+        complement_id="L5_3", include_identity=False,
         fixed_zeros="e = z = 0 (division-only normalization)",
         gens=[
             ([(2, 1)], [("a", [(1, 1)]), ("b", [(1, 2)]), ("c", [(1, 3)]),
@@ -307,7 +255,7 @@ _PATTERN_SPECS = {
         ],
     ),
     "t7": dict(
-        theorem=7, complement_id="L5_2", include_identity=False,
+        complement_id="L5_2", include_identity=False,
         fixed_zeros="a = 0 (division-only normalization)",
         gens=[
             ([(2, 1)], [("b", [(1, 2)]), ("c", [(1, 3)]), ("d", [(2, 2)]),
@@ -321,7 +269,7 @@ _PATTERN_SPECS = {
         ],
     ),
     "t8": dict(
-        theorem=8, complement_id="L5_6", include_identity=False,
+        complement_id="L5_6", include_identity=False,
         fixed_zeros="d = e = p = 0 (division-only normalization)",
         gens=[
             ([(2, 1)], [("a", [(1, 1), (3, 3)]), ("b", [(1, 2)]), ("c", [(1, 3)])]),
@@ -336,43 +284,18 @@ _PATTERN_SPECS = {
 }
 
 
-class _PatternRegistry(Mapping):
-    """The theorem patterns by name.  A pattern is built, and so checked, on
-    its first lookup and cached; membership and iteration read only the
-    names."""
-
-    def __init__(self, specs):
-        self._specs = specs
-        self._built = {}
-
-    def __getitem__(self, name):
-        if name not in self._built:
-            spec = self._specs[name]
-            self._built[name] = PivotPattern(
-                name, spec["theorem"], spec["complement_id"],
-                [_gen(*g) for g in spec["gens"]],
-                include_identity=spec["include_identity"],
-                fixed_zeros=spec["fixed_zeros"],
-            )
-        return self._built[name]
-
-    def __contains__(self, name):
-        return name in self._specs
-
-    def __iter__(self):
-        return iter(self._specs)
-
-    def __len__(self):
-        return len(self._specs)
-
-
-PATTERNS = _PatternRegistry(_PATTERN_SPECS)
+PATTERNS = tuple(_PATTERN_SPECS)
 
 PATTERN_ALIASES = {"7-2": "t1", "t4m1": "t4"}
 
 
+@functools.lru_cache(maxsize=None)
 def get_pattern(name):
-    return PATTERNS[PATTERN_ALIASES.get(name, name)]
+    """The theorem pattern of this name or alias, built and checked on its
+    first lookup (an alias shares its pattern's object)."""
+    if name in PATTERN_ALIASES:
+        return get_pattern(PATTERN_ALIASES[name])
+    return PivotPattern(name, **_PATTERN_SPECS[name])
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from collections import Counter
 
 import numpy as np
@@ -68,49 +69,21 @@ def _gf(p, degree=1):
 # pattern data in numpy form
 # ---------------------------------------------------------------------------
 
-class _PatternData:
-    def __init__(self, pattern):
-        self.pattern = pattern
-        k = pattern.gen_count
-        self.k = k
-        self.include_identity = pattern.include_identity
-        self.base = np.array(
-            [[int(x) for x in row] for row in pattern.base_rows()], dtype=np.int64
-        )
-        funcs = pattern.functionals
-        if any(f[t].denominator != 1 for f in funcs for t in range(9)):
-            raise PatternMismatch(
-                f"pattern {pattern.name!r} has non-integral dual functionals"
-            )
-        self.functionals = np.array(
-            [[int(f[t]) for t in range(9)] for f in funcs], dtype=np.int64
-        )
-        self.params = pattern.params
-        c = len(self.params)
-        self.dirs = np.zeros((c, k, 9), dtype=np.int64)
-        offset = 1 if pattern.include_identity else 0
-        reads = []
-        param_pos = {p: i for i, p in enumerate(self.params)}
-        for gi, gen in enumerate(pattern.gens):
-            for (pname, vec) in gen.dirs:
-                ci = param_pos[pname]
-                for t in range(9):
-                    if vec[t]:
-                        self.dirs[ci, gi + offset, t] = int(vec[t])
-        for gi, gen_reads in enumerate(pattern.cell_read_offsets()):
-            for (pname, pos, scale) in gen_reads:
-                if scale.denominator != 1:
-                    raise PatternMismatch(
-                        f"cell {pname!r} of pattern {pattern.name!r} has a "
-                        f"non-integral read scale {scale}"
-                    )
-                reads.append((param_pos[pname], gi + offset, pos, int(scale)))
-        self.reads = reads
-
-
 @functools.lru_cache(maxsize=None)
 def _pdata(pattern_name):
-    return _PatternData(get_pattern(pattern_name))
+    """A pattern's integer data as numpy arrays: base (k, 9), functionals
+    (k, 9), dirs (C, k, 9) with each cell's direction in its generator's
+    row, and reads, the generator and coordinate indices of the cells."""
+    pat = get_pattern(pattern_name)
+    dirs = np.zeros((len(pat.params), pat.gen_count, 9), dtype=np.int64)
+    for ci, (gi, vec) in enumerate(pat.dirs):
+        dirs[ci, gi] = vec
+    return types.SimpleNamespace(
+        base=np.array(pat.base, dtype=np.int64),
+        functionals=np.array(pat.functionals, dtype=np.int64),
+        dirs=dirs,
+        reads=tuple(np.array(pat.reads, dtype=np.int64).reshape(-1, 2).T),
+    )
 
 
 def rows_from_cells(cells, pdata, p):
@@ -129,9 +102,7 @@ def normalize_rows(rows, pdata, gf):
     p = gf.p
     coeff = np.einsum("njt...,at->nja...", rows, pdata.functionals) % p
     resid = gf.sub(gf.matmul(gf.inv_mat(coeff), rows), gf.lift(pdata.base))
-    cells = np.zeros((rows.shape[0], len(pdata.params)) + rows.shape[3:], dtype=np.int64)
-    for (ci, gi, pos, scale) in pdata.reads:
-        cells[:, ci] = resid[:, gi, pos] * scale % p
+    cells = resid[:, pdata.reads[0], pdata.reads[1]]
     recon = np.einsum("nc...,cjt->njt...", cells, pdata.dirs) % p
     ok = gf.is_zero(gf.sub(recon, resid)).all(axis=(1, 2))
     return cells, ok

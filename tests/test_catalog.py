@@ -181,6 +181,18 @@ def test_load_rejects_missing_field(tmp_path):
     assert exc.value.field == "complement_id"
 
 
+@pytest.mark.parametrize("ids", [["R1", "R2", "R1"], ["R1", 5], ["R1", ""], ["R1", None]])
+def test_load_rejects_bad_and_repeated_ids(ids, tmp_path):
+    # a repeated id would be verified twice and keep one fingerprint; an id
+    # that is no text cannot be sorted beside the others
+    records = [dict(entry_by_id("R1").to_json(), id=ident) for ident in ids]
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps({"schema_version": 1, "entries": records}))
+    with pytest.raises(SchemaError) as exc:
+        load_catalog(path)
+    assert exc.value.field == "id"
+
+
 def test_entry_rejects_undeclared_params():
     with pytest.raises(ParseError):
         CatalogEntry("oops", 1, "M7", (),

@@ -9,20 +9,25 @@ from m3decomp import fpsolve
 from m3decomp.errors import BudgetExceeded, NotSupported, PatternMismatch
 from m3decomp.fpsolve import solution_set, solve_system_fp
 from m3decomp.matrices import Mat3, is_direct_sum, span
-from m3decomp.patterns import (
-    PATTERNS,
-    PatternGen,
-    PivotPattern,
-    get_pattern,
-    reference_system,
-)
+from m3decomp.patterns import PATTERNS, PivotPattern, get_pattern, reference_system
 from m3decomp.scalars import parse_poly
 
 
 def test_pattern_registry():
-    assert set(PATTERNS) == {"t1", "t2", "t3", "t4", "t4m2", "t5", "t6", "t7", "t8"}
-    assert get_pattern("7-2") is PATTERNS["t1"]
-    assert get_pattern("t4m1") is PATTERNS["t4"]
+    assert PATTERNS == ("t1", "t2", "t3", "t4", "t4m2", "t5", "t6", "t7", "t8")
+    assert get_pattern("7-2") is get_pattern("t1")
+    assert get_pattern("t4m1") is get_pattern("t4")
+    with pytest.raises(KeyError):
+        get_pattern("t9")
+
+
+def _instance(pat, cells):
+    """The generators of the pattern instance at the cell values (a dict),
+    identity first when the pattern has it."""
+    rows = [[Fraction(x) for x in row] for row in pat.base]
+    for cell, (gi, vec) in zip(pat.params, pat.dirs):
+        rows[gi] = [c0 + cells[cell] * v for c0, v in zip(rows[gi], vec)]
+    return [Mat3.from_coords(row) for row in rows]
 
 
 _FIRST_LOOKUP = """
@@ -40,7 +45,7 @@ m3decomp.cli.build_parser()
 assert "t1" in PATTERNS and "7-2" not in PATTERNS and len(PATTERNS) == 9
 assert built() == [], built()
 pat = get_pattern("7-2")
-assert built() == [pat] and pat is PATTERNS["t1"], built()
+assert built() == [pat] and pat is get_pattern("t1"), built()
 """
 
 
@@ -54,11 +59,11 @@ def test_patterns_built_on_first_lookup():
 
 
 def test_every_pattern_has_dual_functionals_and_a_system():
-    for name in sorted(PATTERNS):
-        pat = PATTERNS[name]
+    for name in PATTERNS:
+        pat = get_pattern(name)
         k = pat.gen_count
         duals = [
-            [sum(f[t] * base[t] for t in range(9)) for base in pat.base_rows()]
+            [sum(f[t] * base[t] for t in range(9)) for base in pat.base]
             for f in pat.functionals
         ]
         assert duals == [[int(i == j) for j in range(k)] for i in range(k)], name
@@ -70,8 +75,8 @@ def test_cell_counts():
         "t1": 12, "t2": 12, "t3": 15, "t4": 14, "t4m2": 15,
         "t5": 17, "t6": 18, "t7": 19, "t8": 17,
     }
-    for name, pat in PATTERNS.items():
-        assert len(pat.params) == expected[name]
+    for name in PATTERNS:
+        assert len(get_pattern(name).params) == expected[name]
 
 
 def test_t1_system_contains_reference_equation():
@@ -94,32 +99,64 @@ def test_pattern_instances_always_direct_sums():
     # any assignment of the cells yields a complement candidate: the closure
     # system alone decides membership in the enumeration
     rng = np.random.default_rng(5)
-    for name, pat in PATTERNS.items():
-        comp = pat.complement_id
-        from m3decomp.catalog import COMPLEMENTS
+    from m3decomp.catalog import COMPLEMENTS
 
-        b = COMPLEMENTS[comp].subspace()
+    for name in PATTERNS:
+        pat = get_pattern(name)
+        b = COMPLEMENTS[pat.complement_id].subspace()
         for _ in range(3):
             cells = {c: int(v) for c, v in zip(pat.params, rng.integers(-3, 4, len(pat.params)))}
-            gens = []
-            if pat.include_identity:
-                gens.append(Mat3.identity())
-            for g in pat.gens:
-                coords = [Fraction(int(x)) for x in g.base]
-                for (p, vec) in g.dirs:
-                    coords = [c0 + cells[p] * Fraction(int(v)) for c0, v in zip(coords, vec)]
-                gens.append(Mat3.from_coords(coords))
+            gens = _instance(pat, cells)
+            assert gens[0] == Mat3.identity() or not pat.include_identity
             s = span(gens)
             assert s.dim == pat.gen_count
             assert is_direct_sum(s, b)
 
 
 def test_pattern_rejects_direction_outside_complement():
-    from m3decomp.patterns import _affine_vec, _unit_vec
+    with pytest.raises(PatternMismatch, match="outside the complement"):
+        PivotPattern("bad", "M7", [([(2, 1)], [("w", [(2, 1)])])], include_identity=False)
 
-    gen = PatternGen(_unit_vec((2, 1)), [("w", _affine_vec([(2, 1)]))])
-    with pytest.raises(PatternMismatch):
-        PivotPattern("bad", 1, "M7", [gen], include_identity=False)
+
+#: pivots e21 + e31, e31 + e32 and e21 + e32 for the complement of t3: they
+#: complete a basis with determinant 2, so the dual functionals hold halves
+_HALVES = [([(2, 1), (3, 1)], []), ([(3, 1), (3, 2)], []), ([(2, 1), (3, 2)], [])]
+
+
+def test_pattern_rejects_non_integral_functionals():
+    with pytest.raises(PatternMismatch, match="'halves' has non-integral dual functionals"):
+        PivotPattern("halves", "M6U", _HALVES, include_identity=False)
+
+
+_HALVES_OPTIMIZED = f"""
+from m3decomp.errors import PatternMismatch
+from m3decomp.patterns import PivotPattern
+
+assert not __debug__
+try:
+    PivotPattern("halves", "M6U", {_HALVES!r}, include_identity=False)
+except PatternMismatch as exc:
+    print(exc)
+"""
+
+
+def test_functionals_check_survives_optimize():
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", _HALVES_OPTIMIZED],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert "non-integral dual functionals" in res.stdout
+
+
+def test_pattern_cells_are_read_off_private_coordinates():
+    # t8's cell a moves e11 and e33 and is read off e11; two cells of one
+    # generator that share every coordinate cannot both be read
+    pat = get_pattern("t8")
+    assert pat.dirs[0] == (0, [1, 0, 0, 0, 0, 0, 0, 0, 1]) and pat.reads[0] == (0, 0)
+    with pytest.raises(PatternMismatch, match="cell 'v' has no private coordinate"):
+        PivotPattern("shared", "M7", [([(2, 1)], [("v", [(1, 2)]), ("w", [(1, 2)])])],
+                     include_identity=False)
 
 
 @pytest.mark.parametrize("fixture", ["t1_reduced", "t2_system", "t3_squares", "t6_radical"])
@@ -229,13 +266,7 @@ def test_solver_rejects_primes_its_cells_cannot_hold():
 def test_dirless_pattern_empty_system():
     # bare nilpotent pivots with no free cells: every product vanishes and
     # the derived system is empty
-    from m3decomp.patterns import _unit_vec
-
-    pat = PivotPattern(
-        "bare", 1, "M7",
-        [PatternGen(_unit_vec((2, 1)), []), PatternGen(_unit_vec((3, 1)), [])],
-        include_identity=False,
-    )
+    pat = PivotPattern("bare", "M7", [([(2, 1)], []), ([(3, 1)], [])], include_identity=False)
     assert pat.closure_system() == []
 
 
@@ -253,13 +284,7 @@ def test_closure_system_matches_subalgebra_check():
     for _ in range(60):
         cells = {c: rng.randint(-2, 2) for c in pat.params}
         vanishes = all(eq.eval(cells) == 0 for eq in system)
-        gens = []
-        for g in pat.gens:
-            coords = [Fraction(int(x)) for x in g.base]
-            for (p, vec) in g.dirs:
-                coords = [c0 + cells[p] * Fraction(int(v)) for c0, v in zip(coords, vec)]
-            gens.append(Mat3.from_coords(coords))
-        closed, _ = span(gens).is_subalgebra()
+        closed, _ = span(_instance(pat, cells)).is_subalgebra()
         assert vanishes == closed
         seen[closed] += 1
     assert seen[False] > 0  # random cells are mostly non-closed

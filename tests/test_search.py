@@ -12,11 +12,11 @@ import pytest
 from archived_runs import COVERAGE, coverage_archive
 from m3decomp import search
 from m3decomp.catalog import COMPLEMENTS
-from m3decomp.errors import BudgetExceeded, GroupMismatch, PatternMismatch
+from m3decomp.errors import BudgetExceeded, GroupMismatch
 from m3decomp.fpsolve import compile_poly
 from m3decomp.gfq import GFq
 from m3decomp.maps import apply_map, phi_map, psi_map, theta, transpose_map
-from m3decomp.patterns import PatternGen, PivotPattern, _affine_vec, _unit_vec
+from m3decomp.patterns import PATTERNS, get_pattern
 from m3decomp.search import (
     SEARCH_CONFIGS,
     catalog_specializations_fp,
@@ -34,7 +34,6 @@ from m3decomp.search import (
     _check_group_preserves,
     _conjugated,
     _family_conjugators,
-    _PatternData,
     _pdata,
 )
 
@@ -219,13 +218,17 @@ def test_slow_cube_budget():
         slow_cube_solutions("t7", 3)
 
 
-def test_normalize_roundtrip():
-    pdata = _pdata("t2")
-    sols = enumerate_complements_fp("t2", 3)[:50].astype(np.int64)
-    rows = rows_from_cells(sols, pdata, 3)
-    cells, ok = normalize_rows(rows, pdata, GFq(3))
+@pytest.mark.parametrize("name", PATTERNS)
+def test_normalize_roundtrip(name):
+    # solutions and arbitrary cell values alike: every pattern row is in the
+    # slice and normalizes back to its cells
+    pdata = _pdata(name)
+    sols = enumerate_complements_fp(name, 3)[:50].astype(np.int64)
+    cells = np.concatenate([sols, np.random.default_rng(3).integers(0, 3, (50, sols.shape[1]))])
+    rows = rows_from_cells(cells, pdata, 3)
+    normal, ok = normalize_rows(rows, pdata, GFq(3))
     assert ok.all()
-    assert np.array_equal(cells, sols)
+    assert np.array_equal(normal, cells)
 
 
 @pytest.mark.parametrize("name, p", [("t1", 3), ("t6", 5)])
@@ -239,7 +242,8 @@ def test_normal_form_is_the_same_over_the_extension(name, p):
     gf = GFq(p)
     [(t, adj)] = _family_conjugators(SEARCH_CONFIGS[name]["group"], gf)
     t, adj = t[::29][:12], adj[::29][:12]
-    rows = [_conjugated(rows_from_cells(sols, pdata, p), conj, gf).reshape(-1, pdata.k, 9)
+    k = get_pattern(name).gen_count
+    rows = [_conjugated(rows_from_cells(sols, pdata, p), conj, gf).reshape(-1, k, 9)
             for conj in ((t, gf.inv_mat(t)), (t, adj))]
     cells, ok = normalize_rows(rows[0], pdata, gf)
     assert ok.any() and not ok.all()
@@ -366,7 +370,7 @@ def test_explain_unmatched_direct():
     rep = coverage_report("t8", 3, explain=False)
     assert rep["unmatched_reps"]
     cells = np.array(
-        [rep["unmatched_reps"][0]["cells"][c] for c in _pdata("t8").params],
+        [rep["unmatched_reps"][0]["cells"][c] for c in get_pattern("t8").params],
         dtype=np.int64,
     )
     assert explain_unmatched("t8", 3, cells)
@@ -417,54 +421,6 @@ def test_sweep_rejects_unsupported_prime():
 
     with pytest.raises(NotSupported):
         t4_t6_separation(11)
-
-
-def _m7_pattern(first):
-    """A two-generator pattern for the complement of t1 whose second
-    generator is the bare pivot e31."""
-    return PivotPattern(
-        "hand", 1, "M7", [first, PatternGen(_unit_vec((3, 1)), [])], include_identity=False
-    )
-
-
-def test_pattern_data_rejects_non_integral_functionals():
-    # pivot 2*e21: its dual functional is half a coordinate functional
-    pat = _m7_pattern(PatternGen([2 * x for x in _unit_vec((2, 1))], []))
-    with pytest.raises(PatternMismatch, match="non-integral dual functionals"):
-        _PatternData(pat)
-
-
-def test_pattern_data_rejects_non_integral_cell_scale():
-    # direction 2*e12: the cell is read off its coordinate divided by 2
-    pat = _m7_pattern(PatternGen(_unit_vec((2, 1)), [("b", _affine_vec([(1, 2, 2)]))]))
-    with pytest.raises(PatternMismatch, match="non-integral read scale"):
-        _PatternData(pat)
-
-
-_SCALE_CHECK_OPTIMIZED = """
-from m3decomp.errors import PatternMismatch
-from m3decomp.patterns import PatternGen, PivotPattern, _affine_vec, _unit_vec
-from m3decomp.search import _PatternData
-
-assert not __debug__
-first = PatternGen(_unit_vec((2, 1)), [("b", _affine_vec([(1, 2, 2)]))])
-pat = PivotPattern(
-    "hand", 1, "M7", [first, PatternGen(_unit_vec((3, 1)), [])], include_identity=False
-)
-try:
-    _PatternData(pat)
-except PatternMismatch as exc:
-    print(exc)
-"""
-
-
-def test_pattern_data_check_survives_optimize():
-    res = subprocess.run(
-        [sys.executable, "-O", "-c", _SCALE_CHECK_OPTIMIZED],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert res.returncode == 0, res.stderr
-    assert "non-integral read scale" in res.stdout
 
 
 _SWEEP_CHECKS_OPTIMIZED = """

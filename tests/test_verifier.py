@@ -210,6 +210,8 @@ BAD_CATALOGS = {
     "not-3x3": ([_r9_with("s_generators", [[["1", "0"], ["0", "1"]]])], "s_generators"),
     "param-outside-grammar": ([_r9_with("params", ["Y"])], "params"),
     "repeated-param": ([_r9_with("params", ["y", "y"])], "params"),
+    "repeated-id": ([_r9_with("notes", ""), _r9_with("notes", "again")], "id"),
+    "number-id": ([_r9_with("id", 5)], "id"),
     "number-cell": ([_r9_with((1, 2, 2), 7)], "s_generators"),
     "zero-constraint": ([_r9_with("nonzero", ["0"])], "constraints"),
     # no direct sum holds the identity in both summands
@@ -242,6 +244,10 @@ BAD_OPTIONS = {
     "weight-zero": (["rb", "--entry", "R1", "--weight", "0"], "--weight"),
     "no-samples": ([*_SPECIALIZED_R8, "--n", "0"], "--n"),
     "negative-samples": ([*_SPECIALIZED_R8, "--n", "-4"], "--n"),
+    "fixture-of-another-pattern":
+        (["derive-system", "--pattern", "t2", "--compare", "t1_reduced"], "--compare"),
+    "fixture-of-other-pairs":
+        (["derive-system", "--pattern", "t3", "--compare", "t3_squares"], "--compare"),
 }
 
 
@@ -253,6 +259,16 @@ def test_bad_option_is_a_config_error(case, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {option} ")
     assert captured.err.count("\n") == 1 and not captured.out
+
+
+def test_compare_takes_a_fixture_of_the_pattern_and_pairs(tmp_path):
+    # an alias names its pattern's fixtures; a fixture of squares needs
+    # --pairs squares
+    for argv in (["--pattern", "7-2", "--compare", "t1_reduced"],
+                 ["--pattern", "t3", "--pairs", "squares", "--compare", "t3_squares"]):
+        out = tmp_path / "derive.json"
+        assert cli.main(["derive-system", *argv, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["comparison"]["equal"]
 
 
 def test_unwritable_output_is_a_config_error(tmp_path, capsys):
