@@ -109,6 +109,10 @@ def _field(name, ident, build):
         raise SchemaError(name, f"entry {ident}: {exc}") from exc
 
 
+def _is_list(value, each=lambda item: True):
+    return isinstance(value, list) and all(each(item) for item in value)
+
+
 class CatalogEntry:
     """One classified decomposition case."""
 
@@ -128,7 +132,7 @@ class CatalogEntry:
                  nonzero_strings, unital_component, notes="", not_both_zero_strings=()):
         if not isinstance(ident, str) or not ident:
             raise SchemaError("id", f"{ident!r} is not a nonempty text")
-        if complement_id not in COMPLEMENTS:
+        if not isinstance(complement_id, str) or complement_id not in COMPLEMENTS:
             raise SchemaError("complement_id", f"unknown complement {complement_id!r}")
         self.id = ident
         self.theorem = theorem
@@ -204,6 +208,10 @@ class CatalogEntry:
 
     @staticmethod
     def from_json(rec):
+        """The entry of one catalog-file record.  Each list field must be a
+        JSON list: text in its place would be read one character per item."""
+        if not isinstance(rec, dict):
+            raise SchemaError("entries", f"record {rec!r} is not an object")
         for field in ("id", "theorem", "complement_id", "params", "s_generators",
                       "constraints", "unital_component"):
             if field not in rec:
@@ -211,6 +219,14 @@ class CatalogEntry:
         cons = rec["constraints"]
         if not isinstance(cons, dict) or "nonzero" not in cons:
             raise SchemaError("constraints", "expected {nonzero: [...], ...}")
+        for field, ok in (
+            ("params", _is_list(rec["params"])),
+            ("s_generators", _is_list(rec["s_generators"], lambda g: _is_list(g, _is_list))),
+            ("constraints", _is_list(cons["nonzero"])
+             and _is_list(cons.get("not_both_zero", []), _is_list)),
+        ):
+            if not ok:
+                raise SchemaError(field, f"entry {rec['id']!r}: a list is expected")
         return CatalogEntry(rec["id"], rec["theorem"], rec["complement_id"], rec["params"],
                             rec["s_generators"], cons["nonzero"], rec["unital_component"],
                             rec.get("notes", ""), cons.get("not_both_zero", []))
@@ -503,8 +519,8 @@ def load_catalog(path):
         raise SchemaError("path", f"{path} is not JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError("schema_version", f"expected {SCHEMA_VERSION}")
-    if "entries" not in doc:
-        raise SchemaError("entries", "missing")
+    if not isinstance(doc.get("entries"), list):
+        raise SchemaError("entries", "expected a list of records")
     entries = [CatalogEntry.from_json(rec) for rec in doc["entries"]]
     seen = set()
     for e in entries:

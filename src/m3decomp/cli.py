@@ -15,10 +15,11 @@ over the primes up to 127 (its solver stores cells as int8).  Each command
 returns its report and verdict; main writes the report and sets the exit
 code: 0 all requested checks pass, 1 a check failed, 2 configuration error,
 one "error: ..." line and no report (an unknown pattern, entry or fixture,
-a fixture of another pattern or --pairs, --mode specialized without --seed,
---n below 1, a --weight that is neither "symbolic" nor a nonzero rational,
-an unusable catalog file, a prime out of range, or an --output file that
-cannot be written).  Identical configuration (including seed) produces
+an --entry id named twice, a fixture of another pattern or --pairs, --mode
+specialized without --seed, --n below 1, a --weight that is neither
+"symbolic" nor a nonzero rational, an unusable catalog file or a malformed
+record in it, a prime out of range, or an --output file that cannot be
+written).  Identical configuration (including seed) produces
 byte-identical JSON output.  search accepts --jobs and ignores it.  The
 environment variable M3DECOMP_CATALOG points verification at a catalog file
 instead of the built-in corpus.
@@ -78,7 +79,8 @@ def _as_table(doc, indent=0):
 
 def _chosen_entries(selection):
     """The entries named by the --entry lists (all of them when none is
-    given), in the order named, and the catalog's name."""
+    given), in the order named, and the catalog's name; an unknown or
+    repeated id is a usage error."""
     path = os.environ.get("M3DECOMP_CATALOG")
     if path:
         entries = catalog_mod.load_catalog(path)
@@ -91,6 +93,9 @@ def _chosen_entries(selection):
     missing = [w for w in wanted if w not in by_id]
     if missing:
         raise M3DecompError(f"unknown entries: {', '.join(missing)}")
+    repeated = sorted({w for w in wanted if wanted.count(w) > 1})
+    if repeated:
+        raise M3DecompError(f"repeated entries: {', '.join(repeated)}")
     return [by_id[w] for w in wanted], path
 
 

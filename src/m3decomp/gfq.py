@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotSupported
-from .scalars import MAX_PRIME, check_prime  # noqa: F401
+from .scalars import check_prime
 
 
 def quadratic(p):

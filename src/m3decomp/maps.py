@@ -124,11 +124,16 @@ def is_algebra_map(m):
 # concrete constructions
 # ---------------------------------------------------------------------------
 
+def _map_from_images(images, den, constraints=EMPTY_CONSTRAINTS, kind=AUTOMORPHISM):
+    """The map sending each basis matrix e_ij to images[(i, j)] / den: the
+    coordinates of images[(i, j)] are column (i, j) of its 9x9 numerator."""
+    cols = [images[src].coords() for src in COORD_ORDER]
+    return AlgebraMap(list(zip(*cols)), den, kind, constraints)
+
+
 def transpose_map():
-    rows = [[Fraction(0)] * 9 for _ in range(9)]
-    for k, (i, j) in enumerate(COORD_ORDER):
-        rows[COORD_ORDER.index((j, i))][k] = Fraction(1)
-    return AlgebraMap(rows, Fraction(1), ANTIAUTOMORPHISM)
+    images = {(i, j): Mat3.basis(j, i) for (i, j) in COORD_ORDER}
+    return _map_from_images(images, Fraction(1), kind=ANTIAUTOMORPHISM)
 
 
 def conjugation(t, constraints=EMPTY_CONSTRAINTS):
@@ -136,9 +141,8 @@ def conjugation(t, constraints=EMPTY_CONSTRAINTS):
     ff_inverse(T): det(T), or -det(T) where the inverse swaps rows."""
     numer, den = ff_inverse(t.rows, constraints)
     inv = Mat3(numer)
-    cols = [(inv @ Mat3.basis(i, j) @ t).coords() for (i, j) in COORD_ORDER]
-    rows = [[cols[j][i] for j in range(9)] for i in range(9)]
-    return AlgebraMap(rows, den, AUTOMORPHISM, constraints)
+    images = {(i, j): inv @ Mat3.basis(i, j) @ t for (i, j) in COORD_ORDER}
+    return _map_from_images(images, den, constraints)
 
 
 def theta(i, j):
@@ -177,12 +181,6 @@ def _phi_cleared_images(beta, gamma, kappa, lamda, mu, nu):
         (3, 1): Mat3([[bl_gk, b * bl_gk, g * bl_gk], [-l, -(b * l), -(g * l)], [k, b * k, g * k]]),
     }
     return images, delta
-
-
-def _map_from_images(images, den, constraints):
-    cols = {src: images[src].coords() for src in images}
-    rows = [[cols[COORD_ORDER[j]][i] for j in range(9)] for i in range(9)]
-    return AlgebraMap(rows, den, AUTOMORPHISM, constraints)
 
 
 def _family_map(names, values, to_phi, side_conditions):

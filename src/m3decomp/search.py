@@ -36,9 +36,10 @@ import numpy as np
 from .catalog import COMPLEMENTS, builtin_catalog, entry_by_id
 from .errors import BudgetExceeded, GroupMismatch, PatternMismatch
 from .fpsolve import compile_poly, solve_system_fp
-from .gfq import GFq, check_prime
+from .gfq import GFq
 from .maps import PSI_PARAM_NAMES
 from .patterns import get_pattern
+from .scalars import check_prime
 
 #: group family and optional antiautomorphism twist preserving each fixed
 #: complement (one twist representative suffices: any two complement-

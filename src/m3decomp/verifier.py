@@ -10,10 +10,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from . import invariants  # fingerprint looked up at call time, as cli does
 from .catalog import COMPLEMENTS, LEMMA5_SUBALGEBRAS, entry_by_id
 from .errors import UndecidedPivot
 from .fpsolve import solution_set
-from .invariants import fingerprint
 from .matrices import is_direct_sum
 from .patterns import reference_system
 from .scalars import constraint_satisfied
@@ -152,7 +152,7 @@ def _subalgebra(ident):
 
 def _fingerprints(given, prefix, keys):
     """Fingerprints of the subalgebras prefix + k, read from given if there."""
-    return {i: given[i] if i in given else fingerprint(_subalgebra(i))
+    return {i: given[i] if i in given else invariants.fingerprint(_subalgebra(i))
             for i in (f"{prefix}{k}" for k in keys)}
 
 

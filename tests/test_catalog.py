@@ -193,6 +193,37 @@ def test_load_rejects_bad_and_repeated_ids(ids, tmp_path):
     assert exc.value.field == "id"
 
 
+def _r9(**fields):
+    """R9's record with fields replaced (nonzero and not_both_zero inside
+    its constraints)."""
+    rec = entry_by_id("R9").to_json()
+    for key, value in fields.items():
+        (rec["constraints"] if key in rec["constraints"] else rec)[key] = value
+    return rec
+
+
+# case: (the malformed record, the field the SchemaError names); text in
+# place of a list would be read one character per item
+MALFORMED_RECORDS = {
+    "number-record": (7, "entries"),
+    "list-complement-id": (_r9(complement_id=["M7"]), "complement_id"),
+    "text-params": (_r9(params="yz"), "params"),
+    "text-nonzero": (_r9(nonzero="y"), "constraints"),
+    "text-not-both-zero-pair": (_r9(not_both_zero=["yy"]), "constraints"),
+    "text-generator-rows": (_r9(s_generators=[["000", "110", "001"]]), "s_generators"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_RECORDS))
+def test_load_rejects_malformed_records(case, tmp_path):
+    record, field = MALFORMED_RECORDS[case]
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"schema_version": 1, "entries": [record]}))
+    with pytest.raises(SchemaError) as exc:
+        load_catalog(path)
+    assert exc.value.field == field
+
+
 def test_entry_rejects_undeclared_params():
     with pytest.raises(ParseError):
         CatalogEntry("oops", 1, "M7", (),

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from m3decomp.errors import NotSupported
-from m3decomp.gfq import MAX_PRIME, GFq, check_prime, quadratic
-from m3decomp.scalars import is_prime
+from m3decomp.gfq import GFq, quadratic
+from m3decomp.scalars import MAX_PRIME, check_prime, is_prime
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

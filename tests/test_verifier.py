@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from archived_runs import ARCHIVED_RUNS
-from m3decomp import cli, verifier
+from m3decomp import cli, invariants, verifier
 from m3decomp.catalog import LEMMA5_SUBALGEBRAS, CatalogEntry, builtin_catalog, entry_by_id
 from m3decomp.invariants import fingerprint
 from m3decomp.verifier import (
@@ -127,7 +127,8 @@ def test_remark3_without_sweep_primes_leaves_t4_t6_unseparated():
 
 def test_verify_remarks_reads_the_fingerprints_it_is_given(monkeypatch):
     # every subalgebra the remarks read, fingerprinted beforehand: the
-    # remarks compute no fingerprint of their own and report the same
+    # remarks compute no fingerprint of their own and report the same (they
+    # look up invariants.fingerprint at call time, so the patch reaches them)
     expected = verify_remarks()
     table = {f"L5_{k}": fingerprint(c.subspace()) for k, c in LEMMA5_SUBALGEBRAS.items()}
     for family, count in (("R", 7), ("T", 6), ("X", 7), ("Z", 4)):
@@ -138,7 +139,7 @@ def test_verify_remarks_reads_the_fingerprints_it_is_given(monkeypatch):
     def refuse(s):
         raise AssertionError("verify_remarks computed a fingerprint it was given")
 
-    monkeypatch.setattr(verifier, "fingerprint", refuse)
+    monkeypatch.setattr(invariants, "fingerprint", refuse)
     assert verify_remarks(table) == expected
 
 
@@ -186,6 +187,14 @@ def test_archived_exact_report_reproduces(archive, argv, code, tmp_path):
     out = tmp_path / archive
     assert cli.main([*argv, "--output", str(out)]) == code
     assert out.read_bytes() == (REPORT_DIR / archive).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["verify", "rb"])
+def test_repeated_entry_is_a_config_error(command, capsys):
+    # an id named twice would be checked and counted twice
+    assert cli.main([command, "--entry", "R1,R2", "--entry", "R1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: repeated entries: R1\n" and not captured.out
 
 
 def _r9_with(field, value):
