@@ -134,6 +134,10 @@ class CatalogEntry:
             raise SchemaError("id", f"{ident!r} is not a nonempty text")
         if not isinstance(complement_id, str) or complement_id not in COMPLEMENTS:
             raise SchemaError("complement_id", f"unknown complement {complement_id!r}")
+        if type(theorem) is not int:
+            raise SchemaError("theorem", f"entry {ident}: {theorem!r} is not an integer")
+        if not isinstance(notes, str):
+            raise SchemaError("notes", f"entry {ident}: {notes!r} is not a text")
         self.id = ident
         self.theorem = theorem
         self.complement_id = complement_id
@@ -519,8 +523,8 @@ def load_catalog(path):
         raise SchemaError("path", f"{path} is not JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError("schema_version", f"expected {SCHEMA_VERSION}")
-    if not isinstance(doc.get("entries"), list):
-        raise SchemaError("entries", "expected a list of records")
+    if not isinstance(doc.get("entries"), list) or not doc["entries"]:
+        raise SchemaError("entries", "expected a nonempty list of records")
     entries = [CatalogEntry.from_json(rec) for rec in doc["entries"]]
     seen = set()
     for e in entries:

@@ -15,14 +15,14 @@ over the primes up to 127 (its solver stores cells as int8).  Each command
 returns its report and verdict; main writes the report and sets the exit
 code: 0 all requested checks pass, 1 a check failed, 2 configuration error,
 one "error: ..." line and no report (an unknown pattern, entry or fixture,
-an --entry id named twice, a fixture of another pattern or --pairs, --mode
-specialized without --seed, --n below 1, a --weight that is neither
-"symbolic" nor a nonzero rational, an unusable catalog file or a malformed
-record in it, a prime out of range, or an --output file that cannot be
-written).  Identical configuration (including seed) produces
-byte-identical JSON output.  search accepts --jobs and ignores it.  The
-environment variable M3DECOMP_CATALOG points verification at a catalog file
-instead of the built-in corpus.
+an --entry id named twice, --entry lists that name no id, a fixture of
+another pattern or --pairs, --mode specialized without --seed, --n below 1,
+a --weight that is neither "symbolic" nor a nonzero rational, an unusable
+catalog file, one with no records or a malformed record in it, a prime out
+of range, or an --output file that cannot be written).  Identical
+configuration (including seed) produces byte-identical JSON output.  search
+accepts --jobs and ignores it.  The environment variable M3DECOMP_CATALOG
+points verification at a catalog file instead of the built-in corpus.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _as_table(doc, indent=0):
 def _chosen_entries(selection):
     """The entries named by the --entry lists (all of them when none is
     given), in the order named, and the catalog's name; an unknown or
-    repeated id is a usage error."""
+    repeated id, or lists that name no id, are usage errors."""
     path = os.environ.get("M3DECOMP_CATALOG")
     if path:
         entries = catalog_mod.load_catalog(path)
@@ -89,6 +89,8 @@ def _chosen_entries(selection):
     if not selection:
         return entries, path
     wanted = [x.strip() for chunk in selection for x in chunk.split(",") if x.strip()]
+    if not wanted:
+        raise M3DecompError("--entry names no entry id")
     by_id = {e.id: e for e in entries}
     missing = [w for w in wanted if w not in by_id]
     if missing:

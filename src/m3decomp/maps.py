@@ -11,9 +11,12 @@ for all 81 ordered pairs of basis matrices.  A map that is multiplicative,
 fixes the identity matrix and is nonzero is automatically bijective: its
 kernel is a proper two-sided ideal of the full (simple) matrix algebra.
 
-A conjugation X -> T^-1 X T takes its numerator and denominator from the
-fraction-free inverse of T (linalg.ff_inverse).  The phi and psi families
-share one construction, over their parameter ring or at given values.
+A conjugation X -> T^-1 X T is stored as X -> adj(T) X T over det(T), both
+from cofactors, so a parametric T needs only its determinant certified.
+FAMILIES is the one table of the group families that preserve the fixed
+complements: family_map builds the exact maps from it, over the parameter
+ring or at given values, and the finite-field oracle (search) builds its
+conjugators from it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainMismatch, SingularMatrix
-from .linalg import ff_inverse, sc_is_zero
+from .linalg import sc_is_zero
 from .matrices import COORD_ORDER, Mat3, span
 from .scalars import (
     EMPTY_CONSTRAINTS,
@@ -29,7 +32,6 @@ from .scalars import (
     MultiPoly,
     PolynomialRing,
     certified_nonzero,
-    exact,
 )
 
 AUTOMORPHISM = "automorphism"
@@ -137,12 +139,10 @@ def transpose_map():
 
 
 def conjugation(t, constraints=EMPTY_CONSTRAINTS):
-    """X -> T^-1 X T as a 9x9 map whose denominator is that of
-    ff_inverse(T): det(T), or -det(T) where the inverse swaps rows."""
-    numer, den = ff_inverse(t.rows, constraints)
-    inv = Mat3(numer)
-    images = {(i, j): inv @ Mat3.basis(i, j) @ t for (i, j) in COORD_ORDER}
-    return _map_from_images(images, den, constraints)
+    """X -> T^-1 X T as the 9x9 map X -> adj(T) X T over det(T)."""
+    adj = t.adjugate()
+    images = {(i, j): adj @ Mat3.basis(i, j) @ t for (i, j) in COORD_ORDER}
+    return _map_from_images(images, t.det(), constraints)
 
 
 def theta(i, j):
@@ -153,74 +153,60 @@ def theta(i, j):
 
 
 # ---------------------------------------------------------------------------
-# the parametric family preserving the 7-dimensional subalgebra
+# the group families preserving the fixed complements
 # ---------------------------------------------------------------------------
 
-PHI_PARAM_NAMES = ("beta", "gamma", "kappa", "lamda", "mu", "nu")
-PSI_PARAM_NAMES = ("alpha", "beta", "gamma", "delta", "epsilon")
+#: every member of a family is X -> T^-1 X T for a conjugator
+#: T = [[1, beta, gamma], [0, kappa, lamda], [0, mu, nu]].  Per family: its
+#: parameters in grid order, each with the row-major position of T it fills
+#: (the other entries are 0), and the parameters that range over the units
+#: only (the diagonal of a triangular T).  The oracle joins phi_lm0_theta23
+#: with its theta(2, 3) coset.
+FAMILIES = {
+    "phi_full": ((("beta", 1), ("gamma", 2), ("kappa", 4), ("lamda", 5), ("mu", 7), ("nu", 8)),
+                 ()),
+    "phi_bg0": ((("kappa", 4), ("lamda", 5), ("mu", 7), ("nu", 8)), ()),
+    "phi_lm0_theta23": ((("beta", 1), ("gamma", 2), ("kappa", 4), ("nu", 8)),
+                        ("kappa", "nu")),
+    "psi": ((("alpha", 8), ("beta", 1), ("gamma", 2), ("delta", 4), ("epsilon", 5)),
+            ("alpha", "delta")),
+}
 
 
-def _phi_cleared_images(beta, gamma, kappa, lamda, mu, nu):
-    """The nine images of the family, each multiplied by Delta = kappa*nu -
-    lamda*mu so that all entries are polynomial."""
-    b, g, k, l, m, n = beta, gamma, kappa, lamda, mu, nu
-    delta = k * n - l * m
-    gm_bn = g * m - b * n   # the recurring 2x2 minor with beta/gamma
-    bl_gk = b * l - g * k
-    z = 0 * delta  # the zero of the parameters' ring, so entries stay polynomials
-
-    images = {
-        (1, 1): Mat3([[delta, delta * b, delta * g], [z, z, z], [z, z, z]]),
-        (1, 2): Mat3([[z, delta * k, delta * l], [z, z, z], [z, z, z]]),
-        (1, 3): Mat3([[z, delta * m, delta * n], [z, z, z], [z, z, z]]),
-        (2, 2): Mat3([[z, k * gm_bn, l * gm_bn], [z, k * n, l * n], [z, -(k * m), -(l * m)]]),
-        (2, 3): Mat3([[z, m * gm_bn, n * gm_bn], [z, m * n, n * n], [z, -(m * m), -(m * n)]]),
-        (3, 2): Mat3([[z, k * bl_gk, l * bl_gk], [z, -(k * l), -(l * l)], [z, k * k, k * l]]),
-        (3, 3): Mat3([[z, m * bl_gk, n * bl_gk], [z, -(l * m), -(l * n)], [z, k * m, k * n]]),
-        (2, 1): Mat3([[gm_bn, b * gm_bn, g * gm_bn], [n, b * n, g * n], [-m, -(b * m), -(g * m)]]),
-        (3, 1): Mat3([[bl_gk, b * bl_gk, g * bl_gk], [-l, -(b * l), -(g * l)], [k, b * k, g * k]]),
-    }
-    return images, delta
-
-
-def _family_map(names, values, to_phi, side_conditions):
-    """A family's map through _phi_cleared_images, to_phi sending its
-    parameters to (beta, gamma, kappa, lamda, mu, nu).  With values None the
-    map is symbolic over Q[names] under the side conditions; at given values
-    AlgebraMap refuses a vanishing denominator."""
-    if values is None:
-        params = PolynomialRing(names).gens()
-        constraints = ConstraintSet(side_conditions(*params))
+def family_map(family, values=None):
+    """The member of a family at the given parameter values (in grid order),
+    where AlgebraMap refuses a singular T.  With values None the map is
+    symbolic over Q[parameters], under the side conditions that the units
+    are nonzero, or det(T) when the family has none."""
+    params, units = FAMILIES[family]
+    symbolic = values is None
+    if symbolic:
+        ring = PolynomialRing([name for name, _ in params])
+        zero, one, values = ring.zero(), ring.one(), ring.gens()
     else:
-        params = [exact(x) for x in values]
-        constraints = EMPTY_CONSTRAINTS
-    images, den = _phi_cleared_images(*to_phi(*params))
-    return _map_from_images(images, den, constraints)
+        zero, one = Fraction(0), Fraction(1)
+    entries = [one] + [zero] * 8
+    for (_, pos), x in zip(params, values, strict=True):
+        entries[pos] = x
+    t = Mat3.from_coords(entries)
+    if not symbolic:
+        return conjugation(t)
+    nonzero = [x for (name, _), x in zip(params, values) if name in units]
+    return conjugation(t, ConstraintSet(nonzero or [t.det()]))
 
 
 def phi_map(beta=None, gamma=None, kappa=None, lamda=None, mu=None, nu=None):
     """The six-parameter automorphism family preserving
     Span{e11,e12,e13,e22,e23,e32,e33}; requires Delta = kappa*nu - lamda*mu
-    nonzero.
-
-    With no arguments the map is built symbolically over
-    Q[beta,gamma,kappa,lamda,mu,nu] with the constraint Delta != 0.
-    """
-    values = None if beta is None else (beta, gamma, kappa, lamda, mu, nu)
-    return _family_map(PHI_PARAM_NAMES, values, lambda *v: v,
-                       lambda b, g, k, l, m, n: [k * n - l * m])
+    nonzero.  With no arguments it is symbolic under Delta != 0."""
+    return family_map("phi_full", None if beta is None else (beta, gamma, kappa, lamda, mu, nu))
 
 
 def psi_map(alpha=None, beta=None, gamma=None, delta=None, epsilon=None):
     """The five-parameter automorphism family preserving the upper-triangular
-    subalgebra: the previous family specialized to mu = 0 under the renaming
-    (kappa, lamda, mu, nu) = (delta, epsilon, 0, alpha); requires alpha and
-    delta nonzero."""
-    values = None if alpha is None else (alpha, beta, gamma, delta, epsilon)
-    # mu is the zero of alpha's ring, so symbolic entries stay polynomials
-    return _family_map(PSI_PARAM_NAMES, values,
-                       lambda a, b, g, d, e: (b, g, d, e, 0 * a, a),
-                       lambda a, b, g, d, e: [a, d])
+    subalgebra: phi at mu = 0 with (kappa, lamda, nu) = (delta, epsilon,
+    alpha); requires alpha and delta nonzero."""
+    return family_map("psi", None if alpha is None else (alpha, beta, gamma, delta, epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +225,10 @@ def rescaled_pair_images_72():
     names = ("kappa", "nu", "d", "e", "f", "g", "s", "t", "x", "y")
     ring = PolynomialRing(names)
     k, n, d, e, f, g, s, t, x, y = ring.gens()
-    z = ring.zero()
-    images, den = _phi_cleared_images(z, z, k, z, z, n)
-    phi = _map_from_images(images, den, ConstraintSet([k, n]))
-    v1 = Mat3([[z, z, z], [ring.one(), d, e], [z, f, g]])
-    v2 = Mat3([[z, z, z], [z, s, t], [ring.one(), x, y]])
+    z, o = ring.zero(), ring.one()
+    phi = conjugation(Mat3([[o, z, z], [z, k, z], [z, z, n]]), ConstraintSet([k, n]))
+    v1 = Mat3([[z, z, z], [o, d, e], [z, f, g]])
+    v2 = Mat3([[z, z, z], [z, s, t], [o, x, y]])
     computed1 = phi.image_numerator(v1).scale(k)
     claimed1 = Mat3(
         [[z, z, z], [k * n, k * k * n * d, k * n * n * e], [z, k * k * k * f, k * k * n * g]]
@@ -262,8 +247,7 @@ def rescaled_pair_images_63():
     ring = PolynomialRing(names)
     k, n, a, b, c, d, e, f, r, s, t, u, x, y = ring.gens()
     z, o = ring.zero(), ring.one()
-    images, den = _phi_cleared_images(z, z, k, z, z, n)
-    phi = _map_from_images(images, den, ConstraintSet([k, n]))
+    phi = conjugation(Mat3([[o, z, z], [z, k, z], [z, z, n]]), ConstraintSet([k, n]))
     v1 = Mat3([[z, a, b], [o, c, d], [z, e, f]])
     v2 = Mat3([[z, r, s], [z, t, u], [o, x, y]])
     computed1 = phi.image_numerator(v1).scale(k)

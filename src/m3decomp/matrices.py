@@ -90,6 +90,22 @@ class Mat3:
     def trace(self):
         return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
 
+    def adjugate(self):
+        """The transposed matrix of cofactors: self @ adj = det(self) I with
+        no division, so parametric entries need no pivot certified."""
+        a = self.rows
+
+        def cofactor(i, j):  # cyclic indices carry the sign (-1)^(i+j)
+            i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+            return a[i1][j1] * a[i2][j2] - a[i1][j2] * a[i2][j1]
+
+        return Mat3(tuple(tuple(cofactor(j, i) for j in range(3)) for i in range(3)))
+
+    def det(self):
+        """The determinant, expanded along the first row."""
+        adj = self.adjugate().rows
+        return sum(self.rows[0][j] * adj[j][0] for j in range(3))
+
     def coords(self):
         return tuple(x for row in self.rows for x in row)
 

@@ -20,7 +20,8 @@ are data, reported verbatim and, where claimed, explained by re-running the
 sweep over the quadratic extension GF(p^2), which is exactly what a
 square-root obstruction must resolve.  Both sweeps are the same code over a
 field object (`gfq.GFq`): F_p is its degree-1 case, GF(p^2) its degree-2
-case.
+case.  The conjugators of each family are read off `maps.FAMILIES`, the one
+family table, from which the exact layer builds the same maps.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .catalog import COMPLEMENTS, builtin_catalog, entry_by_id
 from .errors import BudgetExceeded, GroupMismatch, PatternMismatch
 from .fpsolve import compile_poly, solve_system_fp
 from .gfq import GFq
-from .maps import PSI_PARAM_NAMES
+from .maps import FAMILIES
 from .patterns import get_pattern
 from .scalars import check_prime
 
@@ -139,22 +140,6 @@ def _row_index(table):
 # group families over F_p and GF(p^2), held as conjugators
 # ---------------------------------------------------------------------------
 
-#: every member of a family is X -> T^-1 X T for a conjugator
-#: T = [[1, beta, gamma], [0, kappa, lamda], [0, mu, nu]]; these are the
-#: row-major positions of its parameter entries (the others are 0 or 1)
-_T_ENTRY = {"beta": 1, "gamma": 2, "kappa": 4, "lamda": 5, "mu": 7, "nu": 8}
-
-#: the entries of T that each family's free parameters fill, in grid order,
-#: and those of them that range over the units only (the diagonal of a
-#: triangular T); the other entries are 0.  psi's parameters (alpha, beta,
-#: gamma, delta, epsilon) are the entries (nu, beta, gamma, kappa, lamda).
-_FAMILIES = {
-    "phi_full": (("beta", "gamma", "kappa", "lamda", "mu", "nu"), ()),
-    "phi_bg0": (("kappa", "lamda", "mu", "nu"), ()),
-    "phi_lm0_theta23": (("beta", "gamma", "kappa", "nu"), ("kappa", "nu")),
-    "psi": (("nu", "beta", "gamma", "kappa", "lamda"), ("nu", "kappa")),
-}
-
 #: the permutation matrices exchanging two indices; conjugation by P_ij is
 #: the automorphism theta(i, j)
 _P13 = np.eye(3, dtype=np.int64)[[2, 1, 0]]
@@ -179,8 +164,8 @@ def _family_conjugators(family, gf, chunk=None):
     theta(2, 3) coset, the conjugators P23 @ T.  The adjugates come from the
     cofactor pass that drops the singular T; the sweeps use them in place
     of the inverses (see `_conjugated`)."""
-    names, units = _FAMILIES[family]
-    skip = [int(n in units) for n in names]   # a unit skips elements()[0] = 0
+    params, units = FAMILIES[family]
+    skip = [int(n in units) for n, _ in params]   # a unit skips elements()[0] = 0
     shape = tuple(gf.q - s for s in skip)
     size = math.prod(shape)
     chunk = chunk or size
@@ -189,7 +174,7 @@ def _family_conjugators(family, gf, chunk=None):
         grid = _grid(shape, start, start + chunk) + skip
         t = np.zeros((grid.shape[0], 9) + elements.shape[1:], dtype=np.int64)
         t[:, 0] = gf.lift(1)
-        t[:, [_T_ENTRY[n] for n in names]] = elements[grid]
+        t[:, [pos for _, pos in params]] = elements[grid]
         t = t.reshape((-1, 3, 3) + elements.shape[1:])
         if family == "phi_lm0_theta23":
             t = np.concatenate([t, gf.matmul(gf.lift(_P23), t)])
@@ -576,7 +561,6 @@ def t4_t6_separation(p):
         return True, None
     twisted, idx = divmod(int(hits.argmax()), len(t))
     entries = t[idx].reshape(9)
-    witness = {name: int(entries[_T_ENTRY[n]])
-               for name, n in zip(PSI_PARAM_NAMES, _FAMILIES["psi"][0])}
+    witness = {name: int(entries[pos]) for name, pos in FAMILIES["psi"][0]}
     witness["composed_with_transpose_twist"] = bool(twisted)
     return False, witness

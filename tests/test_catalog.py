@@ -211,6 +211,9 @@ MALFORMED_RECORDS = {
     "text-nonzero": (_r9(nonzero="y"), "constraints"),
     "text-not-both-zero-pair": (_r9(not_both_zero=["yy"]), "constraints"),
     "text-generator-rows": (_r9(s_generators=[["000", "110", "001"]]), "s_generators"),
+    "object-theorem": (_r9(theorem={"x": [1]}), "theorem"),
+    "bool-theorem": (_r9(theorem=True), "theorem"),
+    "number-notes": (_r9(notes=5), "notes"),
 }
 
 

@@ -63,6 +63,30 @@ def test_rational_matrix_mixes_with_polynomial_matrix():
     assert span([q, m]).dim == span([lift(q), lift(m)]).dim == 2
 
 
+def test_adjugate_and_det_by_cofactors():
+    R = PolynomialRing(("b", "g", "k", "l", "m", "n"))
+    b, g, k, l, m, n = R.gens()
+    t = Mat3([[1, b, g], [0, k, l], [0, m, n]])
+    assert t.det() == k * n - l * m
+    assert t @ t.adjugate() == Mat3.identity().scale(t.det())
+    assert t.adjugate() @ t == Mat3.identity().scale(t.det())
+    q = Mat3([[2, Fraction(1, 2), 0], [1, 3, -1], [2, 0, 1]])
+    assert q.det() == Fraction(9, 2) and q @ q.adjugate() == Mat3.identity().scale(q.det())
+
+
+def test_conjugation_needs_only_the_determinant_certified():
+    # no entry of this T is certified nonzero, only kn - lm: a pivoting
+    # inverse would be undecided at k, the cofactors are not
+    from m3decomp.maps import conjugation, is_algebra_map
+
+    R = PolynomialRing(("k", "l", "m", "n"))
+    k, l, m, n = R.gens()
+    t = Mat3([[1, 0, 0], [0, k, l], [0, m, n]])
+    c = conjugation(t, ConstraintSet([k * n - l * m]))
+    assert c.den == k * n - l * m
+    assert is_algebra_map(c) == (True, None)
+
+
 def test_span_dims():
     s = span([e(2, 1), e(3, 1)])
     assert s.dim == 2

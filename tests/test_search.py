@@ -15,7 +15,7 @@ from m3decomp.catalog import COMPLEMENTS
 from m3decomp.errors import BudgetExceeded, GroupMismatch
 from m3decomp.fpsolve import compile_poly
 from m3decomp.gfq import GFq
-from m3decomp.maps import apply_map, phi_map, psi_map, theta, transpose_map
+from m3decomp.maps import apply_map, family_map, phi_map, psi_map, theta, transpose_map
 from m3decomp.patterns import PATTERNS, get_pattern
 from m3decomp.search import (
     SEARCH_CONFIGS,
@@ -167,7 +167,7 @@ def test_group_families_preserve_their_complements_symbolically():
         ("psi", "M6U"), ("psi", "L5_4"), ("psi", "L5_5"),
         ("psi", "L5_3"), ("psi", "L5_6"),
     ]
-    from m3decomp.maps import preserves
+    from m3decomp.maps import is_algebra_map, preserves
 
     phi = phi_map()
     psi = psi_map()
@@ -175,6 +175,16 @@ def test_group_families_preserve_their_complements_symbolically():
         m = phi if fam == "phi" else psi
         comp = COMPLEMENTS[comp_id]
         assert preserves(m, comp.subspace()), (fam, comp_id)
+    # every pattern's group, as the exact layer builds it from the family
+    # table, is an automorphism family preserving the pattern's complement,
+    # and so is its theta(2, 3) coset
+    for name, config in SEARCH_CONFIGS.items():
+        m = family_map(config["group"])
+        comp = COMPLEMENTS[get_pattern(name).complement_id].subspace()
+        assert is_algebra_map(m) == (True, None), name
+        assert preserves(m, comp), name
+        if config["group"] == "phi_lm0_theta23":
+            assert preserves(theta(2, 3).compose(m), comp), name
 
 
 def test_twists_preserve_their_complements():

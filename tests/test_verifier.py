@@ -223,6 +223,8 @@ BAD_CATALOGS = {
     "number-id": ([_r9_with("id", 5)], "id"),
     "number-cell": ([_r9_with((1, 2, 2), 7)], "s_generators"),
     "zero-constraint": ([_r9_with("nonzero", ["0"])], "constraints"),
+    # verify --all over no entries would pass having checked nothing
+    "no-records": ([], "entries"),
     # no direct sum holds the identity in both summands
     "unital-in-both": ([_r9_with("unital_component", "both")], "unital_component"),
 }
@@ -257,6 +259,11 @@ BAD_OPTIONS = {
         (["derive-system", "--pattern", "t2", "--compare", "t1_reduced"], "--compare"),
     "fixture-of-other-pairs":
         (["derive-system", "--pattern", "t3", "--compare", "t3_squares"], "--compare"),
+    # an --entry list naming no id would pass having checked nothing
+    "verify-no-entry-id": (["verify", "--entry", ","], "--entry"),
+    "verify-empty-entry": (["verify", "--entry", ""], "--entry"),
+    "rb-no-entry-id": (["rb", "--entry", ","], "--entry"),
+    "invariants-no-entry-id": (["invariants", "--entry", ",", "--skip-remarks"], "--entry"),
 }
 
 
