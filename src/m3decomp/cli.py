@@ -15,14 +15,15 @@ over the primes up to 127 (its solver stores cells as int8).  Each command
 returns its report and verdict; main writes the report and sets the exit
 code: 0 all requested checks pass, 1 a check failed, 2 configuration error,
 one "error: ..." line and no report (an unknown pattern, entry or fixture,
-an --entry id named twice, --entry lists that name no id, a fixture of
-another pattern or --pairs, --mode specialized without --seed, --n below 1,
-a --weight that is neither "symbolic" nor a nonzero rational, an unusable
-catalog file, one with no records or a malformed record in it, a prime out
-of range, or an --output file that cannot be written).  Identical
-configuration (including seed) produces byte-identical JSON output.  search
-accepts --jobs and ignores it.  The environment variable M3DECOMP_CATALOG
-points verification at a catalog file instead of the built-in corpus.
+an --entry id named twice, --entry lists that name no id, --all with
+--entry, a fixture of another pattern or --pairs, --mode specialized without
+--seed, --n below 1, a --weight that is neither "symbolic" nor a nonzero
+rational, an unusable catalog file, one with no records or a malformed
+record in it, a prime out of range, or an --output file that cannot be
+written).  Identical configuration (including seed) produces byte-identical
+JSON output.  search accepts --jobs and ignores it.  The environment
+variable M3DECOMP_CATALOG points verification at a catalog file instead
+of the built-in corpus.
 """
 
 from __future__ import annotations
@@ -120,6 +121,8 @@ def cmd_verify(args):
         raise M3DecompError("--seed is required when --mode specialized")
     if args.n < 1:
         raise M3DecompError(f"--n must be at least 1, not {args.n}")
+    if args.all and args.entry:
+        raise M3DecompError("--all verifies every entry and takes no --entry")
     chosen, cat_path = _chosen_entries(args.entry)
     reports = [verify_entry(e, args.mode, args.n, args.seed).to_json() for e in chosen]
     reports.sort(key=lambda r: r["entry"])

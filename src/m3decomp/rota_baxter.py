@@ -6,10 +6,10 @@ weight-lambda identity
 exactly on all 81 ordered basis pairs.
 
 Convention: the decomposition S (+) B induces R(s + b) = -lambda * b, the
-projection onto B scaled by -lambda; R and R + lambda*Id are then the two
-complementary splitting operators, and both satisfy the identity.  Operators
-are stored fraction-free as a 9x9 numerator matrix N over a scalar denominator
-den (the determinant of the basis-change matrix), R = N / den.
+projection onto B scaled by -lambda, and R~ = -lambda Id - R, R~(s + b) =
+-lambda * s; both satisfy the identity.  Each is stored fraction-free as a 9x9
+numerator matrix N over a scalar denominator den, R = N / den: one inverse of
+the basis-change matrix gives both, and its determinant is their common den.
 
 By linearity a pair x = e_ij, y = e_kl needs only the columns X = N(e_ij) and
 Y = N(e_kl) of N, read as 3x3 matrices.  As e_ij e_kl = delta_jk e_il, the
@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotDirectSum
+from .errors import NotDirectSum, SingularMatrix
 from .linalg import ff_inverse, sc_is_zero
-from .matrices import COORD_ORDER, Mat3, is_direct_sum, span
+from .matrices import COORD_ORDER, Mat3, span
 from .scalars import (
     EMPTY_CONSTRAINTS,
     ConstraintSet,
@@ -66,30 +66,34 @@ def _scalar_str(x):
 
 
 def splitting_rb(s, b, weight, source_entry=""):
-    """The operator R(s + b) = -weight * b of the decomposition S (+) B,
-    realized fraction-free through the basis-change determinant.
-
-    The basis-change matrix is assembled with B's (constant-pivoted) reduced
-    basis first so that parametric entries never block a pivot."""
-    if not is_direct_sum(s, b):
-        raise NotDirectSum("the two subspaces do not span the matrix space directly")
+    """The operators R(s + b) = -weight * b and R~(s + b) = -weight * s of
+    S (+) B, read off one fraction-free inverse N / det of D = [B | S]:
+    R = -weight D_B N_B / det from B's columns of D and rows of N, R~ from
+    S's.  B's (constant-pivoted) reduced basis comes first so that
+    parametric entries never block a pivot."""
+    if s.dim + b.dim != 9:
+        raise NotDirectSum("the two dimensions do not add to 9")
     weight = exact(weight)
     constraints = s.constraints.merged(b.constraints)
     if not certified_nonzero(weight, constraints):
         raise ValueError("weight must be (certifiably) nonzero")
-    b_rows = b.echelon.rows
-    s_rows = s.echelon.rows
-    cols = [list(r) for r in b_rows] + [list(r) for r in s_rows]
+    cols = [list(r) for r in b.echelon.rows + s.echelon.rows]
     # D has the basis vectors as columns, B's first
     d_mat = [[cols[j][i] for j in range(9)] for i in range(9)]
-    numer, det = ff_inverse(d_mat, constraints)
-    m = len(b_rows)
+    try:
+        numer, det = ff_inverse(d_mat, constraints)
+    except SingularMatrix:
+        raise NotDirectSum("the two subspaces do not span the matrix space") from None
     neg_w = -weight
-    matrix9 = tuple(
-        tuple(neg_w * sum(d_mat[i][t] * numer[t][j] for t in range(m)) for j in range(9))
-        for i in range(9)
-    )
-    return RBOperator(matrix9, det, weight, source_entry, constraints)
+
+    def operator(ts):
+        matrix9 = tuple(
+            tuple(neg_w * sum(d_mat[i][t] * numer[t][j] for t in ts) for j in range(9))
+            for i in range(9)
+        )
+        return RBOperator(matrix9, det, weight, source_entry, constraints)
+
+    return operator(range(b.dim)), operator(range(b.dim, 9))
 
 
 def check_rb_identity(r):
@@ -145,14 +149,6 @@ def _summands(entry, weight):
     return s, b, Fraction(weight)
 
 
-def rb_for_entry(entry, weight=None):
-    """Splitting operator of a catalog entry, symbolic in the entry's
-    parameters and (by default) in the weight."""
-    s, b, w = _summands(entry, weight)
-    return splitting_rb(s, b, w, entry.id)
-
-
 def rb_pair_for_entry(entry, weight=None):
     """Both complementary operators of an entry's decomposition."""
-    s, b, w = _summands(entry, weight)
-    return splitting_rb(s, b, w, entry.id), splitting_rb(b, s, w, entry.id)
+    return splitting_rb(*_summands(entry, weight), entry.id)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from m3decomp.catalog import entry_by_id
 from m3decomp.errors import SingularMatrix
 from m3decomp.maps import (
     AUTOMORPHISM,
@@ -253,3 +254,20 @@ def test_apply_map_preserves_direct_sum_verdict():
         phi = phi_map(*ps)
         assert is_direct_sum(apply_map(phi, s), apply_map(phi, m7))
         assert not is_direct_sum(apply_map(phi, not_complement), apply_map(phi, m7))
+
+
+@pytest.mark.parametrize("first, second, t", [
+    ("S3", "S4", [[1, 1, 0], [0, -1, 0], [0, 0, 1]]),
+    ("S5", "S6", [[1, 1, 0], [0, -1, 0], [0, 0, 1]]),
+    ("Y2", "Y7", [[1, 0, -1], [0, 1, 0], [0, 0, 1]]),
+    ("Y4", "Y8", [[1, 1, -1], [0, 1, 0], [0, 0, 1]]),
+], ids=["S3-S4", "S5-S6", "Y2-Y7", "Y4-Y8"])
+def test_linked_parameter_free_pairs(first, second, t):
+    # conjugation by T carries one listed summand onto the other and keeps
+    # their common complement, so the two cases lie in one orbit
+    s, b = entry_by_id(first).specialize({})
+    s2, b2 = entry_by_id(second).specialize({})
+    c = conjugation(Mat3(t))
+    assert is_algebra_map(c) == (True, None)
+    assert apply_map(c, s).same_space(s2)
+    assert b.same_space(b2) and preserves(c, b)

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from m3decomp import rota_baxter
 from m3decomp.catalog import entry_by_id
 from m3decomp.errors import NotDirectSum
+from m3decomp.linalg import ff_inverse
 from m3decomp.matrices import Mat3, span
 from m3decomp.rota_baxter import (
     RBOperator,
     check_complement_identity,
     check_rb_identity,
-    rb_for_entry,
     rb_pair_for_entry,
     splitting_rb,
 )
@@ -28,7 +29,7 @@ def numerator(r, m):
 
 def test_r1_projection_values():
     S, B = entry_by_id("R1").specialize({})
-    r = splitting_rb(S, B, Fraction(3))
+    r, _ = splitting_rb(S, B, Fraction(3))
     # e21 lies in S: killed; e11 lies in B: scaled by -weight
     img = numerator(r, e(2, 1))
     assert img.is_zero()
@@ -38,7 +39,7 @@ def test_r1_projection_values():
 
 def test_projection_identity():
     S, B = entry_by_id("R1").specialize({})
-    r = splitting_rb(S, B, Fraction(2))
+    r, _ = splitting_rb(S, B, Fraction(2))
     # R^2 = -weight * R, checked fraction-free
     for (i, j) in ((1, 1), (2, 1), (3, 3), (1, 2)):
         x = e(i, j)
@@ -50,7 +51,7 @@ def test_projection_identity():
 def test_identity_in_s_for_s1():
     entry = entry_by_id("S1")
     S, B = entry.specialize({})
-    r = splitting_rb(S, B, Fraction(1))
+    r, _ = splitting_rb(S, B, Fraction(1))
     assert numerator(r, Mat3.identity()).is_zero()
 
 
@@ -78,7 +79,7 @@ def _e11_to_e12():
 
 def _bumped(ident, weight):
     """The entry's splitting operator with N[e33, e33] increased by one."""
-    r = rb_for_entry(entry_by_id(ident), weight)
+    r = rb_pair_for_entry(entry_by_id(ident), weight)[0]
     rows = [list(row) for row in r.matrix9]
     rows[8][8] = rows[8][8] + 1
     return replace(r, matrix9=tuple(tuple(row) for row in rows))
@@ -103,6 +104,16 @@ def test_not_direct_sum_rejected():
         splitting_rb(s, b, Fraction(1))
 
 
+def test_overlapping_summands_rejected():
+    # the dimensions add to 9, so only the singular inverse of [B | S] can
+    # tell that e21 lies in both
+    s = span([e(2, 1), e(3, 1)])
+    b = span([e(1, 1), e(1, 2), e(1, 3), e(2, 1), e(2, 2), e(2, 3), e(3, 3)])
+    assert s.dim + b.dim == 9
+    with pytest.raises(NotDirectSum):
+        splitting_rb(s, b, Fraction(1))
+
+
 def test_symbolic_identities_sample():
     for ident in ("R10", "S11", "T5", "U8@M1", "V5", "X6", "Y10", "Z4"):
         r, rt = rb_pair_for_entry(entry_by_id(ident))
@@ -111,6 +122,27 @@ def test_symbolic_identities_sample():
         ok, witness = check_rb_identity(rt)
         assert ok, (ident, witness)
         assert check_complement_identity(r, rt), ident
+        # one inverse gives both: a shared denominator, and numerators that
+        # add up to -lambda den Id entry by entry
+        assert r.den == rt.den, ident
+        neg_lam_d = -(r.weight * r.den)
+        for i in range(9):
+            for j in range(9):
+                total = r.matrix9[i][j] + rt.matrix9[i][j]
+                assert total == (neg_lam_d if i == j else 0), (ident, i, j)
+
+
+@pytest.mark.parametrize("ident, weight", [("R9", Fraction(1)), ("T5", None)])
+def test_one_inverse_per_entry(monkeypatch, ident, weight):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ff_inverse(*args, **kwargs)
+
+    monkeypatch.setattr(rota_baxter, "ff_inverse", counted)
+    rb_pair_for_entry(entry_by_id(ident), weight)
+    assert len(calls) == 1
 
 
 def test_concrete_weight():
@@ -120,7 +152,7 @@ def test_concrete_weight():
 
 
 def test_export_shape():
-    r = rb_for_entry(entry_by_id("R1"), weight=1)
+    r = rb_pair_for_entry(entry_by_id("R1"), weight=1)[0]
     doc = r.to_json()
     assert len(doc["matrix"]) == 9 and len(doc["matrix"][0]) == 9
     assert doc["coordinate_order"][0] == "e11" and doc["coordinate_order"][-1] == "e33"

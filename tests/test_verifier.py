@@ -262,6 +262,8 @@ BAD_OPTIONS = {
     # an --entry list naming no id would pass having checked nothing
     "verify-no-entry-id": (["verify", "--entry", ","], "--entry"),
     "verify-empty-entry": (["verify", "--entry", ""], "--entry"),
+    # --all asks for the whole catalog, --entry for part of it
+    "verify-all-with-entry": (["verify", "--all", "--entry", "R1"], "--all"),
     "rb-no-entry-id": (["rb", "--entry", ","], "--entry"),
     "invariants-no-entry-id": (["invariants", "--entry", ",", "--skip-remarks"], "--entry"),
 }
