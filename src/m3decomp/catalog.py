@@ -146,6 +146,8 @@ class CatalogEntry:
         self.s_generators = _field("s_generators", ident, lambda: tuple(
             Mat3([[parse_poly(cell, self.ring) for cell in row] for row in g])
             for g in gen_strings))
+        if not self.s_generators:
+            raise SchemaError("s_generators", f"entry {ident}: no generators")
         # parsing against the ring of declared params already rejects any
         # undeclared parameter name
         self.constraints = _field("constraints", ident, lambda: ConstraintSet(

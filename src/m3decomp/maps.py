@@ -13,10 +13,10 @@ kernel is a proper two-sided ideal of the full (simple) matrix algebra.
 
 A conjugation X -> T^-1 X T is stored as X -> adj(T) X T over det(T), both
 from cofactors, so a parametric T needs only its determinant certified.
-FAMILIES is the one table of the group families that preserve the fixed
-complements: family_map builds the exact maps from it, over the parameter
-ring or at given values, and the finite-field oracle (search) builds its
-conjugators from it.
+FAMILIES is the one table of the group families, and PRESERVING names the
+family and antiautomorphism twist preserving each fixed complement:
+family_map builds the exact maps from them, over the parameter ring or at
+given values, and the finite-field oracle (search) its conjugators.
 """
 
 from __future__ import annotations
@@ -159,17 +159,35 @@ def theta(i, j):
 #: every member of a family is X -> T^-1 X T for a conjugator
 #: T = [[1, beta, gamma], [0, kappa, lamda], [0, mu, nu]].  Per family: its
 #: parameters in grid order, each with the row-major position of T it fills
-#: (the other entries are 0), and the parameters that range over the units
-#: only (the diagonal of a triangular T).  The oracle joins phi_lm0_theta23
-#: with its theta(2, 3) coset.
+#: (the other entries are 0), the parameters that range over the units only
+#: (the diagonal of a triangular T), and the index permutation P of the
+#: coset P T the oracle joins to it, or None (family_map builds T alone).
 FAMILIES = {
     "phi_full": ((("beta", 1), ("gamma", 2), ("kappa", 4), ("lamda", 5), ("mu", 7), ("nu", 8)),
-                 ()),
-    "phi_bg0": ((("kappa", 4), ("lamda", 5), ("mu", 7), ("nu", 8)), ()),
+                 (), None),
+    "phi_bg0": ((("kappa", 4), ("lamda", 5), ("mu", 7), ("nu", 8)), (), None),
     "phi_lm0_theta23": ((("beta", 1), ("gamma", 2), ("kappa", 4), ("nu", 8)),
-                        ("kappa", "nu")),
+                        ("kappa", "nu"), (0, 2, 1)),
     "psi": ((("alpha", 8), ("beta", 1), ("gamma", 2), ("delta", 4), ("epsilon", 5)),
-            ("alpha", "delta")),
+            ("alpha", "delta"), None),
+}
+
+#: the maps preserving each fixed complement: its group family, and the
+#: index permutation P of its antiautomorphism twist X -> P X^T P, or None
+#: when no antiautomorphism preserves it.  (0, 1, 2) is the plain transpose
+#: and (2, 1, 0) is theta(1, 3) after it.  One twist suffices: any two
+#: complement-preserving antiautomorphisms differ by a complement-preserving
+#: automorphism.
+PRESERVING = {
+    "M7": ("phi_full", None),
+    "M6N": ("phi_full", None),
+    "M6U": ("psi", (2, 1, 0)),
+    "L5_1": ("phi_bg0", (0, 1, 2)),
+    "L5_2": ("phi_lm0_theta23", None),
+    "L5_3": ("psi", None),
+    "L5_4": ("psi", None),
+    "L5_5": ("psi", (2, 1, 0)),
+    "L5_6": ("psi", (2, 1, 0)),
 }
 
 
@@ -178,7 +196,7 @@ def family_map(family, values=None):
     where AlgebraMap refuses a singular T.  With values None the map is
     symbolic over Q[parameters], under the side conditions that the units
     are nonzero, or det(T) when the family has none."""
-    params, units = FAMILIES[family]
+    params, units, _ = FAMILIES[family]
     symbolic = values is None
     if symbolic:
         ring = PolynomialRing([name for name, _ in params])
@@ -193,20 +211,6 @@ def family_map(family, values=None):
         return conjugation(t)
     nonzero = [x for (name, _), x in zip(params, values) if name in units]
     return conjugation(t, ConstraintSet(nonzero or [t.det()]))
-
-
-def phi_map(beta=None, gamma=None, kappa=None, lamda=None, mu=None, nu=None):
-    """The six-parameter automorphism family preserving
-    Span{e11,e12,e13,e22,e23,e32,e33}; requires Delta = kappa*nu - lamda*mu
-    nonzero.  With no arguments it is symbolic under Delta != 0."""
-    return family_map("phi_full", None if beta is None else (beta, gamma, kappa, lamda, mu, nu))
-
-
-def psi_map(alpha=None, beta=None, gamma=None, delta=None, epsilon=None):
-    """The five-parameter automorphism family preserving the upper-triangular
-    subalgebra: phi at mu = 0 with (kappa, lamda, nu) = (delta, epsilon,
-    alpha); requires alpha and delta nonzero."""
-    return family_map("psi", None if alpha is None else (alpha, beta, gamma, delta, epsilon))
 
 
 # ---------------------------------------------------------------------------

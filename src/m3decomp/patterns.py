@@ -304,11 +304,12 @@ def get_pattern(name):
 
 #: each fixture: pattern name, substitutions applied to the derived system
 #: (cell -> polynomial string), and the printed equations in the remaining
-#: cells
+#: cells; substitutions_implied_by_closure: closure implies them (checked too)
 REFERENCE_SYSTEMS = {
     "t1_reduced": {
         "pattern": "t1",
         "substitutions": {"b": "0", "c": "0", "q": "0", "r": "0"},
+        "substitutions_implied_by_closure": True,
         "equations": [
             "f*(e-s)", "f*(g-x)", "t*(e-s)", "t*(g-x)",
             "f*t-e*g", "f*t-s*x",
@@ -356,6 +357,7 @@ REFERENCE_SYSTEMS = {
             "c": "0", "h": "0", "i": "0", "j": "0", "k": "0",
             "m": "0", "p": "0", "q": "0", "s": "0", "x": "0", "n": "g",
         },
+        "substitutions_implied_by_closure": True,
         "equations": [
             "b*g", "d*g", "d*y", "g*u",
             "b*(u-y)", "y*(y+1)", "g*(y+1)", "u*(u-2*y-1)",

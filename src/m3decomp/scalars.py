@@ -342,9 +342,9 @@ class ConstraintSet:
     def __init__(self, nonzero=(), not_both_zero=()):
         self.nonzero = tuple(nonzero)
         self.not_both_zero = tuple(tuple(pair) for pair in not_both_zero)
-        for p in self.nonzero:
-            if isinstance(p, MultiPoly) and p.is_zero():
-                raise ValueError("identically zero polynomial in nonzero list")
+        for group in [(p,) for p in self.nonzero] + list(self.not_both_zero):
+            if all(isinstance(p, MultiPoly) and p.is_zero() for p in group):
+                raise ValueError(f"identically zero constraint {group}")
 
     def merged(self, other):
         seen = list(self.nonzero)

@@ -20,8 +20,9 @@ are data, reported verbatim and, where claimed, explained by re-running the
 sweep over the quadratic extension GF(p^2), which is exactly what a
 square-root obstruction must resolve.  Both sweeps are the same code over a
 field object (`gfq.GFq`): F_p is its degree-1 case, GF(p^2) its degree-2
-case.  The conjugators of each family are read off `maps.FAMILIES`, the one
-family table, from which the exact layer builds the same maps.
+case.  The family and twist of each complement (`maps.PRESERVING`) and each
+family's conjugators and coset (`maps.FAMILIES`) are read off the tables
+from which the exact layer builds the same maps.
 """
 
 from __future__ import annotations
@@ -38,26 +39,9 @@ from .catalog import COMPLEMENTS, builtin_catalog, entry_by_id
 from .errors import BudgetExceeded, GroupMismatch, PatternMismatch
 from .fpsolve import compile_poly, solve_system_fp
 from .gfq import GFq
-from .maps import FAMILIES
+from .maps import FAMILIES, PRESERVING
 from .patterns import get_pattern
 from .scalars import check_prime
-
-#: group family and optional antiautomorphism twist preserving each fixed
-#: complement (one twist representative suffices: any two complement-
-#: preserving antiautomorphisms differ by a complement-preserving
-#: automorphism)
-SEARCH_CONFIGS = {
-    "t1": {"group": "phi_full", "twist": None},
-    "t2": {"group": "phi_full", "twist": None},
-    "t3": {"group": "psi", "twist": "theta13_T"},
-    "t4": {"group": "psi", "twist": None},
-    "t4m2": {"group": "psi", "twist": "theta13_T"},
-    "t5": {"group": "phi_bg0", "twist": "T"},
-    "t6": {"group": "psi", "twist": None},
-    "t7": {"group": "phi_lm0_theta23", "twist": None},
-    "t8": {"group": "psi", "twist": "theta13_T"},
-}
-
 
 @functools.lru_cache(maxsize=None)
 def _gf(p, degree=1):
@@ -140,12 +124,6 @@ def _row_index(table):
 # group families over F_p and GF(p^2), held as conjugators
 # ---------------------------------------------------------------------------
 
-#: the permutation matrices exchanging two indices; conjugation by P_ij is
-#: the automorphism theta(i, j)
-_P13 = np.eye(3, dtype=np.int64)[[2, 1, 0]]
-_P23 = np.eye(3, dtype=np.int64)[[0, 2, 1]]
-
-
 def _grid(shape, start=0, stop=None):
     """Rows start..stop of the index tuples of an array of this shape in C
     order (the last index varies fastest), as an (N, len(shape)) array."""
@@ -160,11 +138,12 @@ def _family_conjugators(family, gf, chunk=None):
     """The invertible conjugators T of a family over the field gf, in
     parameter-grid order, chunk grid rows at a time (all at once when chunk
     is None): yields (T, adj T), two (N, 3, 3) batches, for each chunk that
-    keeps a conjugator.  For phi_lm0_theta23 each chunk is followed by its
-    theta(2, 3) coset, the conjugators P23 @ T.  The adjugates come from the
-    cofactor pass that drops the singular T; the sweeps use them in place
-    of the inverses (see `_conjugated`)."""
-    params, units = FAMILIES[family]
+    keeps a conjugator.  A family with a coset P T (theta(2, 3) for
+    phi_lm0_theta23) follows each chunk with its coset.  The adjugates come
+    from the cofactor pass that drops the singular T; the sweeps use them in
+    place of the inverses (see `_conjugated`)."""
+    params, units, coset = FAMILIES[family]
+    coset = twist_matrix(coset)
     skip = [int(n in units) for n, _ in params]   # a unit skips elements()[0] = 0
     shape = tuple(gf.q - s for s in skip)
     size = math.prod(shape)
@@ -176,8 +155,8 @@ def _family_conjugators(family, gf, chunk=None):
         t[:, 0] = gf.lift(1)
         t[:, [pos for _, pos in params]] = elements[grid]
         t = t.reshape((-1, 3, 3) + elements.shape[1:])
-        if family == "phi_lm0_theta23":
-            t = np.concatenate([t, gf.matmul(gf.lift(_P23), t)])
+        if coset is not None:
+            t = np.concatenate([t, gf.matmul(gf.lift(coset), t)])
         det, adj = gf.det_adj(t)
         keep = ~gf.is_zero(det)
         if keep.any():
@@ -235,16 +214,10 @@ def group_matrices(family, p):
     return np.concatenate([t for t, _ in _family_conjugators(family, _gf(p))])
 
 
-def twist_matrix(name, p):
-    """The permutation matrix P of a twist X -> P X^T P: the identity for the
-    transpose "T", P13 for theta(1, 3) after the transpose."""
-    if name is None:
-        return None
-    if name == "T":
-        return np.eye(3, dtype=np.int64)
-    if name == "theta13_T":
-        return _P13
-    raise ValueError(name)
+def twist_matrix(perm):
+    """The matrix P of an index permutation (row i is unit vector perm[i]),
+    or None for None: every twist X -> P X^T P and coset P T is made here."""
+    return None if perm is None else np.eye(3, dtype=np.int64)[list(perm)]
 
 
 def _in_row_space(rows, p):
@@ -335,11 +308,11 @@ def orbit_partition_fp(solutions, pattern_name, p):
     solver's sorted solutions, that member is the orbit's canonical,
     lexicographically least representative).
     """
-    config = SEARCH_CONFIGS[pattern_name]
+    family, twist = PRESERVING[get_pattern(pattern_name).complement_id]
     gf = _gf(p)
-    twist = twist_matrix(config["twist"], p)
+    twist = twist_matrix(twist)
     # built once: regenerating the group for each orbit costs more CPU
-    batches = list(_family_conjugators(config["group"], gf, _SWEEP_CHUNK))
+    batches = list(_family_conjugators(family, gf, _SWEEP_CHUNK))
     _check_group_preserves(pattern_name, batches, twist, gf)
     pdata = _pdata(pattern_name)
     sols = np.asarray(solutions)
@@ -479,12 +452,12 @@ def explain_unmatched(pattern_name, p, rep_cells):
     specialization over GF(p^2).  The family's parameter grid over GF(p^2)
     is swept _SWEEP_CHUNK tuples at a time, up to the first hit."""
     gf = _gf(p, 2)
-    config = SEARCH_CONFIGS[pattern_name]
+    family, twist = PRESERVING[get_pattern(pattern_name).complement_id]
     pdata = _pdata(pattern_name)
     find = _row_index(np.concatenate(
         [cells[ok] for *_, cells, ok in _specializations(pattern_name, gf)]))
-    batches = _family_conjugators(config["group"], gf, _SWEEP_CHUNK)
-    images = _images(rep_cells, twist_matrix(config["twist"], p), batches, pdata, gf)
+    batches = _family_conjugators(family, gf, _SWEEP_CHUNK)
+    images = _images(rep_cells, twist_matrix(twist), batches, pdata, gf)
     return any((find(cells) >= 0).any() for cells in images)
 
 
@@ -515,9 +488,9 @@ def _rank_mod(rows, p):
     return int(_rref_mod(rows, p).any(axis=1).sum())
 
 
-def family_is_full_stabilizer(family, complement_id, p):
-    """Exhaustive converse check: over F_p the parameter family realizes
-    exactly the conjugations preserving the complement.
+def family_is_full_stabilizer(complement_id, p):
+    """Exhaustive converse check: over F_p the complement's family in
+    `maps.PRESERVING` realizes exactly the conjugations preserving it.
 
     Enumerates every invertible 3x3 matrix over F_p, keeps those whose
     conjugation maps the complement row space to itself, and compares them
@@ -525,6 +498,7 @@ def family_is_full_stabilizer(family, complement_id, p):
     scalar, so only matrices whose first nonzero entry is 1 are enumerated,
     as the family's conjugators are."""
     gf = _gf(p)
+    family, _ = PRESERVING[complement_id]
     rows = _generator_rows(COMPLEMENTS[complement_id].generators, p)
     every = _grid((p,) * 9)
     lead = every[np.arange(len(every)), (every != 0).argmax(axis=1)]
@@ -538,15 +512,16 @@ def family_is_full_stabilizer(family, complement_id, p):
 
 
 def t4_t6_separation(p):
-    """Exhaustively sweep the upper-triangular-preserving maps over F_p (the
-    full five-parameter family, alone and composed with the
-    complement-preserving antiautomorphism twist) and report whether any
-    carries the (T4) subalgebra onto the (T6) subalgebra.
+    """Exhaustively sweep the maps preserving the complement of (T4) and (T6)
+    over F_p (its family in `maps.PRESERVING`, alone and composed with its
+    antiautomorphism twist) and report whether any carries the (T4)
+    subalgebra onto the (T6) subalgebra.
 
     Returns (separated, witness): witness names the first mapping found in
     grid order, untwisted maps first, as family parameters plus whether it
     includes the twist."""
     gf = _gf(p)
+    family, twist = PRESERVING[entry_by_id("T4").complement_id]
     s4, _ = entry_by_id("T4").specialize({})
     s6, _ = entry_by_id("T6").specialize({})
     rows4 = _generator_rows(s4.generators, p)
@@ -554,13 +529,13 @@ def t4_t6_separation(p):
     if _rank_mod(rows4, p) != _rank_mod(rows6, p):
         return True, None
     # an invertible map carries T4 onto T6 when every image row lies in T6
-    [(t, adj)] = _family_conjugators("psi", gf)
-    images = _conjugated(_twisted(rows4, twist_matrix("theta13_T", p), p), (t, adj), gf)
+    [(t, adj)] = _family_conjugators(family, gf)
+    images = _conjugated(_twisted(rows4, twist_matrix(twist), p), (t, adj), gf)
     hits = _in_row_space(rows6, p)(images)
     if not hits.any():
         return True, None
     twisted, idx = divmod(int(hits.argmax()), len(t))
     entries = t[idx].reshape(9)
-    witness = {name: int(entries[pos]) for name, pos in FAMILIES["psi"][0]}
+    witness = {name: int(entries[pos]) for name, pos in FAMILIES[family][0]}
     witness["composed_with_transpose_twist"] = bool(twisted)
     return False, witness

@@ -21,21 +21,20 @@ import numpy as np
 from archived_runs import CRITERION_7_COVERAGE, coverage_archive
 from m3decomp.catalog import builtin_catalog
 from m3decomp.maps import (
+    family_map,
     is_algebra_map,
-    phi_map,
     preserves,
-    psi_map,
     rescaled_pair_images_63,
     rescaled_pair_images_72,
 )
 from m3decomp.matrices import Mat3, span
+from m3decomp.patterns import PATTERNS
 from m3decomp.rota_baxter import (
     check_complement_identity,
     check_rb_identity,
     rb_pair_for_entry,
 )
 from m3decomp.search import (
-    SEARCH_CONFIGS,
     catalog_specializations_fp,
     coverage_report,
     enumerate_complements_fp,
@@ -85,12 +84,12 @@ def test_criterion_2_full_symbolic_verification():
 
 def test_criterion_3_automorphism_family_machine_proof():
     t0 = time.monotonic()
-    phi = phi_map()
+    phi = family_map("phi_full")
     ok_phi, wit = is_algebra_map(phi)
     m7 = span([Mat3.basis(i, j) for (i, j) in
                ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3))])
     keeps_m7 = preserves(phi, m7)
-    psi = psi_map()
+    psi = family_map("psi")
     ok_psi, wit_psi = is_algebra_map(psi)
     upper = span([Mat3.basis(i, j) for (i, j) in
                   ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))])
@@ -147,7 +146,7 @@ def test_criterion_6_finite_field_soundness():
     t0 = time.monotonic()
     total = 0
     for p in (2, 3):
-        for name in SEARCH_CONFIGS:
+        for name in PATTERNS:
             sols = {row.tobytes()
                     for row in enumerate_complements_fp(name, p).astype(np.int8)}
             specs = catalog_specializations_fp(name, p)

@@ -214,6 +214,10 @@ MALFORMED_RECORDS = {
     "object-theorem": (_r9(theorem={"x": [1]}), "theorem"),
     "bool-theorem": (_r9(theorem=True), "theorem"),
     "number-notes": (_r9(notes=5), "notes"),
+    # a summand spanned by nothing is no subalgebra to check
+    "no-generators": (_r9(s_generators=[]), "s_generators"),
+    # a pair that can never be not both zero leaves no point to sample
+    "zero-pair": (_r9(not_both_zero=[["0", "0"]]), "constraints"),
 }
 
 

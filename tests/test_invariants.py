@@ -15,7 +15,7 @@ from m3decomp.invariants import (
     principal_idempotent,
     radical,
 )
-from m3decomp.maps import apply_map, phi_map, transpose_map
+from m3decomp.maps import apply_map, family_map, transpose_map
 from m3decomp.matrices import Mat3, span
 
 
@@ -194,7 +194,7 @@ def test_fingerprint_automorphism_invariance():
             if ps[2] * ps[5] - ps[3] * ps[4] == 0:
                 continue
             done += 1
-            img = apply_map(phi_map(*ps), s)
+            img = apply_map(family_map("phi_full", ps), s)
             assert fingerprint(img) == fp
 
 

@@ -3,17 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from m3decomp.catalog import entry_by_id
+from m3decomp.catalog import COMPLEMENTS, entry_by_id
 from m3decomp.errors import SingularMatrix
 from m3decomp.maps import (
     AUTOMORPHISM,
     ANTIAUTOMORPHISM,
+    FAMILIES,
+    PRESERVING,
     apply_map,
     conjugation,
+    family_map,
     is_algebra_map,
-    phi_map,
     preserves,
-    psi_map,
     rescaled_pair_images_63,
     rescaled_pair_images_72,
     theta,
@@ -28,6 +29,31 @@ def e(i, j):
 
 M7 = span([e(1, 1), e(1, 2), e(1, 3), e(2, 2), e(2, 3), e(3, 2), e(3, 3)])
 UPPER = span([e(1, 1), e(1, 2), e(1, 3), e(2, 2), e(2, 3), e(3, 3)])
+
+
+def _permutation_map(perm):
+    """Conjugation by the permutation matrix with row i the unit vector
+    perm[i]."""
+    return conjugation(Mat3([[int(perm[i] == j) for j in range(3)] for i in range(3)]))
+
+
+def test_preserving_table_is_well_formed():
+    # one record per fixed complement; every family it names is in the
+    # family table, every twist and coset is a permutation of the indices,
+    # and each twist X -> P X^T P and each coset's P preserve the complement
+    assert PRESERVING.keys() == COMPLEMENTS.keys()
+    assert {family for family, _ in PRESERVING.values()} <= FAMILIES.keys()
+    perms = [twist for _, twist in PRESERVING.values()]
+    perms += [coset for *_, coset in FAMILIES.values()]
+    assert all(perm is None or sorted(perm) == [0, 1, 2] for perm in perms)
+    for comp_id, (family, twist) in PRESERVING.items():
+        comp = COMPLEMENTS[comp_id].subspace()
+        coset = FAMILIES[family][2]
+        if twist is not None:
+            tw = _permutation_map(twist).compose(transpose_map())
+            assert apply_map(tw, comp).same_space(comp), comp_id
+        if coset is not None:
+            assert apply_map(_permutation_map(coset), comp).same_space(comp), comp_id
 
 
 def test_conjugation_theta12():
@@ -54,7 +80,7 @@ def test_conjugation_singular():
 
 def test_phi_specializations():
     # beta=gamma=kappa=nu=0, lamda=mu=1 is the 2<->3 index swap
-    phi = phi_map(0, 0, 0, 1, 1, 0)
+    phi = family_map("phi_full", (0, 0, 0, 1, 1, 0))
     t23 = theta(2, 3)
     assert phi.matrix9 == tuple(
         tuple(x * phi.den for x in row) for row in
@@ -64,25 +90,25 @@ def test_phi_specializations():
         [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
     )
     # identity parameters
-    ident = phi_map(0, 0, 1, 0, 0, 1)
+    ident = family_map("phi_full", (0, 0, 1, 0, 0, 1))
     for (i, j) in ((1, 1), (2, 1), (3, 2)):
         assert ident.image(e(i, j)) == e(i, j)
 
 
 def test_phi_e11_image():
-    phi = phi_map(2, 3, 1, 0, 0, 1)
+    phi = family_map("phi_full", (2, 3, 1, 0, 0, 1))
     assert phi.image(e(1, 1)) == e(1, 1) + e(1, 2).scale(2) + e(1, 3).scale(3)
 
 
 def test_phi_delta_zero():
     with pytest.raises(SingularMatrix):
-        phi_map(0, 0, 1, 1, 1, 1)
+        family_map("phi_full", (0, 0, 1, 1, 1, 1))
 
 
 def test_psi_identity_and_e13():
-    ident = psi_map(1, 0, 0, 1, 0)
+    ident = family_map("psi", (1, 0, 0, 1, 0))
     assert ident.image(e(2, 2)) == e(2, 2)
-    psi = psi_map(5, 1, 2, 3, 4)
+    psi = family_map("psi", (5, 1, 2, 3, 4))
     assert psi.image(e(1, 3)) == e(1, 3).scale(5)
 
 
@@ -94,8 +120,8 @@ def test_psi_equals_phi_mu0_randomized():
         if a == 0 or d == 0:
             continue
         done += 1
-        psi = psi_map(a, b, g, d, eps)
-        phi = phi_map(b, g, d, eps, 0, a)
+        psi = family_map("psi", (a, b, g, d, eps))
+        phi = family_map("phi_full", (b, g, d, eps, 0, a))
         for (i, j) in [(x, y) for x in (1, 2, 3) for y in (1, 2, 3)]:
             assert psi.image(e(i, j)) == phi.image(e(i, j))
 
@@ -118,7 +144,7 @@ def test_phi_is_conjugation_over_q():
             continue
         done += 1
         t = Mat3([[1, b, g], [0, k, l], [0, m, n]])
-        assert _same_images(phi_map(b, g, k, l, m, n), conjugation(t))
+        assert _same_images(family_map("phi_full", (b, g, k, l, m, n)), conjugation(t))
 
 
 def test_psi_is_conjugation_over_q():
@@ -131,7 +157,7 @@ def test_psi_is_conjugation_over_q():
             continue
         done += 1
         t = Mat3([[1, b, g], [0, d, eps], [0, 0, a]])
-        assert _same_images(psi_map(a, b, g, d, eps), conjugation(t))
+        assert _same_images(family_map("psi", (a, b, g, d, eps)), conjugation(t))
 
 
 def test_apply_map_theta23():
@@ -143,7 +169,7 @@ def test_apply_map_theta23():
 def test_apply_map_relates_case3_and_r5():
     # the group element beta=gamma=mu=0, kappa=lamda=nu=1 carries (R5) onto
     # the case-3 span, so the two lie in one orbit
-    phi = phi_map(0, 0, 1, 1, 0, 1)
+    phi = family_map("phi_full", (0, 0, 1, 1, 0, 1))
     case3 = span([e(2, 1) + e(2, 2) + e(3, 3), e(3, 1) + e(2, 2) + e(3, 3)])
     r5 = span([e(2, 1) + e(2, 2) + e(3, 3), e(3, 1)])
     assert apply_map(phi, r5).same_space(case3)
@@ -162,18 +188,18 @@ def test_transpose_map():
 
 
 def test_is_algebra_map_phi_symbolic():
-    phi = phi_map()
+    phi = family_map("phi_full")
     ok, witness = is_algebra_map(phi)
     assert ok, witness
 
 
 def test_phi_preserves_m7_symbolically():
-    phi = phi_map()
+    phi = family_map("phi_full")
     assert preserves(phi, M7)
 
 
 def test_is_algebra_map_psi_symbolic():
-    psi = psi_map()
+    psi = family_map("psi")
     ok, witness = is_algebra_map(psi)
     assert ok, witness
     assert preserves(psi, UPPER)
@@ -208,8 +234,8 @@ def test_phi_composition_randomized():
         if d1 == 0 or d2 == 0:
             continue
         done += 1
-        f1 = phi_map(*ps[:6])
-        f2 = phi_map(*ps[6:])
+        f1 = family_map("phi_full", ps[:6])
+        f2 = family_map("phi_full", ps[6:])
         comp = f1.compose(f2)
         ok, witness = is_algebra_map(comp)
         assert ok, witness
@@ -232,7 +258,7 @@ def test_apply_map_preserves_verdicts():
         if ps[2] * ps[5] - ps[3] * ps[4] == 0:
             continue
         done += 1
-        phi = phi_map(*ps)
+        phi = family_map("phi_full", ps)
         assert apply_map(phi, s).is_subalgebra()[0]
         assert not apply_map(phi, bad).is_subalgebra()[0]
 
@@ -251,7 +277,7 @@ def test_apply_map_preserves_direct_sum_verdict():
         if ps[2] * ps[5] - ps[3] * ps[4] == 0:
             continue
         done += 1
-        phi = phi_map(*ps)
+        phi = family_map("phi_full", ps)
         assert is_direct_sum(apply_map(phi, s), apply_map(phi, m7))
         assert not is_direct_sum(apply_map(phi, not_complement), apply_map(phi, m7))
 

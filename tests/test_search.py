@@ -15,15 +15,23 @@ from m3decomp.catalog import COMPLEMENTS
 from m3decomp.errors import BudgetExceeded, GroupMismatch
 from m3decomp.fpsolve import compile_poly
 from m3decomp.gfq import GFq
-from m3decomp.maps import apply_map, family_map, phi_map, psi_map, theta, transpose_map
+from m3decomp.maps import (
+    PRESERVING,
+    apply_map,
+    family_map,
+    is_algebra_map,
+    preserves,
+    theta,
+    transpose_map,
+)
 from m3decomp.patterns import PATTERNS, get_pattern
 from m3decomp.search import (
-    SEARCH_CONFIGS,
     catalog_specializations_fp,
     coverage_clean,
     coverage_report,
     enumerate_complements_fp,
     explain_unmatched,
+    family_is_full_stabilizer,
     group_matrices,
     normalize_rows,
     orbit_partition_fp,
@@ -39,13 +47,20 @@ from m3decomp.search import (
 
 REPORT_DIR = pathlib.Path(__file__).resolve().parent.parent / "reports"
 
-#: each group family as the exact layer defines it: its symbolic map, the
-#: parameters held at 0, and whether theta(2, 3) composes a second coset
+#: each group family built another way than from its own table row: phi,
+#: the full family of the exact layer, with some parameters held at 0, and
+#: whether theta(2, 3) composes a second coset
 _SYMBOLIC_FAMILIES = {
-    "phi_full": (phi_map, (), False),
-    "phi_bg0": (phi_map, ("beta", "gamma"), False),
-    "phi_lm0_theta23": (phi_map, ("lamda", "mu"), True),
-    "psi": (psi_map, (), False),
+    "phi_full": ((), False),
+    "phi_bg0": (("beta", "gamma"), False),
+    "phi_lm0_theta23": (("lamda", "mu"), True),
+    "psi": (("mu",), False),
+}
+
+#: each twist X -> P X^T P of the exact layer, keyed by the permutation of P
+_SYMBOLIC_TWISTS = {
+    (0, 1, 2): transpose_map(),
+    (2, 1, 0): theta(1, 3).compose(transpose_map()),
 }
 
 #: the coordinate basis matrices E_11, E_12, ..., E_33
@@ -71,8 +86,8 @@ def _symbolic_group(family, p):
     """The 9x9 maps mod p of a family, from its symbolic map evaluated at
     every point of F_p where the denominator does not vanish, sorted and
     without repeats."""
-    make, zero, coset = _SYMBOLIC_FAMILIES[family]
-    amap = make()
+    zero, coset = _SYMBOLIC_FAMILIES[family]
+    amap = family_map("phi_full")
     names = amap.den.ring.names
     gf = GFq(p)
     points = np.array(list(itertools.product(range(p), repeat=len(names))))
@@ -90,11 +105,8 @@ def _symbolic_group(family, p):
     return np.unique(maps.reshape(-1, 81), axis=0).reshape(-1, 9, 9)
 
 
-def _symbolic_twist(name, p):
-    if name is None:
-        return None
-    tw = transpose_map() if name == "T" else theta(1, 3).compose(transpose_map())
-    return _fp_map(tw, p)
+def _symbolic_twist(perm, p):
+    return None if perm is None else _fp_map(_SYMBOLIC_TWISTS[perm], p)
 
 
 def _induced_maps(conjugators, p):
@@ -114,8 +126,8 @@ def _orbits_by_union_find(sols, pattern_name, p):
     composed with the twist is applied to every solution, and each in-slice
     image is unioned with its source; the least index of a class is its
     root."""
-    config = SEARCH_CONFIGS[pattern_name]
-    twist = _symbolic_twist(config["twist"], p)
+    family, twist = PRESERVING[get_pattern(pattern_name).complement_id]
+    twist = _symbolic_twist(twist, p)
     pdata = _pdata(pattern_name)
     index = {row.tobytes(): i for i, row in enumerate(sols.astype(np.int8))}
     rows = rows_from_cells(sols.astype(np.int64), pdata, p)
@@ -127,7 +139,7 @@ def _orbits_by_union_find(sols, pattern_name, p):
         return x
 
     for base in [rows] + ([] if twist is None else [rows @ twist.T % p]):
-        for g in _symbolic_group(config["group"], p):
+        for g in _symbolic_group(family, p):
             cells, ok = normalize_rows(base @ g.T % p, pdata, GFq(p))
             for i in np.nonzero(ok)[0]:
                 j = index[cells[i].astype(np.int8).tobytes()]
@@ -155,44 +167,28 @@ def test_conjugators_induce_the_symbolic_maps(p):
         assert len(np.unique(induced, axis=0)) == len(induced), family
         assert np.array_equal(np.unique(induced, axis=0),
                               _symbolic_group(family, p).reshape(-1, 81)), family
-    for name in ("T", "theta13_T"):
-        assert np.array_equal(_induced_twist(twist_matrix(name, p)),
-                              _symbolic_twist(name, p)), name
+    assert {twist for _, twist in PRESERVING.values()} - {None} <= set(_SYMBOLIC_TWISTS)
+    for perm in _SYMBOLIC_TWISTS:
+        assert np.array_equal(_induced_twist(twist_matrix(perm)),
+                              _symbolic_twist(perm, p)), perm
 
 
 def test_group_families_preserve_their_complements_symbolically():
-    # each family fixes the complement its theorem works against
-    checks = [
-        ("phi", "M7"), ("phi", "M6N"),
-        ("psi", "M6U"), ("psi", "L5_4"), ("psi", "L5_5"),
-        ("psi", "L5_3"), ("psi", "L5_6"),
-    ]
-    from m3decomp.maps import is_algebra_map, preserves
-
-    phi = phi_map()
-    psi = psi_map()
-    for fam, comp_id in checks:
-        m = phi if fam == "phi" else psi
-        comp = COMPLEMENTS[comp_id]
-        assert preserves(m, comp.subspace()), (fam, comp_id)
-    # every pattern's group, as the exact layer builds it from the family
-    # table, is an automorphism family preserving the pattern's complement,
-    # and so is its theta(2, 3) coset
-    for name, config in SEARCH_CONFIGS.items():
-        m = family_map(config["group"])
-        comp = COMPLEMENTS[get_pattern(name).complement_id].subspace()
-        assert is_algebra_map(m) == (True, None), name
-        assert preserves(m, comp), name
-        if config["group"] == "phi_lm0_theta23":
-            assert preserves(theta(2, 3).compose(m), comp), name
+    # each complement's family, as the exact layer builds it from the family
+    # table, is an automorphism family preserving the complement (its coset:
+    # test_maps)
+    for comp_id, (family, _) in PRESERVING.items():
+        m = family_map(family)
+        comp = COMPLEMENTS[comp_id].subspace()
+        assert is_algebra_map(m) == (True, None), comp_id
+        assert preserves(m, comp), comp_id
 
 
 def test_twists_preserve_their_complements():
-    for name, comp_id in (("theta13_T", "M6U"), ("theta13_T", "L5_5"),
-                          ("theta13_T", "L5_6"), ("T", "L5_1")):
-        tw = theta(1, 3).compose(transpose_map()) if name == "theta13_T" else transpose_map()
-        comp = COMPLEMENTS[comp_id].subspace()
-        assert apply_map(tw, comp).same_space(comp), (name, comp_id)
+    for comp_id, (_, twist) in PRESERVING.items():
+        if twist is not None:
+            comp = COMPLEMENTS[comp_id].subspace()
+            assert apply_map(_SYMBOLIC_TWISTS[twist], comp).same_space(comp), comp_id
 
 
 def test_enumeration_deterministic_and_sorted():
@@ -209,7 +205,7 @@ def test_r1_specialization_is_all_zero_solution():
 
 def test_soundness_all_specializations_enumerated():
     for p in (2, 3):
-        for name in SEARCH_CONFIGS:
+        for name in PATTERNS:
             sols = {row.tobytes() for row in enumerate_complements_fp(name, p).astype(np.int8)}
             for (eid, assign, cells) in catalog_specializations_fp(name, p):
                 assert cells.astype(np.int8).tobytes() in sols, (eid, assign, p)
@@ -250,7 +246,7 @@ def test_normal_form_is_the_same_over_the_extension(name, p):
     sols = enumerate_complements_fp(name, p)[::7][:12].astype(np.int64)
     pdata = _pdata(name)
     gf = GFq(p)
-    [(t, adj)] = _family_conjugators(SEARCH_CONFIGS[name]["group"], gf)
+    [(t, adj)] = _family_conjugators(PRESERVING[get_pattern(name).complement_id][0], gf)
     t, adj = t[::29][:12], adj[::29][:12]
     k = get_pattern(name).gen_count
     rows = [_conjugated(rows_from_cells(sols, pdata, p), conj, gf).reshape(-1, k, 9)
@@ -306,7 +302,7 @@ def test_orbit_partition_matches_union_find_reference(chunk, shuffled, monkeypat
     # mapped back to the least sorted index of each orbit
     if chunk is not None:
         monkeypatch.setattr(search, "_SWEEP_CHUNK", chunk)
-    cases = [(name, 2) for name in SEARCH_CONFIGS] + [("t1", 3), ("t3", 3)]
+    cases = [(name, 2) for name in PATTERNS] + [("t1", 3), ("t3", 3)]
     for name, p in cases:
         sols = enumerate_complements_fp(name, p)
         n = sols.shape[0]
@@ -410,20 +406,16 @@ def test_group_mismatch_detected(monkeypatch):
         with pytest.raises(GroupMismatch, match="does not preserve"):
             _check_group_preserves("t1", batches, twist, gf)
     _check_group_preserves("t1", chunked, None, gf)
-    # the sweep runs the check on the group and twist its configuration names
-    monkeypatch.setitem(SEARCH_CONFIGS, "t1", {"group": "phi_full", "twist": "T"})
+    # the sweep runs the check on the family and twist its complement's
+    # record names
+    monkeypatch.setitem(PRESERVING, "M7", ("phi_full", (0, 1, 2)))
     with pytest.raises(GroupMismatch, match="does not preserve"):
         orbit_partition_fp(enumerate_complements_fp("t1", 2), "t1", 2)
 
 
 def test_families_are_full_stabilizers_f2():
-    from m3decomp.search import family_is_full_stabilizer
-
-    for family, comp in (("phi_full", "M7"), ("phi_full", "M6N"), ("psi", "M6U"),
-                         ("psi", "L5_3"), ("psi", "L5_4"), ("psi", "L5_5"),
-                         ("psi", "L5_6"), ("phi_bg0", "L5_1"),
-                         ("phi_lm0_theta23", "L5_2")):
-        assert family_is_full_stabilizer(family, comp, 2), (family, comp)
+    for comp_id in PRESERVING:
+        assert family_is_full_stabilizer(comp_id, 2), comp_id
 
 
 def test_sweep_rejects_unsupported_prime():

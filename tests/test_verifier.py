@@ -69,6 +69,21 @@ def test_sample_assignment_respects_constraints():
         assert all(-10 <= v <= 10 for v in values.values())
 
 
+def test_specialized_verify_of_an_empty_box_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # R8 with a nonzero condition, the product of y - k for k = -10 ... 10,
+    # that no integer y the sampler draws meets: the sampler gives up after
+    # a fixed number of draws, with one error line and exit 2
+    rec = entry_by_id("R8").to_json()
+    rec["constraints"]["nonzero"] = ["*".join(f"(y-({k}))" for k in range(-10, 11))]
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"schema_version": 1, "entries": [rec]}))
+    monkeypatch.setenv("M3DECOMP_CATALOG", str(path))
+    assert cli.main(["verify", "--mode", "specialized", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: entry R8: no draw of")
+    assert captured.err.count("\n") == 1 and not captured.out
+
+
 @pytest.mark.parametrize("fixture", ["t1_reduced", "t2_system", "t6_radical"])
 def test_compare_with_reference_system(fixture):
     report = compare_with_reference_system(fixture, 3)
