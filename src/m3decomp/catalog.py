@@ -523,7 +523,9 @@ def load_catalog(path):
         raise SchemaError("path", f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:
         raise SchemaError("path", f"{path} is not JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
+    # an int, not a bool: true and 1.0 equal 1 as well
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError("schema_version", f"expected {SCHEMA_VERSION}")
     if not isinstance(doc.get("entries"), list) or not doc["entries"]:
         raise SchemaError("entries", "expected a nonempty list of records")

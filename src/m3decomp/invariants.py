@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NotSupported, SoundnessError
+from .errors import DimensionMismatch, DomainMismatch, NotSupported, SoundnessError
 from .linalg import echelonize, kernel_basis, solve_linear
 from .matrices import Mat3, span
+from .scalars import rational
 
 #: tr(x y) = sum over a of x[a] * y[_TRANSPOSED[a]] in flattened coordinates
 _TRANSPOSED = tuple(3 * (a % 3) + a // 3 for a in range(9))
@@ -30,12 +31,9 @@ _TRANSPOSED = tuple(3 * (a % 3) + a // 3 for a in range(9))
 def _rational_rows(s):
     """The echelon rows of s over Q: a constant polynomial entry becomes its
     value, and a span with a parametric entry is refused."""
-    from .scalars import MultiPoly
-
     try:
-        return [[x.constant_value() if isinstance(x, MultiPoly) else x for x in row]
-                for row in s.echelon.rows]
-    except ValueError:
+        return [[rational(x) for x in row] for row in s.echelon.rows]
+    except DomainMismatch:
         raise NotSupported("the invariants are computed over Q, not on parameters") from None
 
 

@@ -9,6 +9,11 @@ for every parameter specialization satisfying the constraints; when no
 certified pivot exists among nonzero entries the computation refuses with
 UndecidedPivot rather than guessing.  echelonize is one Gauss-Jordan pass
 that reduces each row once and normalizes it once as it joins the echelon.
+
+Entries are any exact scalars, rational or polynomial, through their common
+protocol: `not x` tests for zero, and `/` is exact division (the Bareiss
+steps of ff_inverse divide exactly), so nothing here asks which kind an
+entry is.
 """
 
 from __future__ import annotations
@@ -18,32 +23,21 @@ from fractions import Fraction
 from .errors import SingularMatrix, UndecidedPivot
 from .scalars import (
     EMPTY_CONSTRAINTS,
-    MultiPoly,
     certified_nonzero,
+    exact,
+    leading_coefficient,
     rational_content,
 )
-
-
-def sc_is_zero(x):
-    if isinstance(x, MultiPoly):
-        return x.is_zero()
-    return x == 0
-
-
-def _coefficients(x):
-    return x.terms.values() if isinstance(x, MultiPoly) else (x,)
 
 
 def _normalize_row(row):
     """Divide a row by the rational content of all its coefficients and make
     its leading nonzero entry positive (for a polynomial, its lex-leading
     coefficient); int entries become Fractions, so no division gives a float."""
-    lead = next((x for x in row if not sc_is_zero(x)), None)
+    lead = next((x for x in row if x), None)
     if lead is None:
         return row
-    content = rational_content(c for x in row for c in _coefficients(x))
-    sign = lead.leading()[1] if isinstance(lead, MultiPoly) else lead
-    inv = (1 if sign > 0 else -1) / content
+    inv = (1 if leading_coefficient(lead) > 0 else -1) / rational_content(row)
     return row if inv == 1 and int not in map(type, row) else [x * inv for x in row]
 
 
@@ -56,7 +50,7 @@ def _eliminate(row, piv_row, col):
     constraint-satisfying specialization.
     """
     c = row[col]
-    if sc_is_zero(c):
+    if not c:
         return row
     piv = piv_row[col]
     return [piv * x - c * y for x, y in zip(row, piv_row)]
@@ -99,7 +93,7 @@ class Echelon:
         row = list(row)
         for erow, col in zip(self.rows, self.pivot_cols):
             c = row[col]
-            if not sc_is_zero(c):
+            if c:
                 f = c / erow[col]
                 row = [x - f * y for x, y in zip(row, erow)]
         return row
@@ -119,7 +113,7 @@ def echelonize(rows, constraints=EMPTY_CONSTRAINTS):
         row = list(row)
         for col, erow in echelon.items():
             row = _eliminate(row, erow, col)
-        nonzero = [j for j, x in enumerate(row) if not sc_is_zero(x)]
+        nonzero = [j for j, x in enumerate(row) if x]
         if not nonzero:
             continue
         pick = next((j for j in nonzero if certified_nonzero(row[j], constraints)), None)
@@ -137,7 +131,8 @@ def ff_inverse(matrix, constraints=EMPTY_CONSTRAINTS):
 
     Returns (N, d) with matrix^-1 = N / d; every intermediate entry is a
     minor of the input (Bareiss one-step divisions are exact).  Pivots are
-    searched downward in each column and must be certified nonzero.
+    searched downward in each column and must be certified nonzero.  Int
+    entries become Fractions, so no division gives a float.
     """
     n = len(matrix)
     one, zero = Fraction(1), Fraction(0)
@@ -145,14 +140,14 @@ def ff_inverse(matrix, constraints=EMPTY_CONSTRAINTS):
     for i, row in enumerate(matrix):
         if len(row) != n:
             raise ValueError("square matrix required")
-        aug.append(list(row) + [one if j == i else zero for j in range(n)])
+        aug.append([exact(x) for x in row] + [one if j == i else zero for j in range(n)])
     prev = one
     for k in range(n):
         pick = None
         fallback = None
         for r in range(k, n):
             x = aug[r][k]
-            if sc_is_zero(x):
+            if not x:
                 continue
             if certified_nonzero(x, constraints):
                 pick = r
@@ -176,7 +171,8 @@ def ff_inverse(matrix, constraints=EMPTY_CONSTRAINTS):
                     new_row.append(zero)
                     continue
                 val = piv * aug[i][j] - factor * aug[k][j]
-                new_row.append(_exact_div(val, prev))
+                # a zero first: a rational zero may meet a polynomial divisor
+                new_row.append(val / prev if val else val)
             aug[i] = new_row
         prev = piv
     det = aug[n - 1][n - 1]
@@ -207,19 +203,8 @@ def kernel_basis(a_rows, n):
         vec = [Fraction(0)] * n
         vec[free] = Fraction(1)
         for row, col in zip(ech.rows, ech.pivot_cols):
-            if not sc_is_zero(row[free]):
+            if row[free]:
                 vec[col] = -(row[free] / row[col])
         basis.append(vec)
     return basis
 
-
-def _exact_div(a, b):
-    # a zero numerator first: a rational zero may meet a polynomial divisor
-    if sc_is_zero(a):
-        return a
-    if isinstance(b, MultiPoly):
-        if not b.is_constant():
-            # only a polynomial is divisible by a nonconstant one
-            return a.exact_divide(b)
-        b = b.constant_value()
-    return a if b == 1 else a * (1 / Fraction(b))

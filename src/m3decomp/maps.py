@@ -23,15 +23,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainMismatch, SingularMatrix
-from .linalg import sc_is_zero
+from .errors import SingularMatrix
 from .matrices import COORD_ORDER, Mat3, span
 from .scalars import (
     EMPTY_CONSTRAINTS,
     ConstraintSet,
-    MultiPoly,
     PolynomialRing,
     certified_nonzero,
+    rational,
 )
 
 AUTOMORPHISM = "automorphism"
@@ -60,13 +59,9 @@ class AlgebraMap:
         return Mat3.from_coords([sum(a * x for a, x in zip(row, coords)) for row in self.matrix9])
 
     def image(self, m):
-        """map(m) itself; requires a constant denominator."""
-        d = self.den
-        if isinstance(d, MultiPoly):
-            if not d.is_constant():
-                raise DomainMismatch("parametric denominator: use image_numerator")
-            d = d.constant_value()
-        return self.image_numerator(m).scale(1 / Fraction(d))
+        """map(m) itself; a parametric denominator raises DomainMismatch (use
+        image_numerator)."""
+        return self.image_numerator(m).scale(1 / rational(self.den))
 
     def compose(self, other):
         """self after other: (self . other)(x) = self(other(x))."""
@@ -100,7 +95,7 @@ def is_algebra_map(m):
     nonzero.  Returns (ok, witness): witness is the first failing basis pair,
     or a short tag for the unital/nonzero checks."""
     basis = [Mat3.basis(i, j) for (i, j) in COORD_ORDER]
-    if all(sc_is_zero(x) for row in m.matrix9 for x in row):
+    if not any(x for row in m.matrix9 for x in row):
         return False, "zero map"
     # d * map(E) = N(E) must equal d * E
     ident = Mat3.identity()

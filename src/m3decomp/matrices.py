@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import echelonize, sc_is_zero
+from .linalg import echelonize
 from .scalars import EMPTY_CONSTRAINTS, exact
 
 #: coordinate order of the nine basis matrices
@@ -87,9 +87,6 @@ class Mat3:
     def transpose(self):
         return Mat3(tuple(tuple(self.rows[j][i] for j in range(3)) for i in range(3)))
 
-    def trace(self):
-        return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
-
     def adjugate(self):
         """The transposed matrix of cofactors: self @ adj = det(self) I with
         no division, so parametric entries need no pivot certified."""
@@ -110,7 +107,7 @@ class Mat3:
         return tuple(x for row in self.rows for x in row)
 
     def is_zero(self):
-        return all(sc_is_zero(x) for row in self.rows for x in row)
+        return not any(x for row in self.rows for x in row)
 
     def __eq__(self, other):
         if not isinstance(other, Mat3):
@@ -149,7 +146,7 @@ class Subspace:
         """True iff m lies in the span under every constraint-satisfying
         specialization (the reduced residual vanishes identically)."""
         residual = self.echelon.reduce(m.coords())
-        return all(sc_is_zero(x) for x in residual)
+        return not any(residual)
 
     def contains_subspace(self, other):
         return all(self.contains(g) for g in other.generators)

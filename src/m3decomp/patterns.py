@@ -152,7 +152,7 @@ class PivotPattern:
                 combo = [cm + coeff * gcoord for cm, gcoord in zip(combo, gc)]
             for t in range(9):
                 eq = pc[t] - combo[t]
-                if not eq.is_zero() and eq not in seen:
+                if eq and eq not in seen:
                     seen.add(eq)
                     system.append(eq)
         self._system_cache[pairs] = tuple(system)

@@ -22,21 +22,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count
 
 from .errors import NotDirectSum, SingularMatrix
-from .linalg import ff_inverse, sc_is_zero
+from .linalg import ff_inverse
 from .matrices import COORD_ORDER, Mat3, span
 from .scalars import (
     EMPTY_CONSTRAINTS,
     ConstraintSet,
-    MultiPoly,
     PolynomialRing,
     certified_nonzero,
     exact,
     poly_to_string,
 )
-
-WEIGHT_VAR = "lam"
 
 
 @dataclass
@@ -52,17 +50,11 @@ class RBOperator:
     def to_json(self):
         return {
             "source_entry": self.source_entry,
-            "weight": _scalar_str(self.weight),
-            "denominator": _scalar_str(self.den),
-            "matrix": [[_scalar_str(x) for x in row] for row in self.matrix9],
+            "weight": poly_to_string(self.weight),
+            "denominator": poly_to_string(self.den),
+            "matrix": [[poly_to_string(x) for x in row] for row in self.matrix9],
             "coordinate_order": ["e%d%d" % ij for ij in COORD_ORDER],
         }
-
-
-def _scalar_str(x):
-    if isinstance(x, MultiPoly):
-        return poly_to_string(x)
-    return str(x)
 
 
 def splitting_rb(s, b, weight, source_entry=""):
@@ -112,7 +104,7 @@ def check_rb_identity(r):
             if j == k:
                 terms.append((lam_d, cols[3 * i + l]))
             # a zero coefficient adds nothing to the combination
-            terms = [(f, col) for f, col in terms if not sc_is_zero(f)]
+            terms = [(f, col) for f, col in terms if f]
             rhs = [sum(f * col[t] for f, col in terms) for t in range(9)]
             if lhs != rhs:
                 return False, (COORD_ORDER[a], COORD_ORDER[c])
@@ -137,10 +129,13 @@ def _summands(entry, weight):
     """(S, B, weight) of an entry's decomposition: symbolic in the entry's
     parameters and the weight when weight is None (S's entries cast into the
     ring that carries the weight, B's constant ones left over Q), else over Q
-    at the entry's standard point."""
+    at the entry's standard point.  The weight is the first of lam, lam1,
+    lam2, ... that is not a parameter of the entry."""
     if weight is None:
-        ring = PolynomialRing(entry.params + (WEIGHT_VAR,))
-        lam = ring.gen(WEIGHT_VAR)
+        names = chain(["lam"], (f"lam{i}" for i in count(1)))
+        name = next(n for n in names if n not in entry.params)
+        ring = PolynomialRing(entry.params + (name,))
+        lam = ring.gen(name)
         constraints = entry.constraints.cast(ring).merged(ConstraintSet([lam]))
         s = span([Mat3([[x.cast(ring) for x in row] for row in g.rows])
                   for g in entry.s_generators], constraints)

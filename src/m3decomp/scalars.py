@@ -15,6 +15,13 @@ must have the same variable list, or the operation raises DomainMismatch.
 `exact` is the one gate into this world: ints become Fractions, and anything
 else (a float above all) is refused.
 
+Both kinds answer one number protocol, so no other module asks which kind
+it holds: `not x` tests for zero, and `x / y` divides exactly (ValueError when
+a polynomial divisor does not divide).  What does depend on the kind lives
+here: `rational` reads a constant as a Fraction, `rational_content` and
+`leading_coefficient` normalize a row of mixed scalars, and `poly_to_string`
+prints either kind.
+
 A polynomial never stores zero coefficients, and every exponent tuple has one
 entry per ring variable.  Monomials are ordered lexicographically on the fixed
 variable order, which makes leading terms, exact division, and printed
@@ -49,12 +56,30 @@ def exact(x):
     raise DomainMismatch(f"{x!r} is not an exact scalar")
 
 
+def rational(x):
+    """x as a rational: a rational passes unchanged, a constant polynomial
+    gives its value, and any other polynomial raises DomainMismatch."""
+    if not isinstance(x, MultiPoly):
+        return x
+    if not x.is_constant():
+        raise DomainMismatch(f"{x} is not constant")
+    return next(iter(x.terms.values()), Fraction(0))
+
+
 def rational_content(values):
-    """The gcd of the numerators over the lcm of the denominators of some
-    rationals (zero when all of them are zero)."""
-    values = list(values)
-    return Fraction(math.gcd(*(v.numerator for v in values)),
-                    math.lcm(*(v.denominator for v in values)))
+    """The gcd of the numerators over the lcm of the denominators of the
+    rational coefficients of some scalars (zero when all of them are
+    zero)."""
+    coeffs = [c for v in values
+              for c in (v.terms.values() if isinstance(v, MultiPoly) else (v,))]
+    return Fraction(math.gcd(*(c.numerator for c in coeffs)),
+                    math.lcm(*(c.denominator for c in coeffs)))
+
+
+def leading_coefficient(x):
+    """A nonzero scalar's leading rational coefficient: the rational itself,
+    or a polynomial's coefficient of its lex-leading monomial."""
+    return x.leading()[1] if isinstance(x, MultiPoly) else x
 
 
 def is_prime(n):
@@ -142,18 +167,11 @@ class MultiPoly:
 
     # -- basic queries ----------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
+    def __bool__(self):
+        return bool(self.terms)
 
     def is_constant(self):
         return all(all(e == 0 for e in exp) for exp in self.terms)
-
-    def constant_value(self):
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
 
     def leading(self):
         """Leading (exponent, coefficient) in lex order on the ring's names."""
@@ -214,6 +232,34 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        """Exact division: a rational or constant divisor scales the
+        coefficients, and any other polynomial is divided out by long division
+        on its lex-leading term (ValueError when it does not divide,
+        ZeroDivisionError for zero)."""
+        other = self._coerce_other(other)
+        if other is None:
+            return NotImplemented
+        if other.is_constant():
+            inv = 1 / rational(other)
+            return self if inv == 1 else self * inv
+        d_exp, d_coeff = other.leading()
+        rem, q_terms = self, {}
+        while rem:
+            r_exp, r_coeff = rem.leading()
+            q_exp = tuple(a - b for a, b in zip(r_exp, d_exp))
+            if any(e < 0 for e in q_exp):
+                raise ValueError(f"{other} does not divide {self}")
+            q_terms[q_exp] = r_coeff / d_coeff
+            rem = rem - MultiPoly(self.ring, {q_exp: q_terms[q_exp]}) * other
+        return MultiPoly(self.ring, q_terms)
+
+    def __rtruediv__(self, other):
+        """A rational over a polynomial, which must then be a constant."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return Fraction(other) / rational(self)
+
     def __neg__(self):
         return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
 
@@ -233,7 +279,7 @@ class MultiPoly:
     def __hash__(self):
         if self._hash is None:
             # a constant equals its rational, so it hashes like it
-            self._hash = (hash(self.constant_value()) if self.is_constant()
+            self._hash = (hash(rational(self)) if self.is_constant()
                           else hash((self.ring.names, frozenset(self.terms.items()))))
         return self._hash
 
@@ -271,30 +317,6 @@ class MultiPoly:
         content = rational_content(self.terms.values())
         prim = MultiPoly(self.ring, {e: c / content for e, c in self.terms.items()})
         return content, prim
-
-    def exact_divide(self, divisor):
-        """Return q with self = q * divisor, or raise ValueError.
-
-        Long division by the lex-leading term of the divisor; this is exact
-        whenever the divisor divides self (the only way it is used here).
-        """
-        if not isinstance(divisor, MultiPoly) or divisor.ring.names != self.ring.names:
-            divisor = self._coerce_other(divisor)
-        if divisor is None or divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        d_exp, d_coeff = divisor.leading()
-        rem = self
-        q_terms = {}
-        while not rem.is_zero():
-            r_exp, r_coeff = rem.leading()
-            q_exp = tuple(a - b for a, b in zip(r_exp, d_exp))
-            if any(e < 0 for e in q_exp):
-                raise ValueError(f"{divisor} does not divide {self}")
-            q_coeff = r_coeff / d_coeff
-            q_terms[q_exp] = q_terms.get(q_exp, Fraction(0)) + q_coeff
-            mono = MultiPoly(self.ring, {q_exp: q_coeff})
-            rem = rem - mono * divisor
-        return MultiPoly(self.ring, q_terms)
 
     def eval(self, assignment):
         """Substitute rationals for every variable; a ring homomorphism into
@@ -343,7 +365,7 @@ class ConstraintSet:
         self.nonzero = tuple(nonzero)
         self.not_both_zero = tuple(tuple(pair) for pair in not_both_zero)
         for group in [(p,) for p in self.nonzero] + list(self.not_both_zero):
-            if all(isinstance(p, MultiPoly) and p.is_zero() for p in group):
+            if not any(group):
                 raise ValueError(f"identically zero constraint {group}")
 
     def merged(self, other):
@@ -406,27 +428,26 @@ def certified_nonzero(scalar, constraints=EMPTY_CONSTRAINTS):
     nonzero constraint polynomials -- decidable by greedy exact division.
     Membership failures are reported as False, never as a wrong answer.
     """
-    if isinstance(scalar, (Fraction, int)):
-        return scalar != 0
-    if isinstance(scalar, MultiPoly):
-        if scalar.is_zero():
-            return False
-        _, p = scalar.content_and_primitive()
-        progress = True
-        while not p.is_constant() and progress:
-            progress = False
-            for q in constraints.nonzero:
-                qc = q if q.ring.names == p.ring.names else q.cast(p.ring)
-                if qc.is_constant():
-                    continue
-                try:
-                    p = p.exact_divide(qc)
-                    progress = True
-                    break
-                except (ValueError, ZeroDivisionError):
-                    continue
-        return p.is_constant() and p.constant_value() != 0
-    raise DomainMismatch(f"unknown scalar {scalar!r}")
+    if not isinstance(scalar, MultiPoly):
+        return exact(scalar) != 0
+    if not scalar:
+        return False
+    _, p = scalar.content_and_primitive()
+    progress = True
+    while not p.is_constant() and progress:
+        progress = False
+        for q in constraints.nonzero:
+            qc = q if q.ring.names == p.ring.names else q.cast(p.ring)
+            if qc.is_constant():
+                continue
+            try:
+                p = p / qc
+                progress = True
+                break
+            except ValueError:
+                continue
+    # p is nonzero, as the scalar is
+    return p.is_constant()
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +545,11 @@ def parse_poly(text, ring):
 
 
 def poly_to_string(p):
-    """Deterministic grammar-conforming rendering (integer coefficients)."""
+    """Deterministic grammar-conforming rendering of a polynomial (integer
+    coefficients); a rational prints as str does."""
     if not isinstance(p, MultiPoly):
         return str(p)
-    if p.is_zero():
+    if not p:
         return "0"
     pieces = []
     for exp in sorted(p.terms, reverse=True):

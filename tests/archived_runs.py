@@ -27,6 +27,9 @@ ARCHIVED_RUNS = [
      ["verify", "--all", "--mode", "specialized", "--n", "10", "--seed", "3"], 0),
     ("rb.json", ["rb"], 0),
     ("rb_weight1_operators.json", ["rb", "--weight", "1", "--emit-operators"], 0),
+    # pins the symbolic operators: R10's denominator is its parameter f
+    ("rb_R10_S12_U8M1_operators.json",
+     ["rb", "--entry", "R10,S12,U8@M1", "--emit-operators"], 0),
     ("derive_system_t2.json", ["derive-system", "--pattern", "t2", "--compare", "t2_system"], 0),
     # pins the table renderer, which lays out tuples such as rad_dims the
     # way it lays out lists

@@ -231,6 +231,16 @@ def test_load_rejects_malformed_records(case, tmp_path):
     assert exc.value.field == field
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
+def test_load_rejects_a_schema_version_that_is_not_the_integer_1(version, tmp_path):
+    # true and 1.0 compare equal to 1, but neither is the integer version
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"schema_version": version, "entries": [entry_by_id("R9").to_json()]}))
+    with pytest.raises(SchemaError) as exc:
+        load_catalog(path)
+    assert exc.value.field == "schema_version"
+
+
 def test_entry_rejects_undeclared_params():
     with pytest.raises(ParseError):
         CatalogEntry("oops", 1, "M7", (),

@@ -1,10 +1,12 @@
+import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from m3decomp import rota_baxter
-from m3decomp.catalog import entry_by_id
+from m3decomp.catalog import CatalogEntry, entry_by_id
 from m3decomp.errors import NotDirectSum
 from m3decomp.linalg import ff_inverse
 from m3decomp.matrices import Mat3, span
@@ -15,6 +17,7 @@ from m3decomp.rota_baxter import (
     rb_pair_for_entry,
     splitting_rb,
 )
+from m3decomp.scalars import poly_to_string
 
 
 def e(i, j):
@@ -143,6 +146,19 @@ def test_one_inverse_per_entry(monkeypatch, ident, weight):
     monkeypatch.setattr(rota_baxter, "ff_inverse", counted)
     rb_pair_for_entry(entry_by_id(ident), weight)
     assert len(calls) == 1
+
+
+def test_weight_is_named_apart_from_the_parameters():
+    # R10 as a catalog file could give it, with its parameters d and f
+    # renamed lam and lam1: the weight takes the first free name, lam2
+    names = {"d": "lam", "f": "lam1"}
+    text = re.sub(r"\b[df]\b", lambda m: names[m.group()], json.dumps(entry_by_id("R10").to_json()))
+    entry = CatalogEntry.from_json(json.loads(text))
+    assert entry.params == ("lam", "lam1")
+    r, rt = rb_pair_for_entry(entry)
+    assert poly_to_string(r.weight) == "lam2" and poly_to_string(r.den) == "lam1"
+    assert check_rb_identity(r)[0] and check_rb_identity(rt)[0]
+    assert check_complement_identity(r, rt)
 
 
 def test_concrete_weight():

@@ -10,8 +10,11 @@ from m3decomp.scalars import (
     certified_nonzero,
     exact,
     constraint_satisfied,
+    leading_coefficient,
     parse_poly,
     poly_to_string,
+    rational,
+    rational_content,
 )
 
 
@@ -115,9 +118,51 @@ def test_exact_divide():
     R = ring("x", "y")
     x, y = R.gens()
     p = (x + y) * (x - y) * 3
-    assert p.exact_divide(x + y) == (x - y) * 3
+    assert p / (x + y) == (x - y) * 3
     with pytest.raises(ValueError):
-        p.exact_divide(x + 1)
+        p / (x + 1)
+
+
+def test_polynomials_answer_the_number_protocol():
+    R = ring("x", "y")
+    x, y = R.gens()
+    p = x * 6 - y * 4
+    # truth value: nonzero, as for a rational
+    assert p and not R.zero() and not (p - p)
+    # a rational or constant divisor scales; a rational over a constant
+    # polynomial is a rational
+    assert p / 2 == p / Fraction(2) == p / R.constant(2) == x * 3 - y * 2
+    assert Fraction(3) / R.constant(6) == Fraction(1, 2)
+    assert type(Fraction(3) / R.constant(6)) is Fraction
+    for zero in (0, Fraction(0), R.zero()):
+        with pytest.raises(ZeroDivisionError):
+            p / zero
+    with pytest.raises(ZeroDivisionError):
+        Fraction(1) / R.zero()
+    with pytest.raises(DomainMismatch):
+        Fraction(1) / x
+    with pytest.raises(DomainMismatch):
+        p / ring("x", "z").gen("x")
+
+
+def test_rational_reads_constants_only():
+    R = ring("x", "y")
+    x, _ = R.gens()
+    assert rational(R.constant(Fraction(2, 3))) == Fraction(2, 3)
+    assert type(rational(R.constant(7))) is Fraction
+    assert rational(R.zero()) == 0 and rational(Fraction(5)) == 5
+    with pytest.raises(DomainMismatch):
+        rational(x + 1)
+
+
+def test_content_and_leading_coefficient_of_mixed_scalars():
+    R = ring("x", "y")
+    x, y = R.gens()
+    row = [Fraction(0), Fraction(4, 3), x * 2 - y * Fraction(8, 5)]
+    # gcd(4, 2, 8) over lcm(3, 1, 5)
+    assert rational_content(row) == Fraction(2, 15)
+    assert leading_coefficient(y * 5 - x * 3) == -3
+    assert leading_coefficient(Fraction(-2, 7)) == Fraction(-2, 7)
 
 
 def test_parser_roundtrip():
@@ -175,7 +220,7 @@ def test_rationals_mix_with_polynomials():
     # a rational is a constant of the ring, from either side
     assert p * Fraction(2, 3) == Fraction(2, 3) * p == p * R.constant(Fraction(2, 3))
     assert 2 * p == p + p
-    assert (p * 0).is_zero() and (p * 0).ring is R
+    assert not (p * 0) and (p * 0).ring is R
     assert p + Fraction(0) is p and 0 + p is p
     assert p - 1 == x * y and 1 - p == -(x * y)
     assert p == p + 0 and x * y == p - Fraction(1)
