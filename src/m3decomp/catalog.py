@@ -12,8 +12,9 @@ recorded in the entry notes.
 from __future__ import annotations
 
 import json
+from itertools import islice, product
 
-from .errors import ConstraintViolated, SchemaError
+from .errors import ConstraintViolated, NotSupported, ParseError, SchemaError
 from .matrices import Mat3, span
 from .scalars import ConstraintSet, PolynomialRing, first_violation, parse_poly, poly_to_string
 
@@ -102,9 +103,13 @@ LEMMA5_SUBALGEBRAS = {k: COMPLEMENTS[f"L5_{k}"] for k in range(1, 7)}
 def _field(name, ident, build):
     """build() for one field of entry ident; a malformed value (a bad or
     repeated parameter, a cell that is no text, a zero constraint) is a
-    SchemaError."""
+    SchemaError, and text outside the grammar a ParseError, each naming the
+    field and the entry."""
     try:
         return build()
+    except ParseError as exc:
+        raise ParseError(f"field {name!r}: entry {ident}: {exc.message}",
+                         exc.line, exc.column) from exc
     except (ValueError, TypeError) as exc:
         raise SchemaError(name, f"entry {ident}: {exc}") from exc
 
@@ -173,8 +178,16 @@ class CatalogEntry:
         return self.complement.subspace()
 
     def standard_values(self):
-        """The entry's standard point: its parameters at 2, 3, ... in order."""
-        return {p: 2 + i for i, p in enumerate(self.params)}
+        """The entry's standard point: the first point of a fixed walk that
+        meets its side conditions.  The walk starts with the parameters at
+        2, 3, ... in order and adds 0, 1, 2 or 3 to each (the last parameter
+        fastest), over at most 256 points; NotSupported when none fits."""
+        for steps in islice(product(range(4), repeat=len(self.params)), 256):
+            values = {p: 2 + i + k for i, (p, k) in enumerate(zip(self.params, steps))}
+            if first_violation(self.constraints, values) is None:
+                return values
+        raise NotSupported(
+            f"entry {self.id}: no point of the standard walk meets its side conditions")
 
     def specialize(self, values):
         """Concrete (S, B) over Q at a parameter assignment; all constraints

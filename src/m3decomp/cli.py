@@ -33,12 +33,13 @@ import dataclasses
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import catalog as catalog_mod
+import numpy as np
+
+from . import catalog, invariants, rota_baxter, search, verifier
 from .errors import M3DecompError
 from .patterns import PATTERNS, PATTERN_ALIASES, REFERENCE_SYSTEMS, get_pattern
-from .scalars import MAX_PRIME, check_prime, poly_to_string
+from .scalars import MAX_PRIME, check_prime, parse_rational, poly_to_string
 
 SCHEMA = 1
 
@@ -84,9 +85,9 @@ def _chosen_entries(selection):
     repeated id, or lists that name no id, are usage errors."""
     path = os.environ.get("M3DECOMP_CATALOG")
     if path:
-        entries = catalog_mod.load_catalog(path)
+        entries = catalog.load_catalog(path)
     else:
-        entries, path = catalog_mod.builtin_catalog(), "builtin"
+        entries, path = catalog.builtin_catalog(), "builtin"
     if not selection:
         return entries, path
     wanted = [x.strip() for chunk in selection for x in chunk.split(",") if x.strip()]
@@ -110,13 +111,7 @@ def _pattern_name(pattern):
     return name
 
 
-# Each command imports the layer functions it calls inside its own body, at
-# call time: bench/traced.py imports this module first and then replaces those
-# functions on their modules with traced wrappers, so a module-level import
-# here would keep the unwrapped function.
 def cmd_verify(args):
-    from .verifier import verify_entry
-
     if args.mode == "specialized" and args.seed is None:
         raise M3DecompError("--seed is required when --mode specialized")
     if args.n < 1:
@@ -124,7 +119,7 @@ def cmd_verify(args):
     if args.all and args.entry:
         raise M3DecompError("--all verifies every entry and takes no --entry")
     chosen, cat_path = _chosen_entries(args.entry)
-    reports = [verify_entry(e, args.mode, args.n, args.seed).to_json() for e in chosen]
+    reports = [verifier.verify_entry(e, args.mode, args.n, args.seed).to_json() for e in chosen]
     reports.sort(key=lambda r: r["entry"])
     doc = {
         "schema_version": SCHEMA,
@@ -141,31 +136,24 @@ def cmd_verify(args):
 
 
 def cmd_search(args):
-    import numpy as np
-
-    from . import search as search_mod
-
     name = _pattern_name(args.pattern)
     check_prime(args.prime)
-    report = search_mod.coverage_report(name, args.prime, explain=not args.no_explain)
+    report = search.coverage_report(name, args.prime, explain=not args.no_explain)
     if args.slow_oracle:
-        slow = search_mod.slow_cube_solutions(name, args.prime)
-        fast = search_mod.enumerate_complements_fp(name, args.prime)
+        slow = search.slow_cube_solutions(name, args.prime)
+        fast = search.enumerate_complements_fp(name, args.prime)
         report["slow_oracle_agrees"] = bool(np.array_equal(slow, fast))
     doc = {
         "schema_version": SCHEMA,
         "command": "search",
         "jobs": 1,  # search ignores --jobs, so its report never depends on it
         **report,
-        "clean": search_mod.coverage_clean(report),
+        "clean": search.coverage_clean(report),
     }
     return doc, doc["clean"] and doc.get("slow_oracle_agrees", True)
 
 
 def cmd_invariants(args):
-    from .invariants import fingerprint
-    from .verifier import verify_remarks
-
     for p in args.sweep_primes:
         check_prime(p)
     chosen, cat_path = _chosen_entries(args.entry)
@@ -173,7 +161,7 @@ def cmd_invariants(args):
     for e in chosen:
         values = e.standard_values()
         s, _ = e.specialize(values)
-        table[e.id] = fingerprint(s)
+        table[e.id] = invariants.fingerprint(s)
         fps[e.id] = dataclasses.asdict(table[e.id])
         if values:
             fps[e.id]["specialized_at"] = values
@@ -187,17 +175,15 @@ def cmd_invariants(args):
     if not args.skip_remarks:
         # the remarks describe the built-in catalog, never a catalog file
         builtin = table if cat_path == "builtin" else None
-        doc["remarks"] = verify_remarks(builtin, tuple(args.sweep_primes))
+        doc["remarks"] = verifier.verify_remarks(builtin, tuple(args.sweep_primes))
         doc["all_passed"] = doc["remarks"]["all_passed"]
     return doc, doc["all_passed"]
 
 
 def cmd_rb(args):
-    from .rota_baxter import check_complement_identity, check_rb_identity, rb_pair_for_entry
-
     try:
-        weight = None if args.weight == "symbolic" else Fraction(args.weight)
-    except (ValueError, ZeroDivisionError):
+        weight = None if args.weight == "symbolic" else parse_rational(args.weight)
+    except ValueError:
         weight = 0  # refused below, like a zero weight
     if weight == 0:
         raise M3DecompError(
@@ -206,10 +192,10 @@ def cmd_rb(args):
     results = []
     all_ok = True
     for e in chosen:
-        r, rt = rb_pair_for_entry(e, weight)
-        ok, witness = check_rb_identity(r)
-        ok_t, _ = check_rb_identity(rt)
-        comp = check_complement_identity(r, rt)
+        r, rt = rota_baxter.rb_pair_for_entry(e, weight)
+        ok, witness = rota_baxter.check_rb_identity(r)
+        ok_t, _ = rota_baxter.check_rb_identity(rt)
+        comp = rota_baxter.check_complement_identity(r, rt)
         all_ok &= ok and ok_t and comp
         rec = {
             "entry": e.id,
@@ -236,15 +222,13 @@ def cmd_rb(args):
 def cmd_export(args):
     entries, _ = _chosen_entries(None)
     doc = {
-        "schema_version": catalog_mod.SCHEMA_VERSION,
+        "schema_version": catalog.SCHEMA_VERSION,
         "entries": [e.to_json() for e in entries],
     }
     return doc, True
 
 
 def cmd_derive_system(args):
-    from .verifier import compare_with_reference_system
-
     name = _pattern_name(args.pattern)
     check_prime(args.prime, bound=None)
     if args.compare:
@@ -269,7 +253,7 @@ def cmd_derive_system(args):
     }
     if not args.compare:
         return doc, True
-    cmp_report = compare_with_reference_system(args.compare, args.prime)
+    cmp_report = verifier.compare_with_reference_system(args.compare, args.prime)
     doc["comparison"] = cmp_report
     return doc, cmp_report["equal"] and cmp_report.get("substitutions_implied_by_closure", True)
 

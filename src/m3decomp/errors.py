@@ -18,6 +18,7 @@ class ParseError(M3DecompError):
 
     def __init__(self, message, line=1, column=0):
         super().__init__(f"{message} (line {line}, column {column})")
+        self.message = message
         self.line = line
         self.column = column
 

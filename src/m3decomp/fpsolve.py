@@ -19,25 +19,10 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotSupported
 from .gfq import GFq
+from .scalars import compile_poly
 
 DEFAULT_BUDGET = 4_000_000
 _FRONTIER_CHUNK = 65_536
-
-
-def compile_poly(poly, names, p):
-    """Lower a polynomial to [(coeff mod p, ((var index, exponent), ...))]."""
-    name_pos = {n: i for i, n in enumerate(names)}
-    ring_names = poly.ring.names
-    out = []
-    for exps, coeff in sorted(poly.terms.items()):
-        c = coeff.numerator * pow(coeff.denominator, p - 2, p) % p
-        if c == 0:
-            continue
-        pairs = tuple(
-            (name_pos[ring_names[i]], e) for i, e in enumerate(exps) if e
-        )
-        out.append((c, pairs))
-    return out
 
 
 def _plan(compiled, n_vars):

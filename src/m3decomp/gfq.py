@@ -108,7 +108,7 @@ class GFq:
         return result
 
     def eval_compiled(self, compiled, columns, n_rows):
-        """Evaluate a compiled polynomial (`fpsolve.compile_poly`) on n_rows
+        """Evaluate a compiled polynomial (`scalars.compile_poly`) on n_rows
         points; columns maps each variable index to its n_rows values."""
         acc = self.lift(np.zeros(n_rows, dtype=np.int64))
         for coeff, pairs in compiled:

@@ -17,12 +17,11 @@ when its radical is all of it, that is, when the trace form vanishes on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .errors import DimensionMismatch, DomainMismatch, NotSupported, SoundnessError
 from .linalg import echelonize, kernel_basis, solve_linear
 from .matrices import Mat3, span
-from .scalars import rational
+from .scalars import exact, rational, rational_sqrt
 
 #: tr(x y) = sum over a of x[a] * y[_TRANSPOSED[a]] in flattened coordinates
 _TRANSPOSED = tuple(3 * (a % 3) + a // 3 for a in range(9))
@@ -64,7 +63,7 @@ class _Table:
         self.rows = _rational_rows(s)
         self.pivots = s.echelon.pivot_cols
         self.k = len(self.rows)
-        self.basis = [[Fraction(int(i == j)) for j in range(self.k)] for i in range(self.k)]
+        self.basis = [[exact(int(i == j)) for j in range(self.k)] for i in range(self.k)]
         self.rad = kernel_basis(_gram(self.rows), self.k)
         mats = [Mat3.from_coords(r) for r in self.rows]
         self.c = [[self._coords((x @ y).coords()) for y in mats] for x in mats]
@@ -90,7 +89,7 @@ class _Table:
                  for i, xi in enumerate(x) for j, yj in enumerate(y) if xi and yj]
         if any(c is None for _, c in terms):
             return None
-        return [sum((f * c[l] for f, c in terms), Fraction(0)) for l in range(self.k)]
+        return [sum((f * c[l] for f, c in terms), exact(0)) for l in range(self.k)]
 
     def annihilator(self, ts):
         """A basis of {x : x t = t x = 0 for every t in ts}."""
@@ -323,7 +322,7 @@ def _idempotents_semisimple2(tab):
     disc = a * a + 4 * b
     if disc == 0:
         raise SoundnessError("separable quadratic expected in a semisimple algebra")
-    root = _rational_sqrt(disc)
+    root = rational_sqrt(disc)
     if root is None:
         return Idempotents(_points(tab, [unit]), ())
     # e1 = (w - r2) / (r1 - r2) for the roots r1, r2 = (a +- root) / 2
@@ -343,18 +342,6 @@ def _solve_in(target, vectors, message):
     if sol is None:
         raise SoundnessError(message)
     return sol
-
-
-def _rational_sqrt(x):
-    import math
-
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
 
 
 # ---------------------------------------------------------------------------

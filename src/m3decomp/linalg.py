@@ -18,8 +18,6 @@ entry is.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import SingularMatrix, UndecidedPivot
 from .scalars import (
     EMPTY_CONSTRAINTS,
@@ -31,14 +29,14 @@ from .scalars import (
 
 
 def _normalize_row(row):
-    """Divide a row by the rational content of all its coefficients and make
-    its leading nonzero entry positive (for a polynomial, its lex-leading
-    coefficient); int entries become Fractions, so no division gives a float."""
+    """Divide a row of exact scalars by the rational content of all its
+    coefficients and make its leading nonzero entry positive (for a
+    polynomial, its lex-leading coefficient)."""
     lead = next((x for x in row if x), None)
     if lead is None:
         return row
     inv = (1 if leading_coefficient(lead) > 0 else -1) / rational_content(row)
-    return row if inv == 1 and int not in map(type, row) else [x * inv for x in row]
+    return row if inv == 1 else [x * inv for x in row]
 
 
 def _eliminate(row, piv_row, col):
@@ -106,11 +104,12 @@ def echelonize(rows, constraints=EMPTY_CONSTRAINTS):
     and normalized (so entry sizes stay polynomial); its leftmost certified
     entry becomes its pivot, and that column is cleared from the kept rows,
     as reduce needs.  The finished rows are sorted and normalized once more.
+    Int entries become Fractions on entry, so no division gives a float.
     Raises UndecidedPivot when a nonzero row offers no certified entry.
     """
     echelon = {}  # pivot column -> row
     for row in rows:
-        row = list(row)
+        row = [exact(x) for x in row]
         for col, erow in echelon.items():
             row = _eliminate(row, erow, col)
         nonzero = [j for j, x in enumerate(row) if x]
@@ -135,7 +134,7 @@ def ff_inverse(matrix, constraints=EMPTY_CONSTRAINTS):
     entries become Fractions, so no division gives a float.
     """
     n = len(matrix)
-    one, zero = Fraction(1), Fraction(0)
+    one, zero = exact(1), exact(0)
     aug = []
     for i, row in enumerate(matrix):
         if len(row) != n:
@@ -200,8 +199,8 @@ def kernel_basis(a_rows, n):
     for free in range(n):
         if free in pivots:
             continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
+        vec = [exact(0)] * n
+        vec[free] = exact(1)
         for row, col in zip(ech.rows, ech.pivot_cols):
             if row[free]:
                 vec[col] = -(row[free] / row[col])

@@ -21,8 +21,6 @@ given values, and the finite-field oracle (search) its conjugators.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import SingularMatrix
 from .matrices import COORD_ORDER, Mat3, span
 from .scalars import (
@@ -30,6 +28,7 @@ from .scalars import (
     ConstraintSet,
     PolynomialRing,
     certified_nonzero,
+    exact,
     rational,
 )
 
@@ -130,7 +129,7 @@ def _map_from_images(images, den, constraints=EMPTY_CONSTRAINTS, kind=AUTOMORPHI
 
 def transpose_map():
     images = {(i, j): Mat3.basis(j, i) for (i, j) in COORD_ORDER}
-    return _map_from_images(images, Fraction(1), kind=ANTIAUTOMORPHISM)
+    return _map_from_images(images, exact(1), kind=ANTIAUTOMORPHISM)
 
 
 def conjugation(t, constraints=EMPTY_CONSTRAINTS):
@@ -197,7 +196,7 @@ def family_map(family, values=None):
         ring = PolynomialRing([name for name, _ in params])
         zero, one, values = ring.zero(), ring.one(), ring.gens()
     else:
-        zero, one = Fraction(0), Fraction(1)
+        zero, one = exact(0), exact(1)
     entries = [one] + [zero] * 8
     for (_, pos), x in zip(params, values, strict=True):
         entries[pos] = x

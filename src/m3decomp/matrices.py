@@ -15,8 +15,6 @@ which every report and file format in the package relies on.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linalg import echelonize
 from .scalars import EMPTY_CONSTRAINTS, exact
 
@@ -24,7 +22,7 @@ from .scalars import EMPTY_CONSTRAINTS, exact
 COORD_ORDER = tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
 COORD_INDEX = {ij: k for k, ij in enumerate(COORD_ORDER)}
 
-_Z, _O = Fraction(0), Fraction(1)
+_Z, _O = exact(0), exact(1)
 
 
 class Mat3:

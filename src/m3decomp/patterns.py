@@ -104,9 +104,10 @@ class PivotPattern:
             raise PatternMismatch(f"pivot parts do not complete a basis: {exc}") from exc
         funcs = [[sum(numer[j][a] * ann[a][t] for a in range(k)) / det for t in range(9)]
                  for j in range(k)]
-        if any(x.denominator != 1 for row in funcs for x in row):
+        integral = [[int(x) for x in row] for row in funcs]
+        if integral != funcs:
             raise PatternMismatch(f"pattern {self.name!r} has non-integral dual functionals")
-        return [[int(x) for x in row] for row in funcs]
+        return integral
 
     def symbolic_generators(self):
         """Generators over the cell ring (identity first when present)."""

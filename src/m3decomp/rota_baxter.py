@@ -21,7 +21,6 @@ identity times den^2 reads
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, count
 
 from .errors import NotDirectSum, SingularMatrix
@@ -141,7 +140,7 @@ def _summands(entry, weight):
                   for g in entry.s_generators], constraints)
         return s, entry.complement.subspace(), lam
     s, b = entry.specialize(entry.standard_values())
-    return s, b, Fraction(weight)
+    return s, b, weight
 
 
 def rb_pair_for_entry(entry, weight=None):

@@ -12,15 +12,17 @@ The two mix freely: a rational is a constant of every polynomial ring, so a
 matrix or a row may hold both, and arithmetic between them gives a
 polynomial.  Only two polynomials decide whether they may meet: their rings
 must have the same variable list, or the operation raises DomainMismatch.
-`exact` is the one gate into this world: ints become Fractions, and anything
-else (a float above all) is refused.
 
-Both kinds answer one number protocol, so no other module asks which kind
-it holds: `not x` tests for zero, and `x / y` divides exactly (ValueError when
-a polynomial divisor does not divide).  What does depend on the kind lives
-here: `rational` reads a constant as a Fraction, `rational_content` and
-`leading_coefficient` normalize a row of mixed scalars, and `poly_to_string`
-prints either kind.
+This module is the one gate into this world: no other module builds, parses
+or takes apart an exact scalar.  `exact` admits one (ints become Fractions; a
+float above all is refused), and `parse_rational` and `parse_poly` read one
+from text.  Both kinds answer one number protocol, so no other module asks
+which kind it holds: `not x` tests for zero, and `x / y` divides exactly
+(ValueError when a polynomial divisor does not divide).  The rest lives here:
+`rational` reads a constant as a Fraction, `rational_sqrt` takes a root,
+`rational_content` and `leading_coefficient` normalize a row of mixed
+scalars, `compile_poly` lowers a polynomial to F_p for the finite-field
+oracle, and `poly_to_string` prints either kind.
 
 A polynomial never stores zero coefficients, and every exponent tuple has one
 entry per ring variable.  Monomials are ordered lexicographically on the fixed
@@ -66,6 +68,24 @@ def rational(x):
     return next(iter(x.terms.values()), Fraction(0))
 
 
+def parse_rational(text):
+    """The rational a text spells ("1", "-3/2", "0.5"), as Fraction reads it;
+    ValueError for any other text, a zero denominator included."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def rational_sqrt(x):
+    """The nonnegative rational square root of a rational, or None when it
+    has none."""
+    if x < 0:
+        return None
+    root = Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
+    return root if root * root == x else None
+
+
 def rational_content(values):
     """The gcd of the numerators over the lcm of the denominators of the
     rational coefficients of some scalars (zero when all of them are
@@ -80,6 +100,22 @@ def leading_coefficient(x):
     """A nonzero scalar's leading rational coefficient: the rational itself,
     or a polynomial's coefficient of its lex-leading monomial."""
     return x.leading()[1] if isinstance(x, MultiPoly) else x
+
+
+def compile_poly(poly, names, p):
+    """Lower a polynomial to [(coeff mod p, ((var index, exponent), ...))],
+    the form `gfq.GFq.eval_compiled` evaluates; names gives each variable's
+    index."""
+    name_pos = {n: i for i, n in enumerate(names)}
+    ring_names = poly.ring.names
+    out = []
+    for exps, coeff in sorted(poly.terms.items()):
+        c = coeff.numerator * pow(coeff.denominator, p - 2, p) % p
+        if c == 0:
+            continue
+        pairs = tuple((name_pos[ring_names[i]], e) for i, e in enumerate(exps) if e)
+        out.append((c, pairs))
+    return out
 
 
 def is_prime(n):
@@ -426,7 +462,8 @@ def certified_nonzero(scalar, constraints=EMPTY_CONSTRAINTS):
     Rationals certify by being nonzero.  A polynomial certifies when it
     is a nonzero rational multiple of a product of powers of the declared
     nonzero constraint polynomials -- decidable by greedy exact division.
-    Membership failures are reported as False, never as a wrong answer.
+    Membership failures are reported as False, never as a wrong answer; a
+    constraint from another ring raises DomainMismatch.
     """
     if not isinstance(scalar, MultiPoly):
         return exact(scalar) != 0
@@ -437,11 +474,10 @@ def certified_nonzero(scalar, constraints=EMPTY_CONSTRAINTS):
     while not p.is_constant() and progress:
         progress = False
         for q in constraints.nonzero:
-            qc = q if q.ring.names == p.ring.names else q.cast(p.ring)
-            if qc.is_constant():
+            if q.is_constant():
                 continue
             try:
-                p = p / qc
+                p = p / q
                 progress = True
                 break
             except ValueError:

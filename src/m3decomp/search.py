@@ -37,11 +37,11 @@ import numpy as np
 
 from .catalog import COMPLEMENTS, builtin_catalog, entry_by_id
 from .errors import BudgetExceeded, GroupMismatch, PatternMismatch
-from .fpsolve import compile_poly, solve_system_fp
+from .fpsolve import solve_system_fp
 from .gfq import GFq
 from .maps import FAMILIES, PRESERVING
 from .patterns import get_pattern
-from .scalars import check_prime
+from .scalars import check_prime, compile_poly
 
 @functools.lru_cache(maxsize=None)
 def _gf(p, degree=1):

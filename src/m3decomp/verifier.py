@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from . import invariants  # fingerprint looked up at call time, as cli does
+from . import invariants, search
 from .catalog import COMPLEMENTS, LEMMA5_SUBALGEBRAS, entry_by_id
 from .errors import NotSupported, UndecidedPivot
 from .fpsolve import solution_set
@@ -195,10 +195,6 @@ def verify_remarks(fingerprints=None, sweep_primes=(3, 5)):
     failures are report entries, including the machine-found antiautomorphism
     relating (T4) and (T6).  fingerprints maps ids to the fingerprints of the
     `_subalgebra`s they name; the remarks compute only those it lacks."""
-    # imported at call time, like the CLI's layers, so a traced wrapper on
-    # search.t4_t6_separation is the function called
-    from .search import t4_t6_separation
-
     given = fingerprints or {}
 
     # two-dimensional types of the (7,2) cases
@@ -226,7 +222,7 @@ def verify_remarks(fingerprints=None, sweep_primes=(3, 5)):
             rec["detail"] = "no fingerprint separation and no sweep defined"
             continue
         for p in sweep_primes:
-            separated, witness = t4_t6_separation(p)
+            separated, witness = search.t4_t6_separation(p)
             sweep[str(p)] = {"separated": separated, "witness": witness}
         if not sweep:
             rec["detail"] = "no sweep ran: no sweep prime was given"

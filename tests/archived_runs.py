@@ -30,6 +30,10 @@ ARCHIVED_RUNS = [
     # pins the symbolic operators: R10's denominator is its parameter f
     ("rb_R10_S12_U8M1_operators.json",
      ["rb", "--entry", "R10,S12,U8@M1", "--emit-operators"], 0),
+    # pins the rational --weight parse path: a negative non-integral weight
+    # gives operators with non-integral entries such as 9/2
+    ("rb_R10_U5M1_weight-3_2_operators.json",
+     ["rb", "--entry", "R10,U5@M1", "--weight=-3/2", "--emit-operators"], 0),
     ("derive_system_t2.json", ["derive-system", "--pattern", "t2", "--compare", "t2_system"], 0),
     # pins the table renderer, which lays out tuples such as rad_dims the
     # way it lays out lists

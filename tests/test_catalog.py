@@ -12,7 +12,7 @@ from m3decomp.catalog import (
     load_catalog,
     save_catalog,
 )
-from m3decomp.errors import ConstraintViolated, ParseError, SchemaError
+from m3decomp.errors import ConstraintViolated, NotSupported, ParseError, SchemaError
 from m3decomp.matrices import Mat3, Subspace, is_direct_sum, span
 
 
@@ -72,6 +72,57 @@ def test_specialize_names_the_first_violated_condition():
     assert exc.value.polynomial == "(a,y-1)"
     S, _ = entry.specialize({"y": 1, "a": 1})
     assert S.dim == 2
+
+
+def test_standard_point_is_2_3_for_every_builtin_entry():
+    # every built-in entry meets its side conditions at the walk's first point
+    for e in builtin_catalog():
+        assert e.standard_values() == {p: 2 + i for i, p in enumerate(e.params)}
+
+
+def _with_nonzero(ident, *nonzero):
+    rec = entry_by_id(ident).to_json()
+    rec["constraints"]["nonzero"] = list(nonzero)
+    return CatalogEntry.from_json(rec)
+
+
+def test_standard_point_walks_past_the_side_conditions():
+    # y - 2 vanishes at the first point; the walk takes the next one, and
+    # the entry specializes there
+    r9 = _with_nonzero("R9", "y-2")
+    assert r9.standard_values() == {"y": 3}
+    s, _ = r9.specialize(r9.standard_values())
+    assert s.dim == 2
+    # the last parameter moves first: (d, f) = (2, 3), (2, 4), (2, 5), ...
+    r10 = _with_nonzero("R10", "f", "f-3", "f-4")
+    assert r10.standard_values() == {"d": 2, "f": 5}
+    # a not-both-zero pair counts as well
+    rec = entry_by_id("R9").to_json()
+    rec["params"] = ["y", "a"]
+    rec["constraints"]["not_both_zero"] = [["a-3", "y-2"]]
+    assert CatalogEntry.from_json(rec).standard_values() == {"y": 2, "a": 4}
+
+
+def test_standard_point_refuses_an_entry_the_walk_cannot_meet():
+    # y takes 2..5 on the walk, and each value kills one factor
+    r9 = _with_nonzero("R9", "(y-2)*(y-3)*(y-4)*(y-5)")
+    with pytest.raises(NotSupported) as exc:
+        r9.standard_values()
+    assert "entry R9" in str(exc.value)
+
+
+@pytest.mark.parametrize("field, cell, constraint, message", [
+    ("constraints", "y", "q", "unknown parameter 'q' (line 1, column 0)"),
+    ("s_generators", "y+q", "y", "unknown parameter 'q' (line 1, column 2)"),
+    ("s_generators", "y/2", "y", "unexpected character '/' (line 1, column 1)"),
+])
+def test_parse_error_names_the_entry_and_the_field(field, cell, constraint, message):
+    rec = entry_by_id("R8").to_json()
+    rec["s_generators"][0][1][1] = cell
+    rec["constraints"]["nonzero"] = [constraint]
+    with pytest.raises(ParseError) as exc:
+        CatalogEntry.from_json(rec)
+    assert str(exc.value) == f"field {field!r}: entry R8: {message}"
 
 
 def test_not_both_zero_pairs_are_built_with_the_entry():

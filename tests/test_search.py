@@ -13,7 +13,6 @@ from archived_runs import COVERAGE, coverage_archive
 from m3decomp import search
 from m3decomp.catalog import COMPLEMENTS
 from m3decomp.errors import BudgetExceeded, GroupMismatch
-from m3decomp.fpsolve import compile_poly
 from m3decomp.gfq import GFq
 from m3decomp.maps import (
     PRESERVING,
@@ -25,6 +24,7 @@ from m3decomp.maps import (
     transpose_map,
 )
 from m3decomp.patterns import PATTERNS, get_pattern
+from m3decomp.scalars import compile_poly
 from m3decomp.search import (
     catalog_specializations_fp,
     coverage_clean,

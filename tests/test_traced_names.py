@@ -1,8 +1,11 @@
-"""Every function the traced benchmark run wraps still exists in the package.
+"""Every function the traced benchmark run wraps still exists in the package,
+and the package calls it through its module.
 
 `bench/traced.py` replaces layer functions by name (`wrap(owner, "attr",
 ...)`) and raises LookupError for a name the package no longer has, which
-fails every traced operation.  This module reads both trees with `ast` and
+fails every traced operation.  A `from .module import name` of such a
+function binds it where it stands, so a caller that imported it before the
+wrapping calls around the span.  This module reads both trees with `ast` and
 imports nothing from the package, so it runs even when the package cannot be
 imported."""
 
@@ -72,3 +75,25 @@ def test_traced_run_wraps_only_defined_names():
     missing = [f"traced.py:{line}: {owner}.{attr}" for line, owner, attr in wrapped
                if owner is None or f"{owner}.{attr}" not in defined]
     assert missing == [], "wrapped names the package does not define: " + ", ".join(missing)
+
+
+def _imported_names():
+    """(file:line, "module.name") of every `from .module import name` in the
+    package, at any depth."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                found += [(f"{path.name}:{node.lineno}", f"{node.module}.{a.name}")
+                          for a in node.names]
+    return found
+
+
+def test_package_calls_wrapped_functions_through_their_modules():
+    # a wrapped method lives on its class, which every import shares, so
+    # only functions of a module count
+    wrapped = {f"{owner}.{attr}" for _, owner, attr in _wrapped_names()
+               if owner is not None and "." not in owner}
+    assert "verifier.verify_entry" in wrapped, wrapped
+    bound = [f"{where}: {name}" for where, name in _imported_names() if name in wrapped]
+    assert bound == [], "wrapped functions imported by name: " + ", ".join(bound)

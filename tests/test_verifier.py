@@ -262,6 +262,19 @@ def test_bad_catalog_file_is_a_config_error(case, tmp_path, monkeypatch, capsys)
     assert captured.err.count("\n") == 1 and not captured.out
 
 
+def test_catalog_file_side_conditions_move_the_standard_point(tmp_path, monkeypatch):
+    # y - 2 vanishes at R9's first standard point: the commands that
+    # specialize there take the next point of the walk instead of refusing
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"schema_version": 1, "entries": [_r9_with("nonzero", ["y-2"])]}))
+    monkeypatch.setenv("M3DECOMP_CATALOG", str(path))
+    out = tmp_path / "out.json"
+    for argv in (["verify", "--all"], ["rb", "--entry", "R9", "--weight", "1"],
+                 ["invariants", "--entry", "R9", "--skip-remarks"]):
+        assert cli.main([*argv, "--output", str(out)]) == 0, argv
+    assert json.loads(out.read_text())["fingerprints"]["R9"]["specialized_at"] == {"y": 3}
+
+
 # case: (argv of a run the CLI must refuse before any check, the option named)
 _SPECIALIZED_R8 = ["verify", "--entry", "R8", "--mode", "specialized", "--seed", "1"]
 BAD_OPTIONS = {
