@@ -521,11 +521,9 @@ def entry_by_id(ident, entries=None):
     raise KeyError(ident)
 
 
-def save_catalog(entries, path):
-    doc = {"schema_version": SCHEMA_VERSION, "entries": [e.to_json() for e in entries]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def catalog_json(entries):
+    """The catalog file document of the entries, which load_catalog reads."""
+    return {"schema_version": SCHEMA_VERSION, "entries": [e.to_json() for e in entries]}
 
 
 def load_catalog(path):

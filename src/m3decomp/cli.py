@@ -192,6 +192,8 @@ def cmd_rb(args):
     results = []
     all_ok = True
     for e in chosen:
+        # a rational weight specializes each entry at its standard point
+        values = {} if weight is None else e.standard_values()
         r, rt = rota_baxter.rb_pair_for_entry(e, weight)
         ok, witness = rota_baxter.check_rb_identity(r)
         ok_t, _ = rota_baxter.check_rb_identity(rt)
@@ -203,6 +205,8 @@ def cmd_rb(args):
             "complement_identity_holds": comp,
             "complementary_operator_identity": ok_t,
         }
+        if values:
+            rec["specialized_at"] = values
         if args.emit_operators:
             rec["operator"] = r.to_json()
         if not ok:
@@ -221,11 +225,7 @@ def cmd_rb(args):
 
 def cmd_export(args):
     entries, _ = _chosen_entries(None)
-    doc = {
-        "schema_version": catalog.SCHEMA_VERSION,
-        "entries": [e.to_json() for e in entries],
-    }
-    return doc, True
+    return catalog.catalog_json(entries), True
 
 
 def cmd_derive_system(args):

@@ -61,10 +61,6 @@ class ConstraintViolated(M3DecompError):
         super().__init__(f"constraint violated: {polynomial} must not vanish")
 
 
-class DimensionMismatch(M3DecompError):
-    """Operand has the wrong dimension for this operation."""
-
-
 class NotSupported(M3DecompError):
     """Input is outside the supported range of an exact algorithm."""
 

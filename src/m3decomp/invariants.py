@@ -1,6 +1,10 @@
 """Structural invariants separating subalgebra orbits: radical tower, units,
 annihilator containments, idempotents, and the seven 2-dimensional types.
 
+`fingerprint` is the one entry point: it returns a `Fingerprint`, which
+reads its 2-dimensional type and names the first field that tells it apart
+from another fingerprint up to the transpose (`SEPARATORS`).
+
 All computations here are exact and over Q (a parametric span raises
 NotSupported).  A subalgebra is read through one table: the k^2 products
 b_i b_j of its echelon basis, formed once and written in the basis as
@@ -18,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import DimensionMismatch, DomainMismatch, NotSupported, SoundnessError
+from .errors import DomainMismatch, NotSupported, SoundnessError
 from .linalg import echelonize, kernel_basis, solve_linear
-from .matrices import Mat3, span
+from .matrices import Mat3
 from .scalars import exact, rational, rational_sqrt
 
 #: tr(x y) = sum over a of x[a] * y[_TRANSPOSED[a]] in flattened coordinates
@@ -136,30 +140,30 @@ class _Table:
         raise SoundnessError("the idempotent lift did not converge")
 
 
-def radical(s):
-    """Jacobson radical of a subalgebra of the matrix algebra:
-    {x in s : trace(x y) = 0 for all y in s} via the ambient trace form."""
-    rows = _rational_rows(s)
-    kern = kernel_basis(_gram(rows), len(rows))
-    return span([Mat3.from_coords(_flat(rows, x)) for x in kern] or [Mat3.zero()])
-
-
-def find_unit(s, side="two"):
-    """A (left/right/two-sided) unit of the subalgebra s, or None."""
-    tab = _Table(s).closed()
-    u = tab.unit(side)
-    return None if u is None else tab.mat(u)
+#: The fingerprint fields that can tell two algebras apart, under their
+#: report labels and in report order.  The transpose trades the two fields of
+#: a sided entry (left for right) and fixes every other field.
+SEPARATORS = (
+    ("dim", ("dim",)),
+    ("rad_dims", ("rad_dims",)),
+    ("ss_dim", ("ss_dim",)),
+    ("has_unit", ("has_unit",)),
+    ("idempotent_ranks", ("idempotent_ranks",)),
+    ("ann_radsq_has_idempotent", ("ann_radsq_has_idempotent",)),
+    ("one-sided units", ("has_left_unit", "has_right_unit")),
+    ("annihilator containments", ("rad_in_left_ann", "rad_in_right_ann")),
+)
 
 
 @dataclass(frozen=True)
 class Fingerprint:
     """Orbit-invariant summary of a subalgebra.
 
-    idempotent_ranks holds the full multiset of nonzero-idempotent matrix
-    ranks in dimension <= 2 (one generic rank per 1-parameter family) and the
-    rank of an identity-lift idempotent otherwise.  ann_radsq_has_idempotent
-    records whether the two-sided annihilator of rad^2 inside the algebra
-    contains a nonzero idempotent (equivalently, is non-nilpotent).
+    idempotent_ranks holds the set of nonzero-idempotent matrix ranks in
+    dimension <= 2 (one generic rank per 1-parameter family) and the rank of
+    an identity-lift idempotent otherwise.  ann_radsq_has_idempotent records
+    whether the two-sided annihilator of rad^2 inside the algebra contains a
+    nonzero idempotent (equivalently, is non-nilpotent).
     """
 
     dim: int
@@ -174,15 +178,25 @@ class Fingerprint:
     ann_radsq_has_idempotent: bool
 
     def swapped(self):
-        """The fingerprint of the transposed algebra: one-sided fields swap,
-        everything else is fixed."""
-        return replace(
-            self,
-            has_left_unit=self.has_right_unit,
-            has_right_unit=self.has_left_unit,
-            rad_in_left_ann=self.rad_in_right_ann,
-            rad_in_right_ann=self.rad_in_left_ann,
-        )
+        """The fingerprint of the transposed algebra: the two fields of each
+        sided SEPARATORS entry trade places, everything else is fixed."""
+        pairs = [fields for _, fields in SEPARATORS if len(fields) == 2]
+        return replace(self, **{a: getattr(self, b)
+                                for pair in pairs for a, b in (pair, pair[::-1])})
+
+    def separated_by(self, other):
+        """The label of the first SEPARATORS entry whose values in other
+        differ from those of this fingerprint and of its transpose; None when
+        the two agree in one orientation, and "fingerprint" when they agree
+        entry by entry but in no one orientation."""
+        flipped = self.swapped()
+        if other in (self, flipped):
+            return None
+        for label, fields in SEPARATORS:
+            values = [[getattr(fp, f) for f in fields] for fp in (other, self, flipped)]
+            if values[0] not in values[1:]:
+                return label
+        return "fingerprint"
 
     def two_dim_type(self):
         """The type D1..D7 of a 2-dimensional algebra with this fingerprint:
@@ -202,7 +216,7 @@ def fingerprint(s):
     tab = _Table(s)
     # in dim <= 2 the idempotents come first: their checks name the product
     # that leaves a span which is not closed
-    ranks = _idempotents(tab).all_ranks() if tab.k <= 2 else None
+    ranks = _idempotents(tab) if tab.k <= 2 else None
     rad = tab.closed().rad
     rad2 = echelonize([tab.mul(x, y) for x in rad for y in rad]).rows
     rad3 = echelonize([tab.mul(x, y) for x in rad for y in rad2]).rows
@@ -221,7 +235,7 @@ def fingerprint(s):
         has_right_unit=tab.unit("right") is not None,
         rad_in_left_ann=not any(any(tab.mul(b, r)) for b in tab.basis for r in rad),
         rad_in_right_ann=not any(any(tab.mul(r, b)) for b in tab.basis for r in rad),
-        idempotent_ranks=tuple(sorted(ranks)),
+        idempotent_ranks=tuple(sorted(set(ranks))),
         ann_radsq_has_idempotent=any(any(row) for row in _gram(ann)),
     )
 
@@ -230,63 +244,31 @@ def matrix_rank(m):
     return echelonize([list(r) for r in m.rows]).rank
 
 
-def principal_idempotent(s):
-    """An idempotent of s lifting the identity of s/rad (None when s is
-    nilpotent).  All such lifts are conjugate, so the rank is an invariant."""
-    return _Table(s).closed().principal_idempotent()
-
-
 # ---------------------------------------------------------------------------
 # idempotents in small dimension
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdempotentFamily:
-    """base + t*direction is idempotent for every scalar t."""
-
-    base: Mat3
-    direction: Mat3
-    generic_rank: int
-
-
-@dataclass(frozen=True)
-class Idempotents:
-    points: tuple          # (Mat3, rank) pairs
-    families: tuple        # IdempotentFamily
-
-    def all_ranks(self):
-        ranks = [r for (_, r) in self.points]
-        ranks += [f.generic_rank for f in self.families]
-        return tuple(sorted(set(ranks)))
-
-
-def idempotents(s):
-    """All nonzero idempotents of a subalgebra of dimension <= 2 over Q."""
-    if s.dim > 2:
-        raise NotSupported("exact idempotent enumeration is limited to dim <= 2 over Q")
-    return _idempotents(_Table(s))
-
-
-def _points(tab, elements):
-    """(matrix, rank) for each element, each checked to be idempotent."""
-    out = []
+def _ranks(tab, elements):
+    """The matrix rank of each element, each checked to be idempotent."""
+    ranks = []
     for x in elements:
         if tab.mul(x, x) != x:
             raise SoundnessError("a computed idempotent does not square to itself")
-        m = tab.mat(x)
-        out.append((m, matrix_rank(m)))
-    return tuple(out)
+        ranks.append(matrix_rank(tab.mat(x)))
+    return ranks
 
 
 def _idempotents(tab):
+    """The ranks of the nonzero idempotents of a table of dimension <= 2,
+    with one generic rank for a 1-parameter family of them."""
     if len(tab.rad) == tab.k:
-        return Idempotents((), ())
+        return []
     if tab.k == 1:
         # closure gives b^2 = c b, with c != 0 as b is not nilpotent
         c = tab.c[0][0]
         if c is None:
             raise SoundnessError("the scaled generator is not idempotent")
-        return Idempotents(_points(tab, [[1 / c[0]]]), ())
+        return _ranks(tab, [[1 / c[0]]])
     if not tab.rad:
         return _idempotents_semisimple2(tab)
     # one-dimensional radical n: normalize u, the first basis element outside
@@ -305,10 +287,11 @@ def _idempotents(tab):
     if sigma + tau == 1:
         if mu != 0:
             raise SoundnessError("idempotent lifting forces the mixed case to be exact")
+        # u + t n is idempotent for every scalar t
         base, direction = tab.mat(u), tab.mat(n)
         generic = max(matrix_rank(base + direction.scale(t)) for t in (0, 1, -1, 2, -2, 3, 4))
-        return Idempotents(_points(tab, [u]), (IdempotentFamily(base, direction, generic),))
-    return Idempotents(_points(tab, [_comb(1, u, mu / (1 - sigma - tau), n)]), ())
+        return _ranks(tab, [u]) + [generic]
+    return _ranks(tab, [_comb(1, u, mu / (1 - sigma - tau), n)])
 
 
 def _idempotents_semisimple2(tab):
@@ -324,11 +307,11 @@ def _idempotents_semisimple2(tab):
         raise SoundnessError("separable quadratic expected in a semisimple algebra")
     root = rational_sqrt(disc)
     if root is None:
-        return Idempotents(_points(tab, [unit]), ())
+        return _ranks(tab, [unit])
     # e1 = (w - r2) / (r1 - r2) for the roots r1, r2 = (a +- root) / 2
     e1 = _comb(1 / root, w, (root - a) / (2 * root), unit)
     e2 = _comb(1, unit, -1, e1)
-    return Idempotents(_points(tab, [e for e in (e1, e2, unit) if any(e)]), ())
+    return _ranks(tab, [e for e in (e1, e2, unit) if any(e)])
 
 
 _LEAVES = "a product leaves the span of its two factors"
@@ -342,15 +325,3 @@ def _solve_in(target, vectors, message):
     if sol is None:
         raise SoundnessError(message)
     return sol
-
-
-# ---------------------------------------------------------------------------
-# 2-dimensional type classification
-# ---------------------------------------------------------------------------
-
-def classify_2dim(s):
-    """The isomorphism type D1..D7 of a 2-dimensional subalgebra over Q, read
-    off its fingerprint (`Fingerprint.two_dim_type`)."""
-    if s.dim != 2:
-        raise DimensionMismatch(f"expected a 2-dimensional subalgebra, got dim {s.dim}")
-    return fingerprint(s).two_dim_type()

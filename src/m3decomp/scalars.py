@@ -181,12 +181,6 @@ class PolynomialRing:
     def __repr__(self):
         return "Q[" + ",".join(self.names) + "]"
 
-    def __eq__(self, other):
-        return isinstance(other, PolynomialRing) and other.names == self.names
-
-    def __hash__(self):
-        return hash(("ring", self.names))
-
 
 class MultiPoly:
     """A sparse multivariate polynomial over Q.
@@ -448,12 +442,6 @@ def first_violation(constraints, assignment):
         if all(q.eval(assignment) == 0 for q in pair):
             return pair
     return None
-
-
-def constraint_satisfied(constraints, assignment):
-    """True iff every nonzero polynomial evaluates nonzero and every
-    not-both-zero pair has a nonzero member."""
-    return first_violation(constraints, assignment) is None
 
 
 def certified_nonzero(scalar, constraints=EMPTY_CONSTRAINTS):

@@ -303,10 +303,10 @@ def orbit_partition_fp(solutions, pattern_name, p):
     image outside the solutions, or one already in another orbit, raises
     GroupMismatch.
 
-    Returns (labels, orbits): labels[i] is the least member index of the
-    orbit of solution i; orbits maps each such index to itself (for the
-    solver's sorted solutions, that member is the orbit's canonical,
-    lexicographically least representative).
+    Returns (labels, roots): labels[i] is the least member index of the
+    orbit of solution i, and roots lists those indices in increasing order,
+    one per orbit (for the solver's sorted solutions, that member is the
+    orbit's canonical, lexicographically least representative).
     """
     family, twist = PRESERVING[get_pattern(pattern_name).complement_id]
     gf = _gf(p)
@@ -318,7 +318,7 @@ def orbit_partition_fp(solutions, pattern_name, p):
     sols = np.asarray(solutions)
     find = _row_index(sols)
     labels = np.full(len(sols), -1, dtype=np.int64)
-    orbits = {}
+    roots = []
     for i in range(len(sols)):
         if labels[i] >= 0:
             continue
@@ -330,8 +330,8 @@ def orbit_partition_fp(solutions, pattern_name, p):
             if not np.isin(labels[members], (-1, i)).all():
                 raise GroupMismatch("the maps do not form a group: two orbits meet")
             labels[members] = i
-        orbits[i] = i
-    return labels, orbits
+        roots.append(i)
+    return labels, roots
 
 
 def _specializations(pattern_name, gf):
@@ -397,7 +397,7 @@ def coverage_report(pattern_name, p, explain=True):
     PatternMismatch."""
     pat = get_pattern(pattern_name)
     sols = enumerate_complements_fp(pattern_name, p)
-    labels, orbits = orbit_partition_fp(sols, pattern_name, p)
+    labels, roots = orbit_partition_fp(sols, pattern_name, p)
     specs = catalog_specializations_fp(pattern_name, p)
     found = _row_index(sols)(np.array([c for *_, c in specs]).reshape(len(specs), len(pat.params)))
     if (found < 0).any():
@@ -405,8 +405,10 @@ def coverage_report(pattern_name, p, explain=True):
         raise PatternMismatch(f"{eid} specialization missing from the enumeration")
     matched_roots = set(labels[found].tolist())
     unmatched = []
-    for root in sorted(orbits.keys() - matched_roots):
-        member = sols[orbits[root]]
+    for root in roots:
+        if root in matched_roots:
+            continue
+        member = sols[root]
         record = {"cells": dict(zip(pat.params, member.tolist())), "raw": member.tolist()}
         if explain:
             record["explained_by_quadratic_extension"] = explain_unmatched(pattern_name, p, member)
@@ -417,7 +419,7 @@ def coverage_report(pattern_name, p, explain=True):
         "free_cells": list(pat.params),
         "fixed_zeros": pat.fixed_zeros,
         "total_solutions": int(sols.shape[0]),
-        "orbit_count": len(orbits),
+        "orbit_count": len(roots),
         "matched": len(matched_roots),
         "matched_orbits": len(matched_roots),
         "orbit_sizes": sorted(np.unique(labels, return_counts=True)[1].tolist(), reverse=True),

@@ -16,7 +16,7 @@ from .errors import NotSupported, UndecidedPivot
 from .fpsolve import solution_set
 from .matrices import is_direct_sum
 from .patterns import REFERENCE_SYSTEMS, reference_system
-from .scalars import constraint_satisfied
+from .scalars import first_violation
 
 
 @dataclass
@@ -57,7 +57,7 @@ def sample_assignment(entry, rng):
     _DRAWS draws finds one (the side conditions may hold nowhere there)."""
     for _ in range(_DRAWS):
         values = {p: rng.randint(-10, 10) for p in entry.params}
-        if constraint_satisfied(entry.constraints, values):
+        if first_violation(entry.constraints, values) is None:
             return values
     raise NotSupported(f"entry {entry.id}: no draw of {_DRAWS} in [-10, 10] meets its constraints")
 
@@ -161,31 +161,12 @@ def _fingerprints(given, prefix, keys):
             for i in (f"{prefix}{k}" for k in keys)}
 
 
-def _first_separator(fp_a, fp_b):
-    """The first fingerprint field separating two algebras up to the
-    transpose field swap, or None."""
-    if fp_a == fp_b or fp_a == fp_b.swapped():
-        return None
-    for name in ("dim", "rad_dims", "ss_dim", "has_unit", "idempotent_ranks",
-                 "ann_radsq_has_idempotent"):
-        if getattr(fp_a, name) != getattr(fp_b, name):
-            return name
-    sided_a = {(fp_a.has_left_unit, fp_a.has_right_unit),
-               (fp_a.has_right_unit, fp_a.has_left_unit)}
-    if (fp_b.has_left_unit, fp_b.has_right_unit) not in sided_a:
-        return "one-sided units"
-    ann_a = {(fp_a.rad_in_left_ann, fp_a.rad_in_right_ann),
-             (fp_a.rad_in_right_ann, fp_a.rad_in_left_ann)}
-    if (fp_b.rad_in_left_ann, fp_b.rad_in_right_ann) not in ann_a:
-        return "annihilator containments"
-    return "fingerprint"
-
-
 def _pairwise_report(fps):
-    """Every pair of fingerprints with its first separating field (None when
-    none separates it), and whether every pair is separated."""
+    """Every pair of fingerprints with the label of its first separating
+    field (`Fingerprint.separated_by`; None when none separates it), and
+    whether every pair is separated."""
     keys = sorted(fps)
-    pairs = [{"pair": [a, b], "separated_by": _first_separator(fps[a], fps[b])}
+    pairs = [{"pair": [a, b], "separated_by": fps[a].separated_by(fps[b])}
              for i, a in enumerate(keys) for b in keys[i + 1:]]
     return pairs, all(rec["separated_by"] is not None for rec in pairs)
 

@@ -8,9 +8,9 @@ from m3decomp.catalog import (
     CatalogEntry,
     ComplementDef,
     builtin_catalog,
+    catalog_json,
     entry_by_id,
     load_catalog,
-    save_catalog,
 )
 from m3decomp.errors import ConstraintViolated, NotSupported, ParseError, SchemaError
 from m3decomp.matrices import Mat3, Subspace, is_direct_sum, span
@@ -200,7 +200,7 @@ def test_lemma5_records():
 def test_roundtrip(tmp_path):
     path = tmp_path / "catalog.json"
     entries = builtin_catalog()
-    save_catalog(entries, path)
+    path.write_text(json.dumps(catalog_json(entries)))
     loaded = load_catalog(path)
     assert len(loaded) == 71
     assert loaded == entries

@@ -1,20 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from m3decomp.catalog import LEMMA5_SUBALGEBRAS, builtin_catalog, entry_by_id
-from m3decomp.errors import DimensionMismatch, NotSupported, SoundnessError
-from m3decomp.invariants import (
-    _Table,
-    classify_2dim,
-    find_unit,
-    fingerprint,
-    idempotents,
-    matrix_rank,
-    principal_idempotent,
-    radical,
-)
+from m3decomp.errors import NotSupported, SoundnessError
+from m3decomp.invariants import Fingerprint, _Table, fingerprint, matrix_rank
 from m3decomp.maps import apply_map, family_map, transpose_map
 from m3decomp.matrices import Mat3, span
 
@@ -31,12 +23,13 @@ def s_of(ident):
 
 def test_radical_full_matrix_algebra():
     full = span([e(i, j) for i in (1, 2, 3) for j in (1, 2, 3)])
-    assert radical(full).dim == 0
+    assert _Table(full).rad == []
 
 
 def test_radical_m7():
     m7 = span([e(1, 1), e(1, 2), e(1, 3), e(2, 2), e(2, 3), e(3, 2), e(3, 3)])
-    rad = radical(m7)
+    tab = _Table(m7)
+    rad = span([tab.mat(x) for x in tab.rad])
     assert rad.dim == 2
     assert rad.same_space(span([e(1, 2), e(1, 3)]))
     # oracle: span{e12,e13} is a nilpotent ideal and the quotient dims fit
@@ -50,7 +43,8 @@ def test_radical_m7():
 
 def test_radical_upper_triangular():
     upper = span([e(1, 1), e(1, 2), e(1, 3), e(2, 2), e(2, 3), e(3, 3)])
-    rad = radical(upper)
+    tab = _Table(upper)
+    rad = span([tab.mat(x) for x in tab.rad])
     assert rad.dim == 3
     assert rad.same_space(span([e(1, 2), e(1, 3), e(2, 3)]))
 
@@ -58,8 +52,9 @@ def test_radical_upper_triangular():
 def test_radical_is_nilpotent_ideal_catalog_sample():
     for ident in ("T2", "X6", "Z2", "V4"):
         S = s_of(ident)
-        rad = radical(S)
-        rb = [m for m in rad.basis_mats() if not m.is_zero()]
+        tab = _Table(S)
+        rb = [tab.mat(x) for x in tab.rad]
+        rad = span(rb)
         for g in S.generators:
             for r in rb:
                 assert rad.contains(g @ r)
@@ -69,28 +64,24 @@ def test_radical_is_nilpotent_ideal_catalog_sample():
 def test_classify_2dim_remark1():
     expected = {f"R{k}": f"D{k}" for k in range(1, 8)}
     for ident, d in expected.items():
-        assert classify_2dim(s_of(ident)) == d
+        assert fingerprint(s_of(ident)).two_dim_type() == d
 
 
 def test_classify_2dim_examples():
-    assert classify_2dim(span([e(2, 1), e(3, 1)])) == "D1"
+    assert fingerprint(span([e(2, 1), e(3, 1)])).two_dim_type() == "D1"
     s = span([e(2, 1), e(3, 1) + e(2, 3)])
-    assert classify_2dim(s) == "D2"
+    assert fingerprint(s).two_dim_type() == "D2"
     g = e(3, 1) + e(2, 3)
     assert g @ g == e(2, 1)
-    assert classify_2dim(span([e(2, 1) + e(2, 2), e(3, 1) + e(3, 2)])) == "D6"
-
-
-def test_classify_2dim_dimension_check():
-    with pytest.raises(DimensionMismatch):
-        classify_2dim(span([e(1, 1)]))
+    d6 = span([e(2, 1) + e(2, 2), e(3, 1) + e(3, 2)])
+    assert fingerprint(d6).two_dim_type() == "D6"
 
 
 def test_classify_2dim_basis_change_invariant():
     rng = random.Random(21)
     for ident in ("R4", "R5", "R6", "R8"):
         s = s_of(ident)
-        tag = classify_2dim(s)
+        tag = fingerprint(s).two_dim_type()
         g1, g2 = s.generators
         for _ in range(10):
             while True:
@@ -98,33 +89,21 @@ def test_classify_2dim_basis_change_invariant():
                 if a * d - b * c != 0:
                     break
             t = span([g1.scale(a) + g2.scale(b), g1.scale(c) + g2.scale(d)])
-            assert classify_2dim(t) == tag
+            assert fingerprint(t).two_dim_type() == tag
 
 
 def test_idempotents_r5_r6():
-    r5 = idempotents(s_of("R5"))
-    u = e(2, 1) + e(2, 2) + e(3, 3)
-    assert any(pt == u for pt, _ in r5.points)
-    assert r5.all_ranks() == (2,)
-    assert any(f.base + f.direction.scale(7) == u + e(3, 1).scale(7) for f in r5.families)
-    r6 = idempotents(s_of("R6"))
-    assert any(pt == e(2, 1) + e(2, 2) for pt, _ in r6.points)
-    assert r6.all_ranks() == (1,)
+    assert fingerprint(s_of("R5")).idempotent_ranks == (2,)
+    assert fingerprint(s_of("R6")).idempotent_ranks == (1,)
 
 
 def test_idempotents_nilpotent_empty():
-    assert idempotents(span([e(2, 1), e(3, 1)])).points == ()
+    assert fingerprint(span([e(2, 1), e(3, 1)])).idempotent_ranks == ()
 
 
 def test_idempotents_d7_split():
-    ids = idempotents(s_of("R7"))
-    assert len(ids.points) == 3
-    assert ids.all_ranks() == (1, 2)
-
-
-def test_idempotents_dim_limit():
-    with pytest.raises(NotSupported):
-        idempotents(s_of("T1") if s_of("T1").dim > 2 else s_of("X1"))
+    # e1, e2 and their sum, the unit
+    assert fingerprint(s_of("R7")).idempotent_ranks == (1, 2)
 
 
 def test_fingerprint_t_cases():
@@ -209,20 +188,20 @@ def test_one_sided_units():
     # e11 is a left unit of span(e11, e12) and a right unit of span(e11, e21);
     # neither span has a unit on the other side, nor a two-sided one
     for gens, side in (([e(1, 1), e(1, 2)], "left"), ([e(1, 1), e(2, 1)], "right")):
-        s = span(gens)
+        tab = _Table(span(gens))
         other = "right" if side == "left" else "left"
-        assert find_unit(s, side) == e(1, 1)
-        assert find_unit(s, other) is None
-        assert find_unit(s, "two") is None
+        assert tab.mat(tab.unit(side)) == e(1, 1)
+        assert tab.unit(other) is None
+        assert tab.unit("two") is None
 
 
 def test_principal_idempotent_ranks():
-    assert matrix_rank(principal_idempotent(s_of("X4"))) == 2
-    assert matrix_rank(principal_idempotent(s_of("X1"))) == 1
-    assert principal_idempotent(span([e(2, 1), e(3, 1)])) is None
+    assert matrix_rank(_Table(s_of("X4")).principal_idempotent()) == 2
+    assert matrix_rank(_Table(s_of("X1")).principal_idempotent()) == 1
+    assert _Table(span([e(2, 1), e(3, 1)])).principal_idempotent() is None
     for ident in ("T5", "V1", "Y8"):
         s = s_of(ident)
-        u = principal_idempotent(s)
+        u = _Table(s).principal_idempotent()
         assert u is not None and (u @ u) == u and s.contains(u)
 
 
@@ -239,14 +218,13 @@ def test_principal_idempotent_ranks():
 def test_soundness_checks_reject_non_closed_spans(gens, message):
     s = span(gens)
     assert not s.is_subalgebra()[0]
-    for check in (idempotents, fingerprint):
-        with pytest.raises(SoundnessError, match=message):
-            check(s)
+    with pytest.raises(SoundnessError, match=message):
+        fingerprint(s)
 
 
 def test_fingerprint_rejects_non_closed_span_of_dim_3():
-    # e12 e23 = e13 leaves the span; idempotents does not take dim 3, so the
-    # table's closure check is what rejects it
+    # e12 e23 = e13 leaves the span; the idempotents of dim <= 2 are not
+    # computed for dim 3, so the table's closure check is what rejects it
     s = span([e(1, 1), e(1, 2), e(2, 3)])
     with pytest.raises(SoundnessError, match="leaves the span"):
         fingerprint(s)
@@ -255,14 +233,14 @@ def test_fingerprint_rejects_non_closed_span_of_dim_3():
 def test_constant_polynomial_entries_read_as_rationals():
     # R5 has no parameters, but its symbolic span holds constant polynomials
     symbolic = entry_by_id("R5").s_subspace()
-    assert fingerprint(symbolic) == fingerprint(s_of("R5"))
-    assert classify_2dim(symbolic) == "D5"
-    assert idempotents(symbolic).all_ranks() == (2,)
+    fp = fingerprint(symbolic)
+    assert fp == fingerprint(s_of("R5"))
+    assert fp.two_dim_type() == "D5" and fp.idempotent_ranks == (2,)
 
 
 def test_parametric_span_is_not_supported():
     s = entry_by_id("R8").s_subspace()
-    for check in (fingerprint, classify_2dim, idempotents, radical):
+    for check in (fingerprint, _Table):
         with pytest.raises(NotSupported):
             check(s)
 
@@ -308,7 +286,58 @@ def test_structure_constants_and_trace_form_nilpotency():
         # a nilpotent subalgebra of M3 is strictly upper triangular up to
         # conjugacy, so it is nilpotent exactly when s^3 = 0
         cube_zero = all((x @ y @ z).is_zero() for x in basis for y in basis for z in basis)
-        assert (radical(s).dim == s.dim) == cube_zero, ident
+        assert (len(tab.rad) == tab.k) == cube_zero, ident
         if cube_zero:
             nilpotent.add(ident)
     assert {"R1", "R2", "T1"} <= nilpotent < set(subs)
+
+
+#: a fingerprint with every sided field False, so that turning one on
+#: separates it
+_BASE = Fingerprint(
+    dim=3, rad_dims=(2, 1, 0), ss_dim=1, has_unit=False, has_left_unit=False,
+    has_right_unit=False, rad_in_left_ann=False, rad_in_right_ann=False,
+    idempotent_ranks=(1,), ann_radsq_has_idempotent=False,
+)
+
+
+@pytest.mark.parametrize("label, changes", [
+    ("dim", {"dim": 4}),
+    ("rad_dims", {"rad_dims": (2, 0, 0)}),
+    ("ss_dim", {"ss_dim": 2}),
+    ("has_unit", {"has_unit": True}),
+    ("idempotent_ranks", {"idempotent_ranks": (1, 2)}),
+    ("ann_radsq_has_idempotent", {"ann_radsq_has_idempotent": True}),
+    ("one-sided units", {"has_left_unit": True}),
+    ("one-sided units", {"has_right_unit": True}),
+    ("annihilator containments", {"rad_in_left_ann": True}),
+    ("annihilator containments", {"rad_in_right_ann": True}),
+    # the first separating entry is named, whatever follows it
+    ("ss_dim", {"ss_dim": 2, "has_unit": True, "has_left_unit": True}),
+    ("one-sided units", {"has_left_unit": True, "rad_in_right_ann": True}),
+])
+def test_separated_by_names_the_first_separating_entry(label, changes):
+    other = replace(_BASE, **changes)
+    assert _BASE.separated_by(other) == label
+    assert other.separated_by(_BASE) == label
+
+
+def test_separated_by_is_none_in_either_orientation():
+    left = replace(_BASE, has_left_unit=True, rad_in_right_ann=True)
+    assert left.separated_by(left) is None
+    assert left.separated_by(left.swapped()) is None
+    assert left.swapped() == replace(_BASE, has_right_unit=True, rad_in_left_ann=True)
+
+
+def test_separated_by_falls_back_to_the_whole_fingerprint():
+    # the units agree as they stand and the annihilator containments after
+    # the transpose, but no one orientation matches both
+    a = replace(_BASE, has_left_unit=True, rad_in_left_ann=True)
+    b = replace(_BASE, has_left_unit=True, rad_in_right_ann=True)
+    assert a.separated_by(b) == "fingerprint"
+    assert b.separated_by(a) == "fingerprint"
+
+
+def test_separated_by_t4_t6_only_up_to_the_transpose():
+    t4, t6 = fingerprint(s_of("T4")), fingerprint(s_of("T6"))
+    assert t4 != t6 and t4.separated_by(t6) is None

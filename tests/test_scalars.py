@@ -9,7 +9,7 @@ from m3decomp.scalars import (
     PolynomialRing,
     certified_nonzero,
     exact,
-    constraint_satisfied,
+    first_violation,
     leading_coefficient,
     parse_poly,
     poly_to_string,
@@ -89,16 +89,17 @@ def test_poly_eval_is_ring_homomorphism_randomized():
 
 
 def test_constraint_satisfied():
+    # first_violation names the broken side condition, or None when all hold
     R = ring("f")
     f = R.gen("f")
-    assert constraint_satisfied(ConstraintSet([f]), {"f": 1})
+    assert first_violation(ConstraintSet([f]), {"f": 1}) is None
     Ry = ring("y")
     y = Ry.gen("y")
-    assert not constraint_satisfied(ConstraintSet([y]), {"y": 0})
+    assert first_violation(ConstraintSet([y]), {"y": 0}) == y
     Reu = ring("e", "u")
     e, u = Reu.gens()
-    assert not constraint_satisfied(ConstraintSet([], [(e, u)]), {"e": 0, "u": 0})
-    assert constraint_satisfied(ConstraintSet([], [(e, u)]), {"e": 0, "u": 2})
+    assert first_violation(ConstraintSet([], [(e, u)]), {"e": 0, "u": 0}) == (e, u)
+    assert first_violation(ConstraintSet([], [(e, u)]), {"e": 0, "u": 2}) is None
 
 
 def test_certified_nonzero():

@@ -275,6 +275,19 @@ def test_catalog_file_side_conditions_move_the_standard_point(tmp_path, monkeypa
     assert json.loads(out.read_text())["fingerprints"]["R9"]["specialized_at"] == {"y": 3}
 
 
+def test_rb_records_where_a_rational_weight_specialized(tmp_path, monkeypatch):
+    # the point rb --weight 1 builds R9's operators at, on the standard walk
+    # past y - 2; a symbolic run specializes nothing and records no point
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"schema_version": 1, "entries": [_r9_with("nonzero", ["y-2"])]}))
+    monkeypatch.setenv("M3DECOMP_CATALOG", str(path))
+    out = tmp_path / "out.json"
+    for weight, point in (("1", {"y": 3}), ("symbolic", None)):
+        assert cli.main(["rb", "--entry", "R9", "--weight", weight, "--output", str(out)]) == 0
+        (record,) = json.loads(out.read_text())["operators"]
+        assert record.get("specialized_at") == point, weight
+
+
 # case: (argv of a run the CLI must refuse before any check, the option named)
 _SPECIALIZED_R8 = ["verify", "--entry", "R8", "--mode", "specialized", "--seed", "1"]
 BAD_OPTIONS = {
