@@ -96,9 +96,6 @@ COMPLEMENTS = {
     ),
 }
 
-#: the six 5-dimensional subalgebras, keyed by their list position
-LEMMA5_SUBALGEBRAS = {k: COMPLEMENTS[f"L5_{k}"] for k in range(1, 7)}
-
 
 def _field(name, ident, build):
     """build() for one field of entry ident; a malformed value (a bad or
@@ -513,9 +510,8 @@ def builtin_catalog():
     return list(_BUILTIN)
 
 
-def entry_by_id(ident, entries=None):
-    entries = builtin_catalog() if entries is None else entries
-    for e in entries:
+def entry_by_id(ident):
+    for e in builtin_catalog():
         if e.id == ident:
             return e
     raise KeyError(ident)

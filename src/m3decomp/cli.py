@@ -156,6 +156,8 @@ def cmd_search(args):
 def cmd_invariants(args):
     for p in args.sweep_primes:
         check_prime(p)
+    if len(set(args.sweep_primes)) < len(args.sweep_primes):
+        raise M3DecompError("--sweep-primes names a prime twice")
     chosen, cat_path = _chosen_entries(args.entry)
     table, fps = {}, {}
     for e in chosen:

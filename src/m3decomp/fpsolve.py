@@ -86,8 +86,3 @@ def solve_system_fp(polys, names, p, budget=DEFAULT_BUDGET):
     result = frontier[:, [pos[v] for v in range(len(names))]]
     return result[np.lexsort(result.T[::-1])]
 
-
-def solution_set(polys, names, p):
-    """The solution set as a frozenset of int tuples."""
-    arr = solve_system_fp(polys, names, p)
-    return frozenset(map(tuple, arr.tolist()))

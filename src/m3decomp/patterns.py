@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import functools
 
-from .errors import PatternMismatch, SingularMatrix, UndecidedPivot
-from .linalg import ff_inverse, kernel_basis
+from .errors import PatternMismatch
+from .linalg import echelonize, solve_linear
 from .matrices import COORD_INDEX, Mat3
 from .scalars import PolynomialRing, parse_poly
 
@@ -90,20 +90,12 @@ class PivotPattern:
         self._system_cache = {}
 
     def _compute_functionals(self):
-        comp = COMPLEMENTS[self.complement_id]
-        ann = kernel_basis([list(g.coords()) for g in comp.generators], 9)
-        k = self.gen_count
-        if len(ann) != k:
-            raise PatternMismatch(
-                f"complement annihilator has dimension {len(ann)}, expected {k}"
-            )
-        b_mat = [[sum(f[t] * base[t] for t in range(9)) for base in self.base] for f in ann]
-        try:
-            numer, det = ff_inverse(b_mat)
-        except (SingularMatrix, UndecidedPivot) as exc:
-            raise PatternMismatch(f"pivot parts do not complete a basis: {exc}") from exc
-        funcs = [[sum(numer[j][a] * ann[a][t] for a in range(k)) / det for t in range(9)]
-                 for j in range(k)]
+        # functional j is 1 on generator j and 0 on the other generators and
+        # on the complement: the solution f of rows f = e_j, unique at rank 9
+        rows = self.base + [list(g.coords()) for g in COMPLEMENTS[self.complement_id].generators]
+        if len(rows) != 9 or echelonize(rows).rank != 9:
+            raise PatternMismatch("pivot parts do not complete a basis of the complement")
+        funcs = [solve_linear(rows, [int(i == j) for i in range(9)]) for j in range(self.gen_count)]
         integral = [[int(x) for x in row] for row in funcs]
         if integral != funcs:
             raise PatternMismatch(f"pattern {self.name!r} has non-integral dual functionals")

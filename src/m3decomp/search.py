@@ -36,7 +36,7 @@ from collections import Counter
 import numpy as np
 
 from .catalog import COMPLEMENTS, builtin_catalog, entry_by_id
-from .errors import BudgetExceeded, GroupMismatch, PatternMismatch
+from .errors import BudgetExceeded, GroupMismatch, NotSupported, PatternMismatch
 from .fpsolve import solve_system_fp
 from .gfq import GFq
 from .maps import FAMILIES, PRESERVING
@@ -386,6 +386,15 @@ KNOWN_CAVEATS = {
     ),
 }
 
+#: slices known to miss orbits at a prime, where a clean report would hide an
+#: orbit; coverage_report refuses them
+INCOMPLETE_SLICES = {
+    ("t8", 2): (
+        "the pinned zeros d = e = p = 0 do not hold in characteristic 2, and "
+        "the slice misses two orbits of unital complements of L5_6"
+    ),
+}
+
 
 def coverage_report(pattern_name, p, explain=True):
     """Enumerate, partition into orbits, and match against the catalog.
@@ -394,7 +403,10 @@ def coverage_report(pattern_name, p, explain=True):
     set, each is re-swept over GF(p^2) and flagged explained when the orbit
     merges with a catalog specialization there (a quadratic obstruction).
     A catalog specialization missing from the enumeration raises
-    PatternMismatch."""
+    PatternMismatch; a slice in INCOMPLETE_SLICES raises NotSupported."""
+    gap = INCOMPLETE_SLICES.get((pattern_name, p))
+    if gap is not None:
+        raise NotSupported(f"pattern {pattern_name} at p = {p}: {gap}")
     pat = get_pattern(pattern_name)
     sols = enumerate_complements_fp(pattern_name, p)
     labels, roots = orbit_partition_fp(sols, pattern_name, p)
@@ -467,14 +479,18 @@ def explain_unmatched(pattern_name, p, rep_cells):
 # independent slow oracle and the T4/T6 sweep
 # ---------------------------------------------------------------------------
 
-def slow_cube_solutions(pattern_name, p, budget=20000):
+#: assignments the slow oracle iterates at most
+_SLOW_BUDGET = 20000
+
+
+def slow_cube_solutions(pattern_name, p):
     """Unpruned reference enumeration: iterate the full assignment cube and
     test closure directly, without the closure system: every product of two
     generators must lie in the generators' row space mod p."""
     pat = get_pattern(pattern_name)
     pdata = _pdata(pattern_name)
     c = len(pat.params)
-    if p ** c > budget:
+    if p ** c > _SLOW_BUDGET:
         raise BudgetExceeded(f"{p}^{c} assignments exceed the slow-oracle budget")
     sols = []
     for cells in itertools.product(range(p), repeat=c):

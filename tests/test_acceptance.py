@@ -73,8 +73,8 @@ def test_criterion_2_full_symbolic_verification():
     t0 = time.monotonic()
     reports = [verify_entry(e, mode="symbolic") for e in builtin_catalog()]
     elapsed = time.monotonic() - t0
-    failed = [r.entry_id for r in reports if not r.passed]
-    downgraded = [r.entry_id for r in reports if r.warning]
+    failed = [r.entry for r in reports if not r.passed]
+    downgraded = [r.entry for r in reports if r.warning]
     ok = not failed and not downgraded and elapsed < 60.0
     _line(2, ok, f"all 71 symbolic, no undecided pivots, {elapsed:.1f}s")
     assert not failed, failed

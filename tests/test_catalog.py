@@ -4,7 +4,6 @@ import pytest
 
 from m3decomp.catalog import (
     COMPLEMENTS,
-    LEMMA5_SUBALGEBRAS,
     CatalogEntry,
     ComplementDef,
     builtin_catalog,
@@ -187,7 +186,8 @@ def test_complement_dims():
 
 def test_lemma5_records():
     unital = []
-    for k, comp in LEMMA5_SUBALGEBRAS.items():
+    for k in range(1, 7):
+        comp = COMPLEMENTS[f"L5_{k}"]
         sub = comp.subspace()
         assert sub.dim == 5
         assert sub.is_subalgebra()[0]

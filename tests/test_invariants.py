@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from m3decomp.catalog import LEMMA5_SUBALGEBRAS, builtin_catalog, entry_by_id
+from m3decomp.catalog import COMPLEMENTS, builtin_catalog, entry_by_id
 from m3decomp.errors import NotSupported, SoundnessError
 from m3decomp.invariants import Fingerprint, _Table, fingerprint, matrix_rank
 from m3decomp.maps import apply_map, family_map, transpose_map
@@ -149,8 +149,8 @@ def test_fingerprint_z_cases():
 
 def test_fingerprint_lemma5_separation():
     fps = {}
-    for k, comp in LEMMA5_SUBALGEBRAS.items():
-        fps[k] = fingerprint(comp.subspace())
+    for k in range(1, 7):
+        fps[k] = fingerprint(COMPLEMENTS[f"L5_{k}"].subspace())
     # unique semisimple, unique 2-dim radical, two non-unital ones
     assert [k for k in fps if fps[k].rad_dims[0] == 0] == [1]
     assert [k for k in fps if fps[k].rad_dims[0] == 2] == [2]
@@ -272,7 +272,7 @@ def test_catalog_fingerprints_form_few_matrix_products(monkeypatch):
 
 def test_structure_constants_and_trace_form_nilpotency():
     subs = _catalog_subalgebras()
-    subs.update({f"L5_{k}": c.subspace() for k, c in LEMMA5_SUBALGEBRAS.items()})
+    subs.update({f"L5_{k}": COMPLEMENTS[f"L5_{k}"].subspace() for k in range(1, 7)})
     nilpotent = set()
     for ident, s in subs.items():
         tab = _Table(s)

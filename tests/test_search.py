@@ -12,7 +12,7 @@ import pytest
 from archived_runs import COVERAGE, coverage_archive
 from m3decomp import search
 from m3decomp.catalog import COMPLEMENTS
-from m3decomp.errors import BudgetExceeded, GroupMismatch
+from m3decomp.errors import BudgetExceeded, GroupMismatch, NotSupported
 from m3decomp.gfq import GFq
 from m3decomp.maps import (
     PRESERVING,
@@ -350,6 +350,43 @@ def test_t6_char2_caveat():
     if rep["unmatched_reps"]:
         assert "caveat" in rep
         assert coverage_clean(rep)
+
+
+#: a representative of each orbit of unital complements of L5_6 over F_2
+#: that t8's slice misses, as the 0/1 matrices spanning it (the positions of
+#: their ones)
+_T8_MISSED_AT_2 = {
+    # its lower 2x2 block holds a copy of F_4
+    "quadratic-block": (((2, 1),), ((2, 2), (3, 3)), ((2, 3), (3, 2), (3, 3)), ((3, 1),)),
+    "split-block": (((2, 1),), ((2, 2), (3, 3)), ((3, 1),), ((3, 2), (3, 3))),
+}
+
+
+@pytest.mark.parametrize("name", list(_T8_MISSED_AT_2))
+def test_t8_slice_misses_two_orbits_at_p2(name):
+    # a subalgebra complementing L5_6 over F_2 whose orbit under L5_6's
+    # family and twist never meets t8's slice, so coverage_report refuses t8
+    # at p = 2 rather than report it clean
+    p, gf, pdata = 2, GFq(2), _pdata("t8")
+    rows = np.zeros((4, 9), dtype=np.int64)
+    for g, positions in enumerate(_T8_MISSED_AT_2[name]):
+        for i, j in positions:
+            rows[g, 3 * (i - 1) + j - 1] = 1
+    mats = rows.reshape(4, 3, 3)
+    assert search._in_row_space(rows, p)((mats[:, None] @ mats[None]).reshape(1, -1, 9) % p)
+    l56 = search._generator_rows(COMPLEMENTS["L5_6"].generators, p)
+    assert search._rank_mod(np.vstack([rows, l56]), p) == 9
+    family, twist = PRESERVING["L5_6"]
+    twisted = search._twisted(rows, twist_matrix(twist), p)
+    for conj in _family_conjugators(family, gf):
+        images = _conjugated(twisted, conj, gf).reshape(-1, 4, 9)
+        # an image whose functionals read a singular coefficient matrix has
+        # no pattern-normal form, and normalize_rows cannot invert it
+        det, _ = gf.det_adj(images @ pdata.functionals.T % p)
+        _, ok = normalize_rows(images[det != 0], pdata, gf)
+        assert not ok.any()
+    with pytest.raises(NotSupported, match="t8 at p = 2"):
+        coverage_report("t8", 2)
 
 
 def test_t4_t6_sweep_finds_the_linking_antiautomorphism():

@@ -5,7 +5,7 @@ import pytest
 
 from archived_runs import ARCHIVED_RUNS
 from m3decomp import cli, invariants, verifier
-from m3decomp.catalog import LEMMA5_SUBALGEBRAS, CatalogEntry, builtin_catalog, entry_by_id
+from m3decomp.catalog import COMPLEMENTS, CatalogEntry, builtin_catalog, entry_by_id
 from m3decomp.invariants import fingerprint
 from m3decomp.verifier import (
     compare_with_reference_system,
@@ -145,7 +145,7 @@ def test_verify_remarks_reads_the_fingerprints_it_is_given(monkeypatch):
     # remarks compute no fingerprint of their own and report the same (they
     # look up invariants.fingerprint at call time, so the patch reaches them)
     expected = verify_remarks()
-    table = {f"L5_{k}": fingerprint(c.subspace()) for k, c in LEMMA5_SUBALGEBRAS.items()}
+    table = {f"L5_{k}": fingerprint(COMPLEMENTS[f"L5_{k}"].subspace()) for k in range(1, 7)}
     for family, count in (("R", 7), ("T", 6), ("X", 7), ("Z", 4)):
         for k in range(1, count + 1):
             entry = entry_by_id(f"{family}{k}")
@@ -307,6 +307,9 @@ BAD_OPTIONS = {
     "verify-all-with-entry": (["verify", "--all", "--entry", "R1"], "--all"),
     "rb-no-entry-id": (["rb", "--entry", ","], "--entry"),
     "invariants-no-entry-id": (["invariants", "--entry", ",", "--skip-remarks"], "--entry"),
+    # a repeated prime would run its sweep twice and report it once
+    "invariants-repeated-sweep-prime":
+        (["invariants", "--entry", "T4,T6", "--sweep-primes", "3", "3"], "--sweep-primes"),
 }
 
 
