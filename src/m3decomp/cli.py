@@ -38,7 +38,7 @@ import numpy as np
 
 from . import catalog, invariants, rota_baxter, search, verifier
 from .errors import M3DecompError
-from .patterns import PATTERNS, PATTERN_ALIASES, REFERENCE_SYSTEMS, get_pattern
+from .patterns import PATTERNS, REFERENCE_SYSTEMS, get_pattern
 from .scalars import MAX_PRIME, check_prime, parse_rational, poly_to_string
 
 SCHEMA = 1
@@ -105,10 +105,10 @@ def _chosen_entries(selection):
 
 def _pattern_name(pattern):
     """A --pattern argument as a pattern name (7-2 is t1)."""
-    name = PATTERN_ALIASES.get(pattern, pattern)
-    if name not in PATTERNS:
-        raise M3DecompError(f"unknown pattern {pattern!r}")
-    return name
+    try:
+        return get_pattern(pattern).name
+    except KeyError:
+        raise M3DecompError(f"unknown pattern {pattern!r}") from None
 
 
 def cmd_verify(args):

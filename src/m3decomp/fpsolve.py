@@ -42,12 +42,13 @@ def _plan(compiled, n_vars):
     return plan + [(v, []) for v in range(n_vars) if v not in present]
 
 
-def solve_system_fp(polys, names, p, budget=DEFAULT_BUDGET):
+def solve_system_fp(polys, names, p):
     """All assignments over F_p^names killing every polynomial, sorted
-    lexicographically; returns an (N, len(names)) int8 array."""
-    gf = GFq(p)
+    lexicographically; returns an (N, len(names)) int8 array.  Raises
+    BudgetExceeded when the rows held at once would exceed DEFAULT_BUDGET."""
     if p > np.iinfo(np.int8).max:
         raise NotSupported(f"cell values are int8, which holds F_p for p up to 127, not {p}")
+    gf = GFq(p)
     names = tuple(names)
     compiled = []
     for poly in polys:
@@ -68,8 +69,8 @@ def solve_system_fp(polys, names, p, budget=DEFAULT_BUDGET):
         kept, held = [], 0
         for start in range(0, frontier.shape[0], _FRONTIER_CHUNK):
             part = frontier[start:start + _FRONTIER_CHUNK]
-            if held + part.shape[0] * p > budget:
-                raise BudgetExceeded(f"frontier would exceed {budget} rows")
+            if held + part.shape[0] * p > DEFAULT_BUDGET:
+                raise BudgetExceeded(f"frontier would exceed {DEFAULT_BUDGET} rows")
             rows = np.hstack([np.repeat(part, p, axis=0),
                               np.tile(values, part.shape[0])[:, None]])
             for cp, used in equations:

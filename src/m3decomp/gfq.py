@@ -41,10 +41,13 @@ class GFq:
         self.p = p
         self.degree = degree
         self.q = p ** degree
-        self.inverses = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)],
-                                 dtype=np.int64)
         if degree == 2:
             self.s, self.r = quadratic(p)
+        # each element's partner whose product with it is 1, in the order of
+        # elements() (0 has none and maps to 0): q^2 products, made once
+        els = self.elements()
+        is_one = self.is_zero(self.sub(self.mul(els[:, None], els[None]), self.lift(1)))
+        self.inverses = els[is_one.argmax(axis=1)]
 
     # -- element helpers ----------------------------------------------------
 
@@ -93,19 +96,11 @@ class GFq:
         return (a[..., 0] == 0) & (a[..., 1] == 0)
 
     def inv(self, a):
-        """Elementwise inverse (0 maps to 0): a table lookup over F_p, a
-        power a^(q-2) (square and multiply) over GF(p^2)."""
-        if self.degree == 1:
-            return self.inverses[a]
-        e = self.q - 2
-        result = self.lift(np.ones(a.shape[:-1], dtype=np.int64))
-        base = a % self.p
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        """Elementwise inverse (0 maps to 0): one lookup in the table of
+        inverses, indexed by a0 + p*a1 over GF(p^2)."""
+        if self.degree == 2:
+            a = a[..., 0] + self.p * a[..., 1]
+        return self.inverses[a]
 
     def eval_compiled(self, compiled, columns, n_rows):
         """Evaluate a compiled polynomial (`scalars.compile_poly`) on n_rows

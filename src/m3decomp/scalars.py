@@ -335,19 +335,6 @@ class MultiPoly:
             out[key] = out.get(key, Fraction(0)) + c
         return MultiPoly(new_ring, out)
 
-    def content_and_primitive(self):
-        """Rational content c > 0 and the primitive part p with self = c*p.
-
-        The content is numeric only (gcd of numerators over lcm of
-        denominators); multivariate polynomial gcds are deliberately out of
-        scope.
-        """
-        if not self.terms:
-            return Fraction(1), self
-        content = rational_content(self.terms.values())
-        prim = MultiPoly(self.ring, {e: c / content for e, c in self.terms.items()})
-        return content, prim
-
     def eval(self, assignment):
         """Substitute rationals for every variable; a ring homomorphism into
         Q."""
@@ -449,7 +436,8 @@ def certified_nonzero(scalar, constraints=EMPTY_CONSTRAINTS):
 
     Rationals certify by being nonzero.  A polynomial certifies when it
     is a nonzero rational multiple of a product of powers of the declared
-    nonzero constraint polynomials -- decidable by greedy exact division.
+    nonzero constraint polynomials -- decidable by greedy exact division,
+    which over Q ignores any rational factor.
     Membership failures are reported as False, never as a wrong answer; a
     constraint from another ring raises DomainMismatch.
     """
@@ -457,21 +445,20 @@ def certified_nonzero(scalar, constraints=EMPTY_CONSTRAINTS):
         return exact(scalar) != 0
     if not scalar:
         return False
-    _, p = scalar.content_and_primitive()
     progress = True
-    while not p.is_constant() and progress:
+    while not scalar.is_constant() and progress:
         progress = False
         for q in constraints.nonzero:
             if q.is_constant():
                 continue
             try:
-                p = p / q
+                scalar = scalar / q
                 progress = True
                 break
             except ValueError:
                 continue
-    # p is nonzero, as the scalar is
-    return p.is_constant()
+    # the quotient is nonzero, as the scalar was
+    return scalar.is_constant()
 
 
 # ---------------------------------------------------------------------------

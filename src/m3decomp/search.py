@@ -216,7 +216,8 @@ def group_matrices(family, p):
 
 def twist_matrix(perm):
     """The matrix P of an index permutation (row i is unit vector perm[i]),
-    or None for None: every twist X -> P X^T P and coset P T is made here."""
+    or None for None: every twist X -> P X^T P and coset P T of the oracle
+    is made here (`maps.permutation` is the same matrix, exact)."""
     return None if perm is None else np.eye(3, dtype=np.int64)[list(perm)]
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from archived_runs import CRITERION_7_COVERAGE, coverage_archive
 from m3decomp.catalog import builtin_catalog
 from m3decomp.maps import (
-    family_map,
+    family_conjugator,
     is_algebra_map,
     preserves,
     rescaled_pair_images_63,
@@ -84,16 +84,16 @@ def test_criterion_2_full_symbolic_verification():
 
 def test_criterion_3_automorphism_family_machine_proof():
     t0 = time.monotonic()
-    phi = family_map("phi_full")
-    ok_phi, wit = is_algebra_map(phi)
+    phi, phi_constraints = family_conjugator("phi_full")
+    ok_phi, wit = is_algebra_map(phi, constraints=phi_constraints)
     m7 = span([Mat3.basis(i, j) for (i, j) in
                ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3))])
-    keeps_m7 = preserves(phi, m7)
-    psi = family_map("psi")
-    ok_psi, wit_psi = is_algebra_map(psi)
+    keeps_m7 = preserves(m7, phi)
+    psi, psi_constraints = family_conjugator("psi")
+    ok_psi, wit_psi = is_algebra_map(psi, constraints=psi_constraints)
     upper = span([Mat3.basis(i, j) for (i, j) in
                   ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))])
-    keeps_upper = preserves(psi, upper)
+    keeps_upper = preserves(upper, psi)
     elapsed = time.monotonic() - t0
     ok = ok_phi and keeps_m7 and ok_psi and keeps_upper and elapsed < 30.0
     _line(3, ok, f"81 symbolic product identities for both families, {elapsed:.1f}s")

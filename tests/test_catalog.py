@@ -304,13 +304,15 @@ def test_u2_u3_coincide_over_second_complement_only():
     # second complement (hence one shared entry there), but does not
     # preserve the first complement
     from m3decomp.catalog import COMPLEMENTS, entry_by_id
-    from m3decomp.maps import apply_map, theta, transpose_map
+    from m3decomp.maps import image_span
+    from m3decomp.matrices import Mat3
 
-    chi = theta(1, 3).compose(transpose_map())
+    # X -> P13 X^T P13, the 1 <-> 3 index swap after the transpose
+    ident, chi = Mat3.identity(), (2, 1, 0)
     m2 = COMPLEMENTS["L5_5"].subspace()
-    assert apply_map(chi, m2).same_space(m2)
+    assert image_span(m2, ident, chi).same_space(m2)
     u2, _ = entry_by_id("U2@M2").specialize({})
     u3, _ = entry_by_id("U3@M1").specialize({})
-    assert apply_map(chi, u2).same_space(u3)
+    assert image_span(u2, ident, chi).same_space(u3)
     m1 = COMPLEMENTS["L5_4"].subspace()
-    assert not apply_map(chi, m1).same_space(m1)
+    assert not image_span(m1, ident, chi).same_space(m1)

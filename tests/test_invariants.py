@@ -7,7 +7,7 @@ import pytest
 from m3decomp.catalog import COMPLEMENTS, builtin_catalog, entry_by_id
 from m3decomp.errors import NotSupported, SoundnessError
 from m3decomp.invariants import Fingerprint, _Table, fingerprint, matrix_rank
-from m3decomp.maps import apply_map, family_map, transpose_map
+from m3decomp.maps import family_conjugator, image_span
 from m3decomp.matrices import Mat3, span
 
 
@@ -173,14 +173,14 @@ def test_fingerprint_automorphism_invariance():
             if ps[2] * ps[5] - ps[3] * ps[4] == 0:
                 continue
             done += 1
-            img = apply_map(family_map("phi_full", ps), s)
+            img = image_span(s, family_conjugator("phi_full", ps)[0])
             assert fingerprint(img) == fp
 
 
 def test_fingerprint_transpose_swaps_sides():
     for ident in ("T2", "X6", "Z4"):
         s = s_of(ident)
-        st = apply_map(transpose_map(), s)
+        st = image_span(s, Mat3.identity(), (0, 1, 2))
         assert fingerprint(st) == fingerprint(s).swapped()
 
 

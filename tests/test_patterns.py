@@ -208,10 +208,12 @@ def test_solver_budget_counts_kept_rows_plus_one_chunk(monkeypatch):
     x, y = PolynomialRing(("x", "y")).gens()
     monkeypatch.setattr(fpsolve, "_FRONTIER_CHUNK", 1)
     # the last chunk of y meets four kept diagonal rows: 4 + 5 rows at once
-    arr = solve_system_fp([x - y], ("x", "y"), 5, budget=9)
+    monkeypatch.setattr(fpsolve, "DEFAULT_BUDGET", 9)
+    arr = solve_system_fp([x - y], ("x", "y"), 5)
     assert arr.tolist() == [[v, v] for v in range(5)]
+    monkeypatch.setattr(fpsolve, "DEFAULT_BUDGET", 8)
     with pytest.raises(BudgetExceeded, match="frontier would exceed 8 rows"):
-        solve_system_fp([x - y], ("x", "y"), 5, budget=8)
+        solve_system_fp([x - y], ("x", "y"), 5)
 
 
 def test_solver_chunking_keeps_solutions(monkeypatch):

@@ -4,7 +4,6 @@ import json
 import pathlib
 import subprocess
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,13 +15,13 @@ from m3decomp.errors import BudgetExceeded, GroupMismatch, NotSupported
 from m3decomp.gfq import GFq
 from m3decomp.maps import (
     PRESERVING,
-    apply_map,
-    family_map,
+    family_conjugator,
+    image_span,
     is_algebra_map,
+    permutation,
     preserves,
-    theta,
-    transpose_map,
 )
+from m3decomp.matrices import Mat3
 from m3decomp.patterns import PATTERNS, get_pattern
 from m3decomp.scalars import compile_poly
 from m3decomp.search import (
@@ -49,7 +48,7 @@ REPORT_DIR = pathlib.Path(__file__).resolve().parent.parent / "reports"
 
 #: each group family built another way than from its own table row: phi,
 #: the full family of the exact layer, with some parameters held at 0, and
-#: whether theta(2, 3) composes a second coset
+#: whether the 2 <-> 3 index swap P23 joins a second coset P23 T
 _SYMBOLIC_FAMILIES = {
     "phi_full": ((), False),
     "phi_bg0": (("beta", "gamma"), False),
@@ -57,38 +56,18 @@ _SYMBOLIC_FAMILIES = {
     "psi": (("mu",), False),
 }
 
-#: each twist X -> P X^T P of the exact layer, keyed by the permutation of P
-_SYMBOLIC_TWISTS = {
-    (0, 1, 2): transpose_map(),
-    (2, 1, 0): theta(1, 3).compose(transpose_map()),
-}
-
-#: the coordinate basis matrices E_11, E_12, ..., E_33
-_BASIS = np.eye(9, dtype=np.int64).reshape(9, 3, 3)
-
 _P12 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-
-
-def _mod(x, p):
-    x = Fraction(x)
-    return x.numerator * pow(x.denominator, p - 2, p) % p
-
-
-def _fp_map(amap, p):
-    """A constant map of maps.py as a 9x9 matrix mod p, denominator divided
-    out."""
-    inv = pow(_mod(amap.den, p), p - 2, p)
-    return np.array([[_mod(x, p) * inv % p for x in row] for row in amap.matrix9])
+_P23 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
 
 
 @functools.lru_cache(maxsize=None)
 def _symbolic_group(family, p):
-    """The 9x9 maps mod p of a family, from its symbolic map evaluated at
-    every point of F_p where the denominator does not vanish, sorted and
-    without repeats."""
+    """The conjugators mod p of a family, (N, 3, 3): the symbolic conjugator
+    T of phi_full evaluated at every point of F_p where det(T) does not
+    vanish, and its coset P23 T if any; sorted and without repeats."""
     zero, coset = _SYMBOLIC_FAMILIES[family]
-    amap = family_map("phi_full")
-    names = amap.den.ring.names
+    t, _ = family_conjugator("phi_full")
+    names = t.det().ring.names
     gf = GFq(p)
     points = np.array(list(itertools.product(range(p), repeat=len(names))))
     points = points[~points[:, [names.index(n) for n in zero]].any(axis=1)]
@@ -97,28 +76,21 @@ def _symbolic_group(family, p):
     def evaluate(poly):
         return gf.eval_compiled(compile_poly(poly, names, p), columns, len(points))
 
-    den = evaluate(amap.den)
-    maps = np.moveaxis(np.array([[evaluate(x) for x in row] for row in amap.matrix9]), -1, 0)
-    maps = maps[den != 0] * gf.inv(den[den != 0])[:, None, None] % p
+    conj = np.moveaxis(np.array([[evaluate(x) for x in row] for row in t.rows]), -1, 0)
+    conj = conj[evaluate(t.det()) != 0]
     if coset:
-        maps = np.concatenate([maps, maps @ _fp_map(theta(2, 3), p) % p])
-    return np.unique(maps.reshape(-1, 81), axis=0).reshape(-1, 9, 9)
+        conj = np.concatenate([conj, _P23 @ conj % p])
+    return np.unique(conj.reshape(-1, 9), axis=0).reshape(-1, 3, 3)
 
 
-def _symbolic_twist(perm, p):
-    return None if perm is None else _fp_map(_SYMBOLIC_TWISTS[perm], p)
+def _exact_twist(perm):
+    """The exact layer's twist matrix P (`maps.permutation`) as integers."""
+    return np.array([[int(x) for x in row] for row in permutation(perm).rows])
 
 
-def _induced_maps(conjugators, p):
-    """The 9x9 matrices of the maps X -> T^-1 X T, one per conjugator T."""
-    inv = GFq(p).inv_mat(conjugators)
-    images = inv[:, None] @ _BASIS @ conjugators[:, None] % p
-    return np.swapaxes(images.reshape(-1, 9, 9), 1, 2)
-
-
-def _induced_twist(twist):
-    """The 9x9 matrix of the twist X -> P X^T P."""
-    return (twist @ np.swapaxes(_BASIS, 1, 2) @ twist).reshape(9, 9).T
+def _mats(rows):
+    """Generator rows (..., 9) as matrices (..., 3, 3)."""
+    return rows.reshape(rows.shape[:-1] + (3, 3))
 
 
 def _orbits_by_union_find(sols, pattern_name, p):
@@ -127,7 +99,6 @@ def _orbits_by_union_find(sols, pattern_name, p):
     image is unioned with its source; the least index of a class is its
     root."""
     family, twist = PRESERVING[get_pattern(pattern_name).complement_id]
-    twist = _symbolic_twist(twist, p)
     pdata = _pdata(pattern_name)
     index = {row.tobytes(): i for i, row in enumerate(sols.astype(np.int8))}
     rows = rows_from_cells(sols.astype(np.int64), pdata, p)
@@ -138,9 +109,14 @@ def _orbits_by_union_find(sols, pattern_name, p):
             x = parent[x]
         return x
 
-    for base in [rows] + ([] if twist is None else [rows @ twist.T % p]):
-        for g in _symbolic_group(family, p):
-            cells, ok = normalize_rows(base @ g.T % p, pdata, GFq(p))
+    variants = [_mats(rows)]
+    if twist is not None:
+        tw = _exact_twist(twist)
+        variants.append(tw @ np.swapaxes(variants[0], -1, -2) @ tw)
+    group = _symbolic_group(family, p)
+    for base in variants:
+        for t, t_inv in zip(group, GFq(p).inv_mat(group)):
+            cells, ok = normalize_rows((t_inv @ base @ t % p).reshape(rows.shape), pdata, GFq(p))
             for i in np.nonzero(ok)[0]:
                 j = index[cells[i].astype(np.int8).tobytes()]
                 a, b = sorted((find(int(i)), find(j)))
@@ -160,17 +136,19 @@ def test_group_orders_match_closed_forms(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_conjugators_induce_the_symbolic_maps(p):
-    # each family's conjugators, its theta(2, 3) coset included, give the
-    # maps of the exact layer, each once; so do the twists
+    # each family's conjugators, its P23 coset included, are those of the
+    # exact layer, each once; every one has first column e1, so no two are
+    # scalar multiples and distinct conjugators give distinct maps.  The
+    # twists are the exact layer's too
     for family in _SYMBOLIC_FAMILIES:
-        induced = _induced_maps(group_matrices(family, p), p).reshape(-1, 81)
-        assert len(np.unique(induced, axis=0)) == len(induced), family
-        assert np.array_equal(np.unique(induced, axis=0),
-                              _symbolic_group(family, p).reshape(-1, 81)), family
-    assert {twist for _, twist in PRESERVING.values()} - {None} <= set(_SYMBOLIC_TWISTS)
-    for perm in _SYMBOLIC_TWISTS:
-        assert np.array_equal(_induced_twist(twist_matrix(perm)),
-                              _symbolic_twist(perm, p)), perm
+        conj = group_matrices(family, p)
+        assert (conj[:, :, 0] == [1, 0, 0]).all(), family
+        flat = conj.reshape(-1, 9)
+        assert len(np.unique(flat, axis=0)) == len(flat), family
+        assert np.array_equal(np.unique(flat, axis=0),
+                              _symbolic_group(family, p).reshape(-1, 9)), family
+    for perm in {twist for _, twist in PRESERVING.values()} - {None}:
+        assert np.array_equal(twist_matrix(perm), _exact_twist(perm)), perm
 
 
 def test_group_families_preserve_their_complements_symbolically():
@@ -178,17 +156,17 @@ def test_group_families_preserve_their_complements_symbolically():
     # table, is an automorphism family preserving the complement (its coset:
     # test_maps)
     for comp_id, (family, _) in PRESERVING.items():
-        m = family_map(family)
+        t, constraints = family_conjugator(family)
         comp = COMPLEMENTS[comp_id].subspace()
-        assert is_algebra_map(m) == (True, None), comp_id
-        assert preserves(m, comp), comp_id
+        assert is_algebra_map(t, constraints=constraints) == (True, None), comp_id
+        assert preserves(comp, t), comp_id
 
 
 def test_twists_preserve_their_complements():
     for comp_id, (_, twist) in PRESERVING.items():
         if twist is not None:
             comp = COMPLEMENTS[comp_id].subspace()
-            assert apply_map(_SYMBOLIC_TWISTS[twist], comp).same_space(comp), comp_id
+            assert image_span(comp, Mat3.identity(), twist).same_space(comp), comp_id
 
 
 def test_enumeration_deterministic_and_sorted():
@@ -283,8 +261,8 @@ def test_orbit_closed_under_group_f2():
     rows = rows_from_cells(sols[zero_idx:zero_idx + 1].astype(np.int64), pdata, 2)
     index = {row.tobytes(): i for i, row in enumerate(sols.astype(np.int8))}
     in_slice = 0
-    for g in group:
-        img = rows @ g.T % 2
+    for t, t_inv in zip(group, GFq(2).inv_mat(group)):
+        img = (t_inv @ _mats(rows) @ t % 2).reshape(rows.shape)
         cells, ok = normalize_rows(img, pdata, GFq(2))
         if not ok[0]:
             continue
@@ -394,7 +372,8 @@ def test_t4_t6_sweep_finds_the_linking_antiautomorphism():
         separated, witness = t4_t6_separation(p)
         assert not separated
         # the witness interpolates the exact rational map checked in
-        # test_maps/verifier: alpha=1, beta=epsilon=0, gamma=delta=-1 mod p
+        # test_maps (test_linked_parameter_free_pairs, row T4-T6):
+        # alpha=1, beta=epsilon=0, gamma=delta=-1 mod p
         assert witness == {
             "alpha": 1, "beta": 0, "gamma": p - 1, "delta": p - 1, "epsilon": 0,
             "composed_with_transpose_twist": True,
