@@ -8,26 +8,28 @@ a group family is held as its 3x3 conjugators T (X -> T^-1 X T), a twist as a
 permutation matrix P (X -> P X^T P).  Each conjugator comes with its
 adjugate, and the sweeps apply X -> adj(T) X T = det(T) T^-1 X T: a nonzero
 scalar on a whole image cancels in the pattern-normal form and leaves every
-row-space test unchanged, so no group is ever inverted.  Each family is the
-full stabilizer of its complement (`family_is_full_stabilizer`), so the
-family together with its twist coset is a group, and the orbit of a
-solution is the set of its images under all of those maps that land back in
-the pattern slice.  Orbits are therefore swept one at a time: every map is
-applied to one unlabelled solution, and each in-slice image joins its
-orbit.  Soundness (every constraint-satisfying catalog specialization
-appears and is matched) is checked with typed errors; completeness failures
-are data, reported verbatim and, where claimed, explained by re-running the
-sweep over the quadratic extension GF(p^2), which is exactly what a
-square-root obstruction must resolve.  Both sweeps are the same code over a
-field object (`gfq.GFq`): F_p is its degree-1 case, GF(p^2) its degree-2
-case.  The family and twist of each complement (`maps.PRESERVING`) and each
-family's conjugators and coset (`maps.FAMILIES`) are read off the tables
-from which the exact layer builds the same maps.
+row-space test unchanged, so no group is ever inverted.  A family with its
+twist coset is taken to be a group, and the orbit of a solution is the set
+of its images under those maps that land back in the pattern slice.  Each
+sweep checks that its maps preserve the complement and raises when an image
+escapes the solutions or two orbits meet; `family_is_full_stabilizer`
+compares a family's conjugations, not its twist coset, with every one that
+preserves the complement, and the tests run it at p = 2 only.  Orbits are
+swept one at a time: every map is applied to one unlabelled solution, and
+each in-slice image joins its orbit.  Soundness (every constraint-satisfying
+catalog specialization appears and is matched) is checked with typed
+errors; completeness failures are data, reported verbatim and, where
+claimed, explained by re-running the sweep over the quadratic extension
+GF(p^2), which is exactly what a square-root obstruction must resolve.
+Both sweeps are the same code over a field object (`gfq.GFq`): F_p is its
+degree-1 case, GF(p^2) its degree-2 case.  A sweep reads its complement,
+family and twist from one record (`_pdata`, off `maps.PRESERVING`) and each
+family's conjugators and coset from `maps.FAMILIES`, the tables from which
+the exact layer builds the same maps.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import types
@@ -43,7 +45,6 @@ from .maps import FAMILIES, PRESERVING
 from .patterns import get_pattern
 from .scalars import check_prime, compile_poly
 
-@functools.lru_cache(maxsize=None)
 def _gf(p, degree=1):
     """The field the oracle works over: F_p, or GF(p^2) for the
     explanation sweep; p must be a prime no larger than scalars.MAX_PRIME."""
@@ -52,19 +53,23 @@ def _gf(p, degree=1):
 
 
 # ---------------------------------------------------------------------------
-# pattern data in numpy form
+# the record a sweep reads about its pattern
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
 def _pdata(pattern_name):
-    """A pattern's integer data as numpy arrays: base (k, 9), functionals
-    (k, 9), dirs (C, k, 9) with each cell's direction in its generator's
-    row, and reads, the generator and coordinate indices of the cells."""
+    """The one record a sweep reads about a pattern, built at each call from
+    `maps.PRESERVING`: comp_id, family and twist (a matrix, or None) of its
+    complement, and its integer data as numpy arrays: base (k, 9),
+    functionals (k, 9), dirs (C, k, 9) with each cell's direction in its
+    generator's row, and reads, the generator and coordinate indices of the
+    cells."""
     pat = get_pattern(pattern_name)
+    family, twist = PRESERVING[pat.complement_id]
     dirs = np.zeros((len(pat.params), pat.gen_count, 9), dtype=np.int64)
     for ci, (gi, vec) in enumerate(pat.dirs):
         dirs[ci, gi] = vec
     return types.SimpleNamespace(
+        comp_id=pat.complement_id, family=family, twist=twist_matrix(twist),
         base=np.array(pat.base, dtype=np.int64),
         functionals=np.array(pat.functionals, dtype=np.int64),
         dirs=dirs,
@@ -197,11 +202,11 @@ def _twisted(rows, twist, p):
 _SWEEP_CHUNK = 1024
 
 
-def _images(rep_cells, twist, batches, pdata, gf):
+def _images(rep_cells, batches, pdata, gf):
     """For each batch (T, adj T) of conjugators over the field gf, the cells of
     the images of one representative (its cells over F_p) under the batch and
-    its twist coset that normalize into the pattern slice."""
-    rows = gf.lift(_twisted(rows_from_cells(rep_cells[None], pdata, gf.p)[0], twist, gf.p))
+    its coset under the pattern's twist that normalize into the slice."""
+    rows = gf.lift(_twisted(rows_from_cells(rep_cells[None], pdata, gf.p)[0], pdata.twist, gf.p))
     for conj in batches:
         # one variant at a time, so that at most |batch| images are held at once
         found = [normalize_rows(_conjugated(variant, conj, gf), pdata, gf) for variant in rows]
@@ -242,20 +247,19 @@ def _generator_rows(mats, p):
     return np.array([[int(x) for x in g.coords()] for g in mats], dtype=np.int64) % p
 
 
-def _check_group_preserves(pattern_name, batches, twist, gf):
+def _check_group_preserves(pdata, batches, gf):
     """Check that every group element, given as batches (T, adj T) of
-    conjugators over F_p, and the twist map the complement row space into
-    itself (hence onto it, being invertible) mod p.  adj T scales each
-    image by det(T), which no row-space test sees."""
+    conjugators over F_p, and the record's twist map the record's complement
+    row space into itself (hence onto it, being invertible) mod p.  adj T
+    scales each image by det(T), which no row-space test sees."""
     p = gf.p
-    comp_id = get_pattern(pattern_name).complement_id
-    rows = _generator_rows(COMPLEMENTS[comp_id].generators, p)
+    rows = _generator_rows(COMPLEMENTS[pdata.comp_id].generators, p)
     inside = _in_row_space(rows, p)
     # one batch at a time, so that at most |batch| images are held at once
-    images = itertools.chain([_twisted(rows, twist, p)],
+    images = itertools.chain([_twisted(rows, pdata.twist, p)],
                              (_conjugated(rows, conj, gf) for conj in batches))
     if not all(inside(batch).all() for batch in images):
-        raise GroupMismatch(f"a group element does not preserve {comp_id}")
+        raise GroupMismatch(f"a group element does not preserve {pdata.comp_id}")
 
 
 def _rref_mod(rows, p):
@@ -299,8 +303,7 @@ def orbit_partition_fp(solutions, pattern_name, p):
     (_SWEEP_CHUNK parameter tuples) at a time, and every in-slice image is
     labelled with that solution's index.  The batches are built once, with
     their adjugates, and checked to preserve the complement first.
-    This relies on the maps forming a group (the identity included), which
-    holds because each family is the full stabilizer of its complement; an
+    This relies on the maps forming a group (the identity included); an
     image outside the solutions, or one already in another orbit, raises
     GroupMismatch.
 
@@ -309,13 +312,11 @@ def orbit_partition_fp(solutions, pattern_name, p):
     one per orbit (for the solver's sorted solutions, that member is the
     orbit's canonical, lexicographically least representative).
     """
-    family, twist = PRESERVING[get_pattern(pattern_name).complement_id]
-    gf = _gf(p)
-    twist = twist_matrix(twist)
-    # built once: regenerating the group for each orbit costs more CPU
-    batches = list(_family_conjugators(family, gf, _SWEEP_CHUNK))
-    _check_group_preserves(pattern_name, batches, twist, gf)
     pdata = _pdata(pattern_name)
+    gf = _gf(p)
+    # built once: regenerating the group for each orbit costs more CPU
+    batches = list(_family_conjugators(pdata.family, gf, _SWEEP_CHUNK))
+    _check_group_preserves(pdata, batches, gf)
     sols = np.asarray(solutions)
     find = _row_index(sols)
     labels = np.full(len(sols), -1, dtype=np.int64)
@@ -323,7 +324,7 @@ def orbit_partition_fp(solutions, pattern_name, p):
     for i in range(len(sols)):
         if labels[i] >= 0:
             continue
-        for cells in _images(sols[i], twist, batches, pdata, gf):
+        for cells in _images(sols[i], batches, pdata, gf):
             members = find(cells)
             if (members < 0).any():
                 raise GroupMismatch("group image escaped the enumerated solution set")
@@ -335,15 +336,14 @@ def orbit_partition_fp(solutions, pattern_name, p):
     return labels, roots
 
 
-def _specializations(pattern_name, gf):
-    """Every specialization over the field gf of the catalog entries this
-    pattern classifies whose nonzero-constraints hold, pattern-normalized:
-    yields (entry id, parameter names, values, cells, ok) per entry, values
-    holding one row of parameter values per specialization in grid order."""
-    pdata = _pdata(pattern_name)
-    comp_id = get_pattern(pattern_name).complement_id
+def _specializations(pdata, gf):
+    """Every specialization over the field gf of the catalog entries the
+    record's pattern classifies whose nonzero-constraints hold, pattern-
+    normalized: yields (entry id, parameter names, values, cells, ok) per
+    entry, values holding one row of parameter values per specialization in
+    grid order."""
     for entry in builtin_catalog():
-        if entry.complement_id != comp_id:
+        if entry.complement_id != pdata.comp_id:
             continue
         names = entry.params
         values = gf.elements()[_grid((gf.q,) * len(names))]
@@ -368,7 +368,7 @@ def catalog_specializations_fp(pattern_name, p):
     """Constraint-satisfying catalog specializations for this pattern,
     pattern-normalized: list of (entry id, assignment, cell row)."""
     out = []
-    for eid, names, values, cells, ok in _specializations(pattern_name, _gf(p)):
+    for eid, names, values, cells, ok in _specializations(_pdata(pattern_name), _gf(p)):
         if not ok.all():
             raise PatternMismatch(f"{eid} specialization does not fit the pattern slice")
         out.extend((eid, dict(zip(names, vals)), row)
@@ -467,12 +467,11 @@ def explain_unmatched(pattern_name, p, rep_cells):
     specialization over GF(p^2).  The family's parameter grid over GF(p^2)
     is swept _SWEEP_CHUNK tuples at a time, up to the first hit."""
     gf = _gf(p, 2)
-    family, twist = PRESERVING[get_pattern(pattern_name).complement_id]
     pdata = _pdata(pattern_name)
     find = _row_index(np.concatenate(
-        [cells[ok] for *_, cells, ok in _specializations(pattern_name, gf)]))
-    batches = _family_conjugators(family, gf, _SWEEP_CHUNK)
-    images = _images(rep_cells, twist_matrix(twist), batches, pdata, gf)
+        [cells[ok] for *_, cells, ok in _specializations(pdata, gf)]))
+    batches = _family_conjugators(pdata.family, gf, _SWEEP_CHUNK)
+    images = _images(rep_cells, batches, pdata, gf)
     return any((find(cells) >= 0).any() for cells in images)
 
 

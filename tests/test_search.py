@@ -205,8 +205,16 @@ def test_slow_cube_budget():
 @pytest.mark.parametrize("name", PATTERNS)
 def test_normalize_roundtrip(name):
     # solutions and arbitrary cell values alike: every pattern row is in the
-    # slice and normalizes back to its cells
+    # slice and normalizes back to its cells.  The record also names the
+    # complement, family and twist that maps.PRESERVING gives the pattern
     pdata = _pdata(name)
+    comp_id = get_pattern(name).complement_id
+    family, twist = PRESERVING[comp_id]
+    assert (pdata.comp_id, pdata.family) == (comp_id, family)
+    if twist is None:
+        assert pdata.twist is None
+    else:
+        assert np.array_equal(pdata.twist, _exact_twist(twist))
     sols = enumerate_complements_fp(name, 3)[:50].astype(np.int64)
     cells = np.concatenate([sols, np.random.default_rng(3).integers(0, 3, (50, sols.shape[1]))])
     rows = rows_from_cells(cells, pdata, 3)
@@ -416,12 +424,13 @@ def test_group_mismatch_detected(monkeypatch):
     monkeypatch.setattr(search, "_SWEEP_CHUNK", 5)
     chunked = list(_family_conjugators("phi_full", gf, search._SWEEP_CHUNK))
     assert len(chunked) > 1
-    for batches, twist in (([p12], None), (corrupted(whole, 0, 1), None),
-                           (corrupted(chunked, -1, -1), None),
-                           (whole, np.eye(3, dtype=np.int64))):
+    t1, transposed = _pdata("t1"), _pdata("t1")
+    transposed.twist = np.eye(3, dtype=np.int64)
+    for batches, pdata in (([p12], t1), (corrupted(whole, 0, 1), t1),
+                           (corrupted(chunked, -1, -1), t1), (whole, transposed)):
         with pytest.raises(GroupMismatch, match="does not preserve"):
-            _check_group_preserves("t1", batches, twist, gf)
-    _check_group_preserves("t1", chunked, None, gf)
+            _check_group_preserves(pdata, batches, gf)
+    _check_group_preserves(t1, chunked, gf)
     # the sweep runs the check on the family and twist its complement's
     # record names
     monkeypatch.setitem(PRESERVING, "M7", ("phi_full", (0, 1, 2)))
