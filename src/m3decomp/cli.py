@@ -232,7 +232,7 @@ def cmd_export(args):
 
 def cmd_derive_system(args):
     name = _pattern_name(args.pattern)
-    check_prime(args.prime, bound=None)
+    check_prime(args.prime, bound=127)
     if args.compare:
         if args.compare not in REFERENCE_SYSTEMS:
             raise M3DecompError(f"unknown fixture {args.compare!r}")

@@ -122,22 +122,14 @@ class _Table:
                 rhs += reduce(b)
         return solve_linear(rows, rhs)
 
-    def principal_idempotent(self):
-        """An idempotent lifting the identity of s/rad, as a matrix (None when
-        s is nilpotent)."""
-        if len(self.rad) == self.k:
-            return None
-        # u b - b and b u - b must lie in rad for every basis element b
-        u = self.unit("two", echelonize(self.rad))
-        if u is None:
-            return None
-        # Newton lift: squares converge since the radical is nilpotent
-        for _ in range(5):
-            u2 = self.mul(u, u)
-            if u2 == u:
-                return self.mat(u)
-            u = _comb(3, u2, -2, self.mul(u2, u))
-        raise SoundnessError("the idempotent lift did not converge")
+    def trace(self, x):
+        """The trace of x: over Q the rank of x when x is an idempotent, and of
+        the idempotent e when x - e is nilpotent (Pierce, Associative
+        Algebras, 1982).  SoundnessError unless it is an integer from 1 to 3."""
+        t = sum(xi * (r[0] + r[4] + r[8]) for xi, r in zip(x, self.rows))
+        if t not in (1, 2, 3):
+            raise SoundnessError(f"an idempotent has trace {t}, not a rank from 1 to 3")
+        return int(t)
 
 
 #: The fingerprint fields that can tell two algebras apart, under their
@@ -160,10 +152,11 @@ class Fingerprint:
     """Orbit-invariant summary of a subalgebra.
 
     idempotent_ranks holds the set of nonzero-idempotent matrix ranks in
-    dimension <= 2 (one generic rank per 1-parameter family) and the rank of
-    an identity-lift idempotent otherwise.  ann_radsq_has_idempotent records
-    whether the two-sided annihilator of rad^2 inside the algebra contains a
-    nonzero idempotent (equivalently, is non-nilpotent).
+    dimension <= 2 and the rank of the idempotent lifting the identity of
+    s/rad otherwise, each read as a trace (`_Table.trace`).
+    ann_radsq_has_idempotent records whether the two-sided annihilator of
+    rad^2 inside the algebra contains a nonzero idempotent (equivalently, is
+    non-nilpotent).
     """
 
     dim: int
@@ -224,8 +217,10 @@ def fingerprint(s):
     # form vanishes on it
     ann = [_flat(tab.rows, x) for x in tab.annihilator(rad2)]
     if ranks is None:
-        e = tab.principal_idempotent()
-        ranks = (matrix_rank(e),) if e is not None and not e.is_zero() else ()
+        # a unit modulo the radical differs from the principal idempotent by
+        # a nilpotent element, so it has that idempotent's trace
+        u = None if len(rad) == tab.k else tab.unit("two", echelonize(rad))
+        ranks = () if u is None else (tab.trace(u),)
     return Fingerprint(
         dim=tab.k,
         rad_dims=(len(rad), len(rad2), len(rad3)),
@@ -240,22 +235,16 @@ def fingerprint(s):
     )
 
 
-def matrix_rank(m):
-    return echelonize([list(r) for r in m.rows]).rank
-
-
 # ---------------------------------------------------------------------------
 # idempotents in small dimension
 # ---------------------------------------------------------------------------
 
 def _ranks(tab, elements):
-    """The matrix rank of each element, each checked to be idempotent."""
-    ranks = []
-    for x in elements:
-        if tab.mul(x, x) != x:
-            raise SoundnessError("a computed idempotent does not square to itself")
-        ranks.append(matrix_rank(tab.mat(x)))
-    return ranks
+    """The rank of each element, read as its trace, each checked to be
+    idempotent."""
+    if any(tab.mul(x, x) != x for x in elements):
+        raise SoundnessError("a computed idempotent does not square to itself")
+    return [tab.trace(x) for x in elements]
 
 
 def _idempotents(tab):
@@ -287,10 +276,8 @@ def _idempotents(tab):
     if sigma + tau == 1:
         if mu != 0:
             raise SoundnessError("idempotent lifting forces the mixed case to be exact")
-        # u + t n is idempotent for every scalar t
-        base, direction = tab.mat(u), tab.mat(n)
-        generic = max(matrix_rank(base + direction.scale(t)) for t in (0, 1, -1, 2, -2, 3, 4))
-        return _ranks(tab, [u]) + [generic]
+        # u + t n is idempotent for every scalar t, of the trace of u
+        return _ranks(tab, [u])
     return _ranks(tab, [_comb(1, u, mu / (1 - sigma - tau), n)])
 
 

@@ -19,7 +19,9 @@ dual functionals, which must be integral.
 
 Patterns whose cells are pinned to zero record the justification; only
 division-free normalizations are pinned where completeness over prime fields
-is claimed.
+is claimed, except at p = 2 for t6, whose reduction completes a square
+(`search.KNOWN_CAVEATS`), and t8, whose pinned zeros fail there, so that its
+slice misses orbits and is refused (`search.INCOMPLETE_SLICES`).
 
 The theorem patterns are kept as a table of specifications; `PATTERNS` names
 them.  `get_pattern` builds a pattern, and so checks its directions and dual

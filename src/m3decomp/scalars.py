@@ -118,8 +118,10 @@ def compile_poly(poly, names, p):
     return out
 
 
-def is_prime(n):
-    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+def is_prime(n, limit=None):
+    """Whether n >= 2 has no factor from 2 to its square root, trying none
+    above limit when one is given."""
+    return n >= 2 and all(n % q for q in range(2, min(math.isqrt(n), limit or n) + 1))
 
 
 #: the largest prime the finite-field oracle accepts (gfq explains the bound)
@@ -128,8 +130,9 @@ MAX_PRIME = 7
 
 def check_prime(p, bound=MAX_PRIME):
     """Raise NotSupported unless p is a prime no larger than bound (None:
-    any prime)."""
-    if not is_prime(p):
+    any prime).  Trial division stops at the bound: a number above it is out
+    of range unless a factor up to the bound shows it is not a prime."""
+    if not is_prime(p, bound):
         raise NotSupported(f"{p} is not a prime")
     if bound is not None and p > bound:
         raise NotSupported(

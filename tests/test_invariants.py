@@ -6,7 +6,8 @@ import pytest
 
 from m3decomp.catalog import COMPLEMENTS, builtin_catalog, entry_by_id
 from m3decomp.errors import NotSupported, SoundnessError
-from m3decomp.invariants import Fingerprint, _Table, fingerprint, matrix_rank
+from m3decomp.invariants import Fingerprint, _Table, fingerprint
+from m3decomp.linalg import echelonize
 from m3decomp.maps import family_conjugator, image_span
 from m3decomp.matrices import Mat3, span
 
@@ -195,14 +196,57 @@ def test_one_sided_units():
         assert tab.unit("two") is None
 
 
+def _rank(m):
+    return echelonize([list(r) for r in m.rows]).rank
+
+
+def _lifted_idempotent(s):
+    """The idempotent lifting the identity of s/rad, by the Newton lift
+    e -> 3e^2 - 2e^3 of a unit modulo the radical, as a matrix: a reference
+    for the ranks that the fingerprint reads as traces."""
+    tab = _Table(s)
+    e = tab.mat(tab.unit("two", echelonize(tab.rad)))
+    for _ in range(5):
+        e2 = e @ e
+        if e2 == e:
+            return e
+        e = e2.scale(3) - (e2 @ e).scale(2)
+    raise AssertionError("the idempotent lift did not converge")
+
+
+def _non_nilpotent_spans():
+    spans = {ident: c.subspace() for ident, c in COMPLEMENTS.items()}
+    for entry in builtin_catalog():
+        spans[entry.id], _ = entry.specialize(entry.standard_values())
+    return {ident: s for ident, s in spans.items() if len(_Table(s).rad) < s.dim}
+
+
 def test_principal_idempotent_ranks():
-    assert matrix_rank(_Table(s_of("X4")).principal_idempotent()) == 2
-    assert matrix_rank(_Table(s_of("X1")).principal_idempotent()) == 1
-    assert _Table(span([e(2, 1), e(3, 1)])).principal_idempotent() is None
-    for ident in ("T5", "V1", "Y8"):
+    # the fingerprint reads a trace; the reference lifts and takes the rank
+    spans = _non_nilpotent_spans()
+    # all but the nilpotent R1, R2 and T1, and the nine complements
+    assert len(spans) == 68 + len(COMPLEMENTS) and set(COMPLEMENTS) <= set(spans)
+    for ident, s in spans.items():
+        e = _lifted_idempotent(s)
+        assert e @ e == e and s.contains(e), ident
+        if s.dim > 2:
+            assert fingerprint(s).idempotent_ranks == (_rank(e),), ident
+    assert _rank(_lifted_idempotent(s_of("X4"))) == 2
+    assert _rank(_lifted_idempotent(s_of("X1"))) == 1
+    # a nilpotent algebra has no nonzero idempotent, in any dimension
+    assert fingerprint(s_of("T1")).idempotent_ranks == ()
+
+
+def test_mixed_family_has_one_rank():
+    # in R5 (D5) and R6 (D6) every u + t n is idempotent, of the rank of u
+    for ident in ("R5", "R6"):
         s = s_of(ident)
-        u = _Table(s).principal_idempotent()
-        assert u is not None and (u @ u) == u and s.contains(u)
+        tab = _Table(s)
+        u, n = _lifted_idempotent(s), tab.mat(tab.rad[0])
+        for t in (0, 1, -1, 2, -2, 3, Fraction(1, 2)):
+            x = u + n.scale(t)
+            assert x @ x == x and _rank(x) == _rank(u), (ident, t)
+        assert fingerprint(s).idempotent_ranks == (_rank(u),)
 
 
 @pytest.mark.parametrize("gens, message", [

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from m3decomp.errors import DomainMismatch, MissingVariable, ParseError
+from m3decomp.errors import DomainMismatch, MissingVariable, NotSupported, ParseError
 from m3decomp.scalars import (
+    MAX_PRIME,
     ConstraintSet,
     PolynomialRing,
     certified_nonzero,
+    check_prime,
     exact,
     first_violation,
     leading_coefficient,
@@ -229,3 +231,25 @@ def test_rationals_mix_with_polynomials():
     assert len({R.constant(Fraction(2, 3)), Fraction(2, 3), R.zero(), 0}) == 2
     with pytest.raises(DomainMismatch):
         x + ring("x", "z").gen("x")
+
+
+def test_check_prime_trial_divides_up_to_the_bound_only():
+    # the Mersenne prime 2^61 - 1 would need about 1.5e9 trial divisions
+    for p, bound in ((2**61 - 1, MAX_PRIME), (10**14 + 31, MAX_PRIME), (2**61 - 1, 127)):
+        with pytest.raises(NotSupported, match=f"primes up to {bound}, not {p}$"):
+            check_prime(p, bound)
+    # a factor up to the bound still shows a composite above it
+    with pytest.raises(NotSupported, match="^9 is not a prime$"):
+        check_prime(9)
+    # 11^2 has no factor up to 7, so it is out of range rather than composite
+    with pytest.raises(NotSupported, match="up to 7, not 121$"):
+        check_prime(121)
+    for p in (2, 3, 5, 7):
+        check_prime(p)
+    for p in (-3, 0, 1, 4, 6):
+        with pytest.raises(NotSupported, match="is not a prime"):
+            check_prime(p)
+    check_prime(127, 127)
+    check_prime(10**6 + 3, bound=None)
+    with pytest.raises(NotSupported, match="is not a prime"):
+        check_prime(1009 * 1013, bound=None)
