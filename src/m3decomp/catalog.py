@@ -26,13 +26,12 @@ class ComplementDef:
     and the verdict on its closure are computed on first use and shared by
     every entry against it."""
 
-    __slots__ = ("id", "generators", "dim", "unital", "_subspace", "_closure")
+    __slots__ = ("id", "generators", "dim", "_subspace", "_closure")
 
-    def __init__(self, ident, generators, unital):
+    def __init__(self, ident, generators):
         self.id = ident
         self.generators = tuple(generators)
         self.dim = len(self.generators)
-        self.unital = unital
         self._subspace = self._closure = None
 
     def subspace(self):
@@ -58,42 +57,19 @@ def _mat(*unit_positions):
 
 COMPLEMENTS = {
     "M7": ComplementDef(
-        "M7",
-        [_mat(p) for p in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3))],
-        unital=True,
-    ),
+        "M7", [_mat(p) for p in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3))]),
     "M6N": ComplementDef(
-        "M6N",
-        [_mat(p) for p in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3))],
-        unital=False,
-    ),
+        "M6N", [_mat(p) for p in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3))]),
     "M6U": ComplementDef(
-        "M6U",
-        [_mat(p) for p in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))],
-        unital=True,
-    ),
-    "L5_1": ComplementDef(
-        "L5_1", [_mat(p) for p in ((1, 1), (2, 2), (2, 3), (3, 2), (3, 3))], unital=True
-    ),
-    "L5_2": ComplementDef(
-        "L5_2", [_mat(p) for p in ((1, 1), (1, 2), (1, 3), (2, 2), (3, 3))], unital=True
-    ),
+        "M6U", [_mat(p) for p in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))]),
+    "L5_1": ComplementDef("L5_1", [_mat(p) for p in ((1, 1), (2, 2), (2, 3), (3, 2), (3, 3))]),
+    "L5_2": ComplementDef("L5_2", [_mat(p) for p in ((1, 1), (1, 2), (1, 3), (2, 2), (3, 3))]),
     "L5_3": ComplementDef(
-        "L5_3",
-        [_mat((1, 1)), _mat((1, 2)), _mat((1, 3)), _mat((2, 3)), _mat((2, 2), (3, 3))],
-        unital=True,
-    ),
-    "L5_4": ComplementDef(
-        "L5_4", [_mat(p) for p in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3))], unital=False
-    ),
-    "L5_5": ComplementDef(
-        "L5_5", [_mat(p) for p in ((1, 1), (1, 2), (1, 3), (2, 3), (3, 3))], unital=False
-    ),
+        "L5_3", [_mat((1, 1)), _mat((1, 2)), _mat((1, 3)), _mat((2, 3)), _mat((2, 2), (3, 3))]),
+    "L5_4": ComplementDef("L5_4", [_mat(p) for p in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3))]),
+    "L5_5": ComplementDef("L5_5", [_mat(p) for p in ((1, 1), (1, 2), (1, 3), (2, 3), (3, 3))]),
     "L5_6": ComplementDef(
-        "L5_6",
-        [_mat((1, 1), (3, 3)), _mat((1, 2)), _mat((1, 3)), _mat((2, 2)), _mat((2, 3))],
-        unital=True,
-    ),
+        "L5_6", [_mat((1, 1), (3, 3)), _mat((1, 2)), _mat((1, 3)), _mat((2, 2)), _mat((2, 3))]),
 }
 
 

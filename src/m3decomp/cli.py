@@ -9,9 +9,9 @@ run with deterministic JSON (or table) reports.
     m3decomp export --output catalog.json
     m3decomp derive-system --pattern t2 --compare t2_system
 
-search and invariants --sweep-primes take the primes up to
-scalars.MAX_PRIME (the finite-field oracle's bound); derive-system compares
-over the primes up to 127 (its solver stores cells as int8).  Each command
+search and invariants --sweep-primes take the primes up to scalars.MAX_PRIME
+(the finite-field oracle's bound); derive-system compares over the primes up
+to scalars.MAX_CELL_PRIME (its solver stores cells as int8).  Each command
 returns its report and verdict; main writes the report and sets the exit
 code: 0 all requested checks pass, 1 a check failed, 2 configuration error,
 one "error: ..." line and no report (an unknown pattern, entry or fixture,
@@ -39,7 +39,7 @@ import numpy as np
 from . import catalog, invariants, rota_baxter, search, verifier
 from .errors import M3DecompError
 from .patterns import PATTERNS, REFERENCE_SYSTEMS, get_pattern
-from .scalars import MAX_PRIME, check_prime, parse_rational, poly_to_string
+from .scalars import MAX_CELL_PRIME, MAX_PRIME, check_prime, parse_rational, poly_to_string
 
 SCHEMA = 1
 
@@ -232,7 +232,7 @@ def cmd_export(args):
 
 def cmd_derive_system(args):
     name = _pattern_name(args.pattern)
-    check_prime(args.prime, bound=127)
+    check_prime(args.prime, MAX_CELL_PRIME)
     if args.compare:
         if args.compare not in REFERENCE_SYSTEMS:
             raise M3DecompError(f"unknown fixture {args.compare!r}")
@@ -319,7 +319,7 @@ def build_parser():
     p.add_argument("--pairs", choices=("all", "squares"), default="all")
     p.add_argument("--compare", default=None, help="fixture name, e.g. t2_system")
     p.add_argument("--prime", type=int, default=3,
-                   help="the prime of the --compare solution sets (up to 127)")
+                   help=f"the prime of the --compare solution sets (up to {MAX_CELL_PRIME})")
     common(p)
     p.set_defaults(func=cmd_derive_system)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetExceeded, NotSupported
+from .errors import BudgetExceeded
 from .gfq import GFq
 from .scalars import compile_poly
 
@@ -45,9 +45,9 @@ def _plan(compiled, n_vars):
 def solve_system_fp(polys, names, p):
     """All assignments over F_p^names killing every polynomial, sorted
     lexicographically; returns an (N, len(names)) int8 array.  Raises
-    BudgetExceeded when the rows held at once would exceed DEFAULT_BUDGET."""
-    if p > np.iinfo(np.int8).max:
-        raise NotSupported(f"cell values are int8, which holds F_p for p up to 127, not {p}")
+    BudgetExceeded when the rows held at once would exceed DEFAULT_BUDGET,
+    and NotSupported (from GFq) unless p is a prime whose elements fit the
+    int8 cells, scalars.MAX_CELL_PRIME at most."""
     gf = GFq(p)
     names = tuple(names)
     compiled = []

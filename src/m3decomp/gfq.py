@@ -14,7 +14,9 @@ obstruction.
 The finite-field oracle accepts the primes up to MAX_PRIME (kept in scalars,
 beside check_prime).  The bound comes from the oracle, not from this
 arithmetic: its sweeps apply a group in batches and its solver's row budget
-admits every pattern at p = 11, but no report there is archived yet.
+admits every pattern at p = 11, but no report there is archived yet.  The
+class itself takes the primes up to MAX_CELL_PRIME, whose elements fit the
+int8 cells that the oracle stores.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotSupported
-from .scalars import check_prime
+from .scalars import MAX_CELL_PRIME, check_prime
 
 
 def quadratic(p):
@@ -35,7 +37,7 @@ def quadratic(p):
 
 class GFq:
     def __init__(self, p, degree=1):
-        check_prime(p, bound=None)
+        check_prime(p, MAX_CELL_PRIME)
         if degree not in (1, 2):
             raise NotSupported(f"fields of degree {degree} over F_p")
         self.p = p
@@ -43,11 +45,15 @@ class GFq:
         self.q = p ** degree
         if degree == 2:
             self.s, self.r = quadratic(p)
-        # each element's partner whose product with it is 1, in the order of
-        # elements() (0 has none and maps to 0): q^2 products, made once
-        els = self.elements()
-        is_one = self.is_zero(self.sub(self.mul(els[:, None], els[None]), self.lift(1)))
-        self.inverses = els[is_one.argmax(axis=1)]
+        # a^(q-2), the inverse of each a != 0, by repeated squaring over the
+        # elements in the order of elements(); 0 has none and maps to 0
+        square, e = self.elements(), self.q - 2
+        self.inverses = self.lift(np.ones(self.q, dtype=np.int64))
+        while e:
+            if e & 1:
+                self.inverses = self.mul(self.inverses, square)
+            square, e = self.mul(square, square), e >> 1
+        self.inverses[0] = 0
 
     # -- element helpers ----------------------------------------------------
 

@@ -8,14 +8,18 @@ from another fingerprint up to the transpose (`SEPARATORS`).
 All computations here are exact and over Q (a parametric span raises
 NotSupported).  A subalgebra is read through one table: the k^2 products
 b_i b_j of its echelon basis, formed once and written in the basis as
-sum_l c_ij^l b_l (None when the product leaves the span).  Units, radical
-powers, annihilators and idempotents are linear algebra on coordinate
-vectors and this table, with no further matrix product.
+sum_l c_ij^l b_l; a span with a product outside it is refused.  Units,
+radical powers, annihilators and idempotents are linear algebra on
+coordinate vectors and this table, with no further matrix product.
 
 In characteristic zero the Jacobson radical of a subalgebra of the matrix
 algebra is the kernel of the ambient trace form tr(x y) = sum x_ab y_ba,
 read from the coordinates, and (Dickson) an algebra is nilpotent exactly
 when its radical is all of it, that is, when the trace form vanishes on it.
+The principal idempotent e (the lift of the identity of s/rad) satisfies
+tr(e y) = tr(y) for every y in s, as (1 - e) y (1 - e) is nilpotent; so
+every solution c of gram c = (tr b_i) is e plus a radical element, and its
+trace is rank e.
 """
 
 from __future__ import annotations
@@ -59,8 +63,10 @@ class _Table:
     """A span through its echelon basis b_1..b_k and their products.
 
     Elements are coordinate vectors in the basis.  c[i][j] holds the
-    coordinates of b_i b_j, or None when that product leaves the span; rad is
-    a basis of the radical (the kernel of the trace form) as vectors.
+    coordinates of b_i b_j, or None when that product leaves the span; gram
+    is the trace form tr(b_i b_j), rad a basis of its kernel, the radical, as
+    vectors, and traces the tr(b_i).  Products, units and annihilators are
+    read on a table that `closed` has passed.
     """
 
     def __init__(self, s):
@@ -68,7 +74,9 @@ class _Table:
         self.pivots = s.echelon.pivot_cols
         self.k = len(self.rows)
         self.basis = [[exact(int(i == j)) for j in range(self.k)] for i in range(self.k)]
-        self.rad = kernel_basis(_gram(self.rows), self.k)
+        self.gram = _gram(self.rows)
+        self.traces = [r[0] + r[4] + r[8] for r in self.rows]
+        self.rad = kernel_basis(self.gram, self.k)
         mats = [Mat3.from_coords(r) for r in self.rows]
         self.c = [[self._coords((x @ y).coords()) for y in mats] for x in mats]
 
@@ -88,11 +96,8 @@ class _Table:
         return self
 
     def mul(self, x, y):
-        """x y, or None when it needs a basis product that leaves the span."""
         terms = [(xi * yj, self.c[i][j])
                  for i, xi in enumerate(x) for j, yj in enumerate(y) if xi and yj]
-        if any(c is None for _, c in terms):
-            return None
         return [sum((f * c[l] for f, c in terms), exact(0)) for l in range(self.k)]
 
     def annihilator(self, ts):
@@ -103,30 +108,27 @@ class _Table:
             rows += [list(row) for row in zip(*[self.mul(t, b) for b in self.basis])]
         return kernel_basis(rows, self.k)
 
-    def unit(self, side, modulo=None):
+    def unit(self, side):
         """A u with u b = b (side "left"), b u = b ("right") or both ("two")
-        for every basis element b, modulo the span of the echelon `modulo`
-        when one is given; None if absent or a product leaves the span."""
+        for every basis element b; None if absent."""
         if not self.k:
             return None
-        reduce = list if modulo is None else modulo.project_field
         rows = []
         rhs = []
         sides = [x for x in ("left", "right") if side in ("two", x)]
         for j, b in enumerate(self.basis):
             for one in sides:
                 cols = [self.c[i][j] if one == "left" else self.c[j][i] for i in range(self.k)]
-                if None in cols:
-                    return None
-                rows += [list(row) for row in zip(*map(reduce, cols))]
-                rhs += reduce(b)
+                rows += [list(row) for row in zip(*cols)]
+                rhs += b
         return solve_linear(rows, rhs)
 
     def trace(self, x):
         """The trace of x: over Q the rank of x when x is an idempotent, and of
-        the idempotent e when x - e is nilpotent (Pierce, Associative
-        Algebras, 1982).  SoundnessError unless it is an integer from 1 to 3."""
-        t = sum(xi * (r[0] + r[4] + r[8]) for xi, r in zip(x, self.rows))
+        the idempotent e when x - e lies in the radical, where the trace form
+        vanishes (Pierce, Associative Algebras, 1982).  SoundnessError unless
+        it is an integer from 1 to 3."""
+        t = sum(xi * ti for xi, ti in zip(x, self.traces))
         if t not in (1, 2, 3):
             raise SoundnessError(f"an idempotent has trace {t}, not a rank from 1 to 3")
         return int(t)
@@ -151,9 +153,11 @@ SEPARATORS = (
 class Fingerprint:
     """Orbit-invariant summary of a subalgebra.
 
-    idempotent_ranks holds the set of nonzero-idempotent matrix ranks in
-    dimension <= 2 and the rank of the idempotent lifting the identity of
-    s/rad otherwise, each read as a trace (`_Table.trace`).
+    idempotent_ranks holds the rank of the principal idempotent (the one
+    lifting the identity of s/rad; none when s is nilpotent), and for a
+    split 2-dimensional semisimple algebra also the ranks of its two
+    primitive idempotents: in dimension <= 2 these are the ranks of all
+    nonzero idempotents.  Each rank is read as a trace (`_Table.trace`).
     ann_radsq_has_idempotent records whether the two-sided annihilator of
     rad^2 inside the algebra contains a nonzero idempotent (equivalently, is
     non-nilpotent).
@@ -206,21 +210,13 @@ class Fingerprint:
 
 def fingerprint(s):
     """Full invariant battery for a concrete subalgebra over Q."""
-    tab = _Table(s)
-    # in dim <= 2 the idempotents come first: their checks name the product
-    # that leaves a span which is not closed
-    ranks = _idempotents(tab) if tab.k <= 2 else None
-    rad = tab.closed().rad
+    tab = _Table(s).closed()
+    rad = tab.rad
     rad2 = echelonize([tab.mul(x, y) for x in rad for y in rad]).rows
     rad3 = echelonize([tab.mul(x, y) for x in rad for y in rad2]).rows
     # the annihilator of rad^2 is an ideal; it is nilpotent iff the trace
     # form vanishes on it
     ann = [_flat(tab.rows, x) for x in tab.annihilator(rad2)]
-    if ranks is None:
-        # a unit modulo the radical differs from the principal idempotent by
-        # a nilpotent element, so it has that idempotent's trace
-        u = None if len(rad) == tab.k else tab.unit("two", echelonize(rad))
-        ranks = () if u is None else (tab.trace(u),)
     return Fingerprint(
         dim=tab.k,
         rad_dims=(len(rad), len(rad2), len(rad3)),
@@ -230,14 +226,28 @@ def fingerprint(s):
         has_right_unit=tab.unit("right") is not None,
         rad_in_left_ann=not any(any(tab.mul(b, r)) for b in tab.basis for r in rad),
         rad_in_right_ann=not any(any(tab.mul(r, b)) for b in tab.basis for r in rad),
-        idempotent_ranks=tuple(sorted(set(ranks))),
+        idempotent_ranks=tuple(sorted(set(_idempotent_ranks(tab)))),
         ann_radsq_has_idempotent=any(any(row) for row in _gram(ann)),
     )
 
 
 # ---------------------------------------------------------------------------
-# idempotents in small dimension
+# idempotent ranks
 # ---------------------------------------------------------------------------
+
+def _idempotent_ranks(tab):
+    """The ranks of the nonzero idempotents of a 2-dimensional semisimple
+    algebra; otherwise the rank of the principal idempotent, read as the
+    trace of a solution of gram c = (tr b_i), or none when s is nilpotent."""
+    if len(tab.rad) == tab.k:
+        return []
+    if tab.k == 2 and not tab.rad:
+        return _idempotents_semisimple2(tab)
+    c = solve_linear(tab.gram, tab.traces)
+    if c is None:
+        raise SoundnessError("no element has the traces of a unit modulo the radical")
+    return [tab.trace(c)]
+
 
 def _ranks(tab, elements):
     """The rank of each element, read as its trace, each checked to be
@@ -245,40 +255,6 @@ def _ranks(tab, elements):
     if any(tab.mul(x, x) != x for x in elements):
         raise SoundnessError("a computed idempotent does not square to itself")
     return [tab.trace(x) for x in elements]
-
-
-def _idempotents(tab):
-    """The ranks of the nonzero idempotents of a table of dimension <= 2,
-    with one generic rank for a 1-parameter family of them."""
-    if len(tab.rad) == tab.k:
-        return []
-    if tab.k == 1:
-        # closure gives b^2 = c b, with c != 0 as b is not nilpotent
-        c = tab.c[0][0]
-        if c is None:
-            raise SoundnessError("the scaled generator is not idempotent")
-        return _ranks(tab, [[1 / c[0]]])
-    if not tab.rad:
-        return _idempotents_semisimple2(tab)
-    # one-dimensional radical n: normalize u, the first basis element outside
-    # it, to u^2 = u + m*n; then u n = sigma n, n u = tau n, sigma, tau in {0, 1}
-    n = tab.rad[0]
-    u = tab.basis[0] if n[1] else tab.basis[1]
-    lam = _solve_in(tab.mul(u, u), (u, n), _LEAVES)[0]
-    if lam == 0:
-        raise SoundnessError("non-nilpotent 2-dim algebra must have u^2 ~ u")
-    u = [x / lam for x in u]
-    mu = _solve_in(tab.mul(u, u), (u, n), _LEAVES)[1]
-    sigma = _solve_in(tab.mul(u, n), (n,), _NOT_MULTIPLE)[0]
-    tau = _solve_in(tab.mul(n, u), (n,), _NOT_MULTIPLE)[0]
-    if sigma not in (0, 1) or tau not in (0, 1):
-        raise SoundnessError("the radical is not scaled by 0 or 1 under u")
-    if sigma + tau == 1:
-        if mu != 0:
-            raise SoundnessError("idempotent lifting forces the mixed case to be exact")
-        # u + t n is idempotent for every scalar t, of the trace of u
-        return _ranks(tab, [u])
-    return _ranks(tab, [_comb(1, u, mu / (1 - sigma - tau), n)])
 
 
 def _idempotents_semisimple2(tab):
@@ -302,13 +278,12 @@ def _idempotents_semisimple2(tab):
 
 
 _LEAVES = "a product leaves the span of its two factors"
-_NOT_MULTIPLE = "a product with u is not a multiple of n"
 
 
 def _solve_in(target, vectors, message):
     """Coefficients c with target = sum c_i vectors[i]; SoundnessError with
-    the message when the target is None or outside their span."""
-    sol = None if target is None else solve_linear([list(r) for r in zip(*vectors)], target)
+    the message when the target is outside their span."""
+    sol = solve_linear([list(r) for r in zip(*vectors)], target)
     if sol is None:
         raise SoundnessError(message)
     return sol

@@ -85,17 +85,6 @@ class Echelon:
             row = _eliminate(row, erow, col)
         return row
 
-    def project_field(self, row):
-        """Linear projection killing the pivot coordinates (field scalars
-        only): row minus its echelon-span component."""
-        row = list(row)
-        for erow, col in zip(self.rows, self.pivot_cols):
-            c = row[col]
-            if c:
-                f = c / erow[col]
-                row = [x - f * y for x, y in zip(row, erow)]
-        return row
-
 
 def echelonize(rows, constraints=EMPTY_CONSTRAINTS):
     """Bring rows to a fully reduced, content-normalized echelon form.

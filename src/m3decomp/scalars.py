@@ -126,15 +126,17 @@ def is_prime(n, limit=None):
 
 #: the largest prime the finite-field oracle accepts (gfq explains the bound)
 MAX_PRIME = 7
+#: the largest prime whose field elements fit the oracle's int8 cells
+MAX_CELL_PRIME = 127
 
 
 def check_prime(p, bound=MAX_PRIME):
-    """Raise NotSupported unless p is a prime no larger than bound (None:
-    any prime).  Trial division stops at the bound: a number above it is out
-    of range unless a factor up to the bound shows it is not a prime."""
+    """Raise NotSupported unless p is a prime no larger than bound.  Trial
+    division stops at the bound: a number above it is out of range unless a
+    factor up to the bound shows it is not a prime."""
     if not is_prime(p, bound):
         raise NotSupported(f"{p} is not a prime")
-    if bound is not None and p > bound:
+    if p > bound:
         raise NotSupported(
             f"the finite-field oracle supports the primes up to {bound}, not {p}"
         )

@@ -145,7 +145,7 @@ def test_complement_subspace_and_closure_built_once(monkeypatch):
     is_subalgebra = Subspace.is_subalgebra
     monkeypatch.setattr(Subspace, "is_subalgebra",
                         lambda s: checked.append(s) or is_subalgebra(s))
-    comp = ComplementDef("M7", COMPLEMENTS["M7"].generators, unital=True)
+    comp = ComplementDef("M7", COMPLEMENTS["M7"].generators)
     sub = comp.subspace()
     assert comp.subspace() is sub and sub.dim == 7
     assert comp.closure() == comp.closure() == (True, None)
@@ -191,8 +191,7 @@ def test_lemma5_records():
         sub = comp.subspace()
         assert sub.dim == 5
         assert sub.is_subalgebra()[0]
-        assert sub.contains_identity() == comp.unital
-        if comp.unital:
+        if sub.contains_identity():
             unital.append(k)
     assert unital == [1, 2, 3, 6]
 

@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from m3decomp.errors import NotSupported
 from m3decomp.gfq import GFq, quadratic
-from m3decomp.scalars import MAX_PRIME, check_prime, is_prime
+from m3decomp.scalars import MAX_CELL_PRIME, MAX_PRIME, check_prime, is_prime
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -105,13 +107,30 @@ def test_prime_field_is_degree_one():
 @pytest.mark.parametrize("p", [0, 1, 4, 9, -3])
 def test_non_primes_rejected(p):
     with pytest.raises(NotSupported, match="not a prime"):
-        check_prime(p, bound=None)
+        check_prime(p, MAX_CELL_PRIME)
     with pytest.raises(NotSupported, match="not a prime"):
         GFq(p)
 
 
+def test_primes_beyond_the_cell_bound_are_refused_at_once():
+    # trial division stops at the bound: the Mersenne prime 2^61 - 1 would
+    # need about 1.5e9 divisions to be shown prime
+    start = time.perf_counter()
+    for p in (2**61 - 1, 131):
+        with pytest.raises(NotSupported, match=f"up to {MAX_CELL_PRIME}, not {p}$"):
+            GFq(p)
+    assert time.perf_counter() - start < 1
+
+
+def test_inverses_at_the_largest_cell_prime():
+    gf = GFq(MAX_CELL_PRIME, 2)
+    zero, nonzero = gf.elements()[:1], gf.elements()[1:]
+    assert np.array_equal(gf.mul(nonzero, gf.inv(nonzero)), gf.lift([1] * len(nonzero)))
+    assert gf.is_zero(gf.inv(zero)).all()
+
+
 def test_oracle_bound():
     check_prime(MAX_PRIME)
-    check_prime(11, bound=None)
+    check_prime(11, MAX_CELL_PRIME)
     with pytest.raises(NotSupported, match=f"up to {MAX_PRIME}, not 11"):
         check_prime(11)

@@ -7,7 +7,7 @@ import pytest
 from m3decomp.catalog import COMPLEMENTS, builtin_catalog, entry_by_id
 from m3decomp.errors import NotSupported, SoundnessError
 from m3decomp.invariants import Fingerprint, _Table, fingerprint
-from m3decomp.linalg import echelonize
+from m3decomp.linalg import echelonize, kernel_basis, solve_linear
 from m3decomp.maps import family_conjugator, image_span
 from m3decomp.matrices import Mat3, span
 
@@ -163,19 +163,28 @@ def test_fingerprint_lemma5_separation():
                 assert fps[i] not in (fps[j], fps[j].swapped()), (i, j)
 
 
+def _random_conjugators(rng, count):
+    """count members of phi_full and count general invertible matrices."""
+    found = []
+    while len(found) < count:
+        ps = [rng.randint(-3, 3) for _ in range(6)]
+        if ps[2] * ps[5] - ps[3] * ps[4]:
+            found.append(family_conjugator("phi_full", ps)[0])
+    while len(found) < 2 * count:
+        t = Mat3([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
+        if t.det():
+            found.append(t)
+    return found
+
+
 def test_fingerprint_automorphism_invariance():
+    # R1..R10 cover the seven 2-dimensional types (remark 1)
     rng = random.Random(31)
-    for ident in ("R5", "T2", "X6", "Z4"):
+    for ident in [f"R{k}" for k in range(1, 11)] + ["T2", "X6", "Z4"]:
         s = s_of(ident)
         fp = fingerprint(s)
-        done = 0
-        while done < 5:
-            ps = [rng.randint(-3, 3) for _ in range(6)]
-            if ps[2] * ps[5] - ps[3] * ps[4] == 0:
-                continue
-            done += 1
-            img = image_span(s, family_conjugator("phi_full", ps)[0])
-            assert fingerprint(img) == fp
+        for t in _random_conjugators(rng, 5):
+            assert fingerprint(image_span(s, t)) == fp, (ident, t)
 
 
 def test_fingerprint_transpose_swaps_sides():
@@ -200,12 +209,26 @@ def _rank(m):
     return echelonize([list(r) for r in m.rows]).rank
 
 
+def _unit_modulo_radical(tab):
+    """A u with u b - b and b u - b in the radical for every basis element b:
+    each functional f that vanishes on the radical must give f(u b) = f(b)
+    and f(b u) = f(b)."""
+    functionals = kernel_basis(tab.rad, tab.k)
+    rows, rhs = [], []
+    for j, b in enumerate(tab.basis):
+        for cols in ([tab.c[i][j] for i in range(tab.k)], [tab.c[j][i] for i in range(tab.k)]):
+            for f in functionals:
+                rows.append([sum(fl * cl for fl, cl in zip(f, col)) for col in cols])
+                rhs.append(sum(fl * bl for fl, bl in zip(f, b)))
+    return solve_linear(rows, rhs)
+
+
 def _lifted_idempotent(s):
     """The idempotent lifting the identity of s/rad, by the Newton lift
     e -> 3e^2 - 2e^3 of a unit modulo the radical, as a matrix: a reference
     for the ranks that the fingerprint reads as traces."""
-    tab = _Table(s)
-    e = tab.mat(tab.unit("two", echelonize(tab.rad)))
+    tab = _Table(s).closed()
+    e = tab.mat(_unit_modulo_radical(tab))
     for _ in range(5):
         e2 = e @ e
         if e2 == e:
@@ -229,8 +252,11 @@ def test_principal_idempotent_ranks():
     for ident, s in spans.items():
         e = _lifted_idempotent(s)
         assert e @ e == e and s.contains(e), ident
-        if s.dim > 2:
-            assert fingerprint(s).idempotent_ranks == (_rank(e),), ident
+        fp = fingerprint(s)
+        # a split 2-dimensional semisimple algebra also reports e1 and e2,
+        # whose ranks add up to that of their sum e
+        assert fp.idempotent_ranks[-1] == _rank(e), ident
+        assert len(fp.idempotent_ranks) == 1 or fp.dim == fp.ss_dim == 2, ident
     assert _rank(_lifted_idempotent(s_of("X4"))) == 2
     assert _rank(_lifted_idempotent(s_of("X1"))) == 1
     # a nilpotent algebra has no nonzero idempotent, in any dimension
@@ -249,7 +275,7 @@ def test_mixed_family_has_one_rank():
         assert fingerprint(s).idempotent_ranks == (_rank(u),)
 
 
-@pytest.mark.parametrize("gens, message", [
+@pytest.mark.parametrize("gens, defect", [
     # g^2 is not a multiple of g, so g scaled by its first ratio is no idempotent
     ([e(1, 1) + e(1, 2) + e(2, 1)], "scaled generator is not idempotent"),
     # the radical is spanned by e23, and u^2 leaves span(u, e23)
@@ -259,16 +285,17 @@ def test_mixed_family_has_one_rank():
     # zero radical, but no element of the span is a two-sided unit for it
     ([e(1, 1), e(1, 2) + e(2, 1)], "semisimple algebras are unital"),
 ])
-def test_soundness_checks_reject_non_closed_spans(gens, message):
+def test_soundness_checks_reject_non_closed_spans(gens, defect):
+    # whatever else is wrong with the span, the table's closure check
+    # refuses it before any invariant is read
     s = span(gens)
-    assert not s.is_subalgebra()[0]
-    with pytest.raises(SoundnessError, match=message):
+    assert not s.is_subalgebra()[0], defect
+    with pytest.raises(SoundnessError, match="a basis product leaves the span"):
         fingerprint(s)
 
 
 def test_fingerprint_rejects_non_closed_span_of_dim_3():
-    # e12 e23 = e13 leaves the span; the idempotents of dim <= 2 are not
-    # computed for dim 3, so the table's closure check is what rejects it
+    # e12 e23 = e13 leaves the span
     s = span([e(1, 1), e(1, 2), e(2, 3)])
     with pytest.raises(SoundnessError, match="leaves the span"):
         fingerprint(s)

@@ -250,6 +250,7 @@ def test_check_prime_trial_divides_up_to_the_bound_only():
         with pytest.raises(NotSupported, match="is not a prime"):
             check_prime(p)
     check_prime(127, 127)
-    check_prime(10**6 + 3, bound=None)
+    # with the number itself as the bound, trial division reaches its root
+    check_prime(10**6 + 3, 10**6 + 3)
     with pytest.raises(NotSupported, match="is not a prime"):
-        check_prime(1009 * 1013, bound=None)
+        check_prime(1009 * 1013, 1009 * 1013)
