@@ -107,7 +107,7 @@ class CatalogEntry:
     )
 
     def __init__(self, ident, theorem, complement_id, params, gen_strings,
-                 nonzero_strings, unital_component, notes="", not_both_zero_strings=()):
+                 nonzero_strings, unital_component, notes=""):
         if not isinstance(ident, str) or not ident:
             raise SchemaError("id", f"{ident!r} is not a nonempty text")
         if not isinstance(complement_id, str) or complement_id not in COMPLEMENTS:
@@ -129,9 +129,7 @@ class CatalogEntry:
         # parsing against the ring of declared params already rejects any
         # undeclared parameter name
         self.constraints = _field("constraints", ident, lambda: ConstraintSet(
-            [parse_poly(s, self.ring) for s in nonzero_strings],
-            [(parse_poly(a, self.ring), parse_poly(b, self.ring))
-             for a, b in not_both_zero_strings]))
+            [parse_poly(s, self.ring) for s in nonzero_strings]))
         if unital_component not in ("S", "B"):  # the identity lies in one summand
             raise SchemaError("unital_component",
                               f"entry {ident}: {unital_component!r} is neither 'S' nor 'B'")
@@ -169,8 +167,6 @@ class CatalogEntry:
         if missing:
             raise SchemaError("params", f"assignment misses {missing}")
         bad = first_violation(self.constraints, values)
-        if isinstance(bad, tuple):
-            raise ConstraintViolated("({},{})".format(*map(poly_to_string, bad)))
         if bad is not None:
             raise ConstraintViolated(poly_to_string(bad))
         gens = [Mat3([[cell.eval(values) for cell in row] for row in g.rows])
@@ -189,10 +185,6 @@ class CatalogEntry:
             ],
             "constraints": {
                 "nonzero": [poly_to_string(p) for p in self.constraints.nonzero],
-                "not_both_zero": [
-                    [poly_to_string(a), poly_to_string(b)]
-                    for a, b in self.constraints.not_both_zero
-                ],
             },
             "unital_component": self.unital_component,
             "notes": self.notes,
@@ -210,18 +202,22 @@ class CatalogEntry:
                 raise SchemaError(field, "missing")
         cons = rec["constraints"]
         if not isinstance(cons, dict) or "nonzero" not in cons:
-            raise SchemaError("constraints", "expected {nonzero: [...], ...}")
+            raise SchemaError("constraints", "expected {nonzero: [...]}")
+        if cons.get("not_both_zero", []) != []:
+            # every side condition is one polynomial that must not vanish; a
+            # pair read as anything else would weaken the file's conditions
+            raise SchemaError("constraints", f"entry {rec['id']!r}: not_both_zero pairs are "
+                              "not supported; state each side condition under nonzero")
         for field, ok in (
             ("params", _is_list(rec["params"])),
             ("s_generators", _is_list(rec["s_generators"], lambda g: _is_list(g, _is_list))),
-            ("constraints", _is_list(cons["nonzero"])
-             and _is_list(cons.get("not_both_zero", []), _is_list)),
+            ("constraints", _is_list(cons["nonzero"])),
         ):
             if not ok:
                 raise SchemaError(field, f"entry {rec['id']!r}: a list is expected")
         return CatalogEntry(rec["id"], rec["theorem"], rec["complement_id"], rec["params"],
                             rec["s_generators"], cons["nonzero"], rec["unital_component"],
-                            rec.get("notes", ""), cons.get("not_both_zero", []))
+                            rec.get("notes", ""))
 
     def __eq__(self, other):
         return isinstance(other, CatalogEntry) and self.to_json() == other.to_json()
@@ -506,6 +502,8 @@ def load_catalog(path):
         raise SchemaError("path", f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:
         raise SchemaError("path", f"{path} is not JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("path", f"{path} is nested too deeply to read") from None
     # an int, not a bool: true and 1.0 equal 1 as well
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if type(version) is not int or version != SCHEMA_VERSION:

@@ -86,9 +86,6 @@ class _Table:
         x = [flat[p] / r[p] for r, p in zip(self.rows, self.pivots)]
         return x if list(flat) == _flat(self.rows, x) else None
 
-    def mat(self, x):
-        return Mat3.from_coords(_flat(self.rows, x))
-
     def closed(self):
         """This table, once every basis product is known to stay in the span."""
         if any(None in row for row in self.c):
@@ -264,7 +261,7 @@ def _idempotents_semisimple2(tab):
     # the first basis element outside span(unit)
     w = tab.basis[0] if unit[1] else tab.basis[1]
     # w^2 = a w + b 1; split when the discriminant is a rational square
-    a, b = _solve_in(tab.mul(w, w), (w, unit), _LEAVES)
+    a, b = solve_linear([list(r) for r in zip(w, unit)], tab.mul(w, w))
     disc = a * a + 4 * b
     if disc == 0:
         raise SoundnessError("separable quadratic expected in a semisimple algebra")
@@ -275,15 +272,3 @@ def _idempotents_semisimple2(tab):
     e1 = _comb(1 / root, w, (root - a) / (2 * root), unit)
     e2 = _comb(1, unit, -1, e1)
     return _ranks(tab, [e for e in (e1, e2, unit) if any(e)])
-
-
-_LEAVES = "a product leaves the span of its two factors"
-
-
-def _solve_in(target, vectors, message):
-    """Coefficients c with target = sum c_i vectors[i]; SoundnessError with
-    the message when the target is outside their span."""
-    sol = solve_linear([list(r) for r in zip(*vectors)], target)
-    if sol is None:
-        raise SoundnessError(message)
-    return sol

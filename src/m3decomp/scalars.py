@@ -70,7 +70,11 @@ def rational(x):
 
 def parse_rational(text):
     """The rational a text spells ("1", "-3/2", "0.5"), as Fraction reads it;
-    ValueError for any other text, a zero denominator included."""
+    ValueError for any other text, a zero denominator included.  Text with
+    an exponent is refused before Fraction expands it into that many
+    digits."""
+    if "e" in text.lower():
+        raise ValueError(f"exponent notation in {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -118,10 +122,10 @@ def compile_poly(poly, names, p):
     return out
 
 
-def is_prime(n, limit=None):
+def is_prime(n, limit):
     """Whether n >= 2 has no factor from 2 to its square root, trying none
-    above limit when one is given."""
-    return n >= 2 and all(n % q for q in range(2, min(math.isqrt(n), limit or n) + 1))
+    above limit."""
+    return n >= 2 and all(n % q for q in range(2, min(math.isqrt(n), limit) + 1))
 
 
 #: the largest prime the finite-field oracle accepts (gfq explains the bound)
@@ -378,61 +382,42 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 
 class ConstraintSet:
-    """Parameter side conditions: polynomials required nonzero, plus pairs of
-    which at least one member must be nonzero."""
+    """Parameter side conditions: polynomials required nonzero."""
 
-    __slots__ = ("nonzero", "not_both_zero")
+    __slots__ = ("nonzero",)
 
-    def __init__(self, nonzero=(), not_both_zero=()):
+    def __init__(self, nonzero=()):
         self.nonzero = tuple(nonzero)
-        self.not_both_zero = tuple(tuple(pair) for pair in not_both_zero)
-        for group in [(p,) for p in self.nonzero] + list(self.not_both_zero):
-            if not any(group):
-                raise ValueError(f"identically zero constraint {group}")
+        for p in self.nonzero:
+            if not p:
+                raise ValueError(f"identically zero constraint {p}")
 
     def merged(self, other):
         seen = list(self.nonzero)
         for p in other.nonzero:
             if p not in seen:
                 seen.append(p)
-        pairs = list(self.not_both_zero)
-        for pair in other.not_both_zero:
-            if pair not in pairs:
-                pairs.append(pair)
-        return ConstraintSet(seen, pairs)
+        return ConstraintSet(seen)
 
     def cast(self, ring):
-        return ConstraintSet(
-            tuple(p.cast(ring) for p in self.nonzero),
-            tuple((a.cast(ring), b.cast(ring)) for a, b in self.not_both_zero),
-        )
+        return ConstraintSet(p.cast(ring) for p in self.nonzero)
 
     def __repr__(self):
-        parts = [f"{p} != 0" for p in self.nonzero]
-        parts += [f"({a},{b}) != (0,0)" for a, b in self.not_both_zero]
-        return "{" + ", ".join(parts) + "}" if parts else "{}"
+        return "{" + ", ".join(f"{p} != 0" for p in self.nonzero) + "}"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ConstraintSet)
-            and self.nonzero == other.nonzero
-            and self.not_both_zero == other.not_both_zero
-        )
+        return isinstance(other, ConstraintSet) and self.nonzero == other.nonzero
 
 
 EMPTY_CONSTRAINTS = ConstraintSet()
 
 
 def first_violation(constraints, assignment):
-    """The first side condition an assignment breaks, or None: a nonzero
-    polynomial that evaluates to zero, else a not-both-zero pair whose
-    members both do."""
+    """The first side condition an assignment breaks: a nonzero polynomial
+    that evaluates to zero there, or None when every one holds."""
     for p in constraints.nonzero:
         if p.eval(assignment) == 0:
             return p
-    for pair in constraints.not_both_zero:
-        if all(q.eval(assignment) == 0 for q in pair):
-            return pair
     return None
 
 
@@ -553,7 +538,10 @@ def parse_poly(text, ring):
             return inner
         raise ParseError(f"unexpected token {val!r}", column=pos)
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     kind, val, pos = peek()
     if kind != "end":
         raise ParseError(f"trailing input at {val!r}", column=pos)

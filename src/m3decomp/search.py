@@ -338,7 +338,7 @@ def orbit_partition_fp(solutions, pattern_name, p):
 
 def _specializations(pdata, gf):
     """Every specialization over the field gf of the catalog entries the
-    record's pattern classifies whose nonzero-constraints hold, pattern-
+    record's pattern classifies whose side conditions hold, pattern-
     normalized: yields (entry id, parameter names, values, cells, ok) per
     entry, values holding one row of parameter values per specialization in
     grid order."""

@@ -59,17 +59,15 @@ def test_specialize_constraint_violation():
 
 
 def test_specialize_names_the_first_violated_condition():
-    rec = entry_by_id("R9").to_json()
-    rec["params"] = ["y", "a"]
-    rec["constraints"]["not_both_zero"] = [["a", "y-1"]]
-    entry = CatalogEntry.from_json(rec)
+    # f and d both vanish at the origin, and f is declared first
+    r10 = _with_nonzero("R10", "f", "d")
     with pytest.raises(ConstraintViolated) as exc:
-        entry.specialize({"y": 0, "a": 0})
-    assert exc.value.polynomial == "y"
+        r10.specialize({"d": 0, "f": 0})
+    assert exc.value.polynomial == "f"
     with pytest.raises(ConstraintViolated) as exc:
-        entry.specialize({"y": 1, "a": 0})
-    assert exc.value.polynomial == "(a,y-1)"
-    S, _ = entry.specialize({"y": 1, "a": 1})
+        r10.specialize({"d": 0, "f": 1})
+    assert exc.value.polynomial == "d"
+    S, _ = r10.specialize({"d": 1, "f": 1})
     assert S.dim == 2
 
 
@@ -95,11 +93,6 @@ def test_standard_point_walks_past_the_side_conditions():
     # the last parameter moves first: (d, f) = (2, 3), (2, 4), (2, 5), ...
     r10 = _with_nonzero("R10", "f", "f-3", "f-4")
     assert r10.standard_values() == {"d": 2, "f": 5}
-    # a not-both-zero pair counts as well
-    rec = entry_by_id("R9").to_json()
-    rec["params"] = ["y", "a"]
-    rec["constraints"]["not_both_zero"] = [["a-3", "y-2"]]
-    assert CatalogEntry.from_json(rec).standard_values() == {"y": 2, "a": 4}
 
 
 def test_standard_point_refuses_an_entry_the_walk_cannot_meet():
@@ -124,20 +117,18 @@ def test_parse_error_names_the_entry_and_the_field(field, cell, constraint, mess
     assert str(exc.value) == f"field {field!r}: entry R8: {message}"
 
 
-def test_not_both_zero_pairs_are_built_with_the_entry():
-    # the constructor parses the pairs that from_json reads, and a malformed
-    # pair is a SchemaError naming the constraints field
+def test_not_both_zero_pairs_are_refused():
+    # every side condition is one nonzero polynomial: the export writes no
+    # pairs, and a record that declares one is refused, never read with the
+    # pair dropped
     rec = entry_by_id("R9").to_json()
+    assert rec["constraints"] == {"nonzero": ["y"]}
     rec["params"] = ["y", "a"]
     rec["constraints"]["not_both_zero"] = [["a", "y-1"]]
-    built = CatalogEntry(rec["id"], rec["theorem"], rec["complement_id"], rec["params"],
-                         rec["s_generators"], rec["constraints"]["nonzero"],
-                         rec["unital_component"], rec["notes"], [("a", "y-1")])
-    assert built == CatalogEntry.from_json(rec)
-    rec["constraints"]["not_both_zero"] = [["a", "y", "y-1"]]
     with pytest.raises(SchemaError) as exc:
         CatalogEntry.from_json(rec)
     assert exc.value.field == "constraints"
+    assert "not_both_zero" in str(exc.value)
 
 
 def test_complement_subspace_and_closure_built_once(monkeypatch):
@@ -248,7 +239,7 @@ def _r9(**fields):
     its constraints)."""
     rec = entry_by_id("R9").to_json()
     for key, value in fields.items():
-        (rec["constraints"] if key in rec["constraints"] else rec)[key] = value
+        (rec["constraints"] if key in ("nonzero", "not_both_zero") else rec)[key] = value
     return rec
 
 
@@ -266,7 +257,7 @@ MALFORMED_RECORDS = {
     "number-notes": (_r9(notes=5), "notes"),
     # a summand spanned by nothing is no subalgebra to check
     "no-generators": (_r9(s_generators=[]), "s_generators"),
-    # a pair that can never be not both zero leaves no point to sample
+    # a side condition is one nonzero polynomial, never a pair
     "zero-pair": (_r9(not_both_zero=[["0", "0"]]), "constraints"),
 }
 

@@ -89,7 +89,7 @@ def test_derived_tables_match_the_former_literals():
     assert GFq(7).inverses.tolist() == [0, 1, 4, 5, 2, 3, 6]
 
 
-@pytest.mark.parametrize("p", [p for p in range(MAX_PRIME + 1) if is_prime(p)])
+@pytest.mark.parametrize("p", [p for p in range(MAX_PRIME + 1) if is_prime(p, MAX_PRIME)])
 def test_reduction_quadratic_has_no_root(p):
     s, r = quadratic(p)
     assert all((t * t - s * t - r) % p for t in range(p))

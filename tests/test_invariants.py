@@ -6,7 +6,7 @@ import pytest
 
 from m3decomp.catalog import COMPLEMENTS, builtin_catalog, entry_by_id
 from m3decomp.errors import NotSupported, SoundnessError
-from m3decomp.invariants import Fingerprint, _Table, fingerprint
+from m3decomp.invariants import Fingerprint, _flat, _Table, fingerprint
 from m3decomp.linalg import echelonize, kernel_basis, solve_linear
 from m3decomp.maps import family_conjugator, image_span
 from m3decomp.matrices import Mat3, span
@@ -14,6 +14,11 @@ from m3decomp.matrices import Mat3, span
 
 def e(i, j):
     return Mat3.basis(i, j)
+
+
+def mat(tab, x):
+    """The matrix with coordinates x in the table's basis."""
+    return Mat3.from_coords(_flat(tab.rows, x))
 
 
 def s_of(ident):
@@ -30,7 +35,7 @@ def test_radical_full_matrix_algebra():
 def test_radical_m7():
     m7 = span([e(1, 1), e(1, 2), e(1, 3), e(2, 2), e(2, 3), e(3, 2), e(3, 3)])
     tab = _Table(m7)
-    rad = span([tab.mat(x) for x in tab.rad])
+    rad = span([mat(tab, x) for x in tab.rad])
     assert rad.dim == 2
     assert rad.same_space(span([e(1, 2), e(1, 3)]))
     # oracle: span{e12,e13} is a nilpotent ideal and the quotient dims fit
@@ -45,7 +50,7 @@ def test_radical_m7():
 def test_radical_upper_triangular():
     upper = span([e(1, 1), e(1, 2), e(1, 3), e(2, 2), e(2, 3), e(3, 3)])
     tab = _Table(upper)
-    rad = span([tab.mat(x) for x in tab.rad])
+    rad = span([mat(tab, x) for x in tab.rad])
     assert rad.dim == 3
     assert rad.same_space(span([e(1, 2), e(1, 3), e(2, 3)]))
 
@@ -54,7 +59,7 @@ def test_radical_is_nilpotent_ideal_catalog_sample():
     for ident in ("T2", "X6", "Z2", "V4"):
         S = s_of(ident)
         tab = _Table(S)
-        rb = [tab.mat(x) for x in tab.rad]
+        rb = [mat(tab, x) for x in tab.rad]
         rad = span(rb)
         for g in S.generators:
             for r in rb:
@@ -200,7 +205,7 @@ def test_one_sided_units():
     for gens, side in (([e(1, 1), e(1, 2)], "left"), ([e(1, 1), e(2, 1)], "right")):
         tab = _Table(span(gens))
         other = "right" if side == "left" else "left"
-        assert tab.mat(tab.unit(side)) == e(1, 1)
+        assert mat(tab, tab.unit(side)) == e(1, 1)
         assert tab.unit(other) is None
         assert tab.unit("two") is None
 
@@ -228,7 +233,7 @@ def _lifted_idempotent(s):
     e -> 3e^2 - 2e^3 of a unit modulo the radical, as a matrix: a reference
     for the ranks that the fingerprint reads as traces."""
     tab = _Table(s).closed()
-    e = tab.mat(_unit_modulo_radical(tab))
+    e = mat(tab, _unit_modulo_radical(tab))
     for _ in range(5):
         e2 = e @ e
         if e2 == e:
@@ -268,7 +273,7 @@ def test_mixed_family_has_one_rank():
     for ident in ("R5", "R6"):
         s = s_of(ident)
         tab = _Table(s)
-        u, n = _lifted_idempotent(s), tab.mat(tab.rad[0])
+        u, n = _lifted_idempotent(s), mat(tab, tab.rad[0])
         for t in (0, 1, -1, 2, -2, 3, Fraction(1, 2)):
             x = u + n.scale(t)
             assert x @ x == x and _rank(x) == _rank(u), (ident, t)

@@ -219,8 +219,8 @@ def _r9_with(field, value):
     if isinstance(field, tuple):
         gen, row, col = field
         rec["s_generators"][gen][row][col] = value
-    elif field == "nonzero":
-        rec["constraints"]["nonzero"] = value
+    elif field in ("nonzero", "not_both_zero"):
+        rec["constraints"][field] = value
     else:
         rec[field] = value
     return rec
@@ -230,6 +230,7 @@ def _r9_with(field, value):
 BAD_CATALOGS = {
     "missing": (None, "path"),
     "not-json": ("{ not json\n", "path"),
+    "nested-past-the-recursion-limit": ("[" * 100000 + "]" * 100000 + "\n", "path"),
     "not-an-object": ("[1]\n", "schema_version"),
     "not-3x3": ([_r9_with("s_generators", [[["1", "0"], ["0", "1"]]])], "s_generators"),
     "param-outside-grammar": ([_r9_with("params", ["Y"])], "params"),
@@ -238,6 +239,12 @@ BAD_CATALOGS = {
     "number-id": ([_r9_with("id", 5)], "id"),
     "number-cell": ([_r9_with((1, 2, 2), 7)], "s_generators"),
     "zero-constraint": ([_r9_with("nonzero", ["0"])], "constraints"),
+    # a side condition is one nonzero polynomial: a declared pair is refused,
+    # never dropped
+    "not-both-zero-pair": ([_r9_with("not_both_zero", [["y", "y-1"]])], "constraints"),
+    # nesting past the recursion limit is a parse error, not a traceback
+    "deeply-nested-cell":
+        ([_r9_with((0, 1, 1), "(" * 3000 + "0" + ")" * 3000)], "s_generators"),
     # verify --all over no entries would pass having checked nothing
     "no-records": ([], "entries"),
     # no direct sum holds the identity in both summands
@@ -275,6 +282,21 @@ def test_catalog_file_side_conditions_move_the_standard_point(tmp_path, monkeypa
     assert json.loads(out.read_text())["fingerprints"]["R9"]["specialized_at"] == {"y": 3}
 
 
+def test_export_with_empty_not_both_zero_lists_still_verifies(tmp_path, monkeypatch):
+    # earlier exports wrote an empty not_both_zero list into every record's
+    # constraints; such a file loads as the built-in catalog and verifies
+    doc = json.loads((REPORT_DIR / "export.json").read_text())
+    for rec in doc["entries"]:
+        rec["constraints"]["not_both_zero"] = []
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("M3DECOMP_CATALOG", str(path))
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--all", "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["all_passed"] and report["entry_count"] == 71
+
+
 def test_rb_records_where_a_rational_weight_specialized(tmp_path, monkeypatch):
     # the point rb --weight 1 builds R9's operators at, on the standard walk
     # past y - 2; a symbolic run specializes nothing and records no point
@@ -294,6 +316,8 @@ BAD_OPTIONS = {
     "weight-not-rational": (["rb", "--entry", "R1", "--weight", "abc"], "--weight"),
     "weight-zero-denominator": (["rb", "--entry", "R1", "--weight", "1/0"], "--weight"),
     "weight-zero": (["rb", "--entry", "R1", "--weight", "0"], "--weight"),
+    # Fraction would expand the exponent into a billion digits
+    "weight-exponent": (["rb", "--entry", "R1", "--weight=1e-999999999"], "--weight"),
     "no-samples": ([*_SPECIALIZED_R8, "--n", "0"], "--n"),
     "negative-samples": ([*_SPECIALIZED_R8, "--n", "-4"], "--n"),
     "fixture-of-another-pattern":
