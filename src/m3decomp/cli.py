@@ -38,7 +38,7 @@ import numpy as np
 
 from . import catalog, invariants, rota_baxter, search, verifier
 from .errors import M3DecompError
-from .patterns import PATTERNS, REFERENCE_SYSTEMS, get_pattern
+from .patterns import PATTERN_ALIASES, PATTERNS, REFERENCE_SYSTEMS, get_pattern
 from .scalars import MAX_CELL_PRIME, MAX_PRIME, check_prime, parse_rational, poly_to_string
 
 SCHEMA = 1
@@ -104,7 +104,8 @@ def _chosen_entries(selection):
 
 
 def _pattern_name(pattern):
-    """A --pattern argument as a pattern name (7-2 is t1)."""
+    """A --pattern argument as a pattern name (an alias, such as 7-2 for t1,
+    names its pattern)."""
     try:
         return get_pattern(pattern).name
     except KeyError:
@@ -282,9 +283,12 @@ def build_parser():
     common(p)
     p.set_defaults(func=cmd_verify)
 
+    pattern_help = "one of %s (aliases: %s)" % (
+        ", ".join(sorted(PATTERNS)),
+        ", ".join(f"{a} for {n}" for a, n in PATTERN_ALIASES.items()))
+
     p = sub.add_parser("search", help="finite-field enumeration and orbit coverage")
-    p.add_argument("--pattern", required=True,
-                   help="one of %s (7-2 is an alias of t1)" % ", ".join(sorted(PATTERNS)))
+    p.add_argument("--pattern", required=True, help=pattern_help)
     p.add_argument("--prime", type=int, required=True, help=f"a prime up to {MAX_PRIME}")
     p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.add_argument("--no-explain", action="store_true",
@@ -315,7 +319,7 @@ def build_parser():
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("derive-system", help="closure system of a pattern")
-    p.add_argument("--pattern", required=True)
+    p.add_argument("--pattern", required=True, help=pattern_help)
     p.add_argument("--pairs", choices=("all", "squares"), default="all")
     p.add_argument("--compare", default=None, help="fixture name, e.g. t2_system")
     p.add_argument("--prime", type=int, default=3,

@@ -19,7 +19,10 @@ when its radical is all of it, that is, when the trace form vanishes on it.
 The principal idempotent e (the lift of the identity of s/rad) satisfies
 tr(e y) = tr(y) for every y in s, as (1 - e) y (1 - e) is nilpotent; so
 every solution c of gram c = (tr b_i) is e plus a radical element, and its
-trace is rank e.
+trace is rank e.  Whether a 2-dimensional semisimple algebra splits as
+Q x Q, and so has idempotents of two more ranks, is read off rank e and
+det(gram) (`_idempotent_ranks`).  A left unit and a right unit are equal,
+so two one-sided solves decide all three unit flags.
 """
 
 from __future__ import annotations
@@ -47,11 +50,6 @@ def _rational_rows(s):
 def _gram(rows):
     """The trace form on flattened matrices, without a product."""
     return [[sum(a * y[t] for a, t in zip(x, _TRANSPOSED)) for y in rows] for x in rows]
-
-
-def _comb(a, x, b, y):
-    """a x + b y for coordinate vectors."""
-    return [a * p + b * q for p, q in zip(x, y)]
 
 
 def _flat(rows, x):
@@ -106,18 +104,17 @@ class _Table:
         return kernel_basis(rows, self.k)
 
     def unit(self, side):
-        """A u with u b = b (side "left"), b u = b ("right") or both ("two")
-        for every basis element b; None if absent."""
+        """A u with u b = b (side "left") or b u = b ("right") for every
+        basis element b; None if absent.  A left unit and a right unit are
+        equal (each is their product), so an algebra with both has a unit."""
         if not self.k:
             return None
         rows = []
         rhs = []
-        sides = [x for x in ("left", "right") if side in ("two", x)]
         for j, b in enumerate(self.basis):
-            for one in sides:
-                cols = [self.c[i][j] if one == "left" else self.c[j][i] for i in range(self.k)]
-                rows += [list(row) for row in zip(*cols)]
-                rhs += b
+            cols = [self.c[i][j] if side == "left" else self.c[j][i] for i in range(self.k)]
+            rows += [list(row) for row in zip(*cols)]
+            rhs += b
         return solve_linear(rows, rhs)
 
     def trace(self, x):
@@ -154,7 +151,10 @@ class Fingerprint:
     lifting the identity of s/rad; none when s is nilpotent), and for a
     split 2-dimensional semisimple algebra also the ranks of its two
     primitive idempotents: in dimension <= 2 these are the ranks of all
-    nonzero idempotents.  Each rank is read as a trace (`_Table.trace`).
+    nonzero idempotents.  The principal rank is read as a trace
+    (`_Table.trace`), and the primitive ones follow from it and the trace
+    form (`_idempotent_ranks`).  has_unit is has_left_unit and
+    has_right_unit, since a left and a right unit are equal.
     ann_radsq_has_idempotent records whether the two-sided annihilator of
     rad^2 inside the algebra contains a nonzero idempotent (equivalently, is
     non-nilpotent).
@@ -214,13 +214,15 @@ def fingerprint(s):
     # the annihilator of rad^2 is an ideal; it is nilpotent iff the trace
     # form vanishes on it
     ann = [_flat(tab.rows, x) for x in tab.annihilator(rad2)]
+    left = tab.unit("left") is not None
+    right = tab.unit("right") is not None
     return Fingerprint(
         dim=tab.k,
         rad_dims=(len(rad), len(rad2), len(rad3)),
         ss_dim=tab.k - len(rad),
-        has_unit=tab.unit("two") is not None,
-        has_left_unit=tab.unit("left") is not None,
-        has_right_unit=tab.unit("right") is not None,
+        has_unit=left and right,
+        has_left_unit=left,
+        has_right_unit=right,
         rad_in_left_ann=not any(any(tab.mul(b, r)) for b in tab.basis for r in rad),
         rad_in_right_ann=not any(any(tab.mul(r, b)) for b in tab.basis for r in rad),
         idempotent_ranks=tuple(sorted(set(_idempotent_ranks(tab)))),
@@ -233,42 +235,22 @@ def fingerprint(s):
 # ---------------------------------------------------------------------------
 
 def _idempotent_ranks(tab):
-    """The ranks of the nonzero idempotents of a 2-dimensional semisimple
-    algebra; otherwise the rank of the principal idempotent, read as the
-    trace of a solution of gram c = (tr b_i), or none when s is nilpotent."""
+    """The rank r of the principal idempotent, read as the trace of a
+    solution of gram c = (tr b_i), or none when s is nilpotent; for a split
+    2-dimensional semisimple algebra also the ranks 1 and r - 1 of its two
+    primitive idempotents.  Such an algebra acts faithfully on the image of
+    its unit, of dimension r, so a quadratic field needs r = 2.  At r = 2
+    det(gram) is a square for Q x Q (gram is diag(1, 1) in the basis e1,
+    e2) and 4d times one for Q(sqrt d) (diag(2, 2d) in the basis 1,
+    sqrt d)."""
     if len(tab.rad) == tab.k:
         return []
-    if tab.k == 2 and not tab.rad:
-        return _idempotents_semisimple2(tab)
     c = solve_linear(tab.gram, tab.traces)
     if c is None:
         raise SoundnessError("no element has the traces of a unit modulo the radical")
-    return [tab.trace(c)]
-
-
-def _ranks(tab, elements):
-    """The rank of each element, read as its trace, each checked to be
-    idempotent."""
-    if any(tab.mul(x, x) != x for x in elements):
-        raise SoundnessError("a computed idempotent does not square to itself")
-    return [tab.trace(x) for x in elements]
-
-
-def _idempotents_semisimple2(tab):
-    unit = tab.unit("two")
-    if unit is None:
-        raise SoundnessError("2-dim semisimple algebras are unital")
-    # the first basis element outside span(unit)
-    w = tab.basis[0] if unit[1] else tab.basis[1]
-    # w^2 = a w + b 1; split when the discriminant is a rational square
-    a, b = solve_linear([list(r) for r in zip(w, unit)], tab.mul(w, w))
-    disc = a * a + 4 * b
-    if disc == 0:
-        raise SoundnessError("separable quadratic expected in a semisimple algebra")
-    root = rational_sqrt(disc)
-    if root is None:
-        return _ranks(tab, [unit])
-    # e1 = (w - r2) / (r1 - r2) for the roots r1, r2 = (a +- root) / 2
-    e1 = _comb(1 / root, w, (root - a) / (2 * root), unit)
-    e2 = _comb(1, unit, -1, e1)
-    return _ranks(tab, [e for e in (e1, e2, unit) if any(e)])
+    r = tab.trace(c)
+    if tab.k == 2 and not tab.rad:
+        g = tab.gram
+        if r == 3 or rational_sqrt(g[0][0] * g[1][1] - g[0][1] * g[1][0]) is not None:
+            return [1, r - 1, r]
+    return [r]

@@ -104,9 +104,6 @@ class Mat3:
     def coords(self):
         return tuple(x for row in self.rows for x in row)
 
-    def is_zero(self):
-        return not any(x for row in self.rows for x in row)
-
     def __eq__(self, other):
         if not isinstance(other, Mat3):
             return NotImplemented
@@ -165,9 +162,6 @@ class Subspace:
 
     def contains_identity(self):
         return self.contains(Mat3.identity())
-
-    def basis_mats(self):
-        return [Mat3.from_coords(r) for r in self.echelon.rows]
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, gens={len(self.generators)})"

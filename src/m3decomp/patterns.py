@@ -89,7 +89,6 @@ class PivotPattern:
         self.ring = PolynomialRing(self.params)   # rejects a repeated cell name
         self.gen_count = len(self.base)
         self.functionals = self._compute_functionals()
-        self._system_cache = {}
 
     def _compute_functionals(self):
         # functional j is 1 on generator j and 0 on the other generators and
@@ -117,8 +116,6 @@ class PivotPattern:
         the span: coordinates of (product - coefficient combination) over all
         requested ordered generator pairs (products with the identity are
         trivially closed and skipped)."""
-        if pairs in self._system_cache:
-            return list(self._system_cache[pairs])
         gens = self.symbolic_generators()
         ring = self.ring
         start = 1 if self.include_identity else 0
@@ -150,8 +147,7 @@ class PivotPattern:
                 if eq and eq not in seen:
                     seen.add(eq)
                     system.append(eq)
-        self._system_cache[pairs] = tuple(system)
-        return list(system)
+        return system
 
     def __repr__(self):
         return f"PivotPattern({self.name}, cells={len(self.params)})"

@@ -36,6 +36,17 @@ def test_search_7_2_alias():
     assert doc["pattern"] == "t1" and doc["matched_orbits"] == doc["orbit_count"]
 
 
+def test_search_t4m1_alias():
+    res = run_cli("search", "--pattern", "t4m1", "--prime", "2")
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["pattern"] == "t4" and doc["matched_orbits"] == doc["orbit_count"]
+    # the help of both commands that take --pattern names every alias
+    for command in ("search", "derive-system"):
+        help_text = run_cli(command, "--help").stdout
+        assert "7-2 for t1" in help_text and "t4m1 for t4" in help_text, command
+
+
 def test_search_bad_prime():
     # the oracle takes the primes up to 7, for search and for the sweep
     res = run_cli("search", "--pattern", "t1", "--prime", "11")

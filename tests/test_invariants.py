@@ -10,6 +10,7 @@ from m3decomp.invariants import Fingerprint, _flat, _Table, fingerprint
 from m3decomp.linalg import echelonize, kernel_basis, solve_linear
 from m3decomp.maps import family_conjugator, image_span
 from m3decomp.matrices import Mat3, span
+from m3decomp.scalars import rational_sqrt
 
 
 def e(i, j):
@@ -43,7 +44,7 @@ def test_radical_m7():
     for g in m7.generators:
         for r in (e(1, 2), e(1, 3)):
             assert rad.contains(g @ r) and rad.contains(r @ g)
-    assert (e(1, 2) @ e(1, 3)).is_zero() and (e(1, 2) @ e(1, 2)).is_zero()
+    assert e(1, 2) @ e(1, 3) == Mat3.zero() and e(1, 2) @ e(1, 2) == Mat3.zero()
     assert m7.dim - rad.dim == 5
 
 
@@ -207,7 +208,23 @@ def test_one_sided_units():
         other = "right" if side == "left" else "left"
         assert mat(tab, tab.unit(side)) == e(1, 1)
         assert tab.unit(other) is None
-        assert tab.unit("two") is None
+        fp = fingerprint(span(gens))
+        assert not fp.has_unit
+        assert (fp.has_left_unit, fp.has_right_unit) == (side == "left", side == "right")
+
+
+def _two_sided_unit(tab):
+    """A u with u b = b = b u for every basis element b, from one solve of
+    both sides' equations; None if absent.  A reference for has_unit, which
+    the fingerprint reads off the two one-sided solves."""
+    if not tab.k:
+        return None
+    rows, rhs = [], []
+    for j, b in enumerate(tab.basis):
+        for cols in ([tab.c[i][j] for i in range(tab.k)], [tab.c[j][i] for i in range(tab.k)]):
+            rows += [list(row) for row in zip(*cols)]
+            rhs += b
+    return solve_linear(rows, rhs)
 
 
 def _rank(m):
@@ -266,6 +283,70 @@ def test_principal_idempotent_ranks():
     assert _rank(_lifted_idempotent(s_of("X1"))) == 1
     # a nilpotent algebra has no nonzero idempotent, in any dimension
     assert fingerprint(s_of("T1")).idempotent_ranks == ()
+
+
+def test_unit_flag_matches_a_two_sided_solve():
+    spans = _non_nilpotent_spans()
+    nilpotent = [entry.id for entry in builtin_catalog() if entry.id not in spans]
+    assert nilpotent == ["R1", "R2", "T1"]
+    for ident in nilpotent:
+        spans[ident] = s_of(ident)
+    units = 0
+    for ident, s in spans.items():
+        fp = fingerprint(s)
+        two = _two_sided_unit(_Table(s).closed())
+        assert fp.has_unit == (two is not None), ident
+        units += fp.has_unit
+    # both answers occur
+    assert 0 < units < len(spans)
+
+
+def _semisimple2_idempotents(s):
+    """The nonzero idempotents of a 2-dimensional semisimple algebra, as
+    matrices: its unit u, and when the algebra splits also e1 and e2.  For a
+    w outside span(u), w^2 = a w + b u; the algebra splits when the
+    discriminant a^2 + 4b is a rational square, and then e1 = (w - r2 u) /
+    (r1 - r2) and e2 = u - e1 for the roots r1, r2 = (a +- root) / 2.  A
+    reference for the ranks that the fingerprint reads off the trace form."""
+    tab = _Table(s).closed()
+    assert tab.k == 2 and not tab.rad
+    unit = _two_sided_unit(tab)
+    # the first basis element outside span(unit)
+    w = tab.basis[0] if unit[1] else tab.basis[1]
+    a, b = solve_linear([list(r) for r in zip(w, unit)], tab.mul(w, w))
+    disc = a * a + 4 * b
+    assert disc, "separable quadratic expected in a semisimple algebra"
+    root = rational_sqrt(disc)
+    u = mat(tab, unit)
+    if root is None:
+        return [u]
+    e1 = mat(tab, w).scale(1 / root) + u.scale((root - a) / (2 * root))
+    return [e1, u - e1, u]
+
+
+#: fixed invertible integer conjugators (determinants 1, 1 and -1)
+_CONJUGATORS = (
+    Mat3([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+    Mat3([[1, 2, 3], [0, 1, 4], [5, 6, 0]]),
+    Mat3([[2, 1, 1], [1, 1, 0], [1, 0, 0]]),
+)
+
+
+@pytest.mark.parametrize("gens, ranks", [
+    # Q x Q with the unit of rank 2, then of rank 3
+    ([e(1, 1), e(2, 2)], (1, 2)),
+    ([e(1, 1), e(2, 2) + e(3, 3)], (1, 2, 3)),
+    # Q(sqrt d) in the upper left block: its identity and a w with w^2 = d
+] + [([e(1, 1) + e(2, 2), e(1, 2).scale(d) + e(2, 1)], (2,)) for d in (-3, -1, 2, 3, 5)])
+def test_semisimple2_ranks_match_the_discriminant_reference(gens, ranks):
+    s = span(gens)
+    for t in _CONJUGATORS:
+        assert t.det()
+    for image in [s] + [image_span(s, t) for t in _CONJUGATORS]:
+        idempotents = _semisimple2_idempotents(image)
+        assert all(x @ x == x and image.contains(x) for x in idempotents)
+        assert tuple(sorted({_rank(x) for x in idempotents})) == ranks
+        assert fingerprint(image).idempotent_ranks == ranks
 
 
 def test_mixed_family_has_one_rank():
@@ -352,7 +433,7 @@ def test_structure_constants_and_trace_form_nilpotency():
     nilpotent = set()
     for ident, s in subs.items():
         tab = _Table(s)
-        basis = s.basis_mats()
+        basis = [Mat3.from_coords(r) for r in s.echelon.rows]
         for i, x in enumerate(basis):
             for j, y in enumerate(basis):
                 combo = Mat3.zero()
@@ -361,7 +442,7 @@ def test_structure_constants_and_trace_form_nilpotency():
                 assert combo == x @ y, (ident, i, j)
         # a nilpotent subalgebra of M3 is strictly upper triangular up to
         # conjugacy, so it is nilpotent exactly when s^3 = 0
-        cube_zero = all((x @ y @ z).is_zero() for x in basis for y in basis for z in basis)
+        cube_zero = all(x @ y @ z == Mat3.zero() for x in basis for y in basis for z in basis)
         assert (len(tab.rad) == tab.k) == cube_zero, ident
         if cube_zero:
             nilpotent.add(ident)
