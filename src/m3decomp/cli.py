@@ -256,7 +256,7 @@ def cmd_derive_system(args):
     }
     if not args.compare:
         return doc, True
-    cmp_report = verifier.compare_with_reference_system(args.compare, args.prime)
+    cmp_report = verifier.compare_with_reference_system(args.compare, system, args.prime)
     doc["comparison"] = cmp_report
     return doc, cmp_report["equal"] and cmp_report.get("substitutions_implied_by_closure", True)
 

@@ -2,14 +2,15 @@
 closure systems they induce.
 
 A pattern describes candidate complements S of a fixed subalgebra M as a list
-of generators: the identity matrix first when the pattern includes it, then
-0/1 pivot matrices, each plus free cells, a cell being a parameter times a
-0/1 direction inside M.  Because the pivot parts complete any basis of M to a
-basis of the full space, every pattern instance automatically satisfies the
-direct-sum condition, and S being a subalgebra is equivalent to the vanishing
-of the derived closure system: for each product of generators, the unique
-candidate coefficients are read off by the dual functionals and the residual
-must be zero in all nine coordinates.
+of generators: the identity matrix first when M lacks it (exactly one summand
+of a unital decomposition holds the identity), then 0/1 pivot matrices, each
+plus free cells, a cell being a parameter times a 0/1 direction inside M.
+Because the pivot parts complete any basis of M to a basis of the full space,
+every pattern instance automatically satisfies the direct-sum condition, and
+S being a subalgebra is equivalent to the vanishing of the derived closure
+system: for each product of generators, the unique candidate coefficients are
+read off by the dual functionals and the residual must be zero in all nine
+coordinates.
 
 `PivotPattern` is the one holder of this pattern-normal form, as integer
 data that the closure system and the finite-field oracle both read: the base
@@ -54,22 +55,23 @@ class PivotPattern:
 
     gens lists, per generator after the identity, its pivot positions and
     its (cell, direction positions) pairs.  The pattern holds, as integers:
-    base, the k generator rows with every cell at 0 (the identity first when
-    include_identity); dirs, per cell its generator index and 0/1 direction;
-    reads, per cell its generator index and the lowest coordinate that no
-    other cell of that generator touches; functionals, the k dual
-    functionals that read a generator's coefficient off an element of S.
+    base, the k generator rows with every cell at 0 (the identity first,
+    and include_identity set, when the complement lacks it); dirs, per cell
+    its generator index and 0/1 direction; reads, per cell its generator
+    index and the lowest coordinate that no other cell of that generator
+    touches; functionals, the k dual functionals that read a generator's
+    coefficient off an element of S.
     A direction outside the complement, pivot parts that do not complete a
     basis of it and non-integral functionals each raise PatternMismatch.
     """
 
-    def __init__(self, name, complement_id, gens, include_identity, fixed_zeros=""):
+    def __init__(self, name, complement_id, gens, fixed_zeros=""):
         self.name = name
         self.complement_id = complement_id
-        self.include_identity = include_identity
         self.fixed_zeros = fixed_zeros
         comp = COMPLEMENTS[complement_id].subspace()
-        self.base = [_unit_vec(((1, 1), (2, 2), (3, 3)))] if include_identity else []
+        self.include_identity = not comp.contains_identity()
+        self.base = [_unit_vec(((1, 1), (2, 2), (3, 3)))] if self.include_identity else []
         params, self.dirs, self.reads = [], [], []
         for pivots, cells in gens:
             gi = len(self.base)
@@ -157,12 +159,11 @@ class PivotPattern:
 # the theorem patterns, each built on first use
 # ---------------------------------------------------------------------------
 
-#: per pattern: the fixed complement, whether the identity is a generator,
-#: the pinned-zero justification, and per generator its pivot positions and
-#: (cell, direction positions) pairs
+#: per pattern: the fixed complement, the pinned-zero justification, and per
+#: generator its pivot positions and (cell, direction positions) pairs
 _PATTERN_SPECS = {
     "t1": dict(
-        complement_id="M7", include_identity=False,
+        complement_id="M7",
         fixed_zeros="a = p = 0 (division-only normalization by the preserving family)",
         gens=[
             ([(2, 1)], [("b", [(1, 2)]), ("c", [(1, 3)]), ("d", [(2, 2)]),
@@ -172,7 +173,7 @@ _PATTERN_SPECS = {
         ],
     ),
     "t2": dict(
-        complement_id="M6N", include_identity=True,
+        complement_id="M6N",
         fixed_zeros="none (the e12-cell normalization needs a square root)",
         gens=[
             ([(2, 1)], [("a", [(1, 2)]), ("b", [(1, 3)]), ("c", [(2, 2)]),
@@ -182,7 +183,7 @@ _PATTERN_SPECS = {
         ],
     ),
     "t3": dict(
-        complement_id="M6U", include_identity=False,
+        complement_id="M6U",
         fixed_zeros="a = l = r = 0 (division-only normalization)",
         gens=[
             ([(2, 1)], [("b", [(1, 2)]), ("c", [(1, 3)]), ("d", [(2, 2)]),
@@ -194,7 +195,7 @@ _PATTERN_SPECS = {
         ],
     ),
     "t4": dict(
-        complement_id="L5_4", include_identity=True,
+        complement_id="L5_4",
         fixed_zeros="a = 0 (division-only normalization)",
         gens=[
             ([(2, 1)], [("b", [(1, 2)]), ("c", [(1, 3)]), ("d", [(2, 2)]),
@@ -206,7 +207,7 @@ _PATTERN_SPECS = {
         ],
     ),
     "t4m2": dict(
-        complement_id="L5_5", include_identity=True,
+        complement_id="L5_5",
         fixed_zeros="none (shape adapted to the second complement)",
         gens=[
             ([(2, 1)], [("a", [(1, 1)]), ("b", [(1, 2)]), ("c", [(1, 3)]),
@@ -218,7 +219,7 @@ _PATTERN_SPECS = {
         ],
     ),
     "t5": dict(
-        complement_id="L5_1", include_identity=False,
+        complement_id="L5_1",
         fixed_zeros="a = m = u = 0 (up to the index swap, transpose and the preserving family)",
         gens=[
             ([(2, 1)], [("b", [(2, 2)]), ("c", [(2, 3)]), ("d", [(3, 2)]),
@@ -232,7 +233,7 @@ _PATTERN_SPECS = {
         ],
     ),
     "t6": dict(
-        complement_id="L5_3", include_identity=False,
+        complement_id="L5_3",
         fixed_zeros="e = z = 0 (division-only normalization)",
         gens=[
             ([(2, 1)], [("a", [(1, 1)]), ("b", [(1, 2)]), ("c", [(1, 3)]),
@@ -246,7 +247,7 @@ _PATTERN_SPECS = {
         ],
     ),
     "t7": dict(
-        complement_id="L5_2", include_identity=False,
+        complement_id="L5_2",
         fixed_zeros="a = 0 (division-only normalization)",
         gens=[
             ([(2, 1)], [("b", [(1, 2)]), ("c", [(1, 3)]), ("d", [(2, 2)]),
@@ -260,7 +261,7 @@ _PATTERN_SPECS = {
         ],
     ),
     "t8": dict(
-        complement_id="L5_6", include_identity=False,
+        complement_id="L5_6",
         fixed_zeros="d = e = p = 0 (division-only normalization)",
         gens=[
             ([(2, 1)], [("a", [(1, 1), (3, 3)]), ("b", [(1, 2)]), ("c", [(1, 3)])]),

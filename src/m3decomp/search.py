@@ -8,7 +8,10 @@ a group family is held as its 3x3 conjugators T (X -> T^-1 X T), a twist as a
 permutation matrix P (X -> P X^T P).  Each conjugator comes with its
 adjugate, and the sweeps apply X -> adj(T) X T = det(T) T^-1 X T: a nonzero
 scalar on a whole image cancels in the pattern-normal form and leaves every
-row-space test unchanged, so no group is ever inverted.  A family with its
+span test unchanged, so no group is ever inverted.  Every span test reads
+the pattern's dual functionals F, which vanish on the complement: x lies in
+the complement when x F^T = 0 mod p, and in the span of pattern-normal rows
+R when x = (x F^T) R, so no row reduction runs.  A family with its
 twist coset is taken to be a group, and the orbit of a solution is the set
 of its images under those maps that land back in the pattern slice.  Each
 sweep checks that its maps preserve the complement and raises when an image
@@ -37,7 +40,7 @@ from collections import Counter
 
 import numpy as np
 
-from .catalog import COMPLEMENTS, builtin_catalog, entry_by_id
+from .catalog import COMPLEMENTS, builtin_catalog
 from .errors import BudgetExceeded, GroupMismatch, NotSupported, PatternMismatch
 from .fpsolve import solve_system_fp
 from .gfq import GFq
@@ -59,10 +62,10 @@ def _gf(p, degree=1):
 def _pdata(pattern_name):
     """The one record a sweep reads about a pattern, built at each call from
     `maps.PRESERVING`: comp_id, family and twist (a matrix, or None) of its
-    complement, and its integer data as numpy arrays: base (k, 9),
-    functionals (k, 9), dirs (C, k, 9) with each cell's direction in its
-    generator's row, and reads, the generator and coordinate indices of the
-    cells."""
+    complement, and its integer data as numpy arrays: comp_rows, the
+    complement's 0/1 generator rows, base (k, 9), functionals (k, 9),
+    dirs (C, k, 9) with each cell's direction in its generator's row, and
+    reads, the generator and coordinate indices of the cells."""
     pat = get_pattern(pattern_name)
     family, twist = PRESERVING[pat.complement_id]
     dirs = np.zeros((len(pat.params), pat.gen_count, 9), dtype=np.int64)
@@ -70,6 +73,8 @@ def _pdata(pattern_name):
         dirs[ci, gi] = vec
     return types.SimpleNamespace(
         comp_id=pat.complement_id, family=family, twist=twist_matrix(twist),
+        comp_rows=np.array([[int(x) for x in g.coords()]
+                            for g in COMPLEMENTS[pat.complement_id].generators], dtype=np.int64),
         base=np.array(pat.base, dtype=np.int64),
         functionals=np.array(pat.functionals, dtype=np.int64),
         dirs=dirs,
@@ -172,8 +177,8 @@ def _conjugated(rows, conj, gf):
     """Generator rows (..., k, 9) over the field gf sent through every
     member X -> T^-1 X T of a group given as conj = (T, adj T), two
     (G, 3, 3) batches: (..., G, k, 9) rows.  Each image is adj(T) X T,
-    det(T) times the conjugate; the pattern-normal form and the row-space
-    tests cannot tell the two apart.  T^-1 in place of adj T gives the
+    det(T) times the conjugate; the pattern-normal form and the span tests
+    cannot tell the two apart.  T^-1 in place of adj T gives the
     conjugates themselves."""
     t, t_adj = conj
     e = gf.degree - 1   # trailing axes of one field element
@@ -226,60 +231,36 @@ def twist_matrix(perm):
     return None if perm is None else np.eye(3, dtype=np.int64)[list(perm)]
 
 
-def _in_row_space(rows, p):
-    """A test of which images lie in the row space of rows mod p: it maps
-    blocks of row vectors (the last two axes) to one flag per block, true
-    when every row of the block lies in the span.  A vector does exactly
-    when every row of the annihilator basis, computed once here, kills it."""
-    ref = _rref_mod(rows, p)
-    pivots = [int(np.flatnonzero(r)[0]) for r in ref if r.any()]
-    free = [c for c in range(rows.shape[1]) if c not in pivots]
-    basis = np.zeros((len(free), rows.shape[1]), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for r, c in enumerate(pivots):
-            basis[i, c] = -ref[r, f] % p
-    return lambda images: ~(images @ basis.T % p).any(axis=(-2, -1))
+# Both span tests read the dual functionals F: they vanish on the
+# complement, whose 0/1 generators have disjoint supports and so stay
+# independent mod p, and F base^T = I, so ker F mod p is the complement at
+# every prime.  Each maps blocks of row vectors over F_p (the last two axes)
+# to one flag per block, true when every row of the block passes.
+
+def _in_complement(images, pdata, p):
+    """Flags: every row lies in the complement, x F^T = 0 mod p."""
+    return ~(images @ pdata.functionals.T % p).any(axis=(-2, -1))
 
 
-def _generator_rows(mats, p):
-    """The coordinate rows mod p of matrices with integer entries."""
-    return np.array([[int(x) for x in g.coords()] for g in mats], dtype=np.int64) % p
+def _in_span(images, rows, pdata, p):
+    """Flags: every row lies in the span of the pattern-normal rows (k, 9),
+    those with F rows^T = I, which read their own coefficients off x:
+    x = (x F^T) rows mod p."""
+    return ~((images @ pdata.functionals.T @ rows - images) % p).any(axis=(-2, -1))
 
 
 def _check_group_preserves(pdata, batches, gf):
     """Check that every group element, given as batches (T, adj T) of
     conjugators over F_p, and the record's twist map the record's complement
-    row space into itself (hence onto it, being invertible) mod p.  adj T
-    scales each image by det(T), which no row-space test sees."""
+    into itself (hence onto it, being invertible) mod p.  adj T scales each
+    image by det(T), which no span test sees."""
     p = gf.p
-    rows = _generator_rows(COMPLEMENTS[pdata.comp_id].generators, p)
-    inside = _in_row_space(rows, p)
+    rows = pdata.comp_rows
     # one batch at a time, so that at most |batch| images are held at once
     images = itertools.chain([_twisted(rows, pdata.twist, p)],
                              (_conjugated(rows, conj, gf) for conj in batches))
-    if not all(inside(batch).all() for batch in images):
+    if not all(_in_complement(batch, pdata, p).all() for batch in images):
         raise GroupMismatch(f"a group element does not preserve {pdata.comp_id}")
-
-
-def _rref_mod(rows, p):
-    m = rows.copy() % p
-    r = 0
-    for c in range(m.shape[1]):
-        piv = None
-        for i in range(r, m.shape[0]):
-            if m[i, c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[[r, piv]] = m[[piv, r]]
-        m[r] = m[r] * pow(int(m[r, c]), p - 2, p) % p
-        for i in range(m.shape[0]):
-            if i != r and m[i, c] % p:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
-        r += 1
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +467,7 @@ _SLOW_BUDGET = 20000
 def slow_cube_solutions(pattern_name, p):
     """Unpruned reference enumeration: iterate the full assignment cube and
     test closure directly, without the closure system: every product of two
-    generators must lie in the generators' row space mod p."""
+    generators must lie in their span mod p."""
     pat = get_pattern(pattern_name)
     pdata = _pdata(pattern_name)
     c = len(pat.params)
@@ -497,63 +478,62 @@ def slow_cube_solutions(pattern_name, p):
         arr = np.array(cells, dtype=np.int64)
         rows = rows_from_cells(arr[None, :], pdata, p)[0]
         mats = rows.reshape(-1, 3, 3)
-        if _in_row_space(rows, p)((mats[:, None] @ mats[None]).reshape(-1, 9)):
+        if _in_span((mats[:, None] @ mats[None]).reshape(-1, 9), rows, pdata, p):
             sols.append(cells)
     return np.array(sorted(sols), dtype=np.int8).reshape(len(sols), c)
 
 
-def _rank_mod(rows, p):
-    return int(_rref_mod(rows, p).any(axis=1).sum())
-
-
-def family_is_full_stabilizer(complement_id, p):
-    """Exhaustive converse check: over F_p the complement's family in
-    `maps.PRESERVING` realizes exactly the conjugations preserving it.
+def family_is_full_stabilizer(pattern_name, p):
+    """Exhaustive converse check: over F_p the family of the pattern's
+    complement in `maps.PRESERVING` realizes exactly the conjugations
+    preserving that complement.
 
     Enumerates every invertible 3x3 matrix over F_p, keeps those whose
-    conjugation maps the complement row space to itself, and compares them
-    with the family's conjugators.  Conjugation by T determines T up to a
-    scalar, so only matrices whose first nonzero entry is 1 are enumerated,
-    as the family's conjugators are."""
+    conjugation maps the complement to itself, and compares them with the
+    family's conjugators.  Conjugation by T determines T up to a scalar, so
+    only matrices whose first nonzero entry is 1 are enumerated, as the
+    family's conjugators are."""
     gf = _gf(p)
-    family, _ = PRESERVING[complement_id]
-    rows = _generator_rows(COMPLEMENTS[complement_id].generators, p)
+    pdata = _pdata(pattern_name)
     every = _grid((p,) * 9)
     lead = every[np.arange(len(every)), (every != 0).argmax(axis=1)]
     every = every[lead == 1].reshape(-1, 3, 3)
     det, adj = gf.det_adj(every)
     keep = ~gf.is_zero(det)
     every = every[keep]
-    images = _conjugated(rows, (every, adj[keep]), gf)
-    found = every[_in_row_space(rows, p)(images)]
-    return np.array_equal(np.sort(_row_keys(found)), np.sort(_row_keys(group_matrices(family, p))))
+    images = _conjugated(pdata.comp_rows, (every, adj[keep]), gf)
+    found = every[_in_complement(images, pdata, p)]
+    return np.array_equal(np.sort(_row_keys(found)),
+                          np.sort(_row_keys(group_matrices(pdata.family, p))))
 
 
 def t4_t6_separation(p):
-    """Exhaustively sweep the maps preserving the complement of (T4) and (T6)
-    over F_p (its family in `maps.PRESERVING`, alone and composed with its
-    antiautomorphism twist) and report whether any carries the (T4)
-    subalgebra onto the (T6) subalgebra.
+    """Exhaustively sweep the maps preserving M6U, the complement of (T4) and
+    (T6), over F_p (its family in `maps.PRESERVING`, alone and composed with
+    its antiautomorphism twist) and report whether any carries the (T4)
+    subalgebra onto the (T6) subalgebra.  Both are read in the pattern-
+    normal form of t3, M6U's pattern; either one outside its slice raises
+    PatternMismatch.
 
     Returns (separated, witness): witness names the first mapping found in
     grid order, untwisted maps first, as family parameters plus whether it
     includes the twist."""
     gf = _gf(p)
-    family, twist = PRESERVING[entry_by_id("T4").complement_id]
-    s4, _ = entry_by_id("T4").specialize({})
-    s6, _ = entry_by_id("T6").specialize({})
-    rows4 = _generator_rows(s4.generators, p)
-    rows6 = _generator_rows(s6.generators, p)
-    if _rank_mod(rows4, p) != _rank_mod(rows6, p):
-        return True, None
+    pdata = _pdata("t3")
+    rows = {}
+    for eid, _, _, cells, ok in _specializations(pdata, gf):
+        if eid in ("T4", "T6"):
+            if not ok.all():
+                raise PatternMismatch(f"{eid} specialization does not fit the pattern slice")
+            rows[eid] = rows_from_cells(cells, pdata, p)[0]
     # an invertible map carries T4 onto T6 when every image row lies in T6
-    [(t, adj)] = _family_conjugators(family, gf)
-    images = _conjugated(_twisted(rows4, twist_matrix(twist), p), (t, adj), gf)
-    hits = _in_row_space(rows6, p)(images)
+    [(t, adj)] = _family_conjugators(pdata.family, gf)
+    images = _conjugated(_twisted(rows["T4"], pdata.twist, p), (t, adj), gf)
+    hits = _in_span(images, rows["T6"], pdata, p)
     if not hits.any():
         return True, None
     twisted, idx = divmod(int(hits.argmax()), len(t))
     entries = t[idx].reshape(9)
-    witness = {name: int(entries[pos]) for name, pos in FAMILIES[family][0]}
+    witness = {name: int(entries[pos]) for name, pos in FAMILIES[pdata.family][0]}
     witness["composed_with_transpose_twist"] = bool(twisted)
     return False, witness

@@ -99,11 +99,11 @@ def verify_entry(entry, mode="symbolic", n=100, seed=0):
     return VerifyReport(entry.id, *flags, f"specialized(n={draws}, seed={seed})", failures)
 
 
-def compare_with_reference_system(name, p=3):
-    """Solution-set comparison of a derived system against the printed
-    reduced system, after the stated substitutions, over F_p."""
-    pat, printed, subs, pairs = reference_system(name)
-    derived = pat.closure_system(pairs)
+def compare_with_reference_system(name, derived, p=3):
+    """Solution-set comparison of a derived system, the fixture pattern's
+    closure system over the fixture's pairs, against the printed reduced
+    system, after the stated substitutions, over F_p."""
+    pat, printed, subs, _ = reference_system(name)
     lhs = solve_system_fp(derived + subs, pat.params, p)
     rhs = solve_system_fp(printed + subs, pat.params, p)
     report = {

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from m3decomp import fpsolve
+from m3decomp.catalog import COMPLEMENTS
 from m3decomp.errors import BudgetExceeded, NotSupported, PatternMismatch
 from m3decomp.fpsolve import solve_system_fp
 from m3decomp.matrices import Mat3, is_direct_sum, span
@@ -68,6 +69,14 @@ def test_every_pattern_has_dual_functionals_and_a_system():
         ]
         assert duals == [[int(i == j) for j in range(k)] for i in range(k)], name
         assert pat.closure_system(), name
+        # the premise of the oracle's complement test x F^T = 0 mod p: F
+        # vanishes on the complement, whose 0/1 generators have disjoint
+        # supports and so stay independent at every prime
+        comp = [[int(x) for x in g.coords()] for g in COMPLEMENTS[pat.complement_id].generators]
+        assert all(sum(f[t] * g[t] for t in range(9)) == 0
+                   for f in pat.functionals for g in comp), name
+        assert all(set(g) <= {0, 1} for g in comp), name
+        assert all(sum(column) <= 1 for column in zip(*comp)), name
 
 
 def test_cell_counts():
@@ -99,8 +108,6 @@ def test_pattern_instances_always_direct_sums():
     # any assignment of the cells yields a complement candidate: the closure
     # system alone decides membership in the enumeration
     rng = np.random.default_rng(5)
-    from m3decomp.catalog import COMPLEMENTS
-
     for name in PATTERNS:
         pat = get_pattern(name)
         b = COMPLEMENTS[pat.complement_id].subspace()
@@ -115,7 +122,7 @@ def test_pattern_instances_always_direct_sums():
 
 def test_pattern_rejects_direction_outside_complement():
     with pytest.raises(PatternMismatch, match="outside the complement"):
-        PivotPattern("bad", "M7", [([(2, 1)], [("w", [(2, 1)])])], include_identity=False)
+        PivotPattern("bad", "M7", [([(2, 1)], [("w", [(2, 1)])])])
 
 
 #: pivots e21 + e31, e31 + e32 and e21 + e32 for the complement of t3: they
@@ -125,7 +132,7 @@ _HALVES = [([(2, 1), (3, 1)], []), ([(3, 1), (3, 2)], []), ([(2, 1), (3, 2)], []
 
 def test_pattern_rejects_non_integral_functionals():
     with pytest.raises(PatternMismatch, match="'halves' has non-integral dual functionals"):
-        PivotPattern("halves", "M6U", _HALVES, include_identity=False)
+        PivotPattern("halves", "M6U", _HALVES)
 
 
 _HALVES_OPTIMIZED = f"""
@@ -134,7 +141,7 @@ from m3decomp.patterns import PivotPattern
 
 assert not __debug__
 try:
-    PivotPattern("halves", "M6U", {_HALVES!r}, include_identity=False)
+    PivotPattern("halves", "M6U", {_HALVES!r})
 except PatternMismatch as exc:
     print(exc)
 """
@@ -155,8 +162,7 @@ def test_pattern_cells_are_read_off_private_coordinates():
     pat = get_pattern("t8")
     assert pat.dirs[0] == (0, [1, 0, 0, 0, 0, 0, 0, 0, 1]) and pat.reads[0] == (0, 0)
     with pytest.raises(PatternMismatch, match="cell 'v' has no private coordinate"):
-        PivotPattern("shared", "M7", [([(2, 1)], [("v", [(1, 2)]), ("w", [(1, 2)])])],
-                     include_identity=False)
+        PivotPattern("shared", "M7", [([(2, 1)], [("v", [(1, 2)]), ("w", [(1, 2)])])])
 
 
 @pytest.mark.parametrize("fixture", ["t1_reduced", "t2_system", "t3_squares", "t6_radical"])
@@ -265,7 +271,7 @@ def test_solver_rejects_primes_its_cells_cannot_hold():
 def test_dirless_pattern_empty_system():
     # bare nilpotent pivots with no free cells: every product vanishes and
     # the derived system is empty
-    pat = PivotPattern("bare", "M7", [([(2, 1)], []), ([(3, 1)], [])], include_identity=False)
+    pat = PivotPattern("bare", "M7", [([(2, 1)], []), ([(3, 1)], [])])
     assert pat.closure_system() == []
 
 
@@ -273,8 +279,6 @@ def test_closure_system_matches_subalgebra_check():
     # the derived system vanishes at a specialization exactly when the
     # specialized span is closed under products
     import random
-
-    from m3decomp.catalog import COMPLEMENTS
 
     pat = get_pattern("t1")
     system = pat.closure_system()

@@ -211,6 +211,8 @@ def test_normalize_roundtrip(name):
     comp_id = get_pattern(name).complement_id
     family, twist = PRESERVING[comp_id]
     assert (pdata.comp_id, pdata.family) == (comp_id, family)
+    assert pdata.comp_rows.tolist() == [[int(x) for x in g.coords()]
+                                        for g in COMPLEMENTS[comp_id].generators]
     if twist is None:
         assert pdata.twist is None
     else:
@@ -358,10 +360,15 @@ def test_t8_slice_misses_two_orbits_at_p2(name):
     for g, positions in enumerate(_T8_MISSED_AT_2[name]):
         for i, j in positions:
             rows[g, 3 * (i - 1) + j - 1] = 1
+    # rows complete L5_6 to the whole space exactly when the functionals
+    # read an invertible matrix off them; its inverse takes rows to
+    # pattern-normal rows of the same span, which hold every product
+    coeff = rows[None] @ pdata.functionals.T % p
+    det, _ = gf.det_adj(coeff)
+    assert det[0] != 0
+    normal = gf.matmul(gf.inv_mat(coeff), rows[None])[0]
     mats = rows.reshape(4, 3, 3)
-    assert search._in_row_space(rows, p)((mats[:, None] @ mats[None]).reshape(1, -1, 9) % p)
-    l56 = search._generator_rows(COMPLEMENTS["L5_6"].generators, p)
-    assert search._rank_mod(np.vstack([rows, l56]), p) == 9
+    assert search._in_span((mats[:, None] @ mats[None]).reshape(1, -1, 9) % p, normal, pdata, p)
     family, twist = PRESERVING["L5_6"]
     twisted = search._twisted(rows, twist_matrix(twist), p)
     for conj in _family_conjugators(family, gf):
@@ -439,8 +446,48 @@ def test_group_mismatch_detected(monkeypatch):
 
 
 def test_families_are_full_stabilizers_f2():
-    for comp_id in PRESERVING:
-        assert family_is_full_stabilizer(comp_id, 2), comp_id
+    for name in PATTERNS:
+        assert family_is_full_stabilizer(name, 2), name
+
+
+def _rank_mod(rows, p):
+    """The rank of integer rows mod p, by Gauss-Jordan elimination: the
+    reference for the oracle's span tests, which read dual functionals."""
+    m = np.array(rows, dtype=np.int64) % p
+    rank = 0
+    for c in range(m.shape[1]):
+        nonzero = np.flatnonzero(m[rank:, c])
+        if not len(nonzero):
+            continue
+        m[[rank, rank + nonzero[0]]] = m[[rank + nonzero[0], rank]]
+        m[rank] = m[rank] * pow(int(m[rank, c]), p - 2, p) % p
+        others = np.arange(len(m)) != rank
+        m[others] = (m[others] - np.outer(m[others, c], m[rank])) % p
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("name", PATTERNS)
+def test_span_tests_match_a_rank_reference(name, p):
+    # blocks of two rows: combinations of the spanning rows (inside), and
+    # those plus a random vector (inside only by chance); a block passes
+    # exactly when adding it to the spanning rows leaves their rank as is
+    rng = np.random.default_rng(p)
+    pdata = _pdata(name)
+    cells = rng.integers(0, p, (1, len(get_pattern(name).params)))
+    normal = rows_from_cells(cells, pdata, p)[0]
+    for spanning, test in ((pdata.comp_rows, lambda x: search._in_complement(x, pdata, p)),
+                           (normal, lambda x: search._in_span(x, normal, pdata, p))):
+        inside = rng.integers(0, p, (40, 2, len(spanning))) @ spanning % p
+        noise = rng.integers(0, p, (40, 2, 9)) * (np.arange(40) % 2)[:, None, None]
+        blocks = (inside + noise) % p
+        rank = _rank_mod(spanning, p)
+        expected = [_rank_mod(np.vstack([spanning, b]), p) == rank for b in blocks]
+        assert test(blocks).tolist() == expected
+        assert 20 <= sum(expected) < 40
 
 
 def test_sweep_rejects_unsupported_prime():

@@ -7,6 +7,7 @@ from archived_runs import ARCHIVED_RUNS
 from m3decomp import cli, invariants, verifier
 from m3decomp.catalog import COMPLEMENTS, CatalogEntry, builtin_catalog, entry_by_id
 from m3decomp.invariants import fingerprint
+from m3decomp.patterns import PivotPattern, reference_system
 from m3decomp.verifier import (
     compare_with_reference_system,
     sample_assignment,
@@ -86,10 +87,22 @@ def test_specialized_verify_of_an_empty_box_is_a_config_error(tmp_path, monkeypa
 
 @pytest.mark.parametrize("fixture", ["t1_reduced", "t2_system", "t6_radical"])
 def test_compare_with_reference_system(fixture):
-    report = compare_with_reference_system(fixture, 3)
+    pat, _, _, pairs = reference_system(fixture)
+    report = compare_with_reference_system(fixture, pat.closure_system(pairs), 3)
     assert report["equal"]
     if "substitutions_implied_by_closure" in report:
         assert report["substitutions_implied_by_closure"]
+
+
+def test_derive_system_compare_derives_the_system_once(monkeypatch, tmp_path):
+    # the comparison reads the system that derive-system prints
+    derived = []
+    closure_system = PivotPattern.closure_system
+    monkeypatch.setattr(PivotPattern, "closure_system",
+                        lambda pat, pairs="all": derived.append(pairs) or closure_system(pat, pairs))
+    argv = ["derive-system", "--pattern", "t2", "--compare", "t2_system"]
+    assert cli.main([*argv, "--output", str(tmp_path / "derive.json")]) == 0
+    assert derived == ["all"]
 
 
 def test_verify_remarks_report():
