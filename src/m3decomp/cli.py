@@ -21,7 +21,8 @@ an --entry id named twice, --entry lists that name no id, --all with
 rational, an unusable catalog file, one with no records or a malformed
 record in it, a prime out of range, or an --output file that cannot be
 written).  Identical configuration (including seed) produces byte-identical
-JSON output.  search accepts --jobs and ignores it.  The environment
+JSON output.  search accepts --jobs and ignores it; its report does not
+record it.  The environment
 variable M3DECOMP_CATALOG points verification at a catalog file instead
 of the built-in corpus.
 """
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import catalog, invariants, rota_baxter, search, verifier
 from .errors import M3DecompError
-from .patterns import PATTERN_ALIASES, PATTERNS, REFERENCE_SYSTEMS, get_pattern
+from .patterns import PATTERN_ALIASES, PATTERNS, get_pattern, reference_system
 from .scalars import MAX_CELL_PRIME, MAX_PRIME, check_prime, parse_rational, poly_to_string
 
 SCHEMA = 1
@@ -138,7 +139,6 @@ def cmd_verify(args):
 
 def cmd_search(args):
     name = _pattern_name(args.pattern)
-    check_prime(args.prime)
     report = search.coverage_report(name, args.prime, explain=not args.no_explain)
     if args.slow_oracle:
         slow = search.slow_cube_solutions(name, args.prime)
@@ -147,7 +147,6 @@ def cmd_search(args):
     doc = {
         "schema_version": SCHEMA,
         "command": "search",
-        "jobs": 1,  # search ignores --jobs, so its report never depends on it
         **report,
         "clean": search.coverage_clean(report),
     }
@@ -235,14 +234,14 @@ def cmd_derive_system(args):
     name = _pattern_name(args.pattern)
     check_prime(args.prime, MAX_CELL_PRIME)
     if args.compare:
-        if args.compare not in REFERENCE_SYSTEMS:
-            raise M3DecompError(f"unknown fixture {args.compare!r}")
-        rec = REFERENCE_SYSTEMS[args.compare]
-        pairs = rec.get("pairs", "all")
-        if (rec["pattern"], pairs) != (name, args.pairs):
+        try:
+            ref = reference_system(args.compare)
+        except KeyError:
+            raise M3DecompError(f"unknown fixture {args.compare!r}") from None
+        if (ref.pattern.name, ref.pairs) != (name, args.pairs):
             raise M3DecompError(
-                f"--compare {args.compare} is a system of --pattern {rec['pattern']} "
-                f"--pairs {pairs}, not of --pattern {name} --pairs {args.pairs}")
+                f"--compare {args.compare} is a system of --pattern {ref.pattern.name} "
+                f"--pairs {ref.pairs}, not of --pattern {name} --pairs {args.pairs}")
     pat = get_pattern(name)
     system = pat.closure_system(args.pairs)
     doc = {
@@ -256,9 +255,9 @@ def cmd_derive_system(args):
     }
     if not args.compare:
         return doc, True
-    cmp_report = verifier.compare_with_reference_system(args.compare, system, args.prime)
+    cmp_report, ok = verifier.compare_with_reference_system(args.compare, system, args.prime)
     doc["comparison"] = cmp_report
-    return doc, cmp_report["equal"] and cmp_report.get("substitutions_implied_by_closure", True)
+    return doc, ok
 
 
 def build_parser():

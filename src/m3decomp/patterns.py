@@ -33,6 +33,7 @@ pattern it names (and one that names none pays nothing).
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 
 from .errors import PatternMismatch
 from .linalg import echelonize, solve_linear
@@ -297,7 +298,7 @@ def get_pattern(name):
 #: each fixture: pattern name, substitutions applied to the derived system
 #: (cell -> polynomial string), and the printed equations in the remaining
 #: cells; substitutions_implied_by_closure: closure implies them (checked too)
-REFERENCE_SYSTEMS = {
+_REFERENCE_SYSTEMS = {
     "t1_reduced": {
         "pattern": "t1",
         "substitutions": {"b": "0", "c": "0", "q": "0", "r": "0"},
@@ -359,12 +360,24 @@ REFERENCE_SYSTEMS = {
 }
 
 
+#: a printed system read into its pattern's cell ring: the pattern, the
+#: products it closes ("all" unless the fixture says otherwise), the printed
+#: equations, the substitution equations that align them with the derived
+#: system, and whether closure must imply those substitutions
+ReferenceSystem = namedtuple(
+    "ReferenceSystem", "pattern pairs equations substitutions implied_by_closure")
+
+
 def reference_system(name):
-    """The printed system as polynomials of its pattern's cell ring, plus the
-    substitution equations that align it with the derived system."""
-    rec = REFERENCE_SYSTEMS[name]
+    """The fixture of this name as a ReferenceSystem (KeyError if there is
+    none)."""
+    rec = _REFERENCE_SYSTEMS[name]
     pat = get_pattern(rec["pattern"])
     ring = pat.ring
-    eqs = [parse_poly(s, ring) for s in rec["equations"]]
-    subs = [ring.gen(cell) - parse_poly(v, ring) for cell, v in rec["substitutions"].items()]
-    return pat, eqs, subs, rec.get("pairs", "all")
+    return ReferenceSystem(
+        pat,
+        rec.get("pairs", "all"),
+        [parse_poly(s, ring) for s in rec["equations"]],
+        [ring.gen(cell) - parse_poly(v, ring) for cell, v in rec["substitutions"].items()],
+        rec.get("substitutions_implied_by_closure", False),
+    )

@@ -385,7 +385,9 @@ def coverage_report(pattern_name, p, explain=True):
     set, each is re-swept over GF(p^2) and flagged explained when the orbit
     merges with a catalog specialization there (a quadratic obstruction).
     A catalog specialization missing from the enumeration raises
-    PatternMismatch; a slice in INCOMPLETE_SLICES raises NotSupported."""
+    PatternMismatch; a prime the oracle does not take, or a slice in
+    INCOMPLETE_SLICES, raises NotSupported before anything is enumerated."""
+    check_prime(p)
     gap = INCOMPLETE_SLICES.get((pattern_name, p))
     if gap is not None:
         raise NotSupported(f"pattern {pattern_name} at p = {p}: {gap}")

@@ -17,7 +17,7 @@ from .catalog import COMPLEMENTS, entry_by_id
 from .errors import NotSupported, UndecidedPivot
 from .fpsolve import solve_system_fp
 from .matrices import is_direct_sum
-from .patterns import REFERENCE_SYSTEMS, reference_system
+from .patterns import reference_system
 from .scalars import first_violation
 
 
@@ -102,24 +102,28 @@ def verify_entry(entry, mode="symbolic", n=100, seed=0):
 def compare_with_reference_system(name, derived, p=3):
     """Solution-set comparison of a derived system, the fixture pattern's
     closure system over the fixture's pairs, against the printed reduced
-    system, after the stated substitutions, over F_p."""
-    pat, printed, subs, _ = reference_system(name)
-    lhs = solve_system_fp(derived + subs, pat.params, p)
-    rhs = solve_system_fp(printed + subs, pat.params, p)
+    system, after the stated substitutions, over F_p.  Returns the report
+    and its verdict: the solution sets are equal and, where the fixture says
+    so, closure implies the substitutions."""
+    ref = reference_system(name)
+    params, subs = ref.pattern.params, ref.substitutions
+    lhs = solve_system_fp(derived + subs, params, p)
+    rhs = solve_system_fp(ref.equations + subs, params, p)
     report = {
         "fixture": name,
-        "pattern": pat.name,
+        "pattern": ref.pattern.name,
         "prime": p,
         "derived_equations": len(derived),
-        "printed_equations": len(printed),
+        "printed_equations": len(ref.equations),
         "substitutions": len(subs),
         "solutions": len(lhs),
         "equal": bool(np.array_equal(lhs, rhs)),
     }
-    if REFERENCE_SYSTEMS[name].get("substitutions_implied_by_closure"):
-        full = solve_system_fp(derived, pat.params, p)
-        report["substitutions_implied_by_closure"] = bool(np.array_equal(full, lhs))
-    return report
+    implied = True
+    if ref.implied_by_closure:
+        full = solve_system_fp(derived, params, p)
+        implied = report["substitutions_implied_by_closure"] = bool(np.array_equal(full, lhs))
+    return report, report["equal"] and implied
 
 
 # ---------------------------------------------------------------------------

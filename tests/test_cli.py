@@ -107,6 +107,7 @@ def test_jobs_do_not_change_output(tmp_path):
     assert run_cli(*sargs, "--jobs", "1", "--output", str(s1)).returncode == 0
     assert run_cli(*sargs, "--jobs", "4", "--output", str(s2)).returncode == 0
     assert s1.read_bytes() == s2.read_bytes()
+    assert "jobs" not in json.loads(s1.read_text())
 
 
 def test_invariants_reports_remark3_honestly():

@@ -167,10 +167,11 @@ def test_pattern_cells_are_read_off_private_coordinates():
 
 @pytest.mark.parametrize("fixture", ["t1_reduced", "t2_system", "t3_squares", "t6_radical"])
 def test_reference_fixture_solution_sets(fixture):
-    pat, printed, subs, pairs = reference_system(fixture)
-    derived = pat.closure_system(pairs)
-    lhs = solve_system_fp(derived + subs, pat.params, 3)
-    rhs = solve_system_fp(printed + subs, pat.params, 3)
+    ref = reference_system(fixture)
+    params, subs = ref.pattern.params, ref.substitutions
+    derived = ref.pattern.closure_system(ref.pairs)
+    lhs = solve_system_fp(derived + subs, params, 3)
+    rhs = solve_system_fp(ref.equations + subs, params, 3)
     assert np.array_equal(lhs, rhs)
 
 
@@ -178,10 +179,12 @@ def test_derived_systems_force_their_substitutions():
     # Theorem 1's b=c=q=r=0 and Theorem 6's radical substitutions are
     # consequences of closure, not extra assumptions
     for fixture in ("t1_reduced", "t6_radical"):
-        pat, printed, subs, pairs = reference_system(fixture)
-        derived = pat.closure_system(pairs)
-        assert np.array_equal(solve_system_fp(derived, pat.params, 3),
-                              solve_system_fp(derived + subs, pat.params, 3))
+        ref = reference_system(fixture)
+        assert ref.implied_by_closure
+        params = ref.pattern.params
+        derived = ref.pattern.closure_system(ref.pairs)
+        assert np.array_equal(solve_system_fp(derived, params, 3),
+                              solve_system_fp(derived + ref.substitutions, params, 3))
 
 
 def test_solver_on_tiny_systems():

@@ -23,7 +23,7 @@ from m3decomp.maps import (
 )
 from m3decomp.matrices import Mat3
 from m3decomp.patterns import PATTERNS, get_pattern
-from m3decomp.scalars import compile_poly
+from m3decomp.scalars import MAX_PRIME, compile_poly
 from m3decomp.search import (
     catalog_specializations_fp,
     coverage_clean,
@@ -495,6 +495,15 @@ def test_sweep_rejects_unsupported_prime():
 
     with pytest.raises(NotSupported):
         t4_t6_separation(11)
+
+
+def test_coverage_report_checks_its_prime_before_it_enumerates(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated at an unsupported prime")
+
+    monkeypatch.setattr(search, "enumerate_complements_fp", enumerate_nothing)
+    with pytest.raises(NotSupported, match=f"primes up to {MAX_PRIME}, not 11"):
+        coverage_report("t1", 11)
 
 
 _SWEEP_CHECKS_OPTIMIZED = """

@@ -87,11 +87,19 @@ def test_specialized_verify_of_an_empty_box_is_a_config_error(tmp_path, monkeypa
 
 @pytest.mark.parametrize("fixture", ["t1_reduced", "t2_system", "t6_radical"])
 def test_compare_with_reference_system(fixture):
-    pat, _, _, pairs = reference_system(fixture)
-    report = compare_with_reference_system(fixture, pat.closure_system(pairs), 3)
-    assert report["equal"]
-    if "substitutions_implied_by_closure" in report:
-        assert report["substitutions_implied_by_closure"]
+    ref = reference_system(fixture)
+    report, ok = compare_with_reference_system(fixture, ref.pattern.closure_system(ref.pairs), 3)
+    assert ok and report["equal"]
+    assert ("substitutions_implied_by_closure" in report) == ref.implied_by_closure
+
+
+def test_comparison_verdict_needs_the_substitutions_implied():
+    # the printed t1 system leaves b, c, q and r free: its solution set
+    # matches after the substitutions, but does not imply them
+    ref = reference_system("t1_reduced")
+    report, ok = compare_with_reference_system("t1_reduced", ref.equations, 3)
+    assert report["equal"] and report["substitutions_implied_by_closure"] is False
+    assert ok is False
 
 
 def test_derive_system_compare_derives_the_system_once(monkeypatch, tmp_path):
