@@ -29,12 +29,10 @@ from .scalars import (
 
 
 def _normalize_row(row):
-    """Divide a row of exact scalars by the rational content of all its
-    coefficients and make its leading nonzero entry positive (for a
+    """Divide a nonzero row of exact scalars by the rational content of all
+    its coefficients and make its leading nonzero entry positive (for a
     polynomial, its lex-leading coefficient)."""
-    lead = next((x for x in row if x), None)
-    if lead is None:
-        return row
+    lead = next(x for x in row if x)
     inv = (1 if leading_coefficient(lead) > 0 else -1) / rational_content(row)
     return row if inv == 1 else [x * inv for x in row]
 

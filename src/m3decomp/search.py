@@ -13,17 +13,22 @@ the pattern's dual functionals F, which vanish on the complement: x lies in
 the complement when x F^T = 0 mod p, and in the span of pattern-normal rows
 R when x = (x F^T) R, so no row reduction runs.  A family with its
 twist coset is taken to be a group, and the orbit of a solution is the set
-of its images under those maps that land back in the pattern slice.  Each
-sweep checks that its maps preserve the complement and raises when an image
-escapes the solutions or two orbits meet; `family_is_full_stabilizer`
-compares a family's conjugations, not its twist coset, with every one that
-preserves the complement, and the tests run it at p = 2 only.  Orbits are
-swept one at a time: every map is applied to one unlabelled solution, and
-each in-slice image joins its orbit.  Soundness (every constraint-satisfying
-catalog specialization appears and is matched) is checked with typed
-errors; completeness failures are data, reported verbatim and, where
-claimed, explained by re-running the sweep over the quadratic extension
-GF(p^2), which is exactly what a square-root obstruction must resolve.
+of its images under those maps that land back in the pattern slice.  Every
+sweep keeps three rules: `_specializations` refuses a catalog point outside
+the pattern slice, over F_p and GF(p^2) alike; a group is read only in
+batches (`_family_conjugators`); and each sweep over F_p first checks that
+its maps preserve the complement (`_check_group_preserves`).  The orbit
+partition also raises when an image escapes the solutions or two orbits
+meet.  `family_is_full_stabilizer` compares a family's conjugations, not
+its twist coset, with every one that preserves the complement, and the
+tests run it at p = 2 only.  Orbits are swept one at a time: every map is
+applied to one unlabelled solution, and each in-slice image joins its
+orbit.  Soundness
+(every constraint-satisfying catalog specialization appears and is
+matched) is checked with typed errors; completeness failures are data,
+reported verbatim and, where claimed, explained by re-running the sweep
+over the quadratic extension GF(p^2), which is exactly what a square-root
+obstruction must resolve.
 Both sweeps are the same code over a field object (`gfq.GFq`): F_p is its
 degree-1 case, GF(p^2) its degree-2 case.  A sweep reads its complement,
 family and twist from one record (`_pdata`, off `maps.PRESERVING`) and each
@@ -144,23 +149,28 @@ def _grid(shape, start=0, stop=None):
     return np.stack(np.unravel_index(flat, shape), axis=-1)
 
 
-def _family_conjugators(family, gf, chunk=None):
+#: parameter tuples per batch of a group (at most as many conjugators, twice
+#: as many with a theta(2, 3) coset), so that the images a sweep holds at
+#: once do not grow with the order of the group
+_SWEEP_CHUNK = 1024
+
+
+def _family_conjugators(family, gf):
     """The invertible conjugators T of a family over the field gf, in
-    parameter-grid order, chunk grid rows at a time (all at once when chunk
-    is None): yields (T, adj T), two (N, 3, 3) batches, for each chunk that
-    keeps a conjugator.  A family with a coset P T (theta(2, 3) for
-    phi_lm0_theta23) follows each chunk with its coset.  The adjugates come
-    from the cofactor pass that drops the singular T; the sweeps use them in
-    place of the inverses (see `_conjugated`)."""
+    parameter-grid order, _SWEEP_CHUNK grid rows at a time: yields
+    (T, adj T), two (N, 3, 3) batches, for each chunk that keeps a
+    conjugator.  A family with a coset P T (theta(2, 3) for phi_lm0_theta23)
+    follows each chunk with its coset.  The adjugates come from the cofactor
+    pass that drops the singular T; the sweeps use them in place of the
+    inverses (see `_conjugated`)."""
     params, units, coset = FAMILIES[family]
     coset = twist_matrix(coset)
     skip = [int(n in units) for n, _ in params]   # a unit skips elements()[0] = 0
     shape = tuple(gf.q - s for s in skip)
     size = math.prod(shape)
-    chunk = chunk or size
     elements = gf.elements()
-    for start in range(0, size, chunk):
-        grid = _grid(shape, start, start + chunk) + skip
+    for start in range(0, size, _SWEEP_CHUNK):
+        grid = _grid(shape, start, start + _SWEEP_CHUNK) + skip
         t = np.zeros((grid.shape[0], 9) + elements.shape[1:], dtype=np.int64)
         t[:, 0] = gf.lift(1)
         t[:, [pos for _, pos in params]] = elements[grid]
@@ -201,12 +211,6 @@ def _twisted(rows, twist, p):
     return np.concatenate([rows, flipped.reshape(rows.shape)], axis=-3)
 
 
-#: parameter tuples per batch of a sweep (at most as many conjugators, twice
-#: as many with a theta(2, 3) coset), so that the images held at once do not
-#: grow with the order of the group
-_SWEEP_CHUNK = 1024
-
-
 def _images(rep_cells, batches, pdata, gf):
     """For each batch (T, adj T) of conjugators over the field gf, the cells of
     the images of one representative (its cells over F_p) under the batch and
@@ -219,8 +223,8 @@ def _images(rep_cells, batches, pdata, gf):
 
 
 def group_matrices(family, p):
-    """The conjugators T of a family over F_p, (|G|, 3, 3), in parameter-grid
-    order; distinct T give distinct maps X -> T^-1 X T."""
+    """The conjugators T of a family over F_p, (|G|, 3, 3), its batches
+    joined; distinct T give distinct maps X -> T^-1 X T."""
     return np.concatenate([t for t, _ in _family_conjugators(family, _gf(p))])
 
 
@@ -296,7 +300,7 @@ def orbit_partition_fp(solutions, pattern_name, p):
     pdata = _pdata(pattern_name)
     gf = _gf(p)
     # built once: regenerating the group for each orbit costs more CPU
-    batches = list(_family_conjugators(pdata.family, gf, _SWEEP_CHUNK))
+    batches = list(_family_conjugators(pdata.family, gf))
     _check_group_preserves(pdata, batches, gf)
     sols = np.asarray(solutions)
     find = _row_index(sols)
@@ -320,9 +324,10 @@ def orbit_partition_fp(solutions, pattern_name, p):
 def _specializations(pdata, gf):
     """Every specialization over the field gf of the catalog entries the
     record's pattern classifies whose side conditions hold, pattern-
-    normalized: yields (entry id, parameter names, values, cells, ok) per
-    entry, values holding one row of parameter values per specialization in
-    grid order."""
+    normalized: yields (entry id, parameter names, values, cells) per entry,
+    values holding one row of parameter values per specialization in grid
+    order.  A specialization outside the pattern slice raises
+    PatternMismatch."""
     for entry in builtin_catalog():
         if entry.complement_id != pdata.comp_id:
             continue
@@ -342,16 +347,16 @@ def _specializations(pdata, gf):
             for t, c in enumerate(g.coords()):
                 rows[:, gi, t] = evaluate(c)
         cells, ok = normalize_rows(rows[keep], pdata, gf)
-        yield entry.id, names, values[keep], cells, ok
+        if not ok.all():
+            raise PatternMismatch(f"{entry.id} specialization does not fit the pattern slice")
+        yield entry.id, names, values[keep], cells
 
 
 def catalog_specializations_fp(pattern_name, p):
     """Constraint-satisfying catalog specializations for this pattern,
     pattern-normalized: list of (entry id, assignment, cell row)."""
     out = []
-    for eid, names, values, cells, ok in _specializations(_pdata(pattern_name), _gf(p)):
-        if not ok.all():
-            raise PatternMismatch(f"{eid} specialization does not fit the pattern slice")
+    for eid, names, values, cells in _specializations(_pdata(pattern_name), _gf(p)):
         out.extend((eid, dict(zip(names, vals)), row)
                    for vals, row in zip(values.tolist(), cells))
     return out
@@ -451,10 +456,8 @@ def explain_unmatched(pattern_name, p, rep_cells):
     is swept _SWEEP_CHUNK tuples at a time, up to the first hit."""
     gf = _gf(p, 2)
     pdata = _pdata(pattern_name)
-    find = _row_index(np.concatenate(
-        [cells[ok] for *_, cells, ok in _specializations(pdata, gf)]))
-    batches = _family_conjugators(pdata.family, gf, _SWEEP_CHUNK)
-    images = _images(rep_cells, batches, pdata, gf)
+    find = _row_index(np.concatenate([cells for *_, cells in _specializations(pdata, gf)]))
+    images = _images(rep_cells, _family_conjugators(pdata.family, gf), pdata, gf)
     return any((find(cells) >= 0).any() for cells in images)
 
 
@@ -514,28 +517,27 @@ def t4_t6_separation(p):
     (T6), over F_p (its family in `maps.PRESERVING`, alone and composed with
     its antiautomorphism twist) and report whether any carries the (T4)
     subalgebra onto the (T6) subalgebra.  Both are read in the pattern-
-    normal form of t3, M6U's pattern; either one outside its slice raises
-    PatternMismatch.
+    normal form of t3, M6U's pattern (`_specializations` refuses either one
+    outside its slice).  The family's batches and the twist are checked to
+    preserve M6U first; the untwisted maps are then swept batch by batch,
+    and the twisted ones after them.
 
     Returns (separated, witness): witness names the first mapping found in
     grid order, untwisted maps first, as family parameters plus whether it
     includes the twist."""
     gf = _gf(p)
     pdata = _pdata("t3")
-    rows = {}
-    for eid, _, _, cells, ok in _specializations(pdata, gf):
-        if eid in ("T4", "T6"):
-            if not ok.all():
-                raise PatternMismatch(f"{eid} specialization does not fit the pattern slice")
-            rows[eid] = rows_from_cells(cells, pdata, p)[0]
-    # an invertible map carries T4 onto T6 when every image row lies in T6
-    [(t, adj)] = _family_conjugators(pdata.family, gf)
-    images = _conjugated(_twisted(rows["T4"], pdata.twist, p), (t, adj), gf)
-    hits = _in_span(images, rows["T6"], pdata, p)
-    if not hits.any():
-        return True, None
-    twisted, idx = divmod(int(hits.argmax()), len(t))
-    entries = t[idx].reshape(9)
-    witness = {name: int(entries[pos]) for name, pos in FAMILIES[pdata.family][0]}
-    witness["composed_with_transpose_twist"] = bool(twisted)
-    return False, witness
+    rows = {eid: rows_from_cells(cells, pdata, p)[0]
+            for eid, _, _, cells in _specializations(pdata, gf) if eid in ("T4", "T6")}
+    batches = list(_family_conjugators(pdata.family, gf))
+    _check_group_preserves(pdata, batches, gf)
+    for twisted, variant in enumerate(_twisted(rows["T4"], pdata.twist, p)):
+        for t, adj in batches:
+            # an invertible map carries T4 onto T6 when every image row lies in T6
+            hits = _in_span(_conjugated(variant, (t, adj), gf), rows["T6"], pdata, p)
+            if hits.any():
+                entries = t[hits.argmax()].reshape(9)
+                witness = {name: int(entries[pos]) for name, pos in FAMILIES[pdata.family][0]}
+                witness["composed_with_transpose_twist"] = bool(twisted)
+                return False, witness
+    return True, None

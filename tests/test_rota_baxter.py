@@ -167,6 +167,18 @@ def test_concrete_weight():
     assert check_complement_identity(r, rt)
 
 
+def test_complement_identity_refusals():
+    # R + R~ = -lambda Id fails for operators of two weights, and for an R~
+    # with one numerator entry changed
+    r, rt = rb_pair_for_entry(entry_by_id("R9"), weight=Fraction(1))
+    _, rt2 = rb_pair_for_entry(entry_by_id("R9"), weight=Fraction(2))
+    assert check_complement_identity(r, rt)
+    assert not check_complement_identity(r, rt2)
+    rows = [list(row) for row in rt.matrix9]
+    rows[0][1] += 1
+    assert not check_complement_identity(r, replace(rt, matrix9=tuple(map(tuple, rows))))
+
+
 def test_export_shape():
     r = rb_pair_for_entry(entry_by_id("R1"), weight=1)[0]
     doc = r.to_json()

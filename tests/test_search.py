@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from archived_runs import COVERAGE, coverage_archive
-from m3decomp import search
+from m3decomp import cli, search
 from m3decomp.catalog import COMPLEMENTS
-from m3decomp.errors import BudgetExceeded, GroupMismatch, NotSupported
+from m3decomp.errors import BudgetExceeded, GroupMismatch, NotSupported, PatternMismatch
 from m3decomp.gfq import GFq
 from m3decomp.maps import (
     PRESERVING,
@@ -234,8 +234,8 @@ def test_normal_form_is_the_same_over_the_extension(name, p):
     sols = enumerate_complements_fp(name, p)[::7][:12].astype(np.int64)
     pdata = _pdata(name)
     gf = GFq(p)
-    [(t, adj)] = _family_conjugators(PRESERVING[get_pattern(name).complement_id][0], gf)
-    t, adj = t[::29][:12], adj[::29][:12]
+    t = group_matrices(PRESERVING[get_pattern(name).complement_id][0], p)[::29][:12]
+    adj = gf.det_adj(t)[1]
     k = get_pattern(name).gen_count
     rows = [_conjugated(rows_from_cells(sols, pdata, p), conj, gf).reshape(-1, k, 9)
             for conj in ((t, gf.inv_mat(t)), (t, adj))]
@@ -428,8 +428,9 @@ def test_group_mismatch_detected(monkeypatch):
         return batches
 
     whole = list(_family_conjugators("phi_full", gf))
+    assert len(whole) == 1
     monkeypatch.setattr(search, "_SWEEP_CHUNK", 5)
-    chunked = list(_family_conjugators("phi_full", gf, search._SWEEP_CHUNK))
+    chunked = list(_family_conjugators("phi_full", gf))
     assert len(chunked) > 1
     t1, transposed = _pdata("t1"), _pdata("t1")
     transposed.twist = np.eye(3, dtype=np.int64)
@@ -438,11 +439,64 @@ def test_group_mismatch_detected(monkeypatch):
         with pytest.raises(GroupMismatch, match="does not preserve"):
             _check_group_preserves(pdata, batches, gf)
     _check_group_preserves(t1, chunked, gf)
-    # the sweep runs the check on the family and twist its complement's
-    # record names
+    # the orbit sweep and the (T4)/(T6) pair sweep run the check on the
+    # family and twist their complement's record names
     monkeypatch.setitem(PRESERVING, "M7", ("phi_full", (0, 1, 2)))
-    with pytest.raises(GroupMismatch, match="does not preserve"):
+    with pytest.raises(GroupMismatch, match="does not preserve M7"):
         orbit_partition_fp(enumerate_complements_fp("t1", 2), "t1", 2)
+    monkeypatch.setitem(PRESERVING, "M6U", ("psi", (0, 1, 2)))
+    with pytest.raises(GroupMismatch, match="does not preserve M6U"):
+        t4_t6_separation(2)
+
+
+def test_orbit_sweep_refuses_maps_that_are_not_a_group(monkeypatch):
+    # phi_full at p = 2 without every third conjugator: each map left still
+    # preserves M7, but the maps are no longer closed, so the orbits they
+    # sweep out overlap
+    conjugators = search._family_conjugators
+
+    def thinned(family, gf):
+        for t, adj in conjugators(family, gf):
+            keep = np.arange(len(t)) % 3 != 2
+            yield t[keep], adj[keep]
+
+    monkeypatch.setattr(search, "_family_conjugators", thinned)
+    with pytest.raises(GroupMismatch, match="two orbits meet"):
+        orbit_partition_fp(enumerate_complements_fp("t1", 2), "t1", 2)
+
+
+def test_coverage_report_refuses_a_specialization_missing_from_the_enumeration(monkeypatch):
+    # the whole orbit of R1's all-zero solution dropped from the enumeration:
+    # the sweep of the rest is sound, but R1's specialization is not found
+    sols = enumerate_complements_fp("t1", 2)
+    labels, _ = orbit_partition_fp(sols, "t1", 2)
+    zero = next(i for i, row in enumerate(sols) if not row.any())
+    monkeypatch.setattr(search, "enumerate_complements_fp",
+                        lambda *args: sols[labels != labels[zero]])
+    with pytest.raises(PatternMismatch, match="R1 specialization missing from the enumeration"):
+        coverage_report("t1", 2, explain=False)
+
+
+@pytest.mark.parametrize("degree, sweep", [
+    (1, lambda: catalog_specializations_fp("t8", 3)),
+    (1, lambda: t4_t6_separation(3)),
+    # the representative is never swept: the refusal comes first
+    (2, lambda: explain_unmatched("t8", 3, np.zeros(len(get_pattern("t8").params), dtype=int))),
+], ids=["catalog-fp", "t4-t6-fp", "explain-gf9"])
+def test_specializations_off_the_slice_are_refused(degree, sweep, monkeypatch):
+    # one catalog point over F_p or GF(p^2) pushed out of the pattern slice:
+    # every reader of the specializations refuses it before it sweeps
+    normalize = search.normalize_rows
+
+    def off_slice(rows, pdata, gf):
+        cells, ok = normalize(rows, pdata, gf)
+        if gf.degree == degree:
+            ok[-1:] = False
+        return cells, ok
+
+    monkeypatch.setattr(search, "normalize_rows", off_slice)
+    with pytest.raises(PatternMismatch, match="specialization does not fit the pattern slice"):
+        sweep()
 
 
 def test_families_are_full_stabilizers_f2():
@@ -553,3 +607,24 @@ def test_sweep_checks_survive_optimize():
         "meet GroupMismatch the maps do not form a group: two orbits meet",
         "missing PatternMismatch R1 specialization missing from the enumeration",
     ]
+
+
+_SEARCH_T1_SLOW = ["search", "--pattern", "t1", "--prime", "2", "--no-explain", "--slow-oracle"]
+
+
+def test_search_slow_oracle_agrees_through_the_cli():
+    res = subprocess.run([sys.executable, "-m", "m3decomp.cli", *_SEARCH_T1_SLOW],
+                         capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["slow_oracle_agrees"] is True
+
+
+def test_search_slow_oracle_disagreement_exits_1(tmp_path, monkeypatch):
+    # the slow oracle missing one solution: the report says so, and the run
+    # fails although the coverage itself is clean
+    slow = search.slow_cube_solutions
+    monkeypatch.setattr(search, "slow_cube_solutions", lambda *args: slow(*args)[1:])
+    out = tmp_path / "search.json"
+    assert cli.main([*_SEARCH_T1_SLOW, "--output", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["slow_oracle_agrees"] is False and doc["clean"]

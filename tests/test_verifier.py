@@ -4,9 +4,10 @@ import pathlib
 import pytest
 
 from archived_runs import ARCHIVED_RUNS
-from m3decomp import cli, invariants, verifier
+from m3decomp import cli, invariants, search, verifier
 from m3decomp.catalog import COMPLEMENTS, CatalogEntry, builtin_catalog, entry_by_id
 from m3decomp.invariants import fingerprint
+from m3decomp.maps import PRESERVING
 from m3decomp.patterns import PivotPattern, reference_system
 from m3decomp.verifier import (
     compare_with_reference_system,
@@ -159,6 +160,21 @@ def test_remark3_without_sweep_primes_leaves_t4_t6_unseparated():
     assert t_pairs[("T4", "T6")]["separated_by"] is None
     assert t_pairs[("T4", "T6")]["detail"].startswith("no sweep ran")
     assert not remark3["passed"]
+
+
+def test_remark3_separates_t4_t6_when_no_swept_map_links_them(monkeypatch):
+    # M6U's family without its antiautomorphism twist: no map of the sweep
+    # links (T4) and (T6), so the sweep reads separated at every prime and
+    # remark 3 passes on that verdict
+    monkeypatch.setitem(PRESERVING, "M6U", ("psi", None))
+    for p in (2, 3, 5):
+        assert search.t4_t6_separation(p) == (True, None)
+    remark3 = verify_remarks(sweep_primes=(2, 3, 5))["remark3"]
+    assert remark3["sweep"] == {str(p): {"separated": True, "witness": None} for p in (2, 3, 5)}
+    t4_t6 = next(rec for rec in remark3["pairs"] if rec["pair"] == ["T4", "T6"])
+    assert t4_t6["separated_by"] == "exhaustive group sweep"
+    assert t4_t6["detail"] == "no complement-preserving map links the pair"
+    assert remark3["passed"]
 
 
 def test_verify_remarks_reads_the_fingerprints_it_is_given(monkeypatch):
