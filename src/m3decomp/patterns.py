@@ -14,9 +14,9 @@ coordinates.
 
 `PivotPattern` is the one holder of this pattern-normal form, as integer
 data that the closure system and the finite-field oracle both read: the base
-rows, each cell's generator and direction, the coordinate each cell is read
-off (the lowest one that no other cell of its generator touches), and the
-dual functionals, which must be integral.
+rows, each cell's generator and direction (one generator of the complement),
+the entries pinned to zero (per generator, the complement generators none of
+its cells names), and the dual functionals, which must be integral.
 
 Patterns whose cells are pinned to zero record the justification; only
 division-free normalizations are pinned where completeness over prime fields
@@ -58,45 +58,47 @@ class PivotPattern:
     its (cell, direction positions) pairs.  The pattern holds, as integers:
     base, the k generator rows with every cell at 0 (the identity first,
     and include_identity set, when the complement lacks it); dirs, per cell
-    its generator index and 0/1 direction; reads, per cell its generator
-    index and the lowest coordinate that no other cell of that generator
-    touches; functionals, the k dual functionals that read a generator's
-    coefficient off an element of S.
-    A direction outside the complement, pivot parts that do not complete a
-    basis of it and non-integral functionals each raise PatternMismatch.
+    its generator index and direction, a 0/1 generator of the complement
+    named at most once per generator; reads and pinned, per cell and per
+    entry pinned to 0 (each complement generator that a generator, the
+    identity included, names in no cell), the generator index and the first
+    coordinate of the complement generator; functionals, the k dual
+    functionals that read a generator's coefficient off an element of S.
+    Any other direction, pivot parts that do not complete a basis of the
+    complement and non-integral functionals each raise PatternMismatch.
     """
 
     def __init__(self, name, complement_id, gens, fixed_zeros=""):
         self.name = name
         self.complement_id = complement_id
         self.fixed_zeros = fixed_zeros
-        comp = COMPLEMENTS[complement_id].subspace()
-        self.include_identity = not comp.contains_identity()
-        self.base = [_unit_vec(((1, 1), (2, 2), (3, 3)))] if self.include_identity else []
-        params, self.dirs, self.reads = [], [], []
-        for pivots, cells in gens:
+        comp = COMPLEMENTS[complement_id]
+        directions = [list(g.coords()) for g in comp.generators]
+        self.include_identity = not comp.subspace().contains_identity()
+        identity = [([(1, 1), (2, 2), (3, 3)], [])] if self.include_identity else []
+        self.base, self.pinned, params, self.dirs, self.reads = [], [], [], [], []
+        for pivots, cells in [*identity, *gens]:
             gi = len(self.base)
             self.base.append(_unit_vec(pivots))
             vecs = [_unit_vec(positions) for _, positions in cells]
             for (cell, _), vec in zip(cells, vecs):
-                if not comp.contains(Mat3.from_coords(vec)):
-                    raise PatternMismatch(
-                        f"direction for cell {cell!r} lies outside the complement")
-                private = [t for t in range(9) if vec[t] and sum(w[t] for w in vecs) == 1]
-                if not private:
-                    raise PatternMismatch(f"cell {cell!r} has no private coordinate")
+                if vec not in directions:
+                    raise PatternMismatch(f"cell {cell!r}: direction is not a complement generator")
+                if vecs.count(vec) > 1:
+                    raise PatternMismatch(f"cell {cell!r}: direction repeats in its generator")
                 params.append(cell)
                 self.dirs.append((gi, vec))
-                self.reads.append((gi, private[0]))
+                self.reads.append((gi, vec.index(1)))
+            self.pinned += [(gi, d.index(1)) for d in directions if d not in vecs]
         self.params = tuple(params)
         self.ring = PolynomialRing(self.params)   # rejects a repeated cell name
         self.gen_count = len(self.base)
-        self.functionals = self._compute_functionals()
+        self.functionals = self._compute_functionals(directions)
 
-    def _compute_functionals(self):
+    def _compute_functionals(self, directions):
         # functional j is 1 on generator j and 0 on the other generators and
         # on the complement: the solution f of rows f = e_j, unique at rank 9
-        rows = self.base + [list(g.coords()) for g in COMPLEMENTS[self.complement_id].generators]
+        rows = self.base + directions
         if len(rows) != 9 or echelonize(rows).rank != 9:
             raise PatternMismatch("pivot parts do not complete a basis of the complement")
         funcs = [solve_linear(rows, [int(i == j) for i in range(9)]) for j in range(self.gen_count)]

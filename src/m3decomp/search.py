@@ -23,12 +23,11 @@ meet.  `family_is_full_stabilizer` compares a family's conjugations, not
 its twist coset, with every one that preserves the complement, and the
 tests run it at p = 2 only.  Orbits are swept one at a time: every map is
 applied to one unlabelled solution, and each in-slice image joins its
-orbit.  Soundness
-(every constraint-satisfying catalog specialization appears and is
-matched) is checked with typed errors; completeness failures are data,
-reported verbatim and, where claimed, explained by re-running the sweep
-over the quadratic extension GF(p^2), which is exactly what a square-root
-obstruction must resolve.
+orbit.  Soundness (every constraint-satisfying catalog specialization
+appears and is matched) is checked with typed errors; completeness
+failures are data, reported verbatim and, where claimed, explained by
+re-running the sweep over the quadratic extension GF(p^2), which is
+exactly what a square-root obstruction must resolve.
 Both sweeps are the same code over a field object (`gfq.GFq`): F_p is its
 degree-1 case, GF(p^2) its degree-2 case.  A sweep reads its complement,
 family and twist from one record (`_pdata`, off `maps.PRESERVING`) and each
@@ -70,7 +69,7 @@ def _pdata(pattern_name):
     complement, and its integer data as numpy arrays: comp_rows, the
     complement's 0/1 generator rows, base (k, 9), functionals (k, 9),
     dirs (C, k, 9) with each cell's direction in its generator's row, and
-    reads, the generator and coordinate indices of the cells."""
+    reads and pinned, `PivotPattern`'s (generator, coordinate) pairs as index arrays."""
     pat = get_pattern(pattern_name)
     family, twist = PRESERVING[pat.complement_id]
     dirs = np.zeros((len(pat.params), pat.gen_count, 9), dtype=np.int64)
@@ -84,6 +83,7 @@ def _pdata(pattern_name):
         functionals=np.array(pat.functionals, dtype=np.int64),
         dirs=dirs,
         reads=tuple(np.array(pat.reads, dtype=np.int64).reshape(-1, 2).T),
+        pinned=tuple(np.array(pat.pinned, dtype=np.int64).reshape(-1, 2).T),
     )
 
 
@@ -97,16 +97,14 @@ def normalize_rows(rows, pdata, gf):
     """Pattern-normal form of batched generator rows, (N, k, 9) elements of
     the field gf.
 
-    Returns (cells, ok): ok marks rows whose normal form lies in the pattern
-    slice (reconstruction matches exactly, identity row included).
+    Returns (cells, ok).  The normal rows less the base rows lie in the
+    complement, where a cell or pinned entry reads its complement
+    generator's coefficient; ok marks the rows whose pinned entries are 0.
     """
-    p = gf.p
-    coeff = np.einsum("njt...,at->nja...", rows, pdata.functionals) % p
+    coeff = np.einsum("njt...,at->nja...", rows, pdata.functionals) % gf.p
     resid = gf.sub(gf.matmul(gf.inv_mat(coeff), rows), gf.lift(pdata.base))
-    cells = resid[:, pdata.reads[0], pdata.reads[1]]
-    recon = np.einsum("nc...,cjt->njt...", cells, pdata.dirs) % p
-    ok = gf.is_zero(gf.sub(recon, resid)).all(axis=(1, 2))
-    return cells, ok
+    ok = gf.is_zero(resid[:, pdata.pinned[0], pdata.pinned[1]]).all(axis=1)
+    return resid[:, pdata.reads[0], pdata.reads[1]], ok
 
 
 def _row_keys(cells):

@@ -120,9 +120,12 @@ def test_pattern_instances_always_direct_sums():
             assert is_direct_sum(s, b)
 
 
-def test_pattern_rejects_direction_outside_complement():
-    with pytest.raises(PatternMismatch, match="outside the complement"):
-        PivotPattern("bad", "M7", [([(2, 1)], [("w", [(2, 1)])])])
+@pytest.mark.parametrize("direction", [[(2, 1)], [(1, 2), (1, 3)]],
+                         ids=["outside", "sum-of-two"])
+def test_pattern_rejects_direction_that_is_no_complement_generator(direction):
+    # e21 lies outside M7, and e12 + e13 inside it but is not one generator
+    with pytest.raises(PatternMismatch, match="cell 'w': direction is not a complement generator"):
+        PivotPattern("bad", "M7", [([(2, 1)], [("w", direction)])])
 
 
 #: pivots e21 + e31, e31 + e32 and e21 + e32 for the complement of t3: they
@@ -156,13 +159,36 @@ def test_functionals_check_survives_optimize():
     assert "non-integral dual functionals" in res.stdout
 
 
-def test_pattern_cells_are_read_off_private_coordinates():
-    # t8's cell a moves e11 and e33 and is read off e11; two cells of one
-    # generator that share every coordinate cannot both be read
+def test_pattern_cells_are_read_off_their_complement_generators():
+    # t8's cell a moves e11 + e33, one generator of L5_6, and is read off
+    # e11, its first coordinate; a generator that names one complement
+    # generator in two cells is refused
     pat = get_pattern("t8")
     assert pat.dirs[0] == (0, [1, 0, 0, 0, 0, 0, 0, 0, 1]) and pat.reads[0] == (0, 0)
-    with pytest.raises(PatternMismatch, match="cell 'v' has no private coordinate"):
+    with pytest.raises(PatternMismatch, match="cell 'v': direction repeats in its generator"):
         PivotPattern("shared", "M7", [([(2, 1)], [("v", [(1, 2)]), ("w", [(1, 2)])])])
+
+
+#: per pattern, the pinned-zero cells that its fixed_zeros text names
+_PINNED_NAMED = {"t1": 2, "t2": 0, "t3": 3, "t4": 1, "t4m2": 0, "t5": 3, "t6": 2, "t7": 1, "t8": 3}
+
+
+@pytest.mark.parametrize("name", PATTERNS)
+def test_pinned_grid_matches_the_fixed_zeros_text(name):
+    # every generator times every complement generator is one cell or one
+    # pinned entry, read off the complement generator's first coordinate;
+    # the identity row pins them all, and the other pinned entries are the
+    # cells that fixed_zeros names before "= 0"
+    pat = get_pattern(name)
+    directions = [[int(x) for x in g.coords()] for g in COMPLEMENTS[pat.complement_id].generators]
+    first = sorted(d.index(1) for d in directions)
+    assert sorted(pat.pinned + pat.reads) == [(gi, t) for gi in range(pat.gen_count) for t in first]
+    assert all(vec in directions and read == (gi, vec.index(1))
+               for (gi, vec), read in zip(pat.dirs, pat.reads))
+    identity_row = [(0, t) for t in first] if pat.include_identity else []
+    assert sorted(pat.pinned[:len(identity_row)]) == identity_row
+    named = pat.fixed_zeros.split("=")[:-1] if "= 0" in pat.fixed_zeros else []
+    assert len(pat.pinned) - len(identity_row) == len(named) == _PINNED_NAMED[name]
 
 
 @pytest.mark.parametrize("fixture", ["t1_reduced", "t2_system", "t3_squares", "t6_radical"])

@@ -225,6 +225,49 @@ def test_normalize_roundtrip(name):
     assert np.array_equal(normal, cells)
 
 
+def _normalize_by_reconstruction(rows, pdata, gf):
+    """The reference slice test: the cells are read off the residual of the
+    normal rows and rebuilt along their directions, and a row is in the
+    slice when the rebuilt rows equal the residual in all nine coordinates."""
+    coeff = np.einsum("njt...,at->nja...", rows, pdata.functionals) % gf.p
+    resid = gf.sub(gf.matmul(gf.inv_mat(coeff), rows), gf.lift(pdata.base))
+    cells = resid[:, pdata.reads[0], pdata.reads[1]]
+    recon = np.einsum("nc...,cjt->njt...", cells, pdata.dirs) % gf.p
+    return cells, gf.is_zero(gf.sub(recon, resid)).all(axis=(1, 2))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name", PATTERNS)
+def test_pinned_slice_test_matches_the_reconstruction(name, degree):
+    # over F_3 and GF(9): some solutions and their twisted rows under the
+    # identity and some maps of the family, and random rows (slice rows at
+    # random cells, every other one plus noise); the pinned entries decide
+    # the slice as the reconstruction does, for rows in it and out of it
+    # (the images of t2 and t4m2, whose only pinned row is the identity's,
+    # never leave it)
+    p, rng = 3, np.random.default_rng(degree)
+    gf, pdata = GFq(p, degree), _pdata(name)
+    sols = enumerate_complements_fp(name, p)[::5][:8].astype(np.int64)
+    variants = search._twisted(rows_from_cells(sols, pdata, p), pdata.twist, p)
+    t, adj = next(_family_conjugators(pdata.family, gf))
+    eye = gf.lift(np.eye(3, dtype=np.int64))[None]
+    images = _conjugated(gf.lift(variants), (np.concatenate([eye, t[::23]]),
+                                             np.concatenate([eye, adj[::23]])), gf)
+    cells = gf.elements()[rng.integers(0, gf.q, (60, len(pdata.dirs)))]
+    slice_rows = (np.einsum("nc...,cjt->njt...", cells, pdata.dirs) + gf.lift(pdata.base)) % p
+    noise = gf.elements()[rng.integers(0, gf.q, slice_rows.shape[:3])]
+    noisy = gf.add(slice_rows, noise * (np.arange(60) % 2).reshape((-1,) + (1,) * (noise.ndim - 1)))
+    flags = []
+    for rows in (images.reshape((-1,) + images.shape[3:]), noisy):
+        coeff = np.einsum("njt...,at->nja...", rows, pdata.functionals) % p
+        rows = rows[~gf.is_zero(gf.det_adj(coeff)[0])]
+        cells, ok = normalize_rows(rows, pdata, gf)
+        ref_cells, ref_ok = _normalize_by_reconstruction(rows, pdata, gf)
+        assert np.array_equal(cells, ref_cells) and np.array_equal(ok, ref_ok)
+        flags.append(ok)
+    assert flags[0].any() and flags[1].any() and not flags[1].all()
+
+
 @pytest.mark.parametrize("name, p", [("t1", 3), ("t6", 5)])
 def test_normal_form_is_the_same_over_the_extension(name, p):
     # images of some solutions under some group maps, in the slice or not:
