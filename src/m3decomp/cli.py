@@ -139,9 +139,10 @@ def cmd_verify(args):
 
 def cmd_search(args):
     name = _pattern_name(args.pattern)
+    # first, so that a cube over the slow oracle's budget is refused at once
+    slow = search.slow_cube_solutions(name, args.prime) if args.slow_oracle else None
     report = search.coverage_report(name, args.prime, explain=not args.no_explain)
-    if args.slow_oracle:
-        slow = search.slow_cube_solutions(name, args.prime)
+    if slow is not None:
         fast = search.enumerate_complements_fp(name, args.prime)
         report["slow_oracle_agrees"] = bool(np.array_equal(slow, fast))
     doc = {

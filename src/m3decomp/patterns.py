@@ -9,14 +9,15 @@ Because the pivot parts complete any basis of M to a basis of the full space,
 every pattern instance automatically satisfies the direct-sum condition, and
 S being a subalgebra is equivalent to the vanishing of the derived closure
 system: for each product of generators, the unique candidate coefficients are
-read off by the dual functionals and the residual must be zero in all nine
-coordinates.
+read off by the dual functionals and the residual, which lies in M, must be
+zero at the slots, the first coordinates of M's disjoint 0/1 generators.
 
 `PivotPattern` is the one holder of this pattern-normal form, as integer
-data that the closure system and the finite-field oracle both read: the base
-rows, each cell's generator and direction (one generator of the complement),
-the entries pinned to zero (per generator, the complement generators none of
-its cells names), and the dual functionals, which must be integral.
+data that the closure system and the finite-field oracle both read: the
+complement's generator rows and their slots, the base rows, each cell's
+generator and direction (one generator of the complement), the entries
+pinned to zero (per generator, the complement generators none of its cells
+names), and the dual functionals, which must be integral.
 
 Patterns whose cells are pinned to zero record the justification; only
 division-free normalizations are pinned where completeness over prime fields
@@ -56,16 +57,18 @@ class PivotPattern:
 
     gens lists, per generator after the identity, its pivot positions and
     its (cell, direction positions) pairs.  The pattern holds, as integers:
-    base, the k generator rows with every cell at 0 (the identity first,
-    and include_identity set, when the complement lacks it); dirs, per cell
-    its generator index and direction, a 0/1 generator of the complement
-    named at most once per generator; reads and pinned, per cell and per
-    entry pinned to 0 (each complement generator that a generator, the
-    identity included, names in no cell), the generator index and the first
-    coordinate of the complement generator; functionals, the k dual
-    functionals that read a generator's coefficient off an element of S.
-    Any other direction, pivot parts that do not complete a basis of the
-    complement and non-integral functionals each raise PatternMismatch.
+    directions, the complement's 0/1 generator rows, and slots, their first
+    coordinates in increasing order; base, the k generator rows with every
+    cell at 0 (the identity first, and include_identity set, when the
+    complement lacks it); dirs, per cell its generator index and direction,
+    a 0/1 generator of the complement named at most once per generator;
+    reads and pinned, per cell and per entry pinned to 0 (each complement
+    generator that a generator, the identity included, names in no cell),
+    the generator index and the slot of the complement generator;
+    functionals, the k dual functionals that read a generator's coefficient
+    off an element of S.  Any other direction, pivot parts that do not
+    complete a basis of the complement and non-integral functionals each
+    raise PatternMismatch.
     """
 
     def __init__(self, name, complement_id, gens, fixed_zeros=""):
@@ -73,7 +76,8 @@ class PivotPattern:
         self.complement_id = complement_id
         self.fixed_zeros = fixed_zeros
         comp = COMPLEMENTS[complement_id]
-        directions = [list(g.coords()) for g in comp.generators]
+        self.directions = directions = [[int(x) for x in g.coords()] for g in comp.generators]
+        self.slots = sorted(d.index(1) for d in directions)
         self.include_identity = not comp.subspace().contains_identity()
         identity = [([(1, 1), (2, 2), (3, 3)], [])] if self.include_identity else []
         self.base, self.pinned, params, self.dirs, self.reads = [], [], [], [], []
@@ -118,37 +122,28 @@ class PivotPattern:
 
     def closure_system(self, pairs="all"):
         """The polynomial system whose vanishing is equivalent to closure of
-        the span: coordinates of (product - coefficient combination) over all
-        requested ordered generator pairs (products with the identity are
-        trivially closed and skipped)."""
+        the span: over the requested ordered generator pairs (products with
+        the identity are trivially closed and skipped), each product less its
+        coefficient combination, which lies in the complement as F gen^T = I,
+        read at the slots; zero and repeated equations are dropped."""
         gens = self.symbolic_generators()
+        coords = [g.coords() for g in gens]
         ring = self.ring
-        start = 1 if self.include_identity else 0
+        idx = range(1 if self.include_identity else 0, len(gens))
         if pairs == "all":
-            index_pairs = [
-                (i, j)
-                for i in range(start, len(gens))
-                for j in range(start, len(gens))
-            ]
+            index_pairs = [(i, j) for i in idx for j in idx]
         elif pairs == "squares":
-            index_pairs = [(i, i) for i in range(start, len(gens))]
+            index_pairs = [(i, i) for i in idx]
         else:
             raise ValueError("pairs must be 'all' or 'squares'")
         system = []
         seen = set()
         for (i, j) in index_pairs:
-            prod = gens[i] @ gens[j]
-            combo = [ring.zero()] * 9
-            pc = prod.coords()
-            for func, gen in zip(self.functionals, gens):
-                coeff = ring.zero()
-                for t in range(9):
-                    if func[t]:
-                        coeff = coeff + pc[t] * ring.constant(func[t])
-                gc = gen.coords()
-                combo = [cm + coeff * gcoord for cm, gcoord in zip(combo, gc)]
-            for t in range(9):
-                eq = pc[t] - combo[t]
+            pc = (gens[i] @ gens[j]).coords()
+            coeffs = [sum((pc[t] * f[t] for t in range(9) if f[t]), ring.zero())
+                      for f in self.functionals]
+            for t in self.slots:
+                eq = pc[t] - sum((c * gc[t] for c, gc in zip(coeffs, coords)), ring.zero())
                 if eq and eq not in seen:
                     seen.add(eq)
                     system.append(eq)

@@ -44,7 +44,7 @@ from collections import Counter
 
 import numpy as np
 
-from .catalog import COMPLEMENTS, builtin_catalog
+from .catalog import builtin_catalog
 from .errors import BudgetExceeded, GroupMismatch, NotSupported, PatternMismatch
 from .fpsolve import solve_system_fp
 from .gfq import GFq
@@ -77,8 +77,7 @@ def _pdata(pattern_name):
         dirs[ci, gi] = vec
     return types.SimpleNamespace(
         comp_id=pat.complement_id, family=family, twist=twist_matrix(twist),
-        comp_rows=np.array([[int(x) for x in g.coords()]
-                            for g in COMPLEMENTS[pat.complement_id].generators], dtype=np.int64),
+        comp_rows=np.array(pat.directions, dtype=np.int64),
         base=np.array(pat.base, dtype=np.int64),
         functionals=np.array(pat.functionals, dtype=np.int64),
         dirs=dirs,
@@ -468,9 +467,11 @@ _SLOW_BUDGET = 20000
 
 
 def slow_cube_solutions(pattern_name, p):
-    """Unpruned reference enumeration: iterate the full assignment cube and
-    test closure directly, without the closure system: every product of two
-    generators must lie in their span mod p."""
+    """Unpruned reference enumeration over F_p, for a prime p up to
+    scalars.MAX_PRIME: iterate the full assignment cube and test closure
+    directly, without the closure system: every product of two generators
+    must lie in their span."""
+    check_prime(p)
     pat = get_pattern(pattern_name)
     pdata = _pdata(pattern_name)
     c = len(pat.params)

@@ -178,10 +178,12 @@ def test_pinned_grid_matches_the_fixed_zeros_text(name):
     # every generator times every complement generator is one cell or one
     # pinned entry, read off the complement generator's first coordinate;
     # the identity row pins them all, and the other pinned entries are the
-    # cells that fixed_zeros names before "= 0"
+    # cells that fixed_zeros names before "= 0"; the slots are those first
+    # coordinates in increasing order
     pat = get_pattern(name)
     directions = [[int(x) for x in g.coords()] for g in COMPLEMENTS[pat.complement_id].generators]
     first = sorted(d.index(1) for d in directions)
+    assert pat.directions == directions and pat.slots == first
     assert sorted(pat.pinned + pat.reads) == [(gi, t) for gi in range(pat.gen_count) for t in first]
     assert all(vec in directions and read == (gi, vec.index(1))
                for (gi, vec), read in zip(pat.dirs, pat.reads))
@@ -302,6 +304,48 @@ def test_dirless_pattern_empty_system():
     # the derived system is empty
     pat = PivotPattern("bare", "M7", [([(2, 1)], []), ([(3, 1)], [])])
     assert pat.closure_system() == []
+
+
+def _closure_system_on_nine_coordinates(pat, pairs):
+    """The reference derivation: each product less its coefficient
+    combination on all nine coordinates, zero and repeated equations
+    dropped."""
+    gens = pat.symbolic_generators()
+    ring = pat.ring
+    idx = range(1 if pat.include_identity else 0, len(gens))
+    index_pairs = [(i, j) for i in idx for j in idx] if pairs == "all" else [(i, i) for i in idx]
+    system, seen = [], set()
+    for i, j in index_pairs:
+        pc = (gens[i] @ gens[j]).coords()
+        combo = [ring.zero()] * 9
+        for func, gen in zip(pat.functionals, gens):
+            coeff = ring.zero()
+            for t in range(9):
+                if func[t]:
+                    coeff = coeff + pc[t] * ring.constant(func[t])
+            combo = [cm + coeff * g for cm, g in zip(combo, gen.coords())]
+        for t in range(9):
+            eq = pc[t] - combo[t]
+            if eq and eq not in seen:
+                seen.add(eq)
+                system.append(eq)
+    return system
+
+
+@pytest.mark.parametrize("pairs", ["all", "squares"])
+@pytest.mark.parametrize("name", PATTERNS)
+def test_closure_system_at_the_slots_matches_all_nine_coordinates(name, pairs):
+    # the residual lies in the complement, so reading it at one coordinate
+    # per complement generator gives the same equations in the same order
+    pat = get_pattern(name)
+    assert pat.closure_system(pairs) == _closure_system_on_nine_coordinates(pat, pairs)
+
+
+def test_t6_slots_are_sorted_although_its_generators_are_not():
+    # L5_3's generators start at coordinates 0, 1, 2, 5 and 4
+    pat = get_pattern("t6")
+    assert [d.index(1) for d in pat.directions] == [0, 1, 2, 5, 4]
+    assert pat.slots == [0, 1, 2, 4, 5]
 
 
 def test_closure_system_matches_subalgebra_check():

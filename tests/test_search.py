@@ -202,6 +202,15 @@ def test_slow_cube_budget():
         slow_cube_solutions("t7", 3)
 
 
+@pytest.mark.parametrize("p, match", [(1, "1 is not a prime"), (4, "4 is not a prime"),
+                                      (11, f"primes up to {MAX_PRIME}, not 11")])
+def test_slow_cube_checks_its_prime(p, match):
+    # as every other oracle entry does: arithmetic mod 1 would return one
+    # all-zero solution
+    with pytest.raises(NotSupported, match=match):
+        slow_cube_solutions("t1", p)
+
+
 @pytest.mark.parametrize("name", PATTERNS)
 def test_normalize_roundtrip(name):
     # solutions and arbitrary cell values alike: every pattern row is in the
@@ -671,3 +680,15 @@ def test_search_slow_oracle_disagreement_exits_1(tmp_path, monkeypatch):
     assert cli.main([*_SEARCH_T1_SLOW, "--output", str(out)]) == 1
     doc = json.loads(out.read_text())
     assert doc["slow_oracle_agrees"] is False and doc["clean"]
+
+
+def test_search_refuses_the_slow_cube_before_coverage(monkeypatch, capsys):
+    # 7^12 assignments exceed the slow oracle's budget: the run exits 2
+    # without computing the coverage report
+    def no_coverage(*args, **kwargs):
+        raise RuntimeError("coverage computed before the slow oracle's budget check")
+
+    monkeypatch.setattr(search, "coverage_report", no_coverage)
+    argv = ["search", "--pattern", "t1", "--prime", "7", "--slow-oracle", "--no-explain"]
+    assert cli.main(argv) == 2
+    assert "7^12 assignments exceed the slow-oracle budget" in capsys.readouterr().err
